@@ -2,10 +2,12 @@
 
 Runs the ``test_stream_partition_pass`` workload (10k-vertex social
 graph, k = 8) under every registered kernel backend, best-of-N wall
-clock, and appends one entry to ``BENCH_hotpaths.json`` at the repo
-root. The file is the perf trajectory for the streaming hot path: each
-PR that touches the kernels re-runs this script so regressions show up
-as a new entry, not a silent drift.
+clock, then one dense BPart run (twitter 2.0, k = 8) split by the
+``partition.combine.extract`` / ``partition.combine.stream`` spans, and
+appends one entry to ``BENCH_hotpaths.json`` at the repo root. The
+file is the perf trajectory for the streaming hot path: each PR that
+touches the kernels re-runs this script so regressions show up as a new
+entry, not a silent drift.
 
 Usage::
 
@@ -25,7 +27,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.graph import social_graph
+from repro.graph import load_dataset, social_graph
+from repro.parallel import resolve_jobs
+from repro.partition import get_partitioner
 from repro.partition._streamcore import default_alpha, stream_partition
 from repro.partition.kernels import available_kernels, get_kernel
 
@@ -50,6 +54,37 @@ def time_kernel(g, kernel: str, repeats: int) -> float:
         stream_partition(g, 8, vertex_weights=weights, alpha=alpha, kernel=kernel)
         best = min(best, time.perf_counter() - start)
     return best
+
+
+BPART_WORKLOAD = {"graph": "load_dataset('twitter', 2.0, 1)", "num_parts": 8}
+
+
+def time_dense_bpart(repeats: int) -> dict:
+    """Best-of-``repeats`` dense BPart run and its combine-self split.
+
+    Wall seconds are taken with telemetry off; one extra traced run
+    attributes them to subgraph extraction and phase-1 streaming.
+    """
+    g = load_dataset("twitter", 2.0, 1)
+    bpart = get_partitioner("bpart")
+    best = min(bpart.partition(g, 8).elapsed for _ in range(repeats))
+    telemetry.reset()
+    telemetry.set_enabled(True)
+    bpart.partition(g, 8)
+    telemetry.set_enabled(False)
+    by_name: dict[str, float] = {}
+    for span in telemetry.registry().spans:
+        by_name[span["name"]] = by_name.get(span["name"], 0.0) + span["dur"]
+    total = by_name["partition"]
+    return {
+        **BPART_WORKLOAD,
+        "num_vertices": g.num_vertices,
+        "num_arcs": g.num_edges,
+        "seconds": round(best, 4),
+        "extract_subgraph_seconds": round(by_name["partition.combine.extract"], 4),
+        "extract_subgraph_share": round(by_name["partition.combine.extract"] / total, 3),
+        "stream_share": round(by_name["partition.combine.stream"] / total, 3),
+    }
 
 
 def main() -> int:
@@ -98,6 +133,12 @@ def main() -> int:
         f"({overhead_pct:+.2f}% on kernel={auto})"
     )
 
+    dense_bpart = time_dense_bpart(args.repeats)
+    print(
+        f"dense bpart  {dense_bpart['seconds']:.3f} s, extract_subgraph "
+        f"{dense_bpart['extract_subgraph_share']:.1%} of the run"
+    )
+
     entry = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "workload": WORKLOAD,
@@ -111,6 +152,9 @@ def main() -> int:
             "on_seconds": round(on, 6),
             "overhead_pct": round(overhead_pct, 2),
         },
+        "dense_bpart": dense_bpart,
+        "machine": platform.machine(),
+        "cpus_visible": resolve_jobs(0),  # jobs <= 0 means all visible cores
         "python": platform.python_version(),
         "numpy": np.__version__,
     }

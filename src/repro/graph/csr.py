@@ -102,7 +102,7 @@ class CSRGraph:
         construction; disable for trusted internal callers on hot paths.
     """
 
-    __slots__ = ("_indptr", "_indices", "_directed", "_degrees", "_fingerprint")
+    __slots__ = ("_indptr", "_indices", "_directed", "_degrees", "_fingerprint", "_rows_sorted")
 
     def __init__(
         self,
@@ -121,6 +121,7 @@ class CSRGraph:
         self._directed = bool(directed)
         self._degrees: np.ndarray | None = None
         self._fingerprint: str | None = None
+        self._rows_sorted: bool | None = None
         if validate:
             self.validate()
         # Freeze the backing arrays: CSRGraph is shared across partitioners
@@ -187,6 +188,21 @@ class CSRGraph:
             deg.setflags(write=False)
             self._degrees = deg
         return self._degrees
+
+    @property
+    def rows_sorted(self) -> bool:
+        """Whether every neighbour list ascends (computed once, then cached).
+
+        One vectorised O(arcs) pass: a descent between adjacent slots
+        counts only when both slots belong to the same row. Every builder
+        guarantees it; hand-assembled graphs may not.
+        """
+        if self._rows_sorted is None:
+            descents = self._indices[1:] < self._indices[:-1]
+            starts = self._indptr[1:-1]
+            descents[starts[(starts > 0) & (starts < self._indices.size)] - 1] = False
+            self._rows_sorted = not descents.any()
+        return self._rows_sorted
 
     @property
     def avg_degree(self) -> float:

@@ -60,11 +60,13 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
         mask = np.zeros(n, dtype=bool)
         mask[ids] = True
 
-    # Sharded identity extraction (all vertices are members): the induced
-    # graph IS the input — return it without building a dense copy. This
-    # is the path multi-layer combine's first layer takes, which is what
-    # keeps layer 1 of BPart running natively out-of-core.
-    if ids.size == n and getattr(graph, "gather_block", None) is not None:
+    # Identity extraction (all vertices are members): the induced graph
+    # IS the input — return it without building a copy. This is the path
+    # multi-layer combine's first layer takes; it keeps layer 1 of BPart
+    # zero-copy on dense graphs and natively out-of-core on sharded ones.
+    # A dense graph qualifies only with ascending rows, since the induced
+    # adjacency below always comes out row-sorted.
+    if ids.size == n and (getattr(graph, "gather_block", None) is not None or graph.rows_sorted):
         return Subgraph(
             graph=graph,
             global_ids=ids,
@@ -113,15 +115,15 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
     counts = np.bincount(kept_src, minlength=ids.size)
     new_indptr = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    # kept arcs are already grouped by source (we walked sources in order);
-    # sort neighbour lists per source for has_edge support.
-    order = np.lexsort((kept_dst, kept_src))
-    sub = CSRGraph(
-        new_indptr,
-        kept_dst[order].astype(np.int32 if ids.size <= 2**31 - 1 else np.int64),
-        directed=graph.directed,
-        validate=False,
-    )
+    # Kept arcs are already grouped by source (we walked sources in order)
+    # and the relabelling is monotone, so sorted input rows come out
+    # sorted; only hand-assembled graphs with unsorted rows pay for a sort
+    # (has_edge needs ascending neighbour lists).
+    indices = kept_dst.astype(np.int32 if ids.size <= 2**31 - 1 else np.int64)
+    sub = CSRGraph(new_indptr, indices, directed=graph.directed, validate=False)
+    if not sub.rows_sorted:
+        order = np.lexsort((kept_dst, kept_src))
+        sub = CSRGraph(new_indptr, indices[order], directed=graph.directed, validate=False)
     return Subgraph(
         graph=sub,
         global_ids=ids,

@@ -15,8 +15,8 @@ capacity bound ``ν·n/k`` applies uniformly.
 The inner loop itself lives in :mod:`repro.partition.kernels`: the
 ``kernel=`` knob selects between the reference per-vertex NumPy loop
 (``scalar``), the delta-maintained ``incremental`` loop, the chunked
-``buffered`` gather, and the optional ``numba`` JIT — all bit-exact
-with each other, so the knob trades throughput only.
+``buffered`` gather (the default), and the optional ``numba`` JIT — all
+bit-exact with each other, so the knob trades throughput only.
 """
 
 from __future__ import annotations
@@ -126,63 +126,58 @@ def stream_partition(
     loads = np.zeros(k, dtype=np.float64)
     capacity = slack * w.sum() / k
     stream = vertex_stream(graph, order, rng=rng)
-    timer_ctx = (
-        telemetry.active().timer("partition.stream.seconds", kernel=effective).time()
-        if telemetry.enabled()
-        else None
-    )
-    if timer_ctx is not None:
-        timer_ctx.__enter__()
-    if backend.name == "parallel":
-        from repro.partition.kernels.parallel_backend import fennel_parallel
+    # A `with` block, so a kernel that raises cannot leave the timer open
+    # (disabled telemetry hands back a no-op context).
+    with telemetry.active().timer("partition.stream.seconds", kernel=effective).time():
+        if backend.name == "parallel":
+            from repro.partition.kernels.parallel_backend import fennel_parallel
 
-        dense = gather is None
-        fennel_parallel(
-            graph.indptr if dense else None,
-            graph.indices if dense else None,
-            stream,
-            parts,
-            loads,
-            w,
-            alpha=float(alpha),
-            gamma=float(gamma),
-            capacity=float(capacity),
-            passes=int(passes),
-            gather=gather,
-            graph=graph,
-            jobs=eff_jobs,
-        )
-    elif gather is not None:
-        from repro.partition.kernels.buffered import fennel_buffered
+            dense = gather is None
+            fennel_parallel(
+                graph.indptr if dense else None,
+                graph.indices if dense else None,
+                stream,
+                parts,
+                loads,
+                w,
+                alpha=float(alpha),
+                gamma=float(gamma),
+                capacity=float(capacity),
+                passes=int(passes),
+                gather=gather,
+                graph=graph,
+                jobs=eff_jobs,
+            )
+        elif gather is not None:
+            from repro.partition.kernels.buffered import fennel_buffered
 
-        fennel_buffered(
-            None,
-            None,
-            stream,
-            parts,
-            loads,
-            w,
-            alpha=float(alpha),
-            gamma=float(gamma),
-            capacity=float(capacity),
-            passes=int(passes),
-            gather=gather,
-        )
-    else:
-        backend.fennel(
-            graph.indptr,
-            graph.indices,
-            stream,
-            parts,
-            loads,
-            w,
-            alpha=float(alpha),
-            gamma=float(gamma),
-            capacity=float(capacity),
-            passes=int(passes),
-        )
-    if timer_ctx is not None:
-        timer_ctx.__exit__(None, None, None)
+            fennel_buffered(
+                None,
+                None,
+                stream,
+                parts,
+                loads,
+                w,
+                alpha=float(alpha),
+                gamma=float(gamma),
+                capacity=float(capacity),
+                passes=int(passes),
+                gather=gather,
+            )
+        else:
+            backend.fennel(
+                graph.indptr,
+                graph.indices,
+                stream,
+                parts,
+                loads,
+                w,
+                alpha=float(alpha),
+                gamma=float(gamma),
+                capacity=float(capacity),
+                passes=int(passes),
+            )
+    if telemetry.enabled():
         # Aggregates only, recorded after the kernel: the per-vertex hot
         # loop stays untouched, so disabled-mode cost is one flag read.
         reg = telemetry.active()

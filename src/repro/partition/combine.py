@@ -139,6 +139,7 @@ def multi_layer_combine(
     next_id = 0
     remaining = np.ones(n, dtype=bool)
     traces: list[LayerTrace] = []
+    sub = None  # induced subgraph of `remaining`; dropped whenever it shrinks
 
     for layer in range(1, max_layers + 1):
         n_remaining_parts = num_parts - next_id
@@ -147,7 +148,9 @@ def multi_layer_combine(
         rem_count = int(remaining.sum())
         last = layer == max_layers or n_remaining_parts == 1
 
-        sub = extract_subgraph(graph, remaining)
+        if sub is None:
+            with telemetry.active().span("partition.combine.extract", layer=layer):
+                sub = extract_subgraph(graph, remaining)
         rounds = base_rounds + layer - 1
         pieces = (oversplit_base**rounds) * n_remaining_parts
         # Degenerate small remainders: never ask for more pieces than
@@ -157,7 +160,8 @@ def multi_layer_combine(
             pieces = (oversplit_base**rounds) * n_remaining_parts
         pieces = min(pieces, rem_count)
 
-        piece_parts = np.asarray(partition_fn(sub.graph, pieces), dtype=np.int32)
+        with telemetry.active().span("partition.combine.stream", layer=layer):
+            piece_parts = np.asarray(partition_fn(sub.graph, pieces), dtype=np.int32)
         if piece_parts.size != rem_count:
             raise PartitionError("partition_fn returned wrong-length assignment")
 
@@ -243,6 +247,8 @@ def multi_layer_combine(
                 if next_id < num_parts:
                     next_id += 1
         traces.append(trace)
+        if trace.finalized:
+            sub = None
         if not remaining.any():
             break
 

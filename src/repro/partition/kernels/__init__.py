@@ -10,11 +10,11 @@ current environment:
     delta-updated neighbour counter; ~4× faster at the paper's ``k``.
 ``buffered``
     Chunked vectorised CSR gather with exact intra-chunk fixups;
-    fastest pure-NumPy backend (~5×).
+    fastest pure-NumPy backend (~5×) and the default.
 ``numba``
     JIT-compiled incremental loop; registered only when numba is
-    installed, otherwise ``get_kernel("numba")`` falls back to
-    ``incremental`` with a one-time warning and a
+    installed, otherwise ``get_kernel("numba")`` falls back to the
+    ``auto`` default (``buffered``) with a one-time warning and a
     ``kernels.numba_fallbacks`` telemetry increment.
 ``parallel``
     Worker-process chunk scoring over shared memory with exact in-order
@@ -22,7 +22,7 @@ current environment:
     and degrades to ``buffered`` at ``jobs=1``.
 
 ``get_kernel("auto")`` — the default everywhere a ``kernel=`` knob is
-exposed — picks ``numba`` when available and ``incremental`` otherwise;
+exposed — picks ``numba`` when available and ``buffered`` otherwise;
 all shipped backends produce identical assignments, so the knob trades
 throughput only (see ``tests/partition/test_kernels.py``).
 """

@@ -47,7 +47,7 @@ __all__ = [
 
 #: Names accepted by ``kernel=`` knobs. ``auto`` resolves to the fastest
 #: available bit-exact backend (``numba`` when importable, else
-#: ``incremental``); ``numba`` falls back to ``incremental`` (with a
+#: ``buffered``); ``numba`` falls back to that same default (with a
 #: one-time warning) when the JIT is not installed; ``parallel`` fans
 #: chunk scoring over worker processes and itself degrades to
 #: ``buffered`` at ``jobs=1``.
@@ -90,18 +90,18 @@ def get_kernel(name: str | None = "auto") -> KernelBackend:
     """Resolve a kernel name to a registered backend.
 
     ``"auto"`` (or ``None``) prefers the JIT backend when numba is
-    installed and otherwise uses ``incremental`` — both are bit-exact
+    installed and otherwise uses ``buffered`` — both are bit-exact
     with ``scalar``, so the default never changes results. Requesting
-    ``"numba"`` without numba installed falls back to ``incremental``
-    rather than erroring, matching how optional accelerators should
-    degrade.
+    ``"numba"`` without numba installed falls back to what ``"auto"``
+    resolves to rather than erroring, so asking for the JIT never lands
+    on a backend slower than the default.
     """
     key = (name or "auto").lower()
-    if key == "auto":
-        key = "numba" if "numba" in _REGISTRY else "incremental"
-    elif key == "numba" and "numba" not in _REGISTRY:
+    if key == "numba" and "numba" not in _REGISTRY:
         _note_numba_fallback()
-        key = "incremental"
+        key = "auto"
+    if key == "auto":
+        key = "numba" if "numba" in _REGISTRY else "buffered"
     if key not in _REGISTRY:
         raise ConfigurationError(
             f"unknown streaming kernel {name!r}; choose from {KERNEL_CHOICES}"

@@ -5,8 +5,8 @@ the incremental algorithm (delta-maintained penalties, counter reset by
 touched entries) registers under ``"numba"`` and becomes the ``"auto"``
 default. When it is not — the common case for the slim test image —
 this module registers nothing and :func:`~repro.partition.kernels.base.
-get_kernel` resolves ``"numba"`` to ``"incremental"``, so a
-``kernel="numba"`` knob never errors on a machine without the JIT. The
+get_kernel` resolves ``"numba"`` to the ``"auto"`` default
+(``"buffered"``), so a ``kernel="numba"`` knob never errors on a machine without the JIT. The
 substitution is visible, not silent: :func:`note_missing_numba` warns
 once per process and counts each fallback in
 ``kernels.numba_fallbacks`` telemetry.
@@ -38,7 +38,7 @@ _WARNED_MISSING = False
 
 
 def note_missing_numba() -> None:
-    """Record one ``kernel="numba"`` request served by ``incremental``.
+    """Record one ``kernel="numba"`` request served by the ``auto`` default.
 
     Warns once per process — not per dispatch, which used to spam
     suites that resolve the kernel eagerly per partitioner — and bumps
@@ -56,7 +56,7 @@ def note_missing_numba() -> None:
 
         warnings.warn(
             "kernel='numba' requested but numba is not installed; "
-            "using the 'incremental' backend (bit-identical, slower)",
+            "using the default 'buffered' backend (bit-identical)",
             RuntimeWarning,
             stacklevel=4,
         )

@@ -86,6 +86,20 @@ class TestAccessors:
         assert edges == {(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)}
 
 
+class TestRowsSorted:
+    def test_builders_sort_and_hand_assembly_may_not(self):
+        assert from_edges([0, 0, 1], [2, 1, 2]).rows_sorted
+        assert not CSRGraph(np.array([0, 0, 2]), np.array([1, 0])).rows_sorted
+
+    def test_descents_across_row_boundaries_do_not_count(self):
+        # rows [2, 3], [], [0], [] — 3 → 0 straddles an empty row
+        assert CSRGraph(np.array([0, 2, 2, 3, 3]), np.array([2, 3, 0])).rows_sorted
+
+    def test_empty_and_edgeless(self):
+        assert CSRGraph(np.zeros(1, np.int64), np.empty(0, np.int32)).rows_sorted
+        assert from_edges([], [], num_vertices=4).rows_sorted
+
+
 class TestDerived:
     def test_reverse_of_undirected_is_equal(self, grid8x8):
         assert grid8x8.reverse() == grid8x8

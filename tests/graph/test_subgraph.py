@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import PartitionError
-from repro.graph import extract_subgraph, partition_subgraphs
+from repro.graph import (
+    CSRGraph,
+    extract_subgraph,
+    from_edges,
+    partition_subgraphs,
+    social_graph,
+    spill_csr,
+)
 
 
 class TestExtract:
@@ -72,3 +83,141 @@ class TestPartitionSubgraphs:
     def test_wrong_length(self, triangle):
         with pytest.raises(PartitionError):
             partition_subgraphs(triangle, np.array([0, 1]), 2)
+
+
+# ----------------------------------------------------------------------
+# Parity with the lexsort construction extract_subgraph used to run on
+# every call. It now sorts only when the gathered rows fail an O(arcs)
+# order check (and returns the input itself when every vertex is a
+# member), so the old construction stays here as the oracle.
+# ----------------------------------------------------------------------
+def lexsort_oracle(graph, members) -> dict:
+    n = graph.num_vertices
+    members = np.asarray(members)
+    ids = np.nonzero(members)[0] if members.dtype == bool else np.unique(members)
+    ids = ids.astype(np.int64)
+    mask = np.zeros(n, dtype=bool)
+    mask[ids] = True
+    local_of = np.full(n, -1, dtype=np.int64)
+    local_of[ids] = np.arange(ids.size)
+    src = np.repeat(np.arange(n), np.diff(graph.indptr))
+    dst = np.asarray(graph.indices, dtype=np.int64)
+    leaving = mask[src]
+    kept = leaving & mask[dst]
+    kept_src, kept_dst = local_of[src[kept]], local_of[dst[kept]]
+    indptr = np.zeros(ids.size + 1, dtype=np.int64)
+    np.cumsum(np.bincount(kept_src, minlength=ids.size), out=indptr[1:])
+    return {
+        "indptr": indptr,
+        "indices": kept_dst[np.lexsort((kept_dst, kept_src))],
+        "global_ids": ids,
+        "local_of": local_of,
+        "num_cut_arcs": int(leaving.sum() - kept.sum()),
+        "num_total_arcs": int(leaving.sum()),
+    }
+
+
+def assert_matches_oracle(sub, graph, members) -> None:
+    want = lexsort_oracle(graph, members)
+    # A sharded identity extraction has no global indices array to read;
+    # fold its blocks (the contract every consumer uses) instead.
+    blocks = list(sub.graph.iter_blocks())
+    indices = np.concatenate([idx for *_, idx in blocks]) if blocks else np.empty(0)
+    assert np.array_equal(sub.graph.indptr, want["indptr"])
+    assert np.array_equal(indices, want["indices"])
+    assert np.array_equal(sub.global_ids, want["global_ids"])
+    assert np.array_equal(sub.local_of, want["local_of"])
+    assert sub.num_cut_arcs == want["num_cut_arcs"]
+    assert sub.num_total_arcs == want["num_total_arcs"]
+    assert sub.graph.directed == graph.directed
+
+
+def _with_reversed_rows(graph) -> CSRGraph:
+    """Hand-assembled twin of ``graph`` whose rows descend."""
+    rows = [graph.neighbors(v)[::-1] for v in range(graph.num_vertices)]
+    return CSRGraph(graph.indptr, np.concatenate(rows), directed=graph.directed)
+
+
+@functools.cache  # graphs are immutable; hypothesis asks for them per example
+def _parity_graph(kind: str) -> CSRGraph:
+    if kind == "sorted":
+        return social_graph(300, 8.0, 2.3, rng=4)
+    if kind == "unsorted":
+        return _with_reversed_rows(social_graph(300, 8.0, 2.3, rng=4))
+    rng = np.random.default_rng(7)
+    src, dst = rng.integers(0, 200, 1500), rng.integers(0, 200, 1500)
+    return from_edges(src, dst, num_vertices=200, directed=True)
+
+
+def _parity_members(kind: str, n: int) -> np.ndarray:
+    mask = np.zeros(n, dtype=bool)
+    if kind == "single":
+        mask[n // 3] = True
+    elif kind == "all":
+        mask[:] = True
+    elif kind == "random":
+        mask[np.random.default_rng(11).random(n) < 0.4] = True
+    return mask
+
+
+GRAPH_KINDS = ["sorted", "unsorted", "directed"]
+MEMBER_KINDS = ["empty", "single", "all", "random"]
+
+
+class TestLexsortParity:
+    @pytest.mark.parametrize("members", MEMBER_KINDS)
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_mask_matches_oracle(self, kind, members):
+        g = _parity_graph(kind)
+        mask = _parity_members(members, g.num_vertices)
+        assert_matches_oracle(extract_subgraph(g, mask), g, mask)
+
+    @pytest.mark.parametrize("kind", GRAPH_KINDS)
+    def test_id_array_matches_mask_and_oracle(self, kind):
+        g = _parity_graph(kind)
+        mask = _parity_members("random", g.num_vertices)
+        ids = np.nonzero(mask)[0]
+        shuffled = np.concatenate((ids[::-1], ids[:5]))  # unsorted, with repeats
+        sub = extract_subgraph(g, shuffled)
+        assert_matches_oracle(sub, g, shuffled)
+        assert sub.graph == extract_subgraph(g, mask).graph
+
+    def test_unsorted_rows_take_the_sort_branch(self):
+        g = _parity_graph("unsorted")
+        assert not g.rows_sorted
+        for members in ("random", "all"):
+            sub = extract_subgraph(g, _parity_members(members, g.num_vertices))
+            assert sub.graph is not g
+            assert sub.graph.rows_sorted
+
+    @pytest.mark.parametrize("kind", ["sorted", "directed"])
+    def test_all_members_of_a_sorted_dense_graph_is_the_input(self, kind):
+        g = _parity_graph(kind)
+        assert g.rows_sorted
+        sub = extract_subgraph(g, np.ones(g.num_vertices, dtype=bool))
+        assert sub.graph is g
+        assert_matches_oracle(sub, g, np.arange(g.num_vertices))
+
+    @pytest.mark.parametrize("members", MEMBER_KINDS)
+    def test_sharded_matches_dense_and_oracle(self, tmp_path, members):
+        dense = _parity_graph("sorted")
+        mask = _parity_members(members, dense.num_vertices)
+        sharded = spill_csr(dense, tmp_path / "shards", shard_size=64)
+        try:
+            sub = extract_subgraph(sharded, mask)
+            assert_matches_oracle(sub, dense, mask)
+            if members == "all":
+                assert sub.graph is sharded
+        finally:
+            sharded.close()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(GRAPH_KINDS),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+    )
+    def test_random_masks_match_oracle(self, kind, seed, density):
+        g = _parity_graph(kind)
+        mask = np.random.default_rng(seed).random(g.num_vertices) < density
+        assert_matches_oracle(extract_subgraph(g, mask), g, mask)

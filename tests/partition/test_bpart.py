@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.graph import social_graph
+from repro.graph import load_dataset, social_graph, spill_csr
 from repro.partition import (
     BPartPartitioner,
     ChunkEPartitioner,
@@ -131,3 +132,57 @@ class TestBPartFull:
         pieces_e = weighted_stream_partition(g, 16, c=0.0)
         ec = np.bincount(pieces_e, weights=g.degrees, minlength=16)
         assert bias(ec) < 0.25
+
+
+# Digests captured on the commit before the sort-free / zero-copy combine
+# and the auto → buffered default (PR 12): a speed-up must not move bytes.
+TWITTER_K8_DIGESTS = {
+    1: "0d5d2a74ff6020a15b870038231c4fc5c6904adf9b840de84700e8bf14f17edb",
+    2: "05676d02edec3d9188802f6b6110197f61dcb477233489ca3d8e3070589cd225",
+    3: "e00f2ac2ccdaabd33f0da4219d1bd92d25917e8e1794d324e3d602992cdb7e09",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(TWITTER_K8_DIGESTS))
+class TestBytesDidNotMove:
+    @pytest.mark.parametrize("kernel", ["scalar", "incremental", "buffered", "auto"])
+    def test_dense_digest_pinned(self, seed, kernel):
+        g = load_dataset("twitter", 0.25, seed)
+        result = BPartPartitioner(kernel=kernel).partition(g, 8)
+        assert result.assignment.fingerprint() == TWITTER_K8_DIGESTS[seed]
+
+    def test_sharded_digest_pinned(self, seed, tmp_path):
+        g = load_dataset("twitter", 0.25, seed)
+        sharded = spill_csr(g, tmp_path / "shards", shard_size=g.num_vertices // 8)
+        try:
+            result = BPartPartitioner().partition(sharded, 8)
+        finally:
+            sharded.close()
+        assert result.assignment.fingerprint() == TWITTER_K8_DIGESTS[seed]
+
+
+class TestLayerThatFinalisesNothing:
+    """twitter 0.1 / seed 3 / k=4 runs the schedule (16, 2) (16, 0) (32, 2):
+    layer 2 finalises no part, so layer 3 streams layer 2's subgraph again."""
+
+    DIGEST = "6d67b28d16c29d4d4170e2adde43746636cbffdf64a973c90698e4d2586061cc"
+
+    def test_digest_pinned_and_subgraph_reused(self):
+        g = load_dataset("twitter", 0.1, 3)
+        telemetry.set_enabled(True)
+        result = BPartPartitioner().partition(g, 4)
+        layers = result.metadata["layers"]
+        assert [(t["pieces"], len(t["finalized"])) for t in layers] == [(16, 2), (16, 0), (32, 2)]
+        assert result.assignment.fingerprint() == self.DIGEST
+        spans = [
+            (s["name"], s["args"]["layer"])
+            for s in telemetry.registry().spans
+            if s["name"].startswith("partition.combine.")
+        ]
+        assert spans == [
+            ("partition.combine.extract", 1),
+            ("partition.combine.stream", 1),
+            ("partition.combine.extract", 2),
+            ("partition.combine.stream", 2),
+            ("partition.combine.stream", 3),
+        ]

@@ -55,12 +55,12 @@ class TestRegistry:
 
     def test_auto_resolves(self):
         backend = get_kernel("auto")
-        assert backend.name == ("numba" if HAVE_NUMBA else "incremental")
+        assert backend.name == ("numba" if HAVE_NUMBA else "buffered")
 
     def test_numba_falls_back_gracefully(self):
-        # Must never raise, installed or not.
-        backend = get_kernel("numba")
-        assert backend.name in ("numba", "incremental")
+        # Must never raise, installed or not, and never land on a backend
+        # slower than the default.
+        assert get_kernel("numba").name == get_kernel("auto").name
 
     def test_none_means_auto(self):
         assert get_kernel(None).name == get_kernel("auto").name
@@ -262,3 +262,23 @@ class TestEdgelessGraphs:
         # Positive penalty + no overlap signal → least-loaded each step.
         assert list(np.bincount(parts, minlength=3)) == [4, 4, 4]
         assert list(parts[:6]) == [0, 1, 2, 0, 1, 2]
+
+
+class TestStreamTimer:
+    def test_failed_kernel_still_closes_the_stream_timer(self, monkeypatch):
+        import dataclasses
+
+        from repro import telemetry
+        from repro.partition import _streamcore
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("kernel died")
+
+        broken = dataclasses.replace(get_kernel("buffered"), fennel=explode)
+        monkeypatch.setattr(_streamcore, "get_kernel", lambda name: broken)
+        telemetry.set_enabled(True)
+        g = chung_lu(60, 4.0, rng=2)
+        with pytest.raises(RuntimeError, match="kernel died"):
+            _fennel_parts(g, 3, kernel="buffered")
+        timer = telemetry.registry().timer("partition.stream.seconds", kernel="buffered")
+        assert timer.count == 1

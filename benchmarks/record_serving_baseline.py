@@ -28,6 +28,10 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from repro.parallel import resolve_jobs
+
 ROOT = Path(__file__).resolve().parent.parent
 OUTPUT = ROOT / "BENCH_suite.json"
 
@@ -88,7 +92,7 @@ def main() -> int:
             raise SystemExit("cold and warm serving reports differ — not recording")
         report = json.loads(cold_bytes)
         # Replicated serving on clean traffic: the overhead/availability
-        # cell of the replicated event loop (K=2, no chaos).
+        # cell of the same event loop at K=2 (no chaos).
         k2_seconds = run_serve(cache_dir, out_k2, args, replication=2)
         print(f"K=2 serve:  {k2_seconds:6.1f}s")
         report_k2 = json.loads(out_k2.read_bytes())
@@ -113,14 +117,18 @@ def main() -> int:
         "shed_rate": bpart["shed_rate"],
         "cache_hit_rate": round(bpart["cache_hit_rate"], 4),
         "report_digest": report["workload_digest"][:16],
+        "machine": platform.machine(),
+        "cpus_visible": resolve_jobs(0),  # jobs <= 0 means all visible cores
         "python": platform.python_version(),
+        "numpy": np.__version__,
     }
     bpart_k2 = report_k2["entries"]["bpart"]
     entry.update(
         {
             "k2_seconds": round(k2_seconds, 2),
-            # K=1 reports only carry availability when the replicated
-            # loop ran; on the legacy path the closest proxy is 1-shed.
+            # A K=1 report carries availability only with its replication
+            # block (hedging or replica-site chaos); without it the
+            # closest proxy is 1-shed.
             "k1_availability": round(
                 bpart.get("availability", 1.0 - bpart["shed_rate"]), 6
             ),

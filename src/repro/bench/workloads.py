@@ -397,7 +397,8 @@ def run_serving_job(
             "cache_stats": result.cache_stats,
         }
         if result.replicated:
-            # Replication extras ride in the meta doc; a legacy (K=1)
+            # Replication extras ride in the meta doc only when the
+            # report carries its replication block; a plain K=1
             # payload's meta bytes are unchanged.
             meta["replication"] = {
                 "replication_factor": result.replication_factor,

@@ -126,6 +126,15 @@ class HealthMonitor:
         if self.state[machine] == SUSPECT:
             self.transition(machine, now, HEALTHY, "heartbeat")
 
+    def readmit(self, machine: int, now: float) -> None:
+        """Re-replication finished: ``recovering`` → ``healthy``.
+
+        The heartbeat clock restarts at ``now`` — the machine was silent
+        for its whole outage, and must not be re-suspected for it.
+        """
+        self.last_beat[machine] = now
+        self.transition(machine, now, HEALTHY, "rereplicated")
+
     def check(self, machine: int, now: float) -> str | None:
         """Apply timeout detection; returns the new state on a change.
 

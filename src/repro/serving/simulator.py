@@ -24,8 +24,8 @@ decides an ordering. Walk randomness derives from
 ``derive_rng(seed, salt, machine, batch)``. Same (assignment, trace,
 config, seed, chaos plan) ⇒ identical :class:`ServingResult`.
 
-**Replication** (``replication_factor > 1``): each partition's blocks
-are placed on K machines by :func:`~repro.serving.replication.
+**Replication**: each partition's blocks are placed on
+``replication_factor`` (K) machines by :func:`~repro.serving.replication.
 plan_replicas` (anti-affinity + 2D balance); the router prefers the
 least-loaded *healthy* replica, machine health is tracked by the
 heartbeat state machine of :mod:`~repro.serving.health`, queries
@@ -33,11 +33,14 @@ stranded on a dying machine are re-dispatched to surviving replicas,
 and an optional hedge duplicates a slow query onto a second replica
 after ``hedge_after`` seconds (first response wins, the loser is
 cancelled at batch-build time). A dead machine re-enters through a
-recovery plan: its replicas are re-fetched from the least-loaded
-surviving holders, heaviest partition first, costed as wire bytes.
-With ``replication_factor=1``, no hedging, and no chaos rules at the
-replication sites, the legacy single-owner loop runs unchanged and
-reproduces pre-replication reports byte for byte.
+recovery plan: its replicas are re-fetched heaviest partition first,
+costed as wire bytes.
+K=1 is the degenerate case of the same event loop: every partition has
+a single holder, so the router has one candidate and nothing is hedged
+or re-dispatched. Only the *report* differs — with K=1, no hedging and
+no chaos rule at the replication sites, ``ServingResult.replicated`` is
+false and the summary omits its replication block, so such reports keep
+the bytes they had before replication existed.
 
 Chaos sites (see :mod:`repro.resilience.chaos`):
 
@@ -70,7 +73,7 @@ import heapq
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -105,20 +108,20 @@ SITE_HEARTBEAT_DROP = register_site("serving.heartbeat.drop")
 
 _SALT_WALK = 0x5EAF
 
-#: replication knobs at their defaults serialise to nothing at all, so
-#: a replication_factor=1 config keeps its pre-replication digest.
-_REPLICATION_DEFAULTS = {
-    "replication_factor": 1,
-    "heartbeat_interval": 0.02,
-    "suspect_after": 2,
-    "dead_after": 4,
-    "restart_delay": 0.1,
-    "replica_slack": 0.5,
-    "hedge_after": 0.0,
-    "slo_seconds": 0.05,
-    "replica_vertex_bytes": 16,
-    "replica_edge_bytes": 8,
-}
+#: the knobs of the ``replication`` block of a ``serving/v1`` document;
+#: every other ``ServingConfig`` field is a top-level key.
+_REPLICATION_KNOBS = (
+    "replication_factor",
+    "heartbeat_interval",
+    "suspect_after",
+    "dead_after",
+    "restart_delay",
+    "replica_slack",
+    "hedge_after",
+    "slo_seconds",
+    "replica_vertex_bytes",
+    "replica_edge_bytes",
+)
 
 
 def _null_if_nan(value: float) -> float | None:
@@ -205,16 +208,8 @@ class ServingConfig:
     def replication_dict(self) -> dict:
         """The replication knobs as a JSON-ready block."""
         return {
-            "replication_factor": int(self.replication_factor),
-            "heartbeat_interval": float(self.heartbeat_interval),
-            "suspect_after": int(self.suspect_after),
-            "dead_after": int(self.dead_after),
-            "restart_delay": float(self.restart_delay),
-            "replica_slack": float(self.replica_slack),
-            "hedge_after": float(self.hedge_after),
-            "slo_seconds": float(self.slo_seconds),
-            "replica_vertex_bytes": int(self.replica_vertex_bytes),
-            "replica_edge_bytes": int(self.replica_edge_bytes),
+            name: type(default)(getattr(self, name))
+            for name, default in _REPLICATION_DEFAULTS.items()
         }
 
     def to_dict(self) -> dict:
@@ -253,33 +248,51 @@ class ServingConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ServingConfig":
-        """Rebuild a config from :meth:`to_dict` output."""
+        """Rebuild a config from :meth:`to_dict` output — and only that.
+
+        A wrong ``schema`` tag, an unknown or missing key, and a
+        replication knob outside the ``replication`` block all raise
+        :class:`~repro.errors.ConfigurationError` naming the key.
+        """
         doc = dict(doc)
-        doc.pop("schema", None)
-        cost = doc.pop("cost")
-        network = doc.pop("network")
-        replication = doc.pop("replication", {})
-        cores = cost["cores"]
-        return cls(
-            **doc,
-            **replication,
-            cost=CostModel(
-                step_cost=cost["step_cost"],
-                edge_cost=cost["edge_cost"],
-                vertex_cost=cost["vertex_cost"],
-                cores=tuple(cores) if isinstance(cores, list) else cores,
-            ),
-            network=NetworkModel(
-                bandwidth=network["bandwidth"],
-                latency=network["latency"],
-                message_bytes=network["message_bytes"],
-            ),
-        )
+        schema = doc.pop("schema", None)
+        if schema != SERVING_SCHEMA:
+            raise ConfigurationError(
+                f"unsupported serving config schema {schema!r}; "
+                f"expected {SERVING_SCHEMA!r}"
+            )
+        replication = doc.pop("replication", _REPLICATION_DEFAULTS)
+        _check_keys(doc, _TOP_LEVEL_KEYS, "serving config")
+        _check_keys(replication, _REPLICATION_DEFAULTS, "serving config 'replication'")
+        for block, model in (("cost", CostModel), ("network", NetworkModel)):
+            _check_keys(
+                doc[block], [f.name for f in fields(model)], f"serving config {block!r}"
+            )
+            doc[block] = model(**doc[block])  # CostModel turns a cores list into a tuple
+        return cls(**doc, **replication)
 
     def digest(self) -> str:
         """SHA-256 of the canonical ``serving/v1`` JSON."""
         payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+#: replication knobs at their defaults serialise to nothing at all, so
+#: a replication_factor=1 config keeps its pre-replication digest. Read
+#: off the dataclass: a default restated here could silently diverge.
+_REPLICATION_DEFAULTS = {
+    f.name: f.default for f in fields(ServingConfig) if f.name in _REPLICATION_KNOBS
+}
+_TOP_LEVEL_KEYS = tuple(
+    f.name for f in fields(ServingConfig) if f.name not in _REPLICATION_KNOBS
+)
+
+
+def _check_keys(doc: dict, expected, where: str) -> None:
+    """``doc`` must carry exactly the keys :meth:`ServingConfig.to_dict` writes."""
+    odd = set(doc).symmetric_difference(expected)
+    if odd:
+        raise ConfigurationError(f"unexpected or missing key {min(odd)!r} in {where}")
 
 
 @dataclass
@@ -288,10 +301,10 @@ class ServingResult:
 
     Per-query arrays align with the trace; ``latency`` is NaN for shed
     queries. Per-machine arrays have one entry per cluster machine.
-    In a replicated run ``machine_of_query`` records the machine that
-    actually completed the query (the owner for shed queries); the
-    ``replicated`` flag gates the replication block of
-    :meth:`summary` so legacy summaries stay byte-identical.
+    ``machine_of_query`` records the machine that completed the query
+    (the owner for shed queries). The replication fields are always
+    filled in; ``replicated`` only decides whether :meth:`summary`,
+    telemetry and the ``servetrace`` artifact report them.
     """
 
     num_machines: int
@@ -391,9 +404,8 @@ class ServingResult:
         """JSON-ready SLO summary (deterministic, byte-stable).
 
         All-shed runs serialise their undefined latency/throughput
-        fields as ``null``. Replicated runs append an ``availability``
-        scalar and a ``replication`` block; legacy runs emit exactly
-        the pre-replication key set.
+        fields as ``null``. An ``availability`` scalar and a
+        ``replication`` block are appended when ``replicated`` is set.
         """
         doc = {
             "queries": self.num_queries,
@@ -436,512 +448,215 @@ class ServingResult:
         return doc
 
 
-class ServingSimulator:
-    """Event-driven serving run over one partition assignment."""
+# Event codes, also the index into ``_Run.run``'s handler tuple. The heap
+# orders by (time, seq): arrivals own seqs 0..q-1 in trace order, every
+# later event draws from ``next_seq`` — no float tie decides an ordering.
+_ARRIVE, _DONE, _TICK, _RESTART, _TRANSFER, _HEDGE = range(6)
 
-    def __init__(
-        self,
-        assignment: PartitionAssignment,
-        config: ServingConfig | None = None,
-        *,
-        seed: int = 0,
-    ) -> None:
-        self.assignment = assignment
-        self.config = config if config is not None else ServingConfig()
-        self.seed = int(seed)
 
-    # ------------------------------------------------------------------
-    def run(self, trace: QueryTrace) -> ServingResult:
-        """Serve the whole trace; returns the deterministic result.
+class _Run:
+    """Mutable state of one serving run and the steps that advance it.
 
-        Dispatches to the replicated event loop only when something
-        actually asks for it — K > 1, hedging on, or a chaos plan with
-        rules at the replication sites. Otherwise the legacy
-        single-owner loop runs, bit-identical to pre-replication.
-        """
-        cfg = self.config
-        plan = active_plan()
-        plan_sites = {rule.site for rule in plan.rules} if plan is not None else set()
-        replicated = (
-            cfg.replication_factor > 1
-            or cfg.hedge_after > 0.0
-            or bool(plan_sites & {SITE_REPLICA_CRASH, SITE_HEARTBEAT_DROP})
-        )
-        if replicated:
-            return self._run_replicated(trace)
-        return self._run_simple(trace)
+    One handler per event kind (``arrive``, ``batch_done``, ``tick``,
+    ``restart``, ``transfer``, ``hedge``) over the shared steps
+    ``route`` → ``admit``/``enqueue`` → ``start_batch`` → ``serve_batch``
+    and ``drain``; all accounting accumulates straight into ``result``.
+    A single-holder plan is the degenerate case: ``route`` has one
+    candidate, nothing is re-dispatched or hedged, and the heartbeat
+    ticks find every machine healthy.
+    """
 
-    # ------------------------------------------------------------------
-    def _check_trace(self, trace: QueryTrace) -> None:
-        if trace.vertex.size and int(trace.vertex.max()) >= self.assignment.graph.num_vertices:
-            raise ConfigurationError(
-                "trace targets vertices outside the assigned graph"
-            )
-
-    # ------------------------------------------------------------------
-    def _run_simple(self, trace: QueryTrace) -> ServingResult:
-        """The legacy single-owner loop (machine == partition)."""
-        cfg = self.config
-        parts = self.assignment.parts
-        k = self.assignment.num_parts
-        times = trace.times
-        vertex = trace.vertex
-        kinds = trace.kind
+    def __init__(self, sim: "ServingSimulator", trace: QueryTrace) -> None:
+        cfg = self.cfg = sim.config
+        self.seed = sim.seed
+        self.assignment = assignment = sim.assignment
+        self.trace = trace
+        k = assignment.num_parts
         q = trace.num_queries
-        self._check_trace(trace)
-
-        machine_of_query = parts[vertex].astype(np.int64)
-        self._trace = trace
-        cache = PartitionAwareCache(
-            k, block_size=cfg.cache_block_size, capacity=cfg.cache_blocks
-        )
-
-        latency = np.full(q, np.nan, dtype=np.float64)
-        shed = np.zeros(q, dtype=bool)
-        queries = np.zeros(k, dtype=np.int64)
-        shed_pm = np.zeros(k, dtype=np.int64)
-        batches = np.zeros(k, dtype=np.int64)
-        degraded = np.zeros(k, dtype=np.int64)
-        flushes = np.zeros(k, dtype=np.int64)
-        busy_sec = np.zeros(k, dtype=np.float64)
-        messages = np.zeros(k, dtype=np.int64)
-
-        # Per-machine FIFO queues (head index instead of pop(0)).
-        queue: list[list[int]] = [[] for _ in range(k)]
-        head = [0] * k
-        busy = [False] * k
-        inflight: list[list[int]] = [[] for _ in range(k)]
-        batch_seq = [0] * k
-        makespan = 0.0
-
-        # (time, seq, is_done, payload): arrivals carry their query
-        # index with seqs 0..q-1; completions carry the machine id with
-        # seqs from `next_seq`. Ties on time resolve by seq — total
-        # order, no float comparisons beyond the clock itself.
-        heap: list[tuple[float, int, int, int]] = [
-            (float(times[i]), i, 0, i) for i in range(q)
-        ]
-        heapq.heapify(heap)
-        next_seq = q
-
-        def start_batch(m: int, now: float) -> None:
-            nonlocal next_seq, makespan
-            take = min(cfg.batch_max, len(queue[m]) - head[m])
-            batch = queue[m][head[m] : head[m] + take]
-            head[m] += take
-            if head[m] > 4096 and head[m] * 2 > len(queue[m]):
-                del queue[m][: head[m]]
-                head[m] = 0
-            svc = self._serve_batch(
-                m,
-                batch,
-                batch_seq[m],
-                np.full(len(batch), m, dtype=np.int64),
-                cache,
-                messages,
-                degraded,
-                flushes,
+        with telemetry.active().span("serving.replication.plan"):
+            self.plan = plan_replicas(
+                assignment, cfg.replication_factor, slack=cfg.replica_slack
             )
-            batch_seq[m] += 1
-            batches[m] += 1
-            busy_sec[m] += svc
-            busy[m] = True
-            inflight[m] = batch
-            done = now + svc
-            makespan = max(makespan, done)
-            heapq.heappush(heap, (done, next_seq, 1, m))
-            next_seq += 1
-
-        while heap:
-            now, _, is_done, payload = heapq.heappop(heap)
-            if is_done:
-                m = payload
-                for qi in inflight[m]:
-                    latency[qi] = now - float(times[qi])
-                inflight[m] = []
-                busy[m] = False
-                if len(queue[m]) > head[m]:
-                    start_batch(m, now)
-            else:
-                qi = payload
-                m = int(machine_of_query[qi])
-                if len(queue[m]) - head[m] >= cfg.queue_limit:
-                    shed[qi] = True
-                    shed_pm[m] += 1
-                    continue
-                queue[m].append(qi)
-                queries[m] += 1
-                if not busy[m]:
-                    start_batch(m, now)
-
-        result = ServingResult(
-            num_machines=k,
-            duration=float(trace.spec.duration),
-            latency=latency,
-            shed=shed,
-            kind=kinds.copy(),
-            machine_of_query=machine_of_query,
-            queries=queries,
-            shed_per_machine=shed_pm,
-            batches=batches,
-            degraded_batches=degraded,
-            cache_flushes=flushes,
-            busy_seconds=busy_sec,
-            messages=messages,
-            cache_stats=cache.stats(),
-            makespan=float(makespan),
-        )
-        self._record_telemetry(result)
-        return result
-
-    # ------------------------------------------------------------------
-    def _run_replicated(self, trace: QueryTrace) -> ServingResult:
-        """Replicated serving: health-gated failover, hedging, recovery."""
-        cfg = self.config
-        parts = self.assignment.parts
-        k = self.assignment.num_parts
-        times = trace.times
-        vertex = trace.vertex
-        kinds = trace.kind
-        q = trace.num_queries
-        self._check_trace(trace)
-        if q == 0:
-            raise ConfigurationError("cannot serve an empty trace")
-
-        plan = plan_replicas(
-            self.assignment, cfg.replication_factor, slack=cfg.replica_slack
-        )
-        monitor = HealthMonitor(
+        self.monitor = HealthMonitor(
             k,
             heartbeat_interval=cfg.heartbeat_interval,
             suspect_after=cfg.suspect_after,
             dead_after=cfg.dead_after,
         )
-        part_of_query = parts[vertex].astype(np.int64)
-        machine_of_query = part_of_query.copy()
-        self._trace = trace
-        cache = PartitionAwareCache(
+        self.cache = PartitionAwareCache(
             k, block_size=cfg.cache_block_size, capacity=cfg.cache_blocks
         )
-        part_v = self.assignment.vertex_counts.astype(np.int64)
-        part_e = self.assignment.edge_counts.astype(np.int64)
+        self.part_of_query = assignment.parts[trace.vertex].astype(np.int64)
+        chaos = active_plan()
+        self.replica_chaos = chaos is not None and any(
+            rule.site in (SITE_REPLICA_CRASH, SITE_HEARTBEAT_DROP) for rule in chaos.rules
+        )
+        self.result = ServingResult(
+            num_machines=k,
+            duration=float(trace.spec.duration),
+            latency=np.full(q, np.nan, dtype=np.float64),
+            shed=np.zeros(q, dtype=bool),
+            kind=trace.kind.copy(),
+            machine_of_query=self.part_of_query.copy(),
+            queries=np.zeros(k, dtype=np.int64),
+            shed_per_machine=np.zeros(k, dtype=np.int64),
+            batches=np.zeros(k, dtype=np.int64),
+            degraded_batches=np.zeros(k, dtype=np.int64),
+            cache_flushes=np.zeros(k, dtype=np.int64),
+            busy_seconds=np.zeros(k, dtype=np.float64),
+            messages=np.zeros(k, dtype=np.int64),
+            cache_stats={},
+            makespan=0.0,
+            # Not a code path: only whether the replication block is reported.
+            replicated=(
+                cfg.replication_factor > 1 or cfg.hedge_after > 0.0 or self.replica_chaos
+            ),
+            replication_factor=int(cfg.replication_factor),
+            plan_digest=self.plan.digest(),
+            slo_seconds=float(cfg.slo_seconds),
+        )
 
-        latency = np.full(q, np.nan, dtype=np.float64)
-        shed = np.zeros(q, dtype=bool)
-        queries = np.zeros(k, dtype=np.int64)
-        shed_pm = np.zeros(k, dtype=np.int64)
-        batches = np.zeros(k, dtype=np.int64)
-        degraded = np.zeros(k, dtype=np.int64)
-        flushes = np.zeros(k, dtype=np.int64)
-        busy_sec = np.zeros(k, dtype=np.float64)
-        messages = np.zeros(k, dtype=np.int64)
+        self.queue: list[deque] = [deque() for _ in range(k)]  # waiting, FIFO
+        self.inflight: list[list[int]] = [[] for _ in range(k)]  # batch in service
+        self.epoch = [0] * k  # bumped to fence a lost batch's completion
+        self.crashed = [False] * k
+        self.transfers_left = [0] * k
+        self.hedging = cfg.hedge_after > 0.0 and cfg.replication_factor > 1
+        self.copies: dict[int, list[int]] = {}  # machines a hedged query sits on
+        self.hedge_machine: dict[int, int] = {}
+        self.last_arrival = float(trace.times[-1]) if q else 0.0
 
-        queue: list[list[int]] = [[] for _ in range(k)]
-        head = [0] * k
-        busy = [False] * k
-        inflight: list[list[int]] = [[] for _ in range(k)]
-        batch_seq = [0] * k
-        epoch = [0] * k
-        crashed = [False] * k
-        pending_transfers: list[deque] = [deque() for _ in range(k)]
-        copies: dict[int, list[int]] = {}
-        hedge_machine: dict[int, int] = {}
-        makespan = 0.0
-        crashes = redispatched = unavailable = hedges = hedge_wins = 0
-        hb_drops = rerepl_bytes = rerepl_transfers = 0
-        hedging = cfg.hedge_after > 0.0 and cfg.replication_factor > 1
-        last_arrival = float(times[-1])
-        hb = cfg.heartbeat_interval
-
-        # Event codes: total order is (time, seq); arrivals own seqs
-        # 0..q-1, everything else draws from next_seq.
-        ET_ARRIVE, ET_DONE, ET_TICK, ET_RESTART, ET_TRANSFER, ET_HEDGE = range(6)
-        heap: list[tuple[float, int, int, int, int]] = [
-            (float(times[i]), i, ET_ARRIVE, i, 0) for i in range(q)
+        self.heap: list[tuple[float, int, int, int, int]] = [
+            (t, i, _ARRIVE, i, 0) for i, t in enumerate(trace.times.tolist())
         ]
-        heapq.heapify(heap)
-        next_seq = q
+        heapq.heapify(self.heap)
+        self.next_seq = q
 
-        def push(time: float, code: int, a: int, b: int = 0) -> None:
-            nonlocal next_seq
-            heapq.heappush(heap, (time, next_seq, code, a, b))
-            next_seq += 1
-
-        def backlog(m: int) -> int:
-            return len(queue[m]) - head[m]
-
-        def route(p: int, exclude: tuple[int, ...] | list[int] = ()) -> list[int]:
-            """Healthy holders of ``p``, least-loaded first.
-
-            Ties prefer the primary (its cache is warmest for ``p``),
-            then ascending machine id — deterministic either way.
-            """
-            primary = plan.holders[p][0]
-            return sorted(
-                (
-                    m
-                    for m in plan.holders[p]
-                    if monitor.routable(m) and m not in exclude
-                ),
-                key=lambda m: (backlog(m) + (1 if busy[m] else 0), m != primary, m),
-            )
-
-        def start_batch(m: int, now: float) -> None:
-            nonlocal makespan
-            if crashed[m]:
-                # A crashed machine answers nothing; arrivals the router
-                # still sends it (detection gap) wait in its queue until
-                # the drain re-dispatches them.
-                return
-            batch = []
-            # Hedge losers cancel here: a query another replica already
-            # answered is skipped before it costs any service time.
-            while len(batch) < cfg.batch_max and head[m] < len(queue[m]):
-                qi = queue[m][head[m]]
-                head[m] += 1
-                if math.isnan(latency[qi]):
-                    batch.append(qi)
-            if head[m] > 4096 and head[m] * 2 > len(queue[m]):
-                del queue[m][: head[m]]
-                head[m] = 0
-            if not batch:
-                busy[m] = False
-                return
-            homes = part_of_query[np.asarray(batch, dtype=np.int64)]
-            svc = self._serve_batch(
-                m, batch, batch_seq[m], homes, cache, messages, degraded, flushes
-            )
-            batch_seq[m] += 1
-            batches[m] += 1
-            busy_sec[m] += svc
-            busy[m] = True
-            inflight[m] = batch
-            done = now + svc
-            makespan = max(makespan, done)
-            push(done, ET_DONE, m, epoch[m])
-
-        def admit(qi: int, now: float, exclude: list[int]) -> bool:
-            """Enqueue ``qi`` on the best healthy replica; False = shed."""
-            nonlocal unavailable
-            p = int(part_of_query[qi])
-            candidates = route(p, exclude=exclude)
-            if not candidates:
-                shed[qi] = True
-                shed_pm[p] += 1
-                unavailable += 1
-                return False
-            for m in candidates:
-                if backlog(m) < cfg.queue_limit:
-                    queue[m].append(qi)
-                    queries[m] += 1
-                    copies.setdefault(qi, []).append(m)
-                    if not busy[m]:
-                        start_batch(m, now)
-                    return True
-            shed[qi] = True
-            shed_pm[candidates[0]] += 1
-            return False
-
-        def redispatch(m: int, now: float, qis: list[int]) -> None:
-            """Move a dying machine's stranded queries to survivors."""
-            nonlocal redispatched
-            for qi in qis:
-                if not math.isnan(latency[qi]) or shed[qi]:
-                    continue
-                if admit(qi, now, exclude=[m]):
-                    redispatched += 1
-
-        def drain(m: int, now: float) -> None:
-            """Suspect/dead: stop routing; move waiting (and, for a
-            crashed or fenced machine, in-flight) work elsewhere."""
-            waiting = [qi for qi in queue[m][head[m] :]]
-            queue[m] = []
-            head[m] = 0
-            stranded = list(waiting)
-            if crashed[m] or monitor.state[m] == DEAD:
-                # The in-flight batch is lost (crash) or fenced (false
-                # positive gone dead): cancel its completion event.
-                epoch[m] += 1
-                stranded = inflight[m] + stranded
-                inflight[m] = []
-                busy[m] = False
-            redispatch(m, now, stranded)
-
-        def begin_recovery(m: int, now: float) -> None:
-            """dead → recovering: schedule the re-replication chain.
-
-            Heaviest partition first; each transfer is sourced from the
-            least-loaded healthy holder (the heaviest-chunk →
-            lightest-survivor matching of the fault planners), or from
-            cold storage when no replica survives, and costed as wire
-            bytes through the shared request_cost formula.
-            """
-            monitor.transition(m, now, RECOVERING, "restart")
-            owned = sorted(
-                plan.partitions_of(m),
-                key=lambda p: (-(int(part_v[p]) + int(part_e[p])), p),
-            )
-            t = now
-            for p in owned:
-                nbytes = int(part_v[p]) * cfg.replica_vertex_bytes + int(
-                    part_e[p]
-                ) * cfg.replica_edge_bytes
-                seconds = float(cfg.network.request_cost(nbytes, 1.0))
-                t += seconds
-                pending_transfers[m].append(nbytes)
-                push(t, ET_TRANSFER, m)
-
-        push(hb, ET_TICK, 1)
-
+    # -- the loop ------------------------------------------------------
+    def run(self) -> ServingResult:
+        """Pop events in (time, seq) order until none is left."""
+        handlers = (
+            self.arrive,
+            self.batch_done,
+            self.tick,
+            self.restart,
+            self.transfer,
+            self.hedge,
+        )
+        heap = self.heap
+        pop = heapq.heappop
+        self.push(self.cfg.heartbeat_interval, _TICK, 1)
         while heap:
-            now, _, code, a, b = heapq.heappop(heap)
-            if code == ET_ARRIVE:
-                admit(a, now, exclude=[])
-                if hedging and not shed[a]:
-                    push(now + cfg.hedge_after, ET_HEDGE, a)
-            elif code == ET_DONE:
-                m = a
-                if b != epoch[m]:
-                    continue  # cancelled: the machine crashed/was fenced
-                for qi in inflight[m]:
-                    if math.isnan(latency[qi]):
-                        latency[qi] = now - float(times[qi])
-                        machine_of_query[qi] = m
-                        if hedge_machine.get(qi) == m:
-                            hedge_wins += 1
-                inflight[m] = []
-                busy[m] = False
-                start_batch(m, now)
-            elif code == ET_TICK:
-                j = a
-                in_window = now <= last_arrival
-                for m in range(k):
-                    state = monitor.state[m]
-                    if state in (DEAD, RECOVERING):
-                        continue
-                    if not crashed[m] and in_window:
-                        try:
-                            maybe_inject(SITE_REPLICA_CRASH, f"m{m}:h{j}")
-                        except (ChaosError, OSError):
-                            crashed[m] = True
-                            epoch[m] += 1
-                            crashes += 1
-                    if crashed[m]:
-                        continue  # a crashed machine emits nothing
-                    dropped = False
-                    if in_window:
-                        try:
-                            maybe_inject(SITE_HEARTBEAT_DROP, f"m{m}:h{j}")
-                        except (ChaosError, OSError):
-                            dropped = True
-                            hb_drops += 1
-                    if not dropped:
-                        monitor.beat(m, now)
-                for m in range(k):
-                    change = monitor.check(m, now)
-                    if change == SUSPECT:
-                        drain(m, now)
-                    elif change == DEAD:
-                        drain(m, now)
-                        push(now + cfg.restart_delay, ET_RESTART, m)
-                pending = any(backlog(m) > 0 or busy[m] for m in range(k))
-                if in_window or pending or not monitor.all_healthy():
-                    push((j + 1) * hb, ET_TICK, j + 1)
-            elif code == ET_RESTART:
-                begin_recovery(a, now)
-            elif code == ET_TRANSFER:
-                m = a
-                rerepl_bytes += pending_transfers[m].popleft()
-                rerepl_transfers += 1
-                makespan = max(makespan, now)
-                if not pending_transfers[m]:
-                    # Re-replication complete: readmit with a cold cache.
-                    cache.reset(m)
-                    crashed[m] = False
-                    monitor.last_beat[m] = now
-                    monitor.transition(m, now, HEALTHY, "rereplicated")
-            elif code == ET_HEDGE:
-                qi = a
-                if not math.isnan(latency[qi]) or shed[qi]:
-                    continue
-                p = int(part_of_query[qi])
-                for m in route(p, exclude=copies.get(qi, [])):
-                    if backlog(m) < cfg.queue_limit:
-                        queue[m].append(qi)
-                        queries[m] += 1
-                        copies.setdefault(qi, []).append(m)
-                        hedge_machine[qi] = m
-                        hedges += 1
-                        if not busy[m]:
-                            start_batch(m, now)
-                        break
+            now, _, code, a, b = pop(heap)
+            handlers[code](now, a, b)
 
-        end = max(makespan, float(last_arrival))
+        res, monitor = self.result, self.monitor
+        end = max(res.makespan, self.last_arrival)
         if monitor.ledger:
             end = max(end, monitor.ledger[-1].time)
         monitor.finish(end)
+        res.cache_stats = self.cache.stats()
+        res.health_ledger = monitor.ledger_rows()
+        res.health_transitions = monitor.transition_counts()
+        res.recovery_seconds = monitor.recovery_seconds()
+        res.state_seconds = [dict(s) for s in monitor.state_seconds]
+        res.restored = monitor.all_healthy()
+        return res
 
-        result = ServingResult(
-            num_machines=k,
-            duration=float(trace.spec.duration),
-            latency=latency,
-            shed=shed,
-            kind=kinds.copy(),
-            machine_of_query=machine_of_query,
-            queries=queries,
-            shed_per_machine=shed_pm,
-            batches=batches,
-            degraded_batches=degraded,
-            cache_flushes=flushes,
-            busy_seconds=busy_sec,
-            messages=messages,
-            cache_stats=cache.stats(),
-            makespan=float(makespan),
-            replicated=True,
-            replication_factor=int(cfg.replication_factor),
-            plan_digest=plan.digest(),
-            slo_seconds=float(cfg.slo_seconds),
-            crashes=crashes,
-            redispatched=redispatched,
-            unavailable_shed=unavailable,
-            hedges=hedges,
-            hedge_wins=hedge_wins,
-            heartbeat_drops=hb_drops,
-            rereplication_bytes=int(rerepl_bytes),
-            rereplication_transfers=int(rerepl_transfers),
-            health_ledger=monitor.ledger_rows(),
-            health_transitions=monitor.transition_counts(),
-            recovery_seconds=monitor.recovery_seconds(),
-            state_seconds=[dict(s) for s in monitor.state_seconds],
-            restored=monitor.all_healthy(),
-        )
-        self._record_telemetry(result)
-        return result
+    def push(self, time: float, code: int, a: int, b: int = 0) -> None:
+        heapq.heappush(self.heap, (time, self.next_seq, code, a, b))
+        self.next_seq += 1
 
-    # ------------------------------------------------------------------
-    def _serve_batch(
-        self,
-        m: int,
-        batch: list[int],
-        batch_id: int,
-        homes: np.ndarray,
-        cache: PartitionAwareCache,
-        messages: np.ndarray,
-        degraded: np.ndarray,
-        flushes: np.ndarray,
-    ) -> float:
+    # -- shared steps --------------------------------------------------
+    def route(self, p: int, exclude=()) -> list[int]:
+        """Healthy holders of ``p`` outside ``exclude``, least-loaded first.
+
+        Ties prefer the primary (its cache is warmest for ``p``), then
+        ascending machine id — deterministic either way. A lone
+        candidate (single-holder plan, or every other holder down) needs
+        no ordering.
+        """
+        # once per arrival, so monitor.routable(m) is inlined
+        holders, state = self.plan.holders[p], self.monitor.state
+        live = [m for m in holders if state[m] == HEALTHY and m not in exclude]
+        if len(live) > 1:
+            primary = holders[0]
+            queue, inflight = self.queue, self.inflight
+            live.sort(
+                key=lambda m: (len(queue[m]) + (1 if inflight[m] else 0), m != primary, m)
+            )
+        return live
+
+    def enqueue(self, qi: int, now: float, candidates: list[int]) -> int:
+        """Queue ``qi`` on the first candidate with room; -1 if none has."""
+        limit = self.cfg.queue_limit
+        for m in candidates:
+            queue = self.queue[m]
+            if len(queue) < limit:
+                queue.append(qi)
+                self.result.queries[m] += 1
+                if self.hedging:
+                    self.copies.setdefault(qi, []).append(m)
+                if not self.inflight[m]:
+                    self.start_batch(m, now)
+                return m
+        return -1
+
+    def admit(self, qi: int, now: float, exclude=()) -> bool:
+        """Enqueue ``qi`` on the best healthy replica; False = shed."""
+        res = self.result
+        p = int(self.part_of_query[qi])
+        candidates = self.route(p, exclude)
+        if self.enqueue(qi, now, candidates) >= 0:
+            return True
+        res.shed[qi] = True
+        if candidates:
+            res.shed_per_machine[candidates[0]] += 1
+        else:
+            res.shed_per_machine[p] += 1
+            res.unavailable_shed += 1
+        return False
+
+    def start_batch(self, m: int, now: float) -> None:
+        if self.crashed[m]:
+            # A crashed machine answers nothing; arrivals the router
+            # still sends it (detection gap) wait in its queue until
+            # the drain re-dispatches them.
+            return
+        res, queue = self.result, self.queue[m]
+        latency, batch_max, hedging = res.latency, self.cfg.batch_max, self.hedging
+        batch: list[int] = []
+        # Hedge losers cancel here: a query another replica already
+        # answered is skipped before it costs any service time. Without
+        # hedging a query sits in one queue only, so none is answered.
+        while queue and len(batch) < batch_max:
+            qi = queue.popleft()
+            if not hedging or math.isnan(latency[qi]):
+                batch.append(qi)
+        if not batch:
+            return
+        svc = self.serve_batch(m, batch)
+        res.batches[m] += 1
+        res.busy_seconds[m] += svc
+        self.inflight[m] = batch
+        done = now + svc
+        res.makespan = max(res.makespan, done)
+        self.push(done, _DONE, m, self.epoch[m])
+
+    def serve_batch(self, m: int, batch: list[int]) -> float:
         """Service seconds for one batch, with side-effect accounting.
 
-        ``homes`` carries each query's home partition — in the legacy
-        loop that is uniformly the serving machine, under replication a
-        batch may mix partitions and remote reads are counted against
-        each query's own partition (the data the replica holds locally).
+        Remote reads are counted against each query's own home
+        partition (the data the serving replica holds locally) — on a
+        single-holder plan that is uniformly ``m``, under replication a
+        batch may mix partitions.
         """
-        cfg = self.config
+        cfg, res, cache, trace = self.cfg, self.result, self.cache, self.trace
         graph = self.assignment.graph
         parts = self.assignment.parts
-        trace = self._trace
+        batch_id = int(res.batches[m])
         idx = np.asarray(batch, dtype=np.int64)
+        homes = self.part_of_query[idx]
         verts = trace.vertex[idx]
         kinds = trace.kind[idx]
         touched = [verts]
@@ -989,7 +704,7 @@ class ServingSimulator:
                 touched.append(positions)
 
         fetched = cache.touch(m, np.concatenate(touched))
-        messages[m] += remote
+        res.messages[m] += remote
 
         work = cfg.cost.compute_seconds(
             steps=step_work, edges=edge_work, vertices=float(len(batch))
@@ -1005,15 +720,168 @@ class ServingSimulator:
             maybe_inject(SITE_CACHE, key)
         except (ChaosError, OSError):
             cache.flush(m)
-            flushes[m] += 1
+            res.cache_flushes[m] += 1
         try:
             maybe_inject(SITE_MACHINE, key)
         except (ChaosError, OSError):
             svc *= cfg.slowdown_factor
-            degraded[m] += 1
+            res.degraded_batches[m] += 1
         return svc
 
-    # ------------------------------------------------------------------
+    def drain(self, m: int, now: float) -> None:
+        """Suspect/dead: stop routing; move waiting (and, for a
+        crashed or fenced machine, in-flight) work to survivors."""
+        stranded = list(self.queue[m])
+        self.queue[m].clear()
+        if self.crashed[m] or self.monitor.state[m] == DEAD:
+            # The in-flight batch is lost (crash) or fenced (false
+            # positive gone dead): cancel its completion event.
+            self.epoch[m] += 1
+            stranded = self.inflight[m] + stranded
+            self.inflight[m] = []
+        res = self.result
+        for qi in stranded:
+            if math.isnan(res.latency[qi]) and not res.shed[qi]:
+                res.redispatched += self.admit(qi, now, (m,))  # False: shed instead
+
+    # -- event handlers: (now, a, b) as popped from the heap -----------
+    def arrive(self, now: float, qi: int, _b: int) -> None:
+        if self.admit(qi, now) and self.hedging:
+            self.push(now + self.cfg.hedge_after, _HEDGE, qi)
+
+    def batch_done(self, now: float, m: int, epoch: int) -> None:
+        if epoch != self.epoch[m]:
+            return  # cancelled: the machine crashed/was fenced
+        res, times = self.result, self.trace.times
+        latency, hedging = res.latency, self.hedging
+        for qi in self.inflight[m]:
+            if not hedging or math.isnan(latency[qi]):
+                latency[qi] = now - float(times[qi])
+                res.machine_of_query[qi] = m
+                if hedging and self.hedge_machine.get(qi) == m:
+                    res.hedge_wins += 1
+        self.inflight[m] = []
+        if self.queue[m]:
+            self.start_batch(m, now)
+
+    def tick(self, now: float, j: int, _b: int) -> None:
+        """Heartbeat ``j``: inject crashes/drops, detect, drain, re-arm."""
+        cfg, res, monitor, crashed = self.cfg, self.result, self.monitor, self.crashed
+        machines = range(res.num_machines)
+        # Crash/drop rules only fire while arrivals are still due, so
+        # every run terminates; a plan without any skips the lookups.
+        in_window = now <= self.last_arrival
+        inject = in_window and self.replica_chaos
+        for m in machines:
+            if monitor.state[m] in (DEAD, RECOVERING):
+                continue
+            if not crashed[m] and inject:
+                try:
+                    maybe_inject(SITE_REPLICA_CRASH, f"m{m}:h{j}")
+                except (ChaosError, OSError):
+                    crashed[m] = True
+                    self.epoch[m] += 1
+                    res.crashes += 1
+            if crashed[m]:
+                continue  # a crashed machine emits nothing
+            if inject:
+                try:
+                    maybe_inject(SITE_HEARTBEAT_DROP, f"m{m}:h{j}")
+                except (ChaosError, OSError):
+                    res.heartbeat_drops += 1
+                    continue
+            monitor.beat(m, now)
+        for m in machines:
+            change = monitor.check(m, now)
+            if change in (SUSPECT, DEAD):
+                self.drain(m, now)
+                if change == DEAD:
+                    self.push(now + cfg.restart_delay, _RESTART, m)
+        pending = any(self.queue[m] or self.inflight[m] for m in machines)
+        if in_window or pending or not monitor.all_healthy():
+            self.push((j + 1) * cfg.heartbeat_interval, _TICK, j + 1)
+
+    def restart(self, now: float, m: int, _b: int) -> None:
+        """dead → recovering: schedule the re-replication chain.
+
+        Heaviest partition first; each transfer is costed as wire bytes
+        through the shared request_cost formula and carries them as its
+        event payload; the machine is readmitted when the last one lands.
+        """
+        cfg = self.cfg
+        self.monitor.transition(m, now, RECOVERING, "restart")
+        part_v = self.assignment.vertex_counts
+        part_e = self.assignment.edge_counts
+        owned = sorted(
+            self.plan.partitions_of(m),
+            key=lambda p: (-(int(part_v[p]) + int(part_e[p])), p),
+        )
+        t = now
+        for p in owned:
+            v, e = int(part_v[p]), int(part_e[p])
+            nbytes = v * cfg.replica_vertex_bytes + e * cfg.replica_edge_bytes
+            t += float(cfg.network.request_cost(nbytes, 1.0))
+            self.push(t, _TRANSFER, m, nbytes)
+        self.transfers_left[m] = len(owned)
+
+    def transfer(self, now: float, m: int, nbytes: int) -> None:
+        res = self.result
+        res.rereplication_bytes += nbytes
+        res.rereplication_transfers += 1
+        res.makespan = max(res.makespan, now)
+        self.transfers_left[m] -= 1
+        if not self.transfers_left[m]:
+            # Re-replication complete: readmit with a cold cache.
+            self.cache.reset(m)
+            self.crashed[m] = False
+            self.monitor.readmit(m, now)
+
+    def hedge(self, now: float, qi: int, _b: int) -> None:
+        """Duplicate a still-waiting query onto a replica it is not on."""
+        res = self.result
+        if not math.isnan(res.latency[qi]) or res.shed[qi]:
+            return
+        candidates = self.route(int(self.part_of_query[qi]), self.copies.get(qi, ()))
+        m = self.enqueue(qi, now, candidates)
+        if m >= 0:
+            self.hedge_machine[qi] = m
+            res.hedges += 1
+
+
+class ServingSimulator:
+    """Event-driven serving run over one partition assignment."""
+
+    def __init__(
+        self,
+        assignment: PartitionAssignment,
+        config: ServingConfig | None = None,
+        *,
+        seed: int = 0,
+    ) -> None:
+        self.assignment = assignment
+        self.config = config if config is not None else ServingConfig()
+        self.seed = int(seed)
+
+    def run(self, trace: QueryTrace) -> ServingResult:
+        """Serve the whole trace; returns the deterministic result.
+
+        Every run goes through the same event loop. What K > 1, hedging
+        or a chaos rule at the replication sites changes is the report:
+        only then is ``ServingResult.replicated`` set, which makes
+        ``summary()``, telemetry and the ``servetrace`` artifact carry
+        the replication block.
+        """
+        if trace.vertex.size and int(trace.vertex.max()) >= self.assignment.graph.num_vertices:
+            raise ConfigurationError(
+                "trace targets vertices outside the assigned graph"
+            )
+        state = _Run(self, trace)
+        k, q = self.assignment.num_parts, trace.num_queries
+        with telemetry.active().span("serving.event_loop", machines=k, queries=q):
+            result = state.run()
+        self._record_telemetry(result)
+        return result
+
     def _record_telemetry(self, result: ServingResult) -> None:
         """Aggregate metrics, recorded once after the event loop."""
         if not telemetry.enabled():

@@ -84,6 +84,19 @@ class TestRecovery:
             "suspect->dead": 1,
         }
 
+    def test_readmit_restarts_the_heartbeat_clock(self):
+        mon = monitor()
+        mon.check(1, 1.0)  # dead at 1.0, last heartbeat long ago
+        mon.transition(1, 1.1, RECOVERING, "restart")
+        mon.readmit(1, 1.35)
+        assert mon.state[1] == HEALTHY
+        assert mon.ledger[-1].as_row() == [1.35, 1, RECOVERING, HEALTHY, "rereplicated"]
+        # the outage's silence is forgiven: one interval later it is not suspect
+        assert mon.check(1, 1.37) is None
+        assert mon.routable(1)
+        with pytest.raises(SimulationError):
+            mon.readmit(0, 1.4)  # only a recovering machine is readmitted
+
     def test_illegal_transitions_raise(self):
         mon = monitor()
         with pytest.raises(SimulationError):

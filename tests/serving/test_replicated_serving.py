@@ -168,12 +168,13 @@ class TestHedging:
             plain.completed_latencies()[-1]
         )
 
-    def test_hedging_alone_triggers_replicated_loop(self, assignment, trace):
+    def test_hedging_alone_adds_the_replication_block(self, assignment, trace):
         result = run(
             assignment, trace, ServingConfig(replication_factor=2, hedge_after=0.001)
         )
         assert result.replicated
         assert result.completed == result.num_queries
+        assert {"availability", "replication"} <= set(result.summary())
 
 
 class TestHeartbeatDrops:
@@ -193,13 +194,12 @@ class TestHeartbeatDrops:
         # single-beat recovery and/or full fencing cycles, all healed
         assert result.restored
 
-    def test_chaos_at_new_sites_engages_replicated_loop_even_at_k1(
-        self, assignment, trace
-    ):
+    def test_replica_chaos_adds_the_block_at_k1(self, assignment, trace):
         result = run(assignment, trace, ServingConfig(), crash_plan())
         assert result.replicated
         assert result.replication_factor == 1
         assert result.crashes == 1
+        assert result.summary()["replication"]["crashes"] == 1
 
 
 class TestEmptyCompletionGuards:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,7 @@ from repro.resilience import ChaosPlan, ChaosRule, install_plan
 from repro.serving import (
     SITE_CACHE,
     SITE_MACHINE,
+    QueryTrace,
     ServingConfig,
     ServingSimulator,
     WorkloadSpec,
@@ -47,6 +52,59 @@ class TestConfig:
     def test_digest_sensitive(self):
         assert ServingConfig().digest() != ServingConfig(batch_max=2).digest()
         assert ServingConfig().digest() == ServingConfig().digest()
+
+
+class TestFromDictRejectsWhatToDictNeverWrote:
+    def test_round_trips_every_block(self):
+        from repro.cluster.cost import CostModel
+
+        for cfg in (
+            ServingConfig(),
+            ServingConfig(replication_factor=3, hedge_after=0.004, dead_after=6),
+            ServingConfig(cost=CostModel(cores=(2, 4, 8, 8))),
+        ):
+            doc = json.loads(json.dumps(cfg.to_dict()))
+            assert ServingConfig.from_dict(doc) == cfg
+
+    @pytest.mark.parametrize("schema", ["serving/v2", None])
+    def test_wrong_or_missing_schema(self, schema):
+        doc = ServingConfig().to_dict()
+        if schema is None:
+            del doc["schema"]
+        else:
+            doc["schema"] = schema
+        with pytest.raises(ConfigurationError, match="schema"):
+            ServingConfig.from_dict(doc)
+
+    def test_replication_knob_at_top_level(self):
+        doc = {**ServingConfig().to_dict(), "replication_factor": 2}
+        with pytest.raises(ConfigurationError, match="'replication_factor'"):
+            ServingConfig.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "mutate, named",
+        [
+            (lambda d: d.update(bogus=1), "'bogus'"),
+            (lambda d: d.pop("queue_limit"), "'queue_limit'"),
+            (lambda d: d["cost"].update(gpus=2), "'gpus'"),
+            (lambda d: d["network"].pop("latency"), "'latency'"),
+            (lambda d: d["replication"].update(batch_max=4), "'batch_max'"),
+            (lambda d: d["replication"].pop("dead_after"), "'dead_after'"),
+        ],
+    )
+    def test_unknown_misplaced_or_missing_key_is_named(self, mutate, named):
+        doc = ServingConfig(replication_factor=2).to_dict()
+        mutate(doc)
+        with pytest.raises(ConfigurationError, match=named):
+            ServingConfig.from_dict(doc)
+
+    def test_replication_defaults_are_the_dataclass_defaults(self):
+        from repro.serving import simulator
+
+        assert simulator._REPLICATION_DEFAULTS == ServingConfig().replication_dict()
+        assert set(simulator._TOP_LEVEL_KEYS) | set(simulator._REPLICATION_DEFAULTS) == {
+            f.name for f in dataclasses.fields(ServingConfig)
+        }
 
 
 class TestDeterminism:
@@ -111,6 +169,25 @@ class TestServing:
         tiny = get_partitioner("chunk-v", seed=0).partition(small, 2).assignment
         with pytest.raises(ConfigurationError):
             ServingSimulator(tiny, seed=0).run(trace)
+
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_empty_trace_is_served_at_every_k(self, assignment, trace, factor):
+        empty = QueryTrace(
+            spec=trace.spec,
+            times=np.empty(0, dtype=np.float64),
+            user=np.empty(0, dtype=np.int64),
+            vertex=np.empty(0, dtype=np.int64),
+            kind=np.empty(0, dtype=np.uint8),
+        )
+        config = ServingConfig(replication_factor=factor)
+        result = ServingSimulator(assignment, config, seed=1).run(empty)
+        summary = result.summary()
+        assert summary["queries"] == summary["completed"] == summary["shed"] == 0
+        assert summary["latency_p99"] is None and summary["throughput"] is None
+        assert result.batches.sum() == 0 and result.makespan == 0.0
+        assert result.restored and result.health_ledger == []
+        assert ("replication" in summary) == (factor == 2)
+        json.dumps(summary, allow_nan=False)
 
     def test_quantile_validation(self, assignment, trace):
         result = ServingSimulator(assignment, seed=1).run(trace)
@@ -194,3 +271,150 @@ class TestTelemetry:
         hist = snap["histograms"]["serving.latency_seconds"]
         assert hist["count"] == result.completed
         assert hist["per_decade"] == 4  # the bounded-histogram kind
+
+    def test_k1_run_emits_the_plain_series_and_two_spans(self, assignment, trace):
+        telemetry.set_enabled(True)
+        ServingSimulator(assignment, seed=1).run(trace)
+        reg = telemetry.registry()
+        assert {m.name for m in reg.metrics()} == {
+            "serving.queries",
+            "serving.shed",
+            "serving.batches",
+            "serving.messages",
+            "serving.degraded_batches",
+            "serving.cache_flushes",
+            "serving.cache.hits",
+            "serving.cache.misses",
+            "serving.cache.hit_rate",
+            "serving.latency_seconds",
+        }
+        spans = {span["name"]: span["args"] for span in reg.spans}
+        assert spans == {
+            "serving.replication.plan": {},
+            "serving.event_loop": {"machines": 4, "queries": trace.num_queries},
+        }
+
+
+# ----------------------------------------------------------------------
+_DIGESTED = (
+    "latency",
+    "shed",
+    "machine_of_query",
+    "queries",
+    "shed_per_machine",
+    "batches",
+    "degraded_batches",
+    "cache_flushes",
+    "busy_seconds",
+    "messages",
+)
+
+_GRID_CONFIGS = {"defaults": {}, "tight": {"queue_limit": 8, "cache_blocks": 16}}
+_GRID_PLANS = {
+    "clean": None,
+    "chaos": ChaosPlan(
+        seed=5,
+        rules=(
+            ChaosRule(site=SITE_MACHINE, kind="exception", rate=0.25),
+            ChaosRule(site=SITE_CACHE, kind="exception", rate=0.2),
+        ),
+    ),
+}
+_CRASH = ChaosPlan(
+    seed=7,
+    rules=(ChaosRule(site="serving.replica.crash", kind="exception", match="m1:h5"),),
+)
+
+
+def result_digest(result) -> str:
+    """sha256 over every accounting array plus the canonical summary."""
+    h = hashlib.sha256()
+    for name in _DIGESTED:
+        h.update(np.ascontiguousarray(getattr(result, name)).tobytes())
+    h.update(
+        json.dumps(result.summary(), sort_keys=True, separators=(",", ":")).encode()
+    )
+    return h.hexdigest()
+
+
+def _served(graph, assignment, config, plan, seed, *, duration, rate):
+    trace = WorkloadSpec(users=300, duration=duration, rate=rate, seed=seed).generate(
+        graph
+    )
+    install_plan(plan)
+    try:
+        return ServingSimulator(assignment, config, seed=seed).run(trace)
+    finally:
+        install_plan(None)
+
+
+def k1_grid_result(graph, assignment, seed, config, plan):
+    """120 k q/s for 30 ms: the ``tight`` config sheds, ``defaults`` does
+    not (clean) or barely (chaos)."""
+    return _served(
+        graph,
+        assignment,
+        ServingConfig(**_GRID_CONFIGS[config]),
+        _GRID_PLANS[plan],
+        seed,
+        duration=0.03,
+        rate=120000.0,
+    )
+
+
+def k2_result(graph, assignment, drill):
+    if drill == "crash":  # long enough to reach heartbeat tick 5 and recover
+        config, plan, shape = ServingConfig(replication_factor=2), _CRASH, (0.5, 1500.0)
+    else:
+        config = ServingConfig(replication_factor=2, hedge_after=0.0001, cache_blocks=16)
+        plan, shape = None, (0.05, 60000.0)
+    return _served(
+        graph, assignment, config, plan, 1, duration=shape[0], rate=shape[1]
+    )
+
+
+class TestBytesDidNotMove:
+    """Digests recorded on the commit that still had two event loops
+    (``_run_simple`` for these K=1 cells, ``_run_replicated`` for K=2)."""
+
+    K1 = {
+        "1-defaults-chaos": "bd0c7a9c36c6b0284ad2d981432f972449008330ac406740e0d17d22b9baeff7",
+        "1-defaults-clean": "a5ec42e790c45304d2e200e09fbf67c9ddfc9c941d19fbae5ebb2ce34ba5483e",
+        "1-tight-chaos": "e257526802fd2124547a09804c86d9e22643f8b21f770d6a8f9585abf6718a73",
+        "1-tight-clean": "240e7071bff14d6a55bb8d5063cceb967aca056ccbddecfe4b3d20d716978e99",
+        "2-defaults-chaos": "e48b1b5d6fa24c49bed95e251cab68dd8a93232b34ebbcd455645efe955d8049",
+        "2-defaults-clean": "4b2947bdcc10d6ff402239adfe73293cb4cfff48227da28b6f3c46782bc34ae1",
+        "2-tight-chaos": "57cb4b0df590cf046e46f9496b5745e3337d53e1b9ee872202b10c5e79618ca3",
+        "2-tight-clean": "bb57e95c53a7ca8716ca0306a2d58e69ea6992ca556f0b62876c01c714b03036",
+        "3-defaults-chaos": "91de0102ba1324c31d5a3e12bdf1ae58e736438ed32e4b98fda341a9f142d638",
+        "3-defaults-clean": "d6d064b693fe4d4f0689b3ababdfded2a826ead850a3521cfb7de3fc0c9f454e",
+        "3-tight-chaos": "84042c7d2ef1421f3e9ddfbc9a2eb7ea40848b9612513cd85191ba0aafdccae1",
+        "3-tight-clean": "9c9f4bc4ebd3280b37cb1dbc87b53751aa24c1ca15526ae778df86d6837f6fca",
+    }
+    K2 = {
+        "crash": "c5cbe3ea0b33c6f668d343e7ea4ac78fdd794e52987c7f5bc9c28d017c8719aa",
+        "hedged": "58f93cef722755eb6e527ca73790a0c4a2c30b38c1e441365a4ce0675b8d7cf5",
+    }
+
+    @pytest.mark.parametrize("plan", sorted(_GRID_PLANS))
+    @pytest.mark.parametrize("config", sorted(_GRID_CONFIGS))
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_k1_grid(self, graph, assignment, seed, config, plan):
+        result = k1_grid_result(graph, assignment, seed, config, plan)
+        assert not result.replicated
+        assert result_digest(result) == self.K1[f"{seed}-{config}-{plan}"]
+
+    def test_grid_exercises_shedding_and_both_chaos_sites(self, graph, assignment):
+        tight = k1_grid_result(graph, assignment, 1, "tight", "chaos")
+        assert tight.shed.any()
+        assert tight.degraded_batches.sum() > 0 and tight.cache_flushes.sum() > 0
+        assert not k1_grid_result(graph, assignment, 1, "defaults", "clean").shed.any()
+
+    @pytest.mark.parametrize("drill", ["crash", "hedged"])
+    def test_k2_drills(self, graph, assignment, drill):
+        result = k2_result(graph, assignment, drill)
+        if drill == "crash":
+            assert result.crashes == 1 and result.redispatched > 0 and result.restored
+        else:
+            assert result.hedges > result.hedge_wins > 0
+        assert result_digest(result) == self.K2[drill]

@@ -81,6 +81,8 @@ def main() -> int:
         "cold_seconds": round(cold, 2),
         "warm_seconds": round(warm, 2),
         "warm_speedup": round(cold / warm, 2),
+        "machine": platform.machine(),
+        "cpus_visible": len(os.sched_getaffinity(0)),
         "python": platform.python_version(),
     }
     history = []

@@ -54,8 +54,8 @@ class TrafficMatrix:
         """Build from a dense per-pair count matrix.
 
         The diagonal is zeroed — local delivery is free, matching
-        :meth:`from_pairs`. Used by the parallel engine path, which
-        merges per-machine rows computed by pool workers.
+        :meth:`from_pairs`. Used by the Gemini engine's superstep
+        census, which bincounts ``src_machine * M + dst_machine`` ids.
         """
         arr = np.asarray(counts, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:

@@ -41,23 +41,14 @@ class ConnectedComponents(VertexProgram):
         # Frontier semantics: a vertex participates next round if its
         # label changed or a neighbour's did. Using the changed set keeps
         # the accounting sparse as components settle.
-        if changed.any():
-            next_active = np.zeros_like(active)
-            next_active[changed] = True
-            # Neighbours of changed vertices must re-check their minima.
-            changed_ids = np.nonzero(changed)[0]
-            for v in changed_ids if changed_ids.size < 1024 else ():
-                next_active[graph.neighbors(v)] = True
-            if changed_ids.size >= 1024:
-                # Vectorised scatter for large frontiers.
-                starts = graph.indptr[changed_ids]
-                ends = graph.indptr[changed_ids + 1]
-                total = int((ends - starts).sum())
-                if total:
-                    gathered = np.concatenate(
-                        [graph.indices[s:e] for s, e in zip(starts, ends)]
-                    )
-                    next_active[gathered] = True
-        else:
-            next_active = np.zeros_like(active)
+        next_active = changed.copy()
+        # Neighbours of changed vertices must re-check their minima: gather
+        # them by flat arc slot, which dense and sharded graphs both serve.
+        changed_ids = np.nonzero(changed)[0]
+        lens = graph.degrees[changed_ids]
+        total = int(lens.sum())
+        if total:
+            first = np.cumsum(lens) - lens
+            slots = np.repeat(graph.indptr[changed_ids] - first, lens) + np.arange(total)
+            next_active[graph.take_arcs(slots)] = True
         return new_state, next_active

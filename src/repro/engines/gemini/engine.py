@@ -10,6 +10,11 @@ partitioned graph, charging each superstep to the cluster:
   mirror aggregation) duplicate updates from one machine to one target
   vertex count once.
 
+Each superstep's census is one in-process pass: the cut arcs are grouped
+by (source machine, target vertex) once per assignment
+(:func:`_build_census`), so an iteration is a gather of the active mask,
+one ``logical_or.reduceat`` over the groups and one ``bincount``.
+
 The numerical result is exact: the program's transition runs on global
 arrays, so the partition affects only the timing ledger — exactly the
 property the paper exploits when comparing partitioners on one system.
@@ -27,7 +32,6 @@ from repro.cluster.ledger import TimingLedger
 from repro.cluster.messages import TrafficMatrix
 from repro.engines.gemini.vertex_program import VertexProgram
 from repro.errors import ConfigurationError, SimulationError
-from repro.parallel import WorkerCrash, note_fallback
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 
@@ -83,16 +87,6 @@ class GeminiEngine:
     dense_threshold:
         Active-arc fraction above which adaptive mode switches to pull
         (Gemini's heuristic uses |E_active| > |E| / 20).
-    jobs:
-        Worker processes for the per-iteration superstep census
-        (explicit value beats ``$REPRO_JOBS`` beats 1). With
-        ``jobs > 1`` each machine's active-edge/vertex counts and
-        traffic row are computed by pool workers over shared arrays and
-        merged in machine order — every per-machine quantity is an
-        integer-valued float64 below 2^53, so the ledger is
-        bit-identical to the serial path at any jobs value. A worker
-        crash degrades the run to serial mid-flight (counted in
-        ``parallel.fallbacks``).
     """
 
     def __init__(
@@ -102,7 +96,6 @@ class GeminiEngine:
         aggregate_messages: bool = True,
         mode: str = "push",
         dense_threshold: float = 0.05,
-        jobs: int | None = None,
     ) -> None:
         if mode not in ("push", "pull", "adaptive"):
             raise ConfigurationError(f"mode must be push|pull|adaptive, got {mode!r}")
@@ -114,7 +107,6 @@ class GeminiEngine:
         self._aggregate = bool(aggregate_messages)
         self._mode = mode
         self._dense_threshold = float(dense_threshold)
-        self._jobs = jobs
 
     def run(
         self,
@@ -134,73 +126,24 @@ class GeminiEngine:
             raise SimulationError("cannot run a vertex program on an empty graph")
 
         m = self._cluster.num_machines
-        degrees = graph.degrees
-
-        # Cut-arc and mirror structures are pure functions of the
-        # (immutable) assignment, so they are computed once and memoised
-        # on it — multi-app experiments run several programs over one
-        # partition, and the edge_array + three np.unique passes were
-        # the dominant repeated cost.
+        reg = telemetry.active()
+        # The census structures are pure functions of the (immutable)
+        # assignment, so they are built once and memoised on it —
+        # multi-app experiments run several programs over one partition.
         structs = assignment.derived_cache().get("gemini")
         if structs is None:
-            parts = assignment.parts.astype(np.int64)
-            n = np.int64(graph.num_vertices)
-            # Walk the adjacency one block at a time (dense graphs yield a
-            # single zero-copy block) so sharded graphs never materialise
-            # the full edge array; blocks ascend, so concatenating the
-            # per-block cut arrays reproduces the edge_array order.
-            cut_src_chunks, cut_sp_chunks, cut_dp_chunks = [], [], []
-            agg_chunks, mirror_chunks = [], []
-            for start, stop, local, idx in graph.iter_blocks():
-                src = np.repeat(
-                    np.arange(start, stop, dtype=np.int64), np.diff(local)
-                )
-                dst = idx.astype(np.int64, copy=False)
-                src_part, dst_part = parts[src], parts[dst]
-                cut = src_part != dst_part
-                cut_src_chunks.append(src[cut])
-                cut_sp_chunks.append(src_part[cut])
-                cut_dp_chunks.append(dst_part[cut])
-                # One message per distinct (source machine, target vertex):
-                # mirrors receive a single combined update (aggregate mode).
-                agg_chunks.append(src_part[cut] * n + dst[cut])
-                mirror_chunks.append(dst_part[cut] * n + src[cut])
-            empty = np.empty(0, dtype=np.int64)
-            cut_src_vertex = np.concatenate(cut_src_chunks) if cut_src_chunks else empty
-            # Pull-mode fixed structures: compute covers every local arc,
-            # and the traffic is the mirror set — one fetch per distinct
-            # (consumer machine, remote neighbour vertex) pair/iteration.
-            mirror_key = (
-                np.unique(np.concatenate(mirror_chunks)) if mirror_chunks else empty
-            )
-            mirror_consumer = (mirror_key // graph.num_vertices).astype(np.int64)
-            mirror_owner = parts[(mirror_key % graph.num_vertices).astype(np.int64)]
-            structs = {
-                "parts": parts,
-                "cut_src_vertex": cut_src_vertex,
-                "cut_src_part": (
-                    np.concatenate(cut_sp_chunks) if cut_sp_chunks else empty
-                ),
-                "cut_dst_part": (
-                    np.concatenate(cut_dp_chunks) if cut_dp_chunks else empty
-                ),
-                "agg_key": np.concatenate(agg_chunks) if agg_chunks else empty,
-                "all_edges_per_m": np.bincount(
-                    parts, weights=degrees.astype(np.float64), minlength=m
-                ),
-                "all_vertices_per_m": np.bincount(parts, minlength=m).astype(np.float64),
-                "pull_traffic_pairs": (mirror_owner, mirror_consumer),  # owner sends
-            }
+            with reg.span("engine.gemini.census.build", machines=m):
+                structs = _build_census(graph, assignment.parts.astype(np.int64), m)
             assignment.derived_cache()["gemini"] = structs
-        parts = structs["parts"]
-        cut_src_vertex = structs["cut_src_vertex"]
-        cut_src_part = structs["cut_src_part"]
-        cut_dst_part = structs["cut_dst_part"]
-        agg_key = structs["agg_key"] if self._aggregate else None
-        all_edges_per_m = structs["all_edges_per_m"]
-        all_vertices_per_m = structs["all_vertices_per_m"]
-        pull_traffic_pairs = structs["pull_traffic_pairs"]
+        with reg.span("engine.gemini.run", program=program.name, machines=m):
+            return self._run(graph, structs, program)
 
+    def _run(self, graph: CSRGraph, structs: dict, program: VertexProgram) -> GeminiResult:
+        m = self._cluster.num_machines
+        degrees = graph.degrees
+        parts = structs["parts"]
+        cut_src = structs["cut_src"]
+        starts = structs["group_starts"]
         total_arcs = max(graph.num_edges, 1)
         self._cluster.begin_run()
         state, active = program.initialize(graph)
@@ -208,109 +151,57 @@ class GeminiEngine:
         modes: list[str] = []
         emit = telemetry.enabled()  # hoisted: one flag read per run
         reg = telemetry.active()
-        pool, shm, setup_tokens = self._open_census_pool(graph, structs, m)
-        try:
-            for it in range(program.max_iterations):
-                if not active.any():
-                    break
-                iterations += 1
+        for it in range(program.max_iterations):
+            if not active.any():
+                break
+            iterations += 1
+            active_vertices = np.nonzero(active)[0]
+            active_degrees = degrees[active_vertices].astype(np.float64)
+            active_arc_fraction = float(active_degrees.sum()) / total_arcs
+            if self._mode == "adaptive":
+                mode = "pull" if active_arc_fraction > self._dense_threshold else "push"
+            else:
+                mode = self._mode
+            modes.append(mode)
+            if emit:
+                reg.counter("engine.gemini.iterations", mode=mode).inc()
+                reg.counter("engine.gemini.active_vertices").inc(int(active_vertices.size))
+                reg.histogram(
+                    "engine.gemini.active_arc_fraction",
+                    buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
+                ).observe(active_arc_fraction)
 
-                # Per-machine census: active edge/vertex counts and the
-                # machine's traffic row. The parallel path computes the
-                # same integer-valued quantities per machine and merges
-                # them in machine order, so everything downstream
-                # (adaptive mode choice, ledger, telemetry) is
-                # bit-identical to the serial path.
-                census = None
-                if pool is not None:
-                    np.copyto(shm.array("active"), active)
-                    sid = setup_tokens["active"].name
-                    payloads = [
-                        {
-                            "sid": sid,
-                            "machine": mi,
-                            "aggregate": self._aggregate,
-                            "setup": setup_tokens,
-                        }
-                        for mi in range(m)
-                    ]
-                    try:
-                        census = pool.map_ordered(_CENSUS_TASK, payloads)
-                    except WorkerCrash:
-                        note_fallback("gemini.crash")
-                        pool.close()
-                        pool = None
-                if census is not None:
-                    push_edges = np.array([c[0] for c in census], dtype=np.float64)
-                    push_vertices = np.array(
-                        [float(c[1]) for c in census], dtype=np.float64
-                    )
-                    push_traffic_counts = np.array(
-                        [c[2] for c in census], dtype=np.int64
-                    )
-                    num_active = int(push_vertices.sum())
-                    active_arc_fraction = float(push_edges.sum()) / total_arcs
-                else:
-                    active_vertices = np.nonzero(active)[0]
-                    active_parts = parts[active_vertices]
-                    num_active = int(active_vertices.size)
-                    active_arc_fraction = (
-                        float(degrees[active_vertices].sum()) / total_arcs
-                    )
-                if self._mode == "adaptive":
-                    mode = (
-                        "pull" if active_arc_fraction > self._dense_threshold else "push"
-                    )
-                else:
-                    mode = self._mode
-                modes.append(mode)
-                if emit:
-                    reg.counter("engine.gemini.iterations", mode=mode).inc()
-                    reg.counter("engine.gemini.active_vertices").inc(num_active)
-                    reg.histogram(
-                        "engine.gemini.active_arc_fraction",
-                        buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-                    ).observe(active_arc_fraction)
+            if mode == "pull":
+                # Compute covers every local arc; the traffic is the
+                # fixed mirror set, independent of the frontier.
+                edges_per_m = structs["all_edges_per_m"]
+                vertices_per_m = structs["all_vertices_per_m"]
+                counts = structs.get("pull_counts")
+                if counts is None:
+                    counts = structs["pull_counts"] = _pull_counts(structs, m)
+            else:
+                active_parts = parts[active_vertices]
+                edges_per_m = np.bincount(active_parts, weights=active_degrees, minlength=m)
+                vertices_per_m = np.bincount(active_parts, minlength=m).astype(np.float64)
+                # One message per live cut arc or, aggregated, per group
+                # (source machine, target vertex) with any live arc.
+                live_arc = active[cut_src]
+                if not self._aggregate:
+                    live_pairs = structs["cut_pair"][live_arc]
+                elif starts.size:
+                    live_group = np.logical_or.reduceat(live_arc, starts)
+                    live_pairs = structs["group_pair"][live_group]
+                else:  # no cut arcs (one machine, or no edge crosses): no groups
+                    live_pairs = starts
+                counts = np.bincount(live_pairs, minlength=m * m).reshape(m, m)
 
-                if mode == "pull":
-                    edges_per_m = all_edges_per_m
-                    vertices_per_m = all_vertices_per_m
-                    traffic = TrafficMatrix.from_pairs(m, *pull_traffic_pairs)
-                elif census is not None:
-                    edges_per_m = push_edges
-                    vertices_per_m = push_vertices
-                    traffic = TrafficMatrix.from_counts(push_traffic_counts)
-                else:
-                    edges_per_m = np.bincount(
-                        active_parts,
-                        weights=degrees[active_vertices].astype(np.float64),
-                        minlength=m,
-                    )
-                    vertices_per_m = np.bincount(active_parts, minlength=m).astype(
-                        np.float64
-                    )
-                    live_arc = active[cut_src_vertex]
-                    if self._aggregate:
-                        live_keys = np.unique(agg_key[live_arc])
-                        live_src = (live_keys // graph.num_vertices).astype(np.int64)
-                        live_dst = parts[
-                            (live_keys % graph.num_vertices).astype(np.int64)
-                        ]
-                        traffic = TrafficMatrix.from_pairs(m, live_src, live_dst)
-                    else:
-                        traffic = TrafficMatrix.from_pairs(
-                            m, cut_src_part[live_arc], cut_dst_part[live_arc]
-                        )
-
-                self._cluster.superstep(
-                    edges=edges_per_m, vertices=vertices_per_m, traffic=traffic
-                )
-                state, active = program.iterate(graph, state, active, it)
-        finally:
-            if pool is not None:
-                pool.close()
-            if shm is not None:
-                shm.close()
+            # from_counts copies: clusters may consume the matrix they get.
+            self._cluster.superstep(
+                edges=edges_per_m,
+                vertices=vertices_per_m,
+                traffic=TrafficMatrix.from_counts(counts),
+            )
+            state, active = program.iterate(graph, state, active, it)
 
         if emit:
             reg.counter("engine.gemini.runs").inc()
@@ -323,108 +214,54 @@ class GeminiEngine:
             modes=modes,
         )
 
-    def _open_census_pool(self, graph, structs: dict, m: int):
-        """Set up the worker pool + shared arrays for parallel supersteps.
 
-        Returns ``(pool, shm, setup_tokens)`` — all ``None`` when the run
-        stays serial (``jobs <= 1``, no shared memory, or a single
-        machine). Grouped per-machine structures are memoised on the
-        assignment's derived cache next to the serial ones.
-        """
-        from repro.parallel import (
-            SharedArrayPool,
-            WorkerPool,
-            note_fallback,
-            resolve_jobs,
-            shm_available,
-        )
+def _build_census(graph: CSRGraph, parts: np.ndarray, m: int) -> dict:
+    """Per-assignment census structures: the cut arcs grouped for one
+    linear pass per superstep.
 
-        jobs = min(resolve_jobs(self._jobs), m)
-        if jobs <= 1:
-            return None, None, None
-        if not shm_available():
-            note_fallback("gemini.no_shm")
-            return None, None, None
-        par = structs.get("parallel")
-        if par is None:
-            parts = structs["parts"]
-            cut_src_part = structs["cut_src_part"]
-            n = np.int64(max(graph.num_vertices, 1))
-            vert_order = np.argsort(parts, kind="stable").astype(np.int64)
-            vert_offsets = np.zeros(m + 1, dtype=np.int64)
-            np.cumsum(np.bincount(parts, minlength=m), out=vert_offsets[1:])
-            # Cut arcs grouped by source machine (stable, so each group
-            # preserves edge_array order — unique/bincount reductions are
-            # order-insensitive anyway, but determinism costs nothing).
-            cut_order = np.argsort(cut_src_part, kind="stable")
-            cut_offsets = np.searchsorted(
-                cut_src_part[cut_order], np.arange(m + 1, dtype=np.int64)
-            ).astype(np.int64)
-            par = {
-                "vert_order": vert_order,
-                "vert_offsets": vert_offsets,
-                "cut_src": structs["cut_src_vertex"][cut_order],
-                "cut_dst": (structs["agg_key"][cut_order] % n).astype(np.int64),
-                "cut_dst_part": structs["cut_dst_part"][cut_order],
-                "cut_offsets": cut_offsets,
-            }
-            structs["parallel"] = par
-        shm = SharedArrayPool()
-        try:
-            shm.share("degrees", np.ascontiguousarray(graph.degrees, dtype=np.int64))
-            shm.share("parts", structs["parts"])
-            shm.share("active", np.zeros(graph.num_vertices, dtype=bool))
-            for key in (
-                "vert_order",
-                "vert_offsets",
-                "cut_src",
-                "cut_dst",
-                "cut_dst_part",
-                "cut_offsets",
-            ):
-                shm.share(key, par[key])
-            pool = WorkerPool(jobs)
-        except (OSError, ValueError):  # pragma: no cover - shm exhaustion
-            note_fallback("gemini.setup")
-            shm.close()
-            return None, None, None
-        return pool, shm, shm.tokens()
-
-
-#: ``module:attr`` spec of the census task for the worker pool.
-_CENSUS_TASK = "repro.engines.gemini.engine:_census_task"
-
-
-def _census_task(payload: dict, state: dict) -> tuple[float, int, list[int]]:
-    """Pool worker: one machine's active census + traffic row.
-
-    Everything is integer-valued (edge/vertex/message counts), so the
-    parent's machine-order merge is bit-identical to the serial global
-    reduction.
+    The cut arcs are stably sorted by aggregation key (source machine,
+    target vertex) — the group-once-then-cheap-in-order-passes idea of
+    buffered streaming partitioners — so a push superstep needs no sort:
+    ``cut_src``/``cut_pair`` are per arc (source vertex, and
+    ``src_machine * m + dst_machine``), ``group_starts`` marks where each
+    key's run begins and ``group_pair`` is the pair id of each run.
     """
-    from repro.parallel import attach_array
+    n = np.int64(graph.num_vertices)
+    # Walk the adjacency one block at a time (dense graphs yield a single
+    # zero-copy block) so sharded graphs never materialise the full edge
+    # array.
+    src_chunks, dst_chunks = [], []
+    for start, stop, local, idx in graph.iter_blocks():
+        src = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(local))
+        dst = idx.astype(np.int64, copy=False)
+        cut = parts[src] != parts[dst]
+        src_chunks.append(src[cut])
+        dst_chunks.append(dst[cut])
+    cut_src = np.concatenate(src_chunks)
+    cut_dst = np.concatenate(dst_chunks)
+    src_part = parts[cut_src]
+    key = src_part * n + cut_dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
+    cut_pair = (src_part * m + parts[cut_dst])[order]
+    return {
+        "parts": parts,
+        "cut_src": cut_src[order],
+        "cut_pair": cut_pair,
+        "group_starts": starts,
+        "group_pair": cut_pair[starts],
+        "all_edges_per_m": np.bincount(
+            parts, weights=graph.degrees.astype(np.float64), minlength=m
+        ),
+        "all_vertices_per_m": np.bincount(parts, minlength=m).astype(np.float64),
+    }
 
-    sess = state.get(payload["sid"])
-    if sess is None:
-        sess = {
-            key: attach_array(token, state)
-            for key, token in payload["setup"].items()
-        }
-        state[payload["sid"]] = sess
-    mi = int(payload["machine"])
-    active = sess["active"]
-    voff = sess["vert_offsets"]
-    verts = sess["vert_order"][voff[mi] : voff[mi + 1]]
-    live_verts = verts[active[verts]]
-    edges = float(sess["degrees"][live_verts].sum())
-    num_machines = int(voff.shape[0] - 1)
-    lo, hi = int(sess["cut_offsets"][mi]), int(sess["cut_offsets"][mi + 1])
-    live_arc = active[sess["cut_src"][lo:hi]]
-    if payload["aggregate"]:
-        # Within one source machine the (machine, dst) aggregation key
-        # reduces to distinct destination vertices.
-        dst = np.unique(sess["cut_dst"][lo:hi][live_arc])
-        row = np.bincount(sess["parts"][dst], minlength=num_machines)
-    else:
-        row = np.bincount(sess["cut_dst_part"][lo:hi][live_arc], minlength=num_machines)
-    return edges, int(live_verts.size), row.astype(np.int64).tolist()
+
+def _pull_counts(structs: dict, m: int) -> np.ndarray:
+    """Pull-mode traffic: one fetch per distinct (remote neighbour
+    vertex, consumer machine) mirror per iteration, sent by the owner."""
+    consumer = structs["cut_pair"] % m
+    mirrors = np.unique(structs["cut_src"] * m + consumer)
+    pairs = structs["parts"][mirrors // m] * m + mirrors % m
+    return np.bincount(pairs, minlength=m * m).reshape(m, m)

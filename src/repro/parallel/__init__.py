@@ -13,8 +13,7 @@ One reusable substrate behind every ``jobs=`` knob in the library:
   nests inside a pool worker).
 
 Consumers: the ``parallel`` streaming kernel
-(:mod:`repro.partition.kernels.parallel_backend`), Gemini's per-machine
-superstep fan-out (:mod:`repro.engines.gemini.engine`), and
+(:mod:`repro.partition.kernels.parallel_backend`) and
 ``ShardedCSRBuilder.finalize(jobs=...)``.  Every consumer degrades to
 its serial path — with a ``parallel.fallbacks`` telemetry increment —
 when ``jobs == 1``, shared memory is unavailable, or a worker dies.

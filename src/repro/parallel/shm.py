@@ -107,9 +107,6 @@ class SharedArrayPool:
     def token(self, key: str) -> SharedArrayToken:
         return self._segments[key][2]
 
-    def tokens(self) -> dict[str, SharedArrayToken]:
-        return {key: entry[2] for key, entry in self._segments.items()}
-
     def close(self) -> None:
         for seg, _view, _token in self._segments.values():
             try:

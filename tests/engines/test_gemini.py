@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+from pathlib import Path
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.cluster import BSPCluster
+from repro import telemetry
+from repro.cluster import BSPCluster, TrafficMatrix
+from repro.cluster.faults import FaultAwareCluster
 from repro.engines.gemini import (
     BFS,
     SSSP,
@@ -17,10 +26,11 @@ from repro.engines.gemini import (
     neighbor_min,
     neighbor_sum,
 )
+from repro.engines.gemini.vertex_program import VertexProgram
 from repro.errors import SimulationError
-from repro.graph import chung_lu, from_edges, path_graph, ring_graph
+from repro.graph import chung_lu, from_edges, path_graph, ring_graph, spill_csr, twitter_like
 from repro.graph.convert import to_networkx
-from repro.partition import HashPartitioner, PartitionAssignment
+from repro.partition import HashPartitioner, PartitionAssignment, get_partitioner
 
 
 def make_assignment(g, k=4, seed=0):
@@ -200,3 +210,281 @@ class TestEngineAccounting:
             / BSPCluster(4).cost_model.cores
         )
         assert np.allclose(ratio, 1.0)
+
+
+# ----------------------------------------------------------------------
+# Bytes did not move: digests recorded on the commit before the grouped
+# census (bb71436), with this file's own `_digest` run against that tree.
+# Re-record with `PYTHONPATH=src python tests/engines/test_gemini.py`.
+# ----------------------------------------------------------------------
+DIGESTS = Path(__file__).parent / "data" / "gemini_digests.json"
+PROGRAMS = {
+    "pagerank": lambda: PageRank(10),
+    "cc": ConnectedComponents,
+    "bfs": lambda: BFS(source=0),
+}
+GRID = [
+    (prog, algo, mode, agg, seed)
+    for prog in PROGRAMS
+    for algo in ("bpart", "chunk-v", "hash")
+    for mode in ("push", "pull", "adaptive")
+    for agg in (True, False)
+    for seed in (1, 2)
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _job(algo, seed):
+    """(graph, assignment) on twitter 0.25, shared by every cell that
+    uses it — so the memoised census structures are exercised across
+    programs, modes and aggregation settings, as multi-app runs do."""
+    g = twitter_like(scale=0.25, seed=seed)
+    return g, get_partitioner(algo).partition(g, 8).assignment
+
+
+def _digest(res) -> str:
+    h = hashlib.sha256(res.ledger.to_json().encode())
+    h.update(np.ascontiguousarray(res.values).tobytes())
+    h.update(repr((res.total_messages, res.modes)).encode())
+    return h.hexdigest()
+
+
+def _cell(prog, algo, mode, agg, seed, *, cluster=BSPCluster, graph=None) -> str:
+    g, a = _job(algo, seed)
+    engine = GeminiEngine(cluster(a.num_parts), mode=mode, aggregate_messages=agg)
+    return _digest(engine.run(g if graph is None else graph, a, PROGRAMS[prog]()))
+
+
+def _cell_id(prog, algo, mode, agg, seed) -> str:
+    return f"{prog}/{algo}/{mode}/{'agg' if agg else 'raw'}/seed{seed}"
+
+
+class TestBytesDidNotMove:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(DIGESTS.read_text())
+
+    @pytest.mark.parametrize("cell", GRID, ids=lambda c: _cell_id(*c))
+    def test_grid(self, recorded, cell):
+        assert _cell(*cell) == recorded[_cell_id(*cell)]
+
+    # A spilled graph and a fault-free FaultAwareCluster read the same
+    # bytes as the dense graph on a BSPCluster (they did on bb71436 too).
+    def test_spilled_graph(self, recorded, tmp_path):
+        cell = ("pagerank", "bpart", "adaptive", True, 1)
+        spilled = spill_csr(_job("bpart", 1)[0], tmp_path, shard_size=512)
+        assert _cell(*cell, graph=spilled) == recorded[_cell_id(*cell)]
+
+    def test_fault_aware_cluster_without_faults(self, recorded):
+        cell = ("cc", "chunk-v", "push", True, 2)
+        assert _cell(*cell, cluster=FaultAwareCluster) == recorded[_cell_id(*cell)]
+
+
+# ----------------------------------------------------------------------
+# The grouped census against the per-iteration np.unique formulation it
+# replaced, kept here as the oracle.
+# ----------------------------------------------------------------------
+class _Masks(VertexProgram):
+    """Replays a fixed sequence of active masks, one per iteration."""
+
+    name = "masks"
+
+    def __init__(self, masks):
+        self._masks = [np.asarray(m, dtype=bool) for m in masks]
+        self.max_iterations = len(self._masks)
+
+    def initialize(self, graph):
+        return np.zeros(graph.num_vertices), self._masks[0]
+
+    def iterate(self, graph, state, active, iteration):
+        nxt = iteration + 1
+        done = np.zeros(graph.num_vertices, dtype=bool)
+        return state, self._masks[nxt] if nxt < len(self._masks) else done
+
+
+class _RecordingCluster(BSPCluster):
+    """A BSPCluster that also keeps what each superstep was charged."""
+
+    def begin_run(self):
+        super().begin_run()
+        self.supersteps = []
+
+    def superstep(self, *, edges, vertices, traffic, **kw):
+        self.supersteps.append((edges.copy(), vertices.copy(), traffic.counts.copy()))
+        super().superstep(edges=edges, vertices=vertices, traffic=traffic, **kw)
+
+
+def oracle_push(graph, parts, active, aggregate, m):
+    """(edges, vertices, counts) of one push superstep, the old way:
+    re-sort the live cut arcs' aggregation keys with np.unique."""
+    src, dst = graph.edge_array()
+    src, dst = src.astype(np.int64), dst.astype(np.int64)
+    cut = parts[src] != parts[dst]
+    src, dst = src[cut], dst[cut]
+    live = active[src]
+    if aggregate:
+        keys = np.unique(parts[src[live]] * graph.num_vertices + dst[live])
+        tm = TrafficMatrix.from_pairs(
+            m, keys // graph.num_vertices, parts[keys % graph.num_vertices]
+        )
+    else:
+        tm = TrafficMatrix.from_pairs(m, parts[src[live]], parts[dst[live]])
+    edges = np.bincount(parts, weights=graph.degrees * active, minlength=m)
+    vertices = np.bincount(parts, weights=active, minlength=m)
+    return edges, vertices, tm.counts
+
+
+def oracle_pull(graph, parts, m):
+    src, dst = graph.edge_array()
+    cut = parts[src] != parts[dst]
+    mirrors = np.unique(parts[dst[cut]].astype(np.int64) * graph.num_vertices + src[cut])
+    return TrafficMatrix.from_pairs(
+        m, parts[mirrors % graph.num_vertices], mirrors // graph.num_vertices
+    ).counts
+
+
+def _supersteps(graph, parts, masks, k, **engine_kw):
+    cluster = _RecordingCluster(k)
+    a = PartitionAssignment(graph, parts, k)
+    res = GeminiEngine(cluster, **engine_kw).run(graph, a, _Masks(masks))
+    return res, cluster.supersteps
+
+
+@st.composite
+def census_cases(draw):
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, 5))
+    num_edges = draw(st.integers(0, 120))
+    vertex = st.integers(0, n - 1)
+    src = draw(st.lists(vertex, min_size=num_edges, max_size=num_edges))
+    dst = draw(st.lists(vertex, min_size=num_edges, max_size=num_edges))
+    parts = draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+    mask = st.one_of(
+        st.just([True] * n),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        vertex.map(lambda v: [i == v for i in range(n)]),
+    )
+    masks = draw(st.lists(mask, min_size=1, max_size=4))
+    directed = draw(st.booleans())
+    g = from_edges(src, dst, num_vertices=n, directed=directed)
+    return g, np.asarray(parts, dtype=np.int64), masks, k
+
+
+class TestGroupedCensus:
+    @given(case=census_cases(), aggregate=st.booleans())
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_push_matches_unique_oracle(self, case, aggregate):
+        g, parts, masks, k = case
+        res, steps = _supersteps(g, parts, masks, k, aggregate_messages=aggregate)
+        # The engine stops at the first empty mask (no superstep for it).
+        live = []
+        for mask in masks:
+            if not any(mask):
+                break
+            live.append(np.asarray(mask))
+        assert res.iterations == len(steps) == len(live)
+        for mask, (edges, vertices, counts) in zip(live, steps):
+            want = oracle_push(g, parts, mask, aggregate, k)
+            for got, expected in zip((edges, vertices, counts), want):
+                np.testing.assert_array_equal(got, expected)
+
+    def test_single_machine(self, powerlaw_small):
+        n = powerlaw_small.num_vertices
+        parts = np.zeros(n, dtype=np.int64)
+        for agg in (True, False):
+            _, steps = _supersteps(
+                powerlaw_small, parts, [np.ones(n, bool)], 1, aggregate_messages=agg
+            )
+            assert steps[0][2].tolist() == [[0]]
+            assert steps[0][0].tolist() == [float(powerlaw_small.num_edges)]
+
+    def test_no_cut_arcs(self, two_components):
+        # Components {0,1,2} and {3,4} on their own machines: no arc is cut.
+        parts = np.array([0, 0, 0, 1, 1])
+        for mode in ("push", "pull"):
+            res, steps = _supersteps(two_components, parts, [np.ones(5, bool)], 2, mode=mode)
+            assert res.total_messages == 0
+            assert not steps[0][2].any()
+
+    def test_machine_without_active_vertex(self, powerlaw_small):
+        n = powerlaw_small.num_vertices
+        parts = np.arange(n, dtype=np.int64) % 4
+        mask = parts != 2  # machine 2 idles, the others are fully active
+        _, steps = _supersteps(powerlaw_small, parts, [mask], 4)
+        edges, vertices, counts = steps[0]
+        assert edges[2] == vertices[2] == 0 and not counts[2].any()
+        np.testing.assert_array_equal(counts, oracle_push(powerlaw_small, parts, mask, True, 4)[2])
+
+    def test_pull_matrix_is_constant_and_fresh_per_superstep(self, powerlaw_small):
+        n = powerlaw_small.num_vertices
+        parts = np.arange(n, dtype=np.int64) % 4
+        seen = []
+
+        class Scribbling(_RecordingCluster):
+            def superstep(self, *, traffic, **kw):
+                seen.append(traffic)
+                super().superstep(traffic=traffic, **kw)
+                traffic.counts[:] = -1  # a cluster may consume its matrix
+
+        a = PartitionAssignment(powerlaw_small, parts, 4)
+        cluster = Scribbling(4)
+        masks = [np.ones(n, bool)] * 3
+        GeminiEngine(cluster, mode="pull").run(powerlaw_small, a, _Masks(masks))
+        assert len({id(t) for t in seen}) == 3
+        want = oracle_pull(powerlaw_small, parts, 4)
+        for _, _, counts in cluster.supersteps:
+            np.testing.assert_array_equal(counts, want)
+        # ...and a later run on the same assignment reuses the memoised matrix.
+        res = GeminiEngine(BSPCluster(4), mode="pull").run(powerlaw_small, a, _Masks(masks))
+        assert res.total_messages == 3 * int(want.sum())
+
+    def test_jobs_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            GeminiEngine(BSPCluster(2), jobs=2)
+
+
+class TestConnectedComponentsOnShards:
+    def test_large_frontier_matches_dense(self, tmp_path):
+        # >= 1024 labels change in the first iterations: the frontier
+        # scatter must not touch `graph.indices`, which shards refuse.
+        g = chung_lu(4000, 8.0, 2.2, rng=3)
+        spilled = spill_csr(g, tmp_path, shard_size=512)
+        a = HashPartitioner().partition(g, 4).assignment
+        dense = GeminiEngine(BSPCluster(4)).run(g, a, ConnectedComponents())
+        shard = GeminiEngine(BSPCluster(4)).run(spilled, a, ConnectedComponents())
+        np.testing.assert_array_equal(shard.values, dense.values)
+        assert shard.modes == dense.modes
+        assert shard.ledger.to_json() == dense.ledger.to_json()
+
+
+class TestTelemetry:
+    def test_metric_names_of_one_run(self, powerlaw_small):
+        a = make_assignment(powerlaw_small)
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        GeminiEngine(BSPCluster(4), mode="adaptive").run(
+            powerlaw_small, a, ConnectedComponents()
+        )
+        reg = telemetry.registry()
+        names = {m.key.split("{")[0] for m in reg.metrics()}
+        assert not any(name.startswith("parallel.") for name in names)
+        assert {name for name in names if not name.startswith("cluster.")} == {
+            "engine.gemini.runs",
+            "engine.gemini.messages",
+            "engine.gemini.iterations",
+            "engine.gemini.active_vertices",
+            "engine.gemini.active_arc_fraction",
+        }
+        assert [(s["name"], s["args"]) for s in reg.spans] == [
+            ("engine.gemini.census.build", {"machines": 4}),
+            ("engine.gemini.run", {"program": "connected-components", "machines": 4}),
+        ]
+        # The memoised structures are not rebuilt by a second run.
+        GeminiEngine(BSPCluster(4)).run(powerlaw_small, a, PageRank(2))
+        assert [s["name"] for s in reg.spans].count("engine.gemini.census.build") == 1
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    digests = {_cell_id(*cell): _cell(*cell) for cell in GRID}
+    DIGESTS.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")

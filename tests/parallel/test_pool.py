@@ -81,7 +81,7 @@ class TestSharedArrays:
             np.testing.assert_array_equal(view, data)
             data[0, 0] = 99  # the segment holds its own copy
             assert view[0, 0] == 0
-            assert shm.tokens() == {"m": token}
+            assert shm.token("m") == token
 
     def test_attach_caches_segment(self):
         data = np.ones(8)

@@ -76,9 +76,10 @@ class CostModel:
         broadcasts; with per-machine ``cores`` the arrays must align
         with the machine axis.
         """
-        total = (
-            np.asarray(steps, dtype=np.float64) * self.step_cost
-            + np.asarray(edges, dtype=np.float64) * self.edge_cost
-            + np.asarray(vertices, dtype=np.float64) * self.vertex_cost
-        )
+        counts = (steps, edges, vertices)
+        # Python scalars (the serving loop, once per batch) take the same
+        # IEEE arithmetic without a round-trip through NumPy.
+        if not all(isinstance(c, (int, float)) for c in counts):
+            steps, edges, vertices = (np.asarray(c, dtype=np.float64) for c in counts)
+        total = steps * self.step_cost + edges * self.edge_cost + vertices * self.vertex_cost
         return total / self.cores_array

@@ -58,30 +58,43 @@ class PartitionAwareCache:
     def touch(self, machine: int, vertices: np.ndarray) -> int:
         """Access ``vertices`` on ``machine``; returns fetched blocks.
 
-        Per-vertex hits/misses are tallied by whether the vertex's block
-        was resident *before* this call; the return value is the number
-        of distinct blocks that had to be fetched (the quantity the
-        simulator turns into wire reads). Missing blocks are inserted
-        and the LRU trimmed back to capacity.
+        ``np.unique`` over the vertices' blocks, then
+        :meth:`touch_blocks` on the resulting sorted pairs.
         """
         verts = np.asarray(vertices, dtype=np.int64)
         if verts.size == 0:
             return 0
-        lru = self._blocks[machine]
         blocks, counts = np.unique(verts // self.block_size, return_counts=True)
-        fetched = 0
-        for block, count in zip(blocks.tolist(), counts.tolist()):
+        return self.touch_blocks(machine, zip(blocks.tolist(), counts.tolist()))
+
+    def touch_blocks(self, machine: int, pairs) -> int:
+        """Access ``(block, vertex count)`` pairs, ascending by block.
+
+        Per-vertex hits/misses are tallied by whether the vertex's block
+        was resident *before* this call; the return value is the number
+        of distinct blocks that had to be fetched (the quantity the
+        simulator turns into wire reads). Missing blocks are inserted
+        and the LRU trimmed back to capacity. Blocks must be distinct;
+        their order is the LRU order they are left in.
+        """
+        lru = self._blocks[machine]
+        hits = misses = fetched = 0
+        for block, count in pairs:
             if block in lru:
-                self.hits[machine] += count
+                hits += count
                 lru.move_to_end(block)
             else:
-                self.misses[machine] += count
+                misses += count
                 fetched += 1
                 lru[block] = True
-        while len(lru) > self.capacity:
-            lru.popitem(last=False)
-            self.evictions[machine] += 1
-        self.miss_blocks[machine] += fetched
+        self.hits[machine] += hits
+        if fetched:  # only an insertion can push the LRU past capacity
+            self.misses[machine] += misses
+            self.miss_blocks[machine] += fetched
+            evicted = max(len(lru) - self.capacity, 0)
+            for _ in range(evicted):
+                lru.popitem(last=False)
+            self.evictions[machine] += evicted
         return fetched
 
     def flush(self, machine: int) -> int:

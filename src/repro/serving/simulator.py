@@ -129,6 +129,13 @@ def _null_if_nan(value: float) -> float | None:
     return None if math.isnan(value) else float(value)
 
 
+def _nearest_rank(lat: np.ndarray, q: float) -> float:
+    """Nearest-rank quantile of sorted ``lat`` (NaN if empty)."""
+    if lat.size == 0:
+        return float("nan")
+    return float(lat[max(0, int(np.ceil(q * lat.size)) - 1)])
+
+
 @dataclass(frozen=True)
 class ServingConfig:
     """Serving-cluster knobs (the workload lives in ``WorkloadSpec``).
@@ -389,11 +396,7 @@ class ServingResult:
         """
         if not (0.0 < q <= 1.0):
             raise ConfigurationError(f"quantile must be in (0, 1], got {q!r}")
-        lat = self.completed_latencies()
-        if lat.size == 0:
-            return float("nan")
-        rank = max(0, int(np.ceil(q * lat.size)) - 1)
-        return float(lat[rank])
+        return _nearest_rank(self.completed_latencies(), q)
 
     def mean_latency(self) -> float:
         """Mean completed latency (NaN if nothing completed)."""
@@ -407,17 +410,18 @@ class ServingResult:
         fields as ``null``. An ``availability`` scalar and a
         ``replication`` block are appended when ``replicated`` is set.
         """
+        lat = self.completed_latencies()  # sorted once for all five statistics
         doc = {
             "queries": self.num_queries,
             "completed": self.completed,
             "shed": int(self.shed.sum()),
             "shed_rate": self.shed_rate,
             "throughput": _null_if_nan(self.throughput),
-            "latency_p50": _null_if_nan(self.latency_quantile(0.50)),
-            "latency_p90": _null_if_nan(self.latency_quantile(0.90)),
-            "latency_p99": _null_if_nan(self.latency_quantile(0.99)),
-            "latency_mean": _null_if_nan(self.mean_latency()),
-            "latency_max": float(self.completed_latencies()[-1]) if self.completed else None,
+            "latency_p50": _null_if_nan(_nearest_rank(lat, 0.50)),
+            "latency_p90": _null_if_nan(_nearest_rank(lat, 0.90)),
+            "latency_p99": _null_if_nan(_nearest_rank(lat, 0.99)),
+            "latency_mean": float(lat.mean()) if lat.size else None,
+            "latency_max": float(lat[-1]) if lat.size else None,
             "makespan": self.makespan,
             "messages": int(self.messages.sum()),
             "batches": int(self.batches.sum()),
@@ -446,6 +450,58 @@ class ServingResult:
                 "restored": bool(self.restored),
             }
         return doc
+
+
+#: queries per vectorised planning pass; bounds the planner's temporaries
+#: at ``_PLAN_CHUNK * khop_cap`` arc slots however long the trace is.
+_PLAN_CHUNK = 1024
+
+
+def _plan_demand(
+    assignment: PartitionAssignment, trace: QueryTrace, block_size: int, chunk: int = _PLAN_CHUNK
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What each query's reads cost, whatever the loop does with it.
+
+    Everything here depends only on (trace, assignment, config), never
+    on loop state, so it is computed once, vectorised, ``chunk`` queries
+    at a time. Returns ``(edges, remote, ptr, block, count)``, one row
+    per query: edge work (hop-1 scans the full adjacency, so
+    edge-balance shows up as work; hop 2 adds the degrees of a
+    deterministic capped prefix of the neighbour list), remote reads
+    (prefix neighbours outside the query's home partition), and the
+    ``(cache block, vertex count)`` pairs of target + prefix, ascending
+    by block, in ``block/count[ptr[i]:ptr[i + 1]]``. A walk query's row
+    is its start vertex alone; its steps are drawn in the loop.
+    """
+    graph, parts, spec = assignment.graph, assignment.parts, trace.spec
+    q, verts = trace.num_queries, trace.vertex
+    homes = parts[verts]
+    deg = np.where(trace.kind == KIND_KHOP, graph.degrees[verts], 0)
+    span = np.minimum(deg, spec.khop_cap)
+    edges = deg.astype(np.float64)  # integer-valued throughout: sums are exact in any order
+    remote = np.zeros(q, dtype=np.int64)
+    ptr = np.zeros(q + 1, dtype=np.int64)
+    blocks, counts = [np.empty(0, np.int32)], [np.empty(0, np.int32)]
+    nblocks = graph.num_vertices // block_size + 1
+    for lo in range(0, q, chunk):
+        part = slice(lo, min(lo + chunk, q))
+        width, local = span[part], np.arange(part.stop - lo)
+        owner = np.repeat(local, width)  # chunk-local query of each arc slot
+        first = graph.indptr[verts[part]] - (np.cumsum(width) - width)
+        nbrs = graph.take_arcs(np.arange(owner.size) + np.repeat(first, width)).astype(np.int64)
+        remote[part] = np.bincount(owner[parts[nbrs] != homes[part][owner]], minlength=local.size)
+        if spec.khop == 2:
+            edges[part] += np.bincount(owner, weights=graph.degrees[nbrs], minlength=local.size)
+        keys, per_key = np.unique(
+            np.concatenate([local, owner]) * nblocks
+            + np.concatenate([verts[part], nbrs]) // block_size,
+            return_counts=True,
+        )
+        row, block = np.divmod(keys, nblocks)
+        ptr[lo + 1 : part.stop + 1] = np.bincount(row, minlength=local.size)
+        blocks.append(block.astype(np.int32))
+        counts.append(per_key.astype(np.int32))
+    return edges, remote, np.cumsum(ptr), np.concatenate(blocks), np.concatenate(counts)
 
 
 # Event codes, also the index into ``_Run.run``'s handler tuple. The heap
@@ -487,10 +543,13 @@ class _Run:
             k, block_size=cfg.cache_block_size, capacity=cfg.cache_blocks
         )
         self.part_of_query = assignment.parts[trace.vertex].astype(np.int64)
+        self.demand = _plan_demand(assignment, trace, cfg.cache_block_size)
+        # The chaos plan is read once per run: sites no rule names are
+        # never looked up in the loop.
         chaos = active_plan()
-        self.replica_chaos = chaos is not None and any(
-            rule.site in (SITE_REPLICA_CRASH, SITE_HEARTBEAT_DROP) for rule in chaos.rules
-        )
+        sites = {rule.site for rule in chaos.rules} if chaos is not None else set()
+        self.replica_chaos = bool(sites & {SITE_REPLICA_CRASH, SITE_HEARTBEAT_DROP})
+        self.batch_chaos = bool(sites & {SITE_CACHE, SITE_MACHINE})
         self.result = ServingResult(
             num_machines=k,
             duration=float(trace.spec.duration),
@@ -646,86 +705,72 @@ class _Run:
     def serve_batch(self, m: int, batch: list[int]) -> float:
         """Service seconds for one batch, with side-effect accounting.
 
+        Sums the batch's rows of the demand table and runs its walkers.
         Remote reads are counted against each query's own home
         partition (the data the serving replica holds locally) — on a
         single-holder plan that is uniformly ``m``, under replication a
         batch may mix partitions.
         """
-        cfg, res, cache, trace = self.cfg, self.result, self.cache, self.trace
-        graph = self.assignment.graph
-        parts = self.assignment.parts
+        cfg, res, trace = self.cfg, self.result, self.trace
+        edges, remote_reads, ptr, block, count = self.demand
+        kind = trace.kind
         batch_id = int(res.batches[m])
-        idx = np.asarray(batch, dtype=np.int64)
-        homes = self.part_of_query[idx]
-        verts = trace.vertex[idx]
-        kinds = trace.kind[idx]
-        touched = [verts]
         edge_work = 0.0
-        step_work = 0.0
-        remote = 0
-
-        # k-hop neighbourhood reads: hop-1 scans the full adjacency
-        # (edge-balance shows up as work), message/cache/hop-2 effects
-        # use a deterministic capped prefix of the neighbour list.
-        khop_mask = kinds == KIND_KHOP
-        for v, home in zip(verts[khop_mask].tolist(), homes[khop_mask].tolist()):
-            deg = int(graph.degrees[v])
-            edge_work += deg
-            if deg == 0:
-                continue
-            span = min(deg, trace.spec.khop_cap)
-            start = int(graph.indptr[v])
-            nbrs = graph.take_arcs(np.arange(start, start + span, dtype=np.int64)).astype(
-                np.int64
-            )
-            remote += int(np.count_nonzero(parts[nbrs] != home))
-            if trace.spec.khop == 2:
-                edge_work += float(graph.degrees[nbrs].sum())
-            touched.append(nbrs)
+        steps = remote = 0
+        touched: dict[int, int] = {}  # cache block -> vertices read in it
+        walkers = []
+        for qi in batch:
+            edge_work += edges.item(qi)
+            remote += remote_reads.item(qi)
+            row = slice(ptr.item(qi), ptr.item(qi + 1))
+            for b, c in zip(block[row].tolist(), count[row].tolist()):
+                touched[b] = touched.get(b, 0) + c
+            if kind.item(qi) == KIND_WALK:
+                walkers.append(qi)
 
         # walk queries: advance KnightKing-style uniform transitions,
         # vectorised across the batch's walkers, RNG derived per
-        # (seed, machine, batch) so runs replay bit-identically.
-        walk_mask = kinds == KIND_WALK
-        walk_pos = verts[walk_mask]
-        if walk_pos.size:
+        # (seed, machine, batch) so runs replay bit-identically — which
+        # is why they cannot be planned ahead: the draws depend on who
+        # shares the batch.
+        if walkers:
+            graph, parts = self.assignment.graph, self.assignment.parts
             wrng = derive_rng(self.seed, _SALT_WALK, m, batch_id)
-            positions = walk_pos.copy()
-            walk_homes = homes[walk_mask].copy()
+            positions = trace.vertex[walkers]
+            walk_homes = self.part_of_query[walkers]
             for _ in range(trace.spec.walk_steps):
-                targets, dead = uniform_neighbor(graph, positions, wrng)
-                alive = ~dead
-                if not alive.any():
-                    break
-                positions = targets[alive]
-                walk_homes = walk_homes[alive]
-                step_work += float(positions.size)
+                positions, dead = uniform_neighbor(graph, positions, wrng)
+                if dead.any():  # dead-end walkers stop; the rest go on
+                    positions, walk_homes = positions[~dead], walk_homes[~dead]
+                    if not positions.size:
+                        break
+                steps += positions.size
                 remote += int(np.count_nonzero(parts[positions] != walk_homes))
-                touched.append(positions)
+                for b in (positions // cfg.cache_block_size).tolist():
+                    touched[b] = touched.get(b, 0) + 1
 
-        fetched = cache.touch(m, np.concatenate(touched))
+        fetched = self.cache.touch_blocks(m, sorted(touched.items()))
         res.messages[m] += remote
 
-        work = cfg.cost.compute_seconds(
-            steps=step_work, edges=edge_work, vertices=float(len(batch))
-        )
-        svc = float(work[m]) if np.ndim(work) else float(work)
+        work = cfg.cost.compute_seconds(steps=steps, edges=edge_work, vertices=len(batch))
+        svc = float(work if isinstance(work, float) else work[m])  # per-machine cores
         if remote:
             svc += cfg.network.request_cost(remote)
         if fetched:
             svc += cfg.network.request_cost(fetched, cfg.block_bytes)
 
-        key = f"m{m}:b{batch_id}"
-        try:
-            maybe_inject(SITE_CACHE, key)
-        except (ChaosError, OSError):
-            cache.flush(m)
-            res.cache_flushes[m] += 1
-        try:
-            maybe_inject(SITE_MACHINE, key)
-        except (ChaosError, OSError):
-            svc *= cfg.slowdown_factor
-            res.degraded_batches[m] += 1
+        if self.batch_chaos:
+            key = f"m{m}:b{batch_id}"
+            try:
+                maybe_inject(SITE_CACHE, key)
+            except (ChaosError, OSError):
+                self.cache.flush(m)
+                res.cache_flushes[m] += 1
+            try:
+                maybe_inject(SITE_MACHINE, key)
+            except (ChaosError, OSError):
+                svc *= cfg.slowdown_factor
+                res.degraded_batches[m] += 1
         return svc
 
     def drain(self, m: int, now: float) -> None:
@@ -871,7 +916,8 @@ class ServingSimulator:
         ``summary()``, telemetry and the ``servetrace`` artifact carry
         the replication block.
         """
-        if trace.vertex.size and int(trace.vertex.max()) >= self.assignment.graph.num_vertices:
+        n = self.assignment.graph.num_vertices
+        if trace.vertex.size and not (0 <= trace.vertex.min() and trace.vertex.max() < n):
             raise ConfigurationError(
                 "trace targets vertices outside the assigned graph"
             )

@@ -16,9 +16,11 @@ __all__ = ["as_rng", "derive_rng", "spawn_rngs", "splitmix64", "hash_u64"]
 # Constants of the splitmix64 finaliser (Steele et al., "Fast splittable
 # pseudorandom number generators", OOPSLA 2014). Used as a deterministic
 # integer hash so Hash partitioning does not depend on Python's salted hash().
-_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
-_SM64_MUL1 = np.uint64(0xBF58476D1CE4E5B9)
-_SM64_MUL2 = np.uint64(0x94D049BB133111EB)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_GAMMA, _MUL1, _MUL2 = 0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
+_SM64_GAMMA = np.uint64(_GAMMA)
+_SM64_MUL1 = np.uint64(_MUL1)
+_SM64_MUL2 = np.uint64(_MUL2)
 
 
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
@@ -46,9 +48,14 @@ def derive_rng(seed: int | np.random.Generator | None, *salt: int) -> np.random.
         return np.random.default_rng()
     else:
         base = int(seed)
-    mixed = base & 0xFFFFFFFFFFFFFFFF
+    # splitmix64 on plain ints, masked to 64 bits: the same fold as the
+    # array :func:`splitmix64` without a uint64 round-trip per salt.
+    mixed = base & _MASK64
     for s in salt:
-        mixed = int(splitmix64(np.uint64(mixed ^ (s & 0xFFFFFFFFFFFFFFFF))))
+        z = ((mixed ^ (s & _MASK64)) + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        mixed = z ^ (z >> 31)
     return np.random.default_rng(mixed)
 
 
@@ -81,4 +88,4 @@ def hash_u64(values: np.ndarray, seed: int = 0) -> np.ndarray:
     """
     v = np.asarray(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return splitmix64(v ^ splitmix64(np.uint64(seed & 0xFFFFFFFFFFFFFFFF)))
+        return splitmix64(v ^ splitmix64(np.uint64(seed & _MASK64)))

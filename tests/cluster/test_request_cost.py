@@ -48,6 +48,19 @@ def test_negative_messages_rejected(net):
         net.request_cost(np.array([3.0, -2.0]))
 
 
+@pytest.mark.parametrize("bytes_each", [None, 4096, 0.3])
+def test_python_scalars_equal_the_array_path_bit_for_bit(bytes_each):
+    # int/float arguments skip NumPy; the IEEE result must not move.
+    net = NetworkModel(bandwidth=5e9 / 3, latency=50e-6 / 7, message_bytes=13)
+    for n in [0, 1, 7, 718860, 2**53 + 1, 0.1, 1e-3, 12345.678]:
+        fast = net.request_cost(n, bytes_each)
+        slow = net.request_cost(np.array([n], dtype=type(n)), bytes_each)
+        assert type(fast) is float and fast == slow[0]
+        assert fast == net.request_cost(np.float64(n), bytes_each)
+    with pytest.raises(ConfigurationError):
+        net.request_cost(-0.5)
+
+
 def test_bad_bytes_each_rejected(net):
     with pytest.raises(ConfigurationError):
         net.request_cost(1, 0)

@@ -20,6 +20,7 @@ from repro.serving import (
     SITE_MACHINE,
     QueryTrace,
     ServingConfig,
+    ServingResult,
     ServingSimulator,
     WorkloadSpec,
 )
@@ -188,6 +189,17 @@ class TestServing:
         assert result.restored and result.health_ledger == []
         assert ("replication" in summary) == (factor == 2)
         json.dumps(summary, allow_nan=False)
+
+    def test_summary_sorts_the_latencies_once(self, assignment, trace, monkeypatch):
+        result = ServingSimulator(assignment, seed=1).run(trace)
+        expect = result.summary()
+        assert expect["latency_p99"] == result.latency_quantile(0.99)
+        assert expect["latency_mean"] == result.mean_latency()
+        sorts, real = [], ServingResult.completed_latencies
+        monkeypatch.setattr(
+            ServingResult, "completed_latencies", lambda self: sorts.append(1) or real(self)
+        )
+        assert result.summary() == expect and len(sorts) == 1
 
     def test_quantile_validation(self, assignment, trace):
         result = ServingSimulator(assignment, seed=1).run(trace)

@@ -43,6 +43,21 @@ class TestRng:
     def test_derive_rng_deterministic(self):
         assert derive_rng(7, 3).integers(0, 2**31) == derive_rng(7, 3).integers(0, 2**31)
 
+    def test_derive_rng_folds_salts_like_array_splitmix64(self):
+        # derive_rng folds its salts with pure-int splitmix64; the array
+        # splitmix64 (uint64 wrap-around) is the reference, including for
+        # negative and wider-than-64-bit seeds and salts.
+        draw = np.random.default_rng(11)
+        wide = lambda: int(draw.integers(-(2**62), 2**62)) * int(draw.integers(1, 2**20))
+        for _ in range(300):
+            seed, salt = wide(), [wide() for _ in range(int(draw.integers(0, 5)))]
+            mixed = seed & 0xFFFFFFFFFFFFFFFF
+            for s in salt:
+                mixed = int(splitmix64(np.uint64(mixed ^ (s & 0xFFFFFFFFFFFFFFFF))))
+            expect = np.random.default_rng(mixed).integers(0, 2**62, size=4)
+            np.testing.assert_array_equal(derive_rng(seed, *salt).integers(0, 2**62, size=4), expect)
+        assert any(abs(wide()) >= 2**64 for _ in range(50))
+
     def test_spawn_rngs(self):
         rngs = spawn_rngs(9, 4)
         assert len(rngs) == 4

@@ -28,9 +28,9 @@ kernel's worker count on one dense cell and records the speedup curve
 against the jobs=1 buffered baseline. ``--demo-oom`` runs the
 larger-than-RAM demonstration: a graph whose dense CSR exceeds a hard
 ``RLIMIT_AS`` budget — the dense control cell must die of
-``MemoryError`` while the sharded build (parallel finalize) and
-partition complete inside the same budget. ``--record`` appends the
-results to ``BENCH_hotpaths.json`` / ``BENCH_suite.json``.
+``MemoryError`` while the sharded build and partition complete inside
+the same budget. ``--record`` appends the results to
+``BENCH_hotpaths.json`` / ``BENCH_suite.json``.
 
 Cell subprocesses are hermetic: the parent snapshots the repro
 environment knobs (cache dir, spill dir, chaos plan, telemetry, jobs)
@@ -155,7 +155,7 @@ def _run_cell(
         )
         for src, dst in batches:
             builder.add_edges(src, dst)
-        graph = builder.finalize(jobs=jobs)
+        graph = builder.finalize()
         if mem_cap_mb is not None:
             # Streaming passes never revisit a shard before the next
             # pass, so a deep LRU only pins dead mappings — and under
@@ -234,12 +234,11 @@ def run_cell(
 ) -> dict:
     """Run one cell in a fresh subprocess and return its report dict.
 
-    ``jobs`` feeds both the builder's parallel finalize and the
-    partition stream; ``mem_cap_mb`` applies a hard ``RLIMIT_AS``
-    inside the child (the >RAM demonstration's budget). Transient shard
-    directories land under ``spill_root``, defaulting to the repo's
-    spill-root policy (``$REPRO_SPILL_DIR`` > ``$REPRO_CACHE_DIR`` >
-    ``~/.cache``) rather than ``$TMPDIR``.
+    ``jobs`` feeds the partition stream; ``mem_cap_mb`` applies a hard
+    ``RLIMIT_AS`` inside the child (the >RAM demonstration's budget).
+    Transient shard directories land under ``spill_root``, defaulting
+    to the repo's spill-root policy (``$REPRO_SPILL_DIR`` >
+    ``$REPRO_CACHE_DIR`` > ``~/.cache``) rather than ``$TMPDIR``.
     """
     spill_dir = None
     if kind == "sharded":
@@ -364,8 +363,8 @@ def _parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for every cell's build finalize and "
-        "partition stream (default: $REPRO_JOBS or 1)",
+        help="worker processes for every cell's partition stream "
+        "(default: $REPRO_JOBS or 1)",
     )
     p.add_argument(
         "--shard-size",
@@ -494,16 +493,14 @@ def main(argv: list[str] | None = None) -> int:
         # The partition stream stays on the explicit serial buffered
         # kernel: a parallel stream would re-open the sharded graph in
         # every worker, and under RLIMIT_AS each worker's mapped-shard
-        # LRU competes with the same address-space budget. The
-        # *finalize* is the parallel phase this demo exercises
-        # (jobs=2 unless overridden) — pool workers inherit the cap
-        # and each peaks at one bucket's bounded working set.
+        # LRU competes with the same address-space budget. Finalize
+        # peaks at one bucket's bounded working set.
         sharded = run_cell(
             "sharded", n, deg, args.parts, args.seed,
             kernel="buffered",
             spill_root=args.spill_root,
             shard_size=args.shard_size or OOM_DEMO_SHARD,
-            jobs=args.jobs or 2, mem_cap_mb=cap, batch_size=OOM_DEMO_BATCH,
+            mem_cap_mb=cap, batch_size=OOM_DEMO_BATCH,
         )
         for cell in (dense, sharded):
             cell["sweep"] = "oom_demo"
@@ -576,6 +573,7 @@ def main(argv: list[str] | None = None) -> int:
                 },
                 "cells": sweep_cells + cores_cells + oom_cells + demo_cells,
                 "parity_control": parity,
+                "machine": platform.machine(),
                 "cpus_visible": cpus,
                 "python": platform.python_version(),
                 "numpy": np.__version__,
@@ -587,6 +585,7 @@ def main(argv: list[str] | None = None) -> int:
             "scales": [f"2^{e}" for e in args.scales],
             "mode": args.mode,
             "parity_control_identical": ok,
+            "machine": platform.machine(),
             "cpus_visible": cpus,
             "python": platform.python_version(),
         }

@@ -7,10 +7,11 @@ converges to the exact coreness of every vertex — a classic
 vertex-centric formulation that, unlike sequential peeling, fits the
 BSP model.
 
-The per-vertex H-index over CSR segments is vectorised: one global
-lexsort by (vertex, −value) gives each segment in descending order;
-positions within segments come from subtracting ``indptr``; the H-index
-is the per-segment count of positions where ``value ≥ position + 1``.
+The per-vertex H-index over CSR segments is vectorised: one lexsort per
+adjacency block by (vertex, −value) gives each segment in descending
+order; positions within segments come from subtracting the block's
+offsets; the H-index is the per-segment count of positions where
+``value ≥ position + 1``.
 """
 
 from __future__ import annotations
@@ -25,21 +26,21 @@ __all__ = ["KCore"]
 
 def _segment_h_index(graph: CSRGraph, values: np.ndarray) -> np.ndarray:
     """H-index of ``values`` over each vertex's neighbour list."""
-    n = graph.num_vertices
-    out = np.zeros(n, dtype=np.int64)
-    if graph.num_edges == 0:
-        return out
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    vals = values[graph.indices].astype(np.int64)
-    order = np.lexsort((-vals, src))
-    sorted_vals = vals[order]
-    sorted_src = src[order]
-    # After the (src, −val) sort, segments stay contiguous in vertex
-    # order, so per-segment positions follow directly from indptr.
-    pos_in_segment = np.arange(src.size) - np.repeat(graph.indptr[:-1], graph.degrees)
-    qualifies = sorted_vals >= (pos_in_segment + 1)
-    if qualifies.any():
-        return np.bincount(sorted_src[qualifies], minlength=n).astype(np.int64)
+    out = np.zeros(graph.num_vertices, dtype=np.int64)
+    # Blockwise, so a sharded graph sorts one mapped shard at a time; a
+    # dense graph is a single zero-copy block.
+    for start, stop, local, idx in graph.iter_blocks():
+        if idx.size == 0:
+            continue
+        lens = np.diff(local)
+        src = np.repeat(np.arange(stop - start, dtype=np.int64), lens)
+        vals = values[idx].astype(np.int64)
+        order = np.lexsort((-vals, src))
+        # After the (src, −val) sort, segments stay contiguous in vertex
+        # order, so per-segment positions follow directly from the offsets.
+        pos_in_segment = np.arange(src.size) - np.repeat(local[:-1], lens)
+        qualifies = vals[order] >= (pos_in_segment + 1)
+        out[start:stop] = np.bincount(src[order][qualifies], minlength=stop - start)
     return out
 
 

@@ -5,8 +5,8 @@ Every vertex adopts the *most frequent* label among its neighbours
 deterministic, a common synchronous-LPA convention). Converges when no
 label changes; the result maps each vertex to a community label.
 
-The mode-per-vertex gather is fully vectorised: one ``lexsort`` over
-(vertex, label) pairs, run-length counting with ``reduceat``, then a
+The mode-per-vertex gather is fully vectorised: per adjacency block,
+one ``lexsort`` over (vertex, label) pairs, run-length counting with ``reduceat``, then a
 second lexsort picking each vertex's (−count, label)-minimal run.
 """
 
@@ -30,38 +30,40 @@ def _neighbor_mode(graph: CSRGraph, labels: np.ndarray) -> np.ndarray:
     so the computation is deterministic. Vertices without neighbours
     keep their own label.
     """
-    n = graph.num_vertices
     out = labels.copy()
-    if graph.num_edges == 0:
-        return out
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
-    lab = labels[graph.indices].astype(np.int64)
-    order = np.lexsort((lab, src))
-    s, l = src[order], lab[order]
-    run_start = np.empty(s.size, dtype=bool)
-    run_start[0] = True
-    np.logical_or(s[1:] != s[:-1], l[1:] != l[:-1], out=run_start[1:])
-    starts = np.nonzero(run_start)[0]
-    counts = np.diff(np.append(starts, s.size))
-    run_vertex = s[starts]
-    run_label = l[starts]
-    # Per vertex, pick the run with the largest count, smallest label on
-    # ties: sort runs by (vertex, -count, label) and keep each vertex's
-    # first run.
-    pick_order = np.lexsort((run_label, -counts, run_vertex))
-    rv = run_vertex[pick_order]
-    first = np.empty(rv.size, dtype=bool)
-    first[0] = True
-    np.not_equal(rv[1:], rv[:-1], out=first[1:])
-    best_vertex = rv[first]
-    best_label = run_label[pick_order][first]
-    best_count = counts[pick_order][first]
-    # Count of each vertex's *current* label among its neighbours.
-    current_count = np.zeros(n, dtype=np.int64)
-    is_current = run_label == labels[run_vertex]
-    current_count[run_vertex[is_current]] = counts[is_current]
-    keep = current_count[best_vertex] >= best_count
-    out[best_vertex[~keep]] = best_label[~keep]
+    # Blockwise, so a sharded graph sorts one mapped shard at a time; a
+    # dense graph is a single zero-copy block.
+    for start, stop, local, idx in graph.iter_blocks():
+        if idx.size == 0:
+            continue
+        s = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(local))
+        lab = labels[idx].astype(np.int64)
+        order = np.lexsort((lab, s))
+        l = lab[order]
+        run_start = np.empty(s.size, dtype=bool)
+        run_start[0] = True
+        np.logical_or(s[1:] != s[:-1], l[1:] != l[:-1], out=run_start[1:])
+        starts = np.nonzero(run_start)[0]
+        counts = np.diff(np.append(starts, s.size))
+        run_vertex = s[starts]
+        run_label = l[starts]
+        # Per vertex, pick the run with the largest count, smallest label
+        # on ties: sort runs by (vertex, -count, label) and keep each
+        # vertex's first run.
+        pick_order = np.lexsort((run_label, -counts, run_vertex))
+        rv = run_vertex[pick_order]
+        first = np.empty(rv.size, dtype=bool)
+        first[0] = True
+        np.not_equal(rv[1:], rv[:-1], out=first[1:])
+        best_vertex = rv[first]
+        best_label = run_label[pick_order][first]
+        best_count = counts[pick_order][first]
+        # Count of each vertex's *current* label among its neighbours.
+        current_count = np.zeros(stop - start, dtype=np.int64)
+        is_current = run_label == labels[run_vertex]
+        current_count[run_vertex[is_current] - start] = counts[is_current]
+        keep = current_count[best_vertex - start] >= best_count
+        out[best_vertex[~keep]] = best_label[~keep]
     return out
 
 

@@ -57,13 +57,18 @@ class SSSP(VertexProgram):
         # Relax all arcs: candidate[v] = min over in-arcs (dist[u] + w(u,v)).
         # Symmetric storage means out-arcs of v are exactly its in-arcs
         # reversed, so gather over v's own slots with reversed roles:
-        # dist[indices[i]] + w[i] relaxes *into* the slot owner.
-        gathered = state[graph.indices] + self._w
+        # dist[indices[i]] + w[i] relaxes *into* the slot owner. Blockwise,
+        # so a sharded graph relaxes one mapped shard at a time.
         candidate = np.full(n, np.inf)
-        nonzero = graph.degrees > 0
-        starts = graph.indptr[:-1][nonzero]
-        if graph.num_edges:
-            candidate[nonzero] = np.minimum.reduceat(gathered, starts)
+        slot = 0
+        for start, stop, local, idx in graph.iter_blocks():
+            nonzero = np.diff(local) > 0
+            if nonzero.any():
+                gathered = state[idx] + self._w[slot : slot + idx.size]
+                candidate[start:stop][nonzero] = np.minimum.reduceat(
+                    gathered, local[:-1][nonzero]
+                )
+            slot += idx.size
         new_state = np.minimum(state, candidate)
         next_active = new_state < state
         return new_state, next_active

@@ -18,6 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.engines.gemini.vertex_program import VertexProgram
+from repro.errors import GraphFormatError
 from repro.graph.csr import CSRGraph
 
 __all__ = ["TriangleCount"]
@@ -30,6 +31,11 @@ class TriangleCount(VertexProgram):
     max_iterations = 1
 
     def initialize(self, graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
+        if not isinstance(graph, CSRGraph):
+            raise GraphFormatError(
+                f"{self.name} multiplies the whole adjacency as one sparse matrix "
+                f"and cannot run on a {type(graph).__name__}; load the graph densely"
+            )
         n = graph.num_vertices
         return np.zeros(n), np.ones(n, dtype=bool)
 

@@ -38,15 +38,18 @@ would silently materialise the full edge array fails loudly instead.
 
 :class:`ShardedCSRBuilder` constructs shards from an edge stream in
 bounded memory: arcs are bucketed to per-shard temp files as they
-arrive, then each bucket is sorted/deduplicated independently at
-finalise time — replicating :func:`~repro.graph.builder.from_edges`
-semantics exactly, so a spilled build of the same edge stream is
-content- and fingerprint-identical to the dense build.
+arrive, then each bucket is counted, scattered and deduplicated in
+bounded blocks at finalise time — replicating
+:func:`~repro.graph.builder.from_edges` semantics exactly, so a spilled
+build of the same edge stream is content- and fingerprint-identical to
+the dense build.
 
 Telemetry (off by default, aggregate-only): ``graph.sharded.block_reads``
 (blocks/shard-groups served), ``graph.sharded.bytes_mapped`` (bytes of
 newly mapped shard files), ``graph.sharded.spill_writes`` (builder
-bucket flushes + shard file writes).
+bucket flushes + shard file writes), and the spans
+``graph.sharded.add_edges`` / ``graph.sharded.finalize`` around the
+builder's write path.
 """
 
 from __future__ import annotations
@@ -539,11 +542,21 @@ def open_sharded(
     return ShardedCSRGraph(directory, **kwargs)
 
 
-#: Arcs per bucket read during finalize. Bounds the transient working
-#: set of :func:`_write_shard` so a hub-heavy bucket (power-law graphs
-#: concentrate a large arc fraction in the lowest shard) never needs a
-#: single bucket-sized int64 allocation.
+#: Arcs per bucket read, and per dedup block, during finalize. Bounds
+#: the transient working set of :func:`_write_shard` so a hub-heavy
+#: bucket (power-law graphs concentrate a large arc fraction in the
+#: lowest shard) never needs a single bucket-sized int64 allocation.
 _BUCKET_CHUNK_ARCS = 1 << 19
+
+
+def _bucket_chunks(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``(src, dst)`` views of a bucket file, ``_BUCKET_CHUNK_ARCS`` at a time."""
+    with open(path, "rb") as fh:
+        while True:
+            chunk = np.fromfile(fh, dtype=np.int64, count=2 * _BUCKET_CHUNK_ARCS)
+            if not chunk.size:
+                return
+            yield chunk[0::2], chunk[1::2]
 
 
 def _write_shard(
@@ -552,22 +565,32 @@ def _write_shard(
     """Sort/dedup one bucket file into its shard ``.npy`` pair.
 
     The unit of work of :meth:`ShardedCSRBuilder.finalize` — a pure
-    function of the bucket file's bytes, so it runs identically in the
-    parent or in a pool worker. Returns the shard's arc count; the
-    bucket file is left in place (the parent unlinks it only after the
-    count has been received, keeping a crashed parallel run retryable —
+    function of the bucket file's bytes. Returns the shard's arc count;
+    the bucket file is left in place (the caller unlinks it only once
+    the shard files are written, so a crashed finalize is retryable —
     ``np.save`` overwrites are idempotent).
 
-    The bucket is consumed in two bounded passes rather than one
-    whole-bucket sort: pass 1 bincounts sources from chunked reads,
-    pass 2 scatters destinations (already narrowed to ``index_dtype``)
-    into per-source segments, and each segment is then sorted/deduped
-    in place. Peak memory is one ``index_dtype`` arc array plus a
-    constant-size read buffer — not 3–4 int64 copies of the bucket —
+    Three bounded passes, none of them per vertex:
+
+    1. **count** — ``bincount`` the sources of each chunk; the running
+       sum gives every source's segment ``starts`` (duplicates included).
+    2. **scatter** — per chunk, sort the composite key
+       ``(src - lo)·n + dst`` in place and place the chunk's sorted
+       destinations (narrowed to ``index_dtype``) behind each source's
+       cursor.
+    3. **dedup** — walk runs of whole sources whose segments fit
+       ``_BUCKET_CHUNK_ARCS``: rebuild the keys of one run, sort, drop
+       adjacent repeats, read the final degrees off the key boundaries
+       and compact the survivors leftwards over the same array.
+
+    Peak memory is one ``index_dtype`` arc array plus int64 transients
+    of O(``_BUCKET_CHUNK_ARCS``) — not 3–4 int64 copies of the bucket —
     which is what lets finalize run under an address-space budget that
-    the bucket itself exceeds. The result is byte-identical to a
-    global stable ``(src, dst)`` sort with adjacent dedup: both reduce
-    to "sorted unique destinations per source".
+    the bucket itself exceeds. (A single source that alone exceeds the
+    budget is its own run and is sorted in ``index_dtype``.) The result
+    is byte-identical to a global stable ``(src, dst)`` sort with
+    adjacent dedup: both reduce to "sorted unique destinations per
+    source", which has one encoding.
     """
     bucket_path = directory / f"bucket-{shard:07d}.tmp"
     width = hi - lo
@@ -581,63 +604,79 @@ def _write_shard(
             )
         total = nbytes // 16
     indices = np.empty(total, dtype=index_dtype)
-    if total:
-        # Pass 1: per-source arc counts (duplicates included).
-        counts = np.zeros(width, dtype=np.int64)
-        with open(bucket_path, "rb") as fh:
-            while True:
-                chunk = np.fromfile(fh, dtype=np.int64, count=2 * _BUCKET_CHUNK_ARCS)
-                if not chunk.size:
-                    break
-                counts += np.bincount(chunk[0::2] - lo, minlength=width)
-        np.cumsum(counts, out=starts[1:])
-        # Pass 2: scatter destinations into their source's segment.
-        cursor = starts[:-1].copy()
-        with open(bucket_path, "rb") as fh:
-            while True:
-                chunk = np.fromfile(fh, dtype=np.int64, count=2 * _BUCKET_CHUNK_ARCS)
-                if not chunk.size:
-                    break
-                order = np.argsort(chunk[0::2], kind="stable")
-                s = chunk[0::2][order] - lo
-                ccounts = np.bincount(s, minlength=width)
-                within = np.arange(s.size, dtype=np.int64) - np.repeat(
-                    np.cumsum(ccounts) - ccounts, ccounts
-                )
-                indices[cursor[s] + within] = chunk[1::2][order].astype(
-                    index_dtype
-                )
-                cursor += ccounts
-    # Sort + dedup each source's segment in place, compacting left.
+    degrees = np.zeros(width, dtype=np.int64)
     write = 0
-    final = np.zeros(width, dtype=np.int64)
-    for v in np.flatnonzero(starts[1:] > starts[:-1]):
-        seg = np.unique(indices[starts[v] : starts[v + 1]])
-        indices[write : write + seg.size] = seg
-        final[v] = seg.size
-        write += seg.size
+    if total:
+        counts = np.zeros(width, dtype=np.int64)
+        for src, _ in _bucket_chunks(bucket_path):
+            counts += np.bincount(src - lo, minlength=width)
+        np.cumsum(counts, out=starts[1:])
+        # First key of every local source; searching them in a sorted
+        # key array splits it by source without dividing.
+        row_keys = np.arange(width + 1, dtype=np.int64) * n
+        cursor = starts[:-1].copy()
+        for src, dst in _bucket_chunks(bucket_path):
+            key = src - lo
+            key *= n
+            key += dst
+            key.sort()
+            bounds = np.searchsorted(key, row_keys)
+            ccounts = np.diff(bounds)
+            slot = np.arange(key.size, dtype=np.int64)
+            slot += np.repeat(cursor - bounds[:-1], ccounts)
+            key -= np.repeat(row_keys[:-1], ccounts)
+            indices[slot] = key
+            cursor += ccounts
+        a = 0
+        while a < width:
+            limit = starts[a] + _BUCKET_CHUNK_ARCS
+            b = max(a + 1, int(np.searchsorted(starts, limit, side="right")) - 1)
+            segment = indices[starts[a] : starts[b]]
+            if b - a == 1:
+                kept = np.unique(segment)
+                degrees[a] = kept.size
+            else:
+                key = np.repeat(row_keys[: b - a], counts[a:b])
+                key += segment
+                key.sort()
+                keep = np.ones(key.size, dtype=bool)
+                np.not_equal(key[1:], key[:-1], out=keep[1:])
+                kept = key[keep]
+                degrees[a:b] = np.diff(np.searchsorted(kept, row_keys[: b - a + 1]))
+                kept -= np.repeat(row_keys[: b - a], degrees[a:b])
+            indices[write : write + kept.size] = kept
+            write += kept.size
+            a = b
     local = np.zeros(width + 1, dtype=np.int64)
-    np.cumsum(final, out=local[1:])
+    np.cumsum(degrees, out=local[1:])
     indptr_path, indices_path = _shard_paths(directory, shard)
     np.save(indptr_path, local)
     np.save(indices_path, indices[:write])
     return int(write)
 
 
-#: ``module:attr`` spec of the finalize task for the worker pool.
-_FINALIZE_TASK = "repro.graph.sharded:_finalize_shard_task"
-
-
-def _finalize_shard_task(payload: dict, state: dict) -> int:
-    """Pool-worker wrapper around :func:`_write_shard`."""
-    return _write_shard(
-        Path(payload["directory"]),
-        int(payload["shard"]),
-        int(payload["lo"]),
-        int(payload["hi"]),
-        int(payload["n"]),
-        np.dtype(payload["index_dtype"]),
-    )
+def _write_meta(
+    directory: Path,
+    n: int,
+    directed: bool,
+    shard_size: int,
+    edge_offsets: list[int],
+    index_dtype: np.dtype,
+) -> None:
+    """Write ``meta.json`` atomically — the last step of every build."""
+    meta = {
+        "format": SHARD_FORMAT,
+        "num_vertices": int(n),
+        "num_arcs": int(edge_offsets[-1]),
+        "directed": bool(directed),
+        "shard_size": int(shard_size),
+        "num_shards": len(edge_offsets) - 1,
+        "edge_offsets": edge_offsets,
+        "index_dtype": index_dtype.name,
+    }
+    tmp = directory / (META_NAME + ".tmp")
+    tmp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
+    os.replace(tmp, directory / META_NAME)
 
 
 class ShardedCSRBuilder:
@@ -646,9 +685,15 @@ class ShardedCSRBuilder:
     Arcs are appended to per-shard bucket files as raw int64 pairs while
     edges stream in (self-loops dropped and undirected input symmetrised
     on intake, mirroring :func:`~repro.graph.builder.from_edges`); at
-    :meth:`finalize` each bucket — O(m / num_shards) arcs — is loaded,
-    sorted by ``(src, dst)``, deduplicated, and written out as the
-    shard's ``.npy`` pair. Peak memory is one bucket, never the graph.
+    :meth:`finalize` each bucket — O(m / num_shards) arcs — is counted,
+    scattered into per-source segments and deduplicated block by block
+    (:func:`_write_shard`), then written out as the shard's ``.npy``
+    pair. Peak memory is one bucket's ``index_dtype`` arc array plus
+    O(``_BUCKET_CHUNK_ARCS``) transients, never the graph.
+
+    Constructing a builder **claims the directory**: a ``meta.json`` and
+    any ``bucket-*.tmp`` left there by an earlier (crashed) build are
+    removed first, so a retry never merges stale arcs.
 
     Parameters
     ----------
@@ -687,6 +732,12 @@ class ShardedCSRBuilder:
         self._max_id = -1
         self._buckets: dict[int, IO[bytes]] = {}
         self._finalized = False
+        # Clean on construct: a crashed build's buckets would be merged
+        # into this one (a shard that gets no arcs this time never
+        # truncates its old bucket), and its meta.json would keep a
+        # half-rewritten directory openable. Meta goes first.
+        (self._dir / META_NAME).unlink(missing_ok=True)
+        self.abort()
 
     def _bucket_path(self, bucket: int) -> Path:
         return self._dir / f"bucket-{bucket:07d}.tmp"
@@ -716,44 +767,40 @@ class ShardedCSRBuilder:
             s, d = np.concatenate([s, d]), np.concatenate([d, s])
         if s.size == 0:
             return
-        bucket = s // self._shard_size
-        order = np.argsort(bucket, kind="stable")
-        s, d, bucket = s[order], d[order], bucket[order]
-        cut = np.nonzero(np.diff(bucket))[0] + 1
-        starts = np.concatenate(([0], cut))
-        stops = np.concatenate((cut, [s.size]))
-        emit = telemetry.enabled()
-        for a, b in zip(starts.tolist(), stops.tolist()):
-            bid = int(bucket[a])
-            fh = self._buckets.get(bid)
-            if fh is None:
-                fh = open(self._bucket_path(bid), "wb")
-                self._buckets[bid] = fh
-            pairs = np.empty((b - a, 2), dtype=np.int64)
-            pairs[:, 0] = s[a:b]
-            pairs[:, 1] = d[a:b]
-            pairs.tofile(fh)
-            if emit:
-                telemetry.active().counter("graph.sharded.spill_writes").inc()
+        # Bucket ids narrowed to their smallest dtype: NumPy's stable
+        # argsort radix-sorts keys of 16 bits or fewer.
+        bucket = (s // self._shard_size).astype(
+            np.min_scalar_type(batch_max // self._shard_size)
+        )
+        with telemetry.active().span("graph.sharded.add_edges", arcs=int(s.size)):
+            order = np.argsort(bucket, kind="stable")
+            pairs = np.empty((s.size, 2), dtype=np.int64)
+            pairs[:, 0] = s[order]
+            pairs[:, 1] = d[order]
+            counts = np.bincount(bucket)
+            stops = np.cumsum(counts)
+            emit = telemetry.enabled()
+            for bid in np.flatnonzero(counts).tolist():
+                fh = self._buckets.get(bid)
+                if fh is None:
+                    fh = open(self._bucket_path(bid), "wb")
+                    self._buckets[bid] = fh
+                pairs[stops[bid] - counts[bid] : stops[bid]].tofile(fh)
+                if emit:
+                    telemetry.active().counter("graph.sharded.spill_writes").inc()
 
     def add_edge(self, u: int, v: int) -> None:
         """Append a single edge (convenience for tests)."""
         self.add_edges(np.array([u], dtype=np.int64), np.array([v], dtype=np.int64))
 
-    def finalize(
-        self, *, validate: bool = True, jobs: int | None = None
-    ) -> ShardedCSRGraph:
+    def finalize(self, *, validate: bool = True) -> ShardedCSRGraph:
         """Sort/dedup each bucket, write shards + metadata, open graph.
 
-        With ``jobs > 1`` (explicit value beats ``$REPRO_JOBS``) the
-        per-shard sort/dedup/write fans out over worker processes —
-        shards are independent files, so the only parent-side work is
-        assembling ``edge_offsets`` in shard order. The output is
-        byte-identical to the serial path (same canonical sort, same
-        ``np.save`` encoding), and a worker crash degrades to finishing
-        the remaining shards serially: bucket files are only unlinked
-        after their shard's arc count has been received, and shard
-        writes are idempotent overwrites, so a retried shard is safe.
+        Shards are written one after another (see :func:`_write_shard`
+        for the bounded-memory passes); each bucket file is unlinked
+        only after its shard pair is on disk, and ``meta.json`` is
+        written last, atomically — a crash anywhere leaves "no graph
+        here", and a new builder on the same directory starts clean.
         """
         if self._finalized:
             raise GraphFormatError("builder already finalized")
@@ -762,81 +809,28 @@ class ShardedCSRBuilder:
         self._buckets.clear()
         n = self._n if self._n is not None else self._max_id + 1
         n = max(n, 0)
+        if min(self._shard_size, n) * n >= 2**63:
+            raise GraphFormatError(
+                f"shard_size={self._shard_size} x num_vertices={n} overflows the "
+                "int64 (source, destination) sort key; use smaller shards"
+            )
         num_shards = -(-n // self._shard_size) if n else 0
         index_dtype = _index_dtype(max(n, 1))
         emit = telemetry.enabled()
-
-        from repro.parallel import note_fallback, resolve_jobs, shm_available
-
-        eff_jobs = min(resolve_jobs(jobs), max(num_shards, 1))
-        arc_counts: list[int | None] = [None] * num_shards
-        if eff_jobs > 1 and not shm_available():
-            note_fallback("finalize.no_shm")
-            eff_jobs = 1
-        if eff_jobs > 1:
-            from repro.parallel import WorkerCrash, WorkerPool, WorkerTaskError
-
-            pool = WorkerPool(eff_jobs)
-            try:
-                payloads = [
-                    {
-                        "directory": str(self._dir),
-                        "shard": shard,
-                        "lo": shard * self._shard_size,
-                        "hi": min((shard + 1) * self._shard_size, n),
-                        "n": n,
-                        "index_dtype": index_dtype.name,
-                    }
-                    for shard in range(num_shards)
-                ]
-                try:
-                    for shard, count in enumerate(
-                        pool.map_ordered(_FINALIZE_TASK, payloads)
-                    ):
-                        arc_counts[shard] = int(count)
-                        bucket_path = self._bucket_path(shard)
-                        if bucket_path.exists():
-                            bucket_path.unlink()
-                        if emit:
-                            telemetry.active().counter(
-                                "graph.sharded.spill_writes"
-                            ).inc(2)
-                except WorkerCrash:
-                    note_fallback("finalize.crash")
-                except WorkerTaskError:
-                    # Task errors are deterministic (e.g. a torn bucket
-                    # file): retry serially so the caller sees the real
-                    # exception type instead of a pickled traceback.
-                    note_fallback("finalize.task_error")
-            finally:
-                pool.close()
-        for shard in range(num_shards):
-            if arc_counts[shard] is not None:
-                continue
-            lo = shard * self._shard_size
-            hi = min(lo + self._shard_size, n)
-            arc_counts[shard] = _write_shard(self._dir, shard, lo, hi, n, index_dtype)
-            bucket_path = self._bucket_path(shard)
-            if bucket_path.exists():
-                bucket_path.unlink()
-            if emit:
-                telemetry.active().counter("graph.sharded.spill_writes").inc(2)
         edge_offsets = [0]
-        for count in arc_counts:
-            edge_offsets.append(edge_offsets[-1] + int(count))
-        meta = {
-            "format": SHARD_FORMAT,
-            "num_vertices": int(n),
-            "num_arcs": edge_offsets[-1],
-            "directed": self._directed,
-            "shard_size": self._shard_size,
-            "num_shards": num_shards,
-            "edge_offsets": edge_offsets,
-            "index_dtype": index_dtype.name,
-        }
-        tmp = self._dir / (META_NAME + ".tmp")
-        tmp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-        os.replace(tmp, self._dir / META_NAME)
+        with telemetry.active().span("graph.sharded.finalize", shards=num_shards):
+            for shard in range(num_shards):
+                lo = shard * self._shard_size
+                hi = min(lo + self._shard_size, n)
+                arcs = _write_shard(self._dir, shard, lo, hi, n, index_dtype)
+                edge_offsets.append(edge_offsets[-1] + arcs)
+                self._bucket_path(shard).unlink(missing_ok=True)
+                if emit:
+                    telemetry.active().counter("graph.sharded.spill_writes").inc(2)
+            _write_meta(
+                self._dir, n, self._directed, self._shard_size,
+                edge_offsets, index_dtype,
+            )
         self._finalized = True
         return ShardedCSRGraph(self._dir, validate=validate)
 
@@ -888,17 +882,5 @@ def spill_csr(
         edge_offsets.append(int(indptr[hi]))
         if emit:
             telemetry.active().counter("graph.sharded.spill_writes").inc(2)
-    meta = {
-        "format": SHARD_FORMAT,
-        "num_vertices": int(n),
-        "num_arcs": int(graph.num_edges),
-        "directed": graph.directed,
-        "shard_size": int(shard_size),
-        "num_shards": num_shards,
-        "edge_offsets": edge_offsets,
-        "index_dtype": indices.dtype.name,
-    }
-    tmp = directory / (META_NAME + ".tmp")
-    tmp.write_text(json.dumps(meta, sort_keys=True), encoding="utf-8")
-    os.replace(tmp, directory / META_NAME)
+    _write_meta(directory, n, graph.directed, shard_size, edge_offsets, indices.dtype)
     return ShardedCSRGraph(directory, validate=validate)

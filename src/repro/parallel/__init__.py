@@ -12,11 +12,10 @@ One reusable substrate behind every ``jobs=`` knob in the library:
   for ``jobs=`` / ``$REPRO_JOBS`` (explicit beats env beats 1; never
   nests inside a pool worker).
 
-Consumers: the ``parallel`` streaming kernel
-(:mod:`repro.partition.kernels.parallel_backend`) and
-``ShardedCSRBuilder.finalize(jobs=...)``.  Every consumer degrades to
-its serial path — with a ``parallel.fallbacks`` telemetry increment —
-when ``jobs == 1``, shared memory is unavailable, or a worker dies.
+Consumer: the ``parallel`` streaming kernel
+(:mod:`repro.partition.kernels.parallel_backend`).  It degrades to its
+serial path — with a ``parallel.fallbacks`` telemetry increment — when
+``jobs == 1``, shared memory is unavailable, or a worker dies.
 
 Telemetry (aggregate-only, off by default): ``parallel.tasks``,
 ``parallel.bytes_shared``, ``parallel.workers_spawned``,

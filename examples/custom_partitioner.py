@@ -20,7 +20,6 @@ from repro import graph, partition
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, get_partitioner, register_partitioner
-from repro.utils.timing import WallClock
 
 
 class DegreeRoundRobin(Partitioner):
@@ -29,7 +28,7 @@ class DegreeRoundRobin(Partitioner):
     name = "degree-rr"
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         order = np.argsort(-graph.degrees, kind="stable")
         parts = np.empty(graph.num_vertices, dtype=np.int32)

@@ -40,8 +40,6 @@ as the parent.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import sys
 import time
 import traceback
@@ -54,6 +52,7 @@ from repro import telemetry
 from repro.bench.harness import ExperimentConfig, ExperimentResult, run_experiment
 from repro.resilience import CircuitBreaker, JsonlJournal
 from repro.resilience.chaos import register_site
+from repro.utils import canon
 
 __all__ = ["ExperimentOutcome", "run_suite", "config_digest"]
 
@@ -99,8 +98,7 @@ class ExperimentOutcome:
 
 def config_digest(config: ExperimentConfig) -> str:
     """Stable digest of the config; resume only skips matching runs."""
-    payload = json.dumps({"scale": config.scale, "seed": config.seed}, sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+    return canon.digest({"scale": config.scale, "seed": config.seed})[:16]
 
 
 def _diff_counters(before: dict, after: dict) -> dict:

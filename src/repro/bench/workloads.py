@@ -11,11 +11,8 @@ Centralising the settings here keeps every experiment comparable:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
-
-import numpy as np
 
 from repro.bench import artifacts
 from repro.cluster import BSPCluster
@@ -87,6 +84,17 @@ def _walk_app(name: str):
     raise KeyError(f"unknown walk app {name!r}")
 
 
+def _walk_payload(result: WalkResult) -> dict:
+    """A walk summary as a payload; the ledger travels as its canonical JSON."""
+    return artifacts.dataclass_payload(replace(result, ledger=result.ledger.to_json()))
+
+
+def _walk_from_payload(payload: dict) -> WalkResult:
+    result = artifacts.dataclass_from_payload(WalkResult, payload)
+    result.ledger = TimingLedger.from_json(result.ledger)
+    return result
+
+
 def run_walk_job(
     graph: CSRGraph,
     assignment: PartitionAssignment,
@@ -100,9 +108,9 @@ def run_walk_job(
     """Run one random-walk job; returns the engine's WalkResult.
 
     The simulated job is deterministic given its inputs, so its summary
-    (ledger matrices, step counts, final positions) is a content-
-    addressed artifact: repeated suite runs replay it from
-    :mod:`repro.bench.artifacts` instead of re-simulating.
+    (ledger, step counts, final positions) is a content-addressed
+    artifact: repeated suite runs replay it through
+    :func:`repro.bench.artifacts.memo` instead of re-simulating.
     """
     app, default_steps = _walk_app(app_name)
     steps = max_steps if max_steps is not None else default_steps
@@ -116,58 +124,20 @@ def run_walk_job(
             "app": artifacts.scalar_attrs(app),
         },
     )
-    store = artifacts.get_store()
-    use = artifacts.cache_enabled()
-    fp = assignment.fingerprint()
-    if use:
-        payload = store.load("walk", fp, key)
-        if payload is not None:
-            return _walk_result_from_payload(payload, assignment.num_parts)
 
-    cluster = BSPCluster(assignment.num_parts)
-    engine = WalkEngine(cluster, seed=seed, mode=mode)
-    result = engine.run(
-        graph,
-        assignment,
-        app,
-        walkers_per_vertex=walkers_per_vertex,
-        max_steps=steps,
-    )
-    if use:
-        store.store(
-            "walk",
-            fp,
-            key,
-            {
-                "compute": result.ledger.compute_matrix,
-                "comm": result.ledger.comm_matrix,
-                "overlap": np.int64(result.ledger.overlap),
-                "total_steps": np.int64(result.total_steps),
-                "total_messages": np.int64(result.total_messages),
-                "steps_matrix": result.steps_matrix,
-                "final_positions": result.final_positions,
-                "__result__": result,
-            },
+    def compute() -> WalkResult:
+        engine = WalkEngine(BSPCluster(assignment.num_parts), seed=seed, mode=mode)
+        return engine.run(
+            graph,
+            assignment,
+            app,
+            walkers_per_vertex=walkers_per_vertex,
+            max_steps=steps,
         )
-    return result
 
-
-def _walk_result_from_payload(payload: dict, num_machines: int) -> WalkResult:
-    result = payload.get("__result__")
-    if result is not None:
-        return result
-    ledger = TimingLedger(num_machines, overlap=bool(int(payload["overlap"])))
-    for compute, comm in zip(np.asarray(payload["compute"]), np.asarray(payload["comm"])):
-        ledger.record(compute, comm)
-    result = WalkResult(
-        ledger=ledger,
-        total_steps=int(payload["total_steps"]),
-        total_messages=int(payload["total_messages"]),
-        steps_matrix=np.asarray(payload["steps_matrix"]),
-        final_positions=np.asarray(payload["final_positions"]),
+    return artifacts.memo(
+        "walk", assignment.fingerprint(), key, compute, _walk_payload, _walk_from_payload
     )
-    payload["__result__"] = result
-    return result
 
 
 def run_fault_walk_job(
@@ -207,66 +177,33 @@ def run_fault_walk_job(
             "checkpoint_cost": artifacts.scalar_attrs(ckpt),
         },
     )
-    store = artifacts.get_store()
-    use = artifacts.cache_enabled()
-    fp = assignment.fingerprint()
-    if use:
-        payload = store.load("faultwalk", fp, key)
-        if payload is not None:
-            return _fault_walk_from_payload(payload)
 
-    cluster = FaultAwareCluster(
-        assignment.num_parts,
-        plan,
-        graph=graph,
-        assignment=assignment,
-        checkpoint_cost=ckpt,
-    )
-    engine = WalkEngine(cluster, seed=seed, mode=mode)
-    result = engine.run(
-        graph,
-        assignment,
-        app,
-        walkers_per_vertex=walkers_per_vertex,
-        max_steps=steps,
-    )
-    report = cluster.report()
-    if use:
-        store.store(
-            "faultwalk",
-            fp,
-            key,
-            {
-                "ledger_json": np.array(result.ledger.to_json()),
-                "report_json": np.array(json.dumps(report.as_dict(), sort_keys=True)),
-                "total_steps": np.int64(result.total_steps),
-                "total_messages": np.int64(result.total_messages),
-                "steps_matrix": result.steps_matrix,
-                "final_positions": result.final_positions,
-                "__result__": result,
-                "__report__": report,
-            },
+    def compute() -> tuple[WalkResult, FaultReport]:
+        cluster = FaultAwareCluster(
+            assignment.num_parts,
+            plan,
+            graph=graph,
+            assignment=assignment,
+            checkpoint_cost=ckpt,
         )
-    return result, report
+        engine = WalkEngine(cluster, seed=seed, mode=mode)
+        result = engine.run(
+            graph,
+            assignment,
+            app,
+            walkers_per_vertex=walkers_per_vertex,
+            max_steps=steps,
+        )
+        return result, cluster.report()
 
-
-def _fault_walk_from_payload(payload: dict) -> tuple[WalkResult, FaultReport]:
-    result = payload.get("__result__")
-    report = payload.get("__report__")
-    if result is not None and report is not None:
-        return result, report
-    ledger = TimingLedger.from_json(str(payload["ledger_json"][()]))
-    result = WalkResult(
-        ledger=ledger,
-        total_steps=int(payload["total_steps"]),
-        total_messages=int(payload["total_messages"]),
-        steps_matrix=np.asarray(payload["steps_matrix"]),
-        final_positions=np.asarray(payload["final_positions"]),
+    return artifacts.memo(
+        "faultwalk",
+        assignment.fingerprint(),
+        key,
+        compute,
+        lambda pair: {**_walk_payload(pair[0]), **artifacts.dataclass_payload(pair[1])},
+        lambda p: (_walk_from_payload(p), artifacts.dataclass_from_payload(FaultReport, p)),
     )
-    report = FaultReport.from_dict(json.loads(str(payload["report_json"][()])))
-    payload["__result__"] = result
-    payload["__report__"] = report
-    return result, report
 
 
 def run_app(
@@ -306,43 +243,25 @@ def run_app(
         f"apprun:{app_name}",
         {"seed": int(seed), "app": artifacts.scalar_attrs(program)},
     )
-    store = artifacts.get_store()
-    use = artifacts.cache_enabled()
-    fp = assignment.fingerprint()
-    if use:
-        payload = store.load("apprun", fp, key)
-        if payload is not None:
-            return AppRun(
-                app=app_name,
-                runtime=float(payload["runtime"]),
-                messages=int(payload["messages"]),
-                waiting_ratio=float(payload["waiting_ratio"]),
-                iterations=int(payload["iterations"]),
-            )
 
-    cluster = BSPCluster(assignment.num_parts)
-    engine = GeminiEngine(cluster)
-    result = engine.run(graph, assignment, program)
-    run = AppRun(
-        app=app_name,
-        runtime=result.runtime,
-        messages=result.total_messages,
-        waiting_ratio=result.ledger.waiting_ratio,
-        iterations=result.iterations,
-    )
-    if use:
-        store.store(
-            "apprun",
-            fp,
-            key,
-            {
-                "runtime": np.float64(run.runtime),
-                "messages": np.int64(run.messages),
-                "waiting_ratio": np.float64(run.waiting_ratio),
-                "iterations": np.int64(run.iterations),
-            },
+    def compute() -> AppRun:
+        result = GeminiEngine(BSPCluster(assignment.num_parts)).run(graph, assignment, program)
+        return AppRun(
+            app=app_name,
+            runtime=result.runtime,
+            messages=result.total_messages,
+            waiting_ratio=result.ledger.waiting_ratio,
+            iterations=result.iterations,
         )
-    return run
+
+    return artifacts.memo(
+        "apprun",
+        assignment.fingerprint(),
+        key,
+        compute,
+        artifacts.dataclass_payload,
+        lambda payload: artifacts.dataclass_from_payload(AppRun, payload),
+    )
 
 
 def run_serving_job(
@@ -359,9 +278,9 @@ def run_serving_job(
     in the canonical workload and serving-config documents, the seed,
     *and the active chaos plan* — a degradation drill and a clean run
     of the same workload are distinct artifacts, never aliased. The
-    replayed payload reconstructs the full :class:`ServingResult`
-    (per-query latencies, per-machine counters, cache stats), so a
-    cached run renders a byte-identical report.
+    replayed payload reconstructs every field of the
+    :class:`ServingResult` (per-query latencies, per-machine counters,
+    cache stats), so a cached run renders a byte-identical report.
     """
     from repro.resilience.chaos import active_plan
     from repro.serving.simulator import ServingConfig, ServingResult, ServingSimulator
@@ -379,114 +298,11 @@ def run_serving_job(
             "chaos": plan.to_json() if plan is not None else "",
         },
     )
-    store = artifacts.get_store()
-    use = artifacts.cache_enabled()
-    fp = assignment.fingerprint()
-    if use:
-        payload = store.load("servetrace", fp, key)
-        if payload is not None:
-            return _serving_from_payload(payload)
-
-    trace = spec.generate(graph)
-    result = ServingSimulator(assignment, config, seed=seed).run(trace)
-    if use:
-        meta = {
-            "num_machines": result.num_machines,
-            "duration": result.duration,
-            "makespan": result.makespan,
-            "cache_stats": result.cache_stats,
-        }
-        if result.replicated:
-            # Replication extras ride in the meta doc only when the
-            # report carries its replication block; a plain K=1
-            # payload's meta bytes are unchanged.
-            meta["replication"] = {
-                "replication_factor": result.replication_factor,
-                "plan_digest": result.plan_digest,
-                "slo_seconds": result.slo_seconds,
-                "crashes": result.crashes,
-                "redispatched": result.redispatched,
-                "unavailable_shed": result.unavailable_shed,
-                "hedges": result.hedges,
-                "hedge_wins": result.hedge_wins,
-                "heartbeat_drops": result.heartbeat_drops,
-                "rereplication_bytes": result.rereplication_bytes,
-                "rereplication_transfers": result.rereplication_transfers,
-                "health_ledger": result.health_ledger,
-                "health_transitions": result.health_transitions,
-                "recovery_seconds": result.recovery_seconds,
-                "state_seconds": result.state_seconds,
-                "restored": result.restored,
-            }
-        store.store(
-            "servetrace",
-            fp,
-            key,
-            {
-                "meta_json": np.array(json.dumps(meta, sort_keys=True)),
-                "latency": result.latency,
-                "shed": result.shed,
-                "kind": result.kind,
-                "machine_of_query": result.machine_of_query,
-                "queries": result.queries,
-                "shed_per_machine": result.shed_per_machine,
-                "batches": result.batches,
-                "degraded_batches": result.degraded_batches,
-                "cache_flushes": result.cache_flushes,
-                "busy_seconds": result.busy_seconds,
-                "messages": result.messages,
-                "__result__": result,
-            },
-        )
-    return result
-
-
-def _serving_from_payload(payload: dict):
-    from repro.serving.simulator import ServingResult
-
-    result = payload.get("__result__")
-    if result is not None:
-        return result
-    meta = json.loads(str(payload["meta_json"][()]))
-    rep = meta.get("replication")
-    extras = {}
-    if rep is not None:
-        extras = {
-            "replicated": True,
-            "replication_factor": int(rep["replication_factor"]),
-            "plan_digest": str(rep["plan_digest"]),
-            "slo_seconds": float(rep["slo_seconds"]),
-            "crashes": int(rep["crashes"]),
-            "redispatched": int(rep["redispatched"]),
-            "unavailable_shed": int(rep["unavailable_shed"]),
-            "hedges": int(rep["hedges"]),
-            "hedge_wins": int(rep["hedge_wins"]),
-            "heartbeat_drops": int(rep["heartbeat_drops"]),
-            "rereplication_bytes": int(rep["rereplication_bytes"]),
-            "rereplication_transfers": int(rep["rereplication_transfers"]),
-            "health_ledger": list(rep["health_ledger"]),
-            "health_transitions": dict(rep["health_transitions"]),
-            "recovery_seconds": list(rep["recovery_seconds"]),
-            "state_seconds": list(rep["state_seconds"]),
-            "restored": bool(rep["restored"]),
-        }
-    result = ServingResult(
-        num_machines=int(meta["num_machines"]),
-        duration=float(meta["duration"]),
-        latency=np.asarray(payload["latency"]),
-        shed=np.asarray(payload["shed"]),
-        kind=np.asarray(payload["kind"]),
-        machine_of_query=np.asarray(payload["machine_of_query"]),
-        queries=np.asarray(payload["queries"]),
-        shed_per_machine=np.asarray(payload["shed_per_machine"]),
-        batches=np.asarray(payload["batches"]),
-        degraded_batches=np.asarray(payload["degraded_batches"]),
-        cache_flushes=np.asarray(payload["cache_flushes"]),
-        busy_seconds=np.asarray(payload["busy_seconds"]),
-        messages=np.asarray(payload["messages"]),
-        cache_stats=dict(meta["cache_stats"]),
-        makespan=float(meta["makespan"]),
-        **extras,
+    return artifacts.memo(
+        "servetrace",
+        assignment.fingerprint(),
+        key,
+        lambda: ServingSimulator(assignment, config, seed=seed).run(spec.generate(graph)),
+        artifacts.dataclass_payload,
+        lambda payload: artifacts.dataclass_from_payload(ServingResult, payload),
     )
-    payload["__result__"] = result
-    return result

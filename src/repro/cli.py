@@ -28,6 +28,7 @@ non-deterministic timer/span section) to the given file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -38,6 +39,7 @@ from repro.bench.harness import (
     available_experiments,
     experiment_description,
 )
+from repro.errors import ConfigurationError
 
 __all__ = ["main"]
 
@@ -53,6 +55,16 @@ _SUBCOMMANDS = (
     "serve",
     "churn",
 )
+
+
+def _path_or_inline(arg: str) -> str:
+    """``--plan``/``--chaos`` value: a file's content if ``arg`` names one, else ``arg``."""
+    if os.path.exists(arg):
+        with open(arg, encoding="utf-8") as fh:
+            return fh.read()
+    if not arg.lstrip().startswith("{"):
+        raise ConfigurationError(f"{arg!r} is neither an existing file nor a JSON object")
+    return arg
 
 
 def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
@@ -264,8 +276,6 @@ def _serve_parser() -> argparse.ArgumentParser:
 
 def _run_serve(argv: list[str]) -> int:
     args = _serve_parser().parse_args(argv)
-    import os
-
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
 
@@ -284,11 +294,7 @@ def _run_serve(argv: list[str]) -> int:
     chaos_label = ""
     plan = None
     if args.chaos:
-        text = args.chaos
-        if os.path.exists(text):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        plan = ChaosPlan.from_json(text)
+        plan = ChaosPlan.from_json(_path_or_inline(args.chaos))
         chaos_label = f"{len(plan.rules)} rule(s)"
 
     _telemetry_begin(args)
@@ -376,8 +382,6 @@ def _churn_parser() -> argparse.ArgumentParser:
 
 def _run_churn(argv: list[str]) -> int:
     args = _churn_parser().parse_args(argv)
-    import os
-
     if args.no_cache:
         os.environ["REPRO_NO_CACHE"] = "1"
 
@@ -452,19 +456,11 @@ def _run_bench(argv: list[str]) -> int:
     if args.no_cache:
         # Environment, not a flag threaded through every call site, so
         # spawn workers inherit the setting too.
-        import os
-
         os.environ["REPRO_NO_CACHE"] = "1"
     if args.chaos:
-        import os
-
         from repro.resilience import ChaosPlan, install_plan
 
-        text = args.chaos
-        if os.path.exists(text):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        install_plan(ChaosPlan.from_json(text))
+        install_plan(ChaosPlan.from_json(_path_or_inline(args.chaos)))
     from repro.bench.artifacts import default_cache_dir
     from repro.bench.runner import run_suite
 
@@ -667,15 +663,9 @@ def _run_trace(argv: list[str]) -> int:
     print(f"graph: {summarize(g)}")
     plan = None
     if args.plan:
-        import os
-
         from repro.cluster.faults import FaultPlan
 
-        text = args.plan
-        if os.path.exists(text):
-            with open(text, encoding="utf-8") as fh:
-                text = fh.read()
-        plan = FaultPlan.from_json(text)
+        plan = FaultPlan.from_json(_path_or_inline(args.plan))
         plan.validate_for(args.parts)
     assignment = get_assignment(g, args.algo, num_parts=args.parts, seed=args.seed)
 
@@ -848,12 +838,20 @@ def _run_metrics(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry; returns a process exit code."""
+    """CLI entry; returns a process exit code (2 for a configuration error)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
         cmd, rest = argv[0], argv[1:]
     else:
         cmd, rest = "bench", argv
+    try:
+        return _dispatch(cmd, rest)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(cmd: str, rest: list[str]) -> int:
     if cmd == "partition":
         return _run_partition(rest)
     if cmd == "info":

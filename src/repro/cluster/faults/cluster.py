@@ -30,7 +30,7 @@ always produce byte-identical ledgers and recovery assignments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -71,42 +71,7 @@ class FaultReport:
     total_messages: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "num_machines": self.num_machines,
-            "runtime": self.runtime,
-            "waiting_ratio": self.waiting_ratio,
-            "degraded_waiting_ratio": self.degraded_waiting_ratio,
-            "recovery_seconds": self.recovery_seconds,
-            "checkpoint_seconds": self.checkpoint_seconds,
-            "num_checkpoints": self.num_checkpoints,
-            "crashes": [dict(c) for c in self.crashes],
-            "alive": list(self.alive),
-            "survivor_vertex_bias": self.survivor_vertex_bias,
-            "survivor_edge_bias": self.survivor_edge_bias,
-            "survivor_vertex_max_dev": self.survivor_vertex_max_dev,
-            "survivor_edge_max_dev": self.survivor_edge_max_dev,
-            "total_messages": self.total_messages,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultReport":
-        """Rebuild a report from :meth:`as_dict` (cache rehydration)."""
-        return cls(
-            num_machines=int(payload["num_machines"]),
-            runtime=float(payload["runtime"]),
-            waiting_ratio=float(payload["waiting_ratio"]),
-            degraded_waiting_ratio=float(payload["degraded_waiting_ratio"]),
-            recovery_seconds=float(payload["recovery_seconds"]),
-            checkpoint_seconds=float(payload["checkpoint_seconds"]),
-            num_checkpoints=int(payload["num_checkpoints"]),
-            crashes=[dict(c) for c in payload.get("crashes", [])],
-            alive=[bool(a) for a in payload.get("alive", [])],
-            survivor_vertex_bias=float(payload.get("survivor_vertex_bias", 0.0)),
-            survivor_edge_bias=float(payload.get("survivor_edge_bias", 0.0)),
-            survivor_vertex_max_dev=float(payload.get("survivor_vertex_max_dev", 0.0)),
-            survivor_edge_max_dev=float(payload.get("survivor_edge_max_dev", 0.0)),
-            total_messages=int(payload.get("total_messages", 0)),
-        )
+        return asdict(self)
 
 
 def _max_dev(values: np.ndarray) -> float:

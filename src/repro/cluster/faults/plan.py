@@ -25,11 +25,10 @@ from a seed via :func:`repro.utils.rng.derive_rng`.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
+from repro.utils import canon
 from repro.utils.rng import derive_rng
 
 __all__ = [
@@ -212,17 +211,29 @@ class FaultPlan:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, no whitespace) — digest input."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canon.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultPlan":
-        fmt = payload.get("format", PLAN_JSON_FORMAT)
-        if fmt != PLAN_JSON_FORMAT:
-            raise ConfigurationError(f"unsupported fault-plan format {fmt!r}")
+        """Build a plan from a hand-written document: every key may be
+        omitted (its default applies), no unknown key is accepted."""
+        canon.check_keys(payload, "fault plan", (), ("format", *cls.__dataclass_fields__))
+        canon.check_tag(payload, "format", PLAN_JSON_FORMAT, "fault plan")
+
+        def blocks(key: str, item: type) -> list[dict]:
+            entries = payload.get(key, [])
+            for entry in entries:
+                canon.check_keys(entry, f"fault plan {key!r}", *canon.dataclass_keys(item))
+            return entries
+
+        checkpoint = payload.get("checkpoint", {})
+        canon.check_keys(
+            checkpoint, "fault plan 'checkpoint'", *canon.dataclass_keys(CheckpointPolicy)
+        )
         return cls(
             crashes=tuple(
                 Crash(machine=int(c["machine"]), superstep=int(c["superstep"]))
-                for c in payload.get("crashes", [])
+                for c in blocks("crashes", Crash)
             ),
             stragglers=tuple(
                 Straggler(
@@ -231,7 +242,7 @@ class FaultPlan:
                     duration=int(s.get("duration", 1)),
                     factor=float(s.get("factor", 2.0)),
                 )
-                for s in payload.get("stragglers", [])
+                for s in blocks("stragglers", Straggler)
             ),
             degraded_links=tuple(
                 DegradedLink(
@@ -242,23 +253,21 @@ class FaultPlan:
                     bandwidth_scale=float(l.get("bandwidth_scale", 0.5)),
                     latency_scale=float(l.get("latency_scale", 1.0)),
                 )
-                for l in payload.get("degraded_links", [])
+                for l in blocks("degraded_links", DegradedLink)
             ),
-            checkpoint=CheckpointPolicy(
-                interval=int(payload.get("checkpoint", {}).get("interval", 0))
-            ),
+            checkpoint=CheckpointPolicy(interval=int(checkpoint.get("interval", 0))),
             recovery=str(payload.get("recovery", "redistribute")),
             seed=int(payload.get("seed", 0)),
         )
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(canon.loads(text, "fault plan"))
 
     def digest(self) -> str:
         """SHA-256 over the canonical JSON — the cache-key half of the
         fault spec (folded into experiment digests)."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return canon.digest(self.to_dict())
 
     def with_recovery(self, strategy: str) -> "FaultPlan":
         """The same plan under a different recovery strategy."""

@@ -27,13 +27,13 @@ Two extensions support the fault-tolerance subsystem
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro import telemetry
 from repro.errors import SimulationError
+from repro.utils import canon
 
 __all__ = ["IterationTiming", "LedgerEvent", "TimingLedger"]
 
@@ -72,12 +72,13 @@ class LedgerEvent:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "LedgerEvent":
+        canon.check_keys(payload, "timing ledger event", [f.name for f in fields(cls)])
         return cls(
             kind=str(payload["kind"]),
             superstep=int(payload["superstep"]),
-            machine=int(payload.get("machine", -1)),
-            seconds=float(payload.get("seconds", 0.0)),
-            detail=dict(payload.get("detail", {})),
+            machine=int(payload["machine"]),
+            seconds=float(payload["seconds"]),
+            detail=dict(payload["detail"]),
         )
 
 
@@ -338,18 +339,20 @@ class TimingLedger:
             "active": self.active_matrix.tolist() if self.has_active_masks else None,
             "events": [e.to_dict() for e in self._events],
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return canon.dumps(payload)
 
     @classmethod
     def from_json(cls, text: str) -> "TimingLedger":
         """Rebuild a ledger (rows, masks, and events) from :meth:`to_json`."""
-        payload = json.loads(text)
-        if payload.get("format") != LEDGER_JSON_FORMAT:
-            raise SimulationError(
-                f"not a serialised TimingLedger: format={payload.get('format')!r}"
-            )
+        payload = canon.loads(text, "timing ledger")
+        canon.check_tag(payload, "format", LEDGER_JSON_FORMAT, "timing ledger")
+        canon.check_keys(
+            payload,
+            "timing ledger",
+            ("format", "machines", "overlap", "compute", "comm", "active", "events"),
+        )
         ledger = cls(int(payload["machines"]), overlap=bool(payload["overlap"]))
-        actives = payload.get("active")
+        actives = payload["active"]
         for i, (compute, comm) in enumerate(zip(payload["compute"], payload["comm"])):
             mask = None
             if actives is not None:
@@ -360,9 +363,7 @@ class TimingLedger:
                 np.asarray(comm, dtype=np.float64),
                 active=mask,
             )
-        for entry in payload.get("events", []):
-            event = LedgerEvent.from_dict(entry)
-            ledger._events.append(event)
+        ledger._events.extend(LedgerEvent.from_dict(entry) for entry in payload["events"])
         return ledger
 
     def __repr__(self) -> str:

@@ -1,15 +1,16 @@
 """Partitioner interface and registry.
 
 Every partitioner implements :meth:`Partitioner.partition` and returns a
-:class:`PartitionResult` carrying the assignment, wall-clock breakdown
-(Table 2 measures this), and algorithm-specific metadata such as BPart's
-layer trace. The registry lets the bench harness and CLI look up
+:class:`PartitionResult` carrying the assignment, the run's wall-clock
+seconds (Table 2 measures this), and algorithm-specific metadata such as
+BPart's layer trace. The registry lets the bench harness and CLI look up
 partitioners by the names the paper uses ("chunk-v", "fennel", …).
 """
 
 from __future__ import annotations
 
 import abc
+import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -17,7 +18,6 @@ from repro import telemetry
 from repro.errors import ConfigurationError, PartitionError
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
-from repro.utils.timing import WallClock
 
 __all__ = ["Partitioner", "PartitionResult", "register_partitioner", "get_partitioner", "available_partitioners"]
 
@@ -29,24 +29,13 @@ class PartitionResult:
     Attributes
     ----------
     assignment: the vertex → part mapping with cached stats.
-    clock:      wall-clock segments ("stream", "combine", …).
+    elapsed:    wall-clock seconds of the whole run (Table 2's metric).
     metadata:   algorithm-specific extras (BPart: per-layer trace).
     """
 
     assignment: PartitionAssignment
-    clock: WallClock = field(default_factory=WallClock)
+    elapsed: float = 0.0
     metadata: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def elapsed(self) -> float:
-        """Total partitioning wall-clock seconds (Table 2's metric).
-
-        The base class always records a ``"total"`` segment wrapping the
-        whole run; subclass segments ("stream", "combine") nest inside
-        it and are a breakdown, not additional time.
-        """
-        segments = self.clock.segments
-        return segments.get("total", self.clock.total)
 
 
 class Partitioner(abc.ABC):
@@ -69,27 +58,26 @@ class Partitioner(abc.ABC):
             raise PartitionError(
                 f"cannot split {graph.num_vertices} vertices into {num_parts} parts"
             )
-        clock = WallClock()
-        if telemetry.enabled():
-            reg = telemetry.active()
-            with reg.span("partition", algo=self.name, k=int(num_parts)):
-                with clock.measure("total"):
-                    assignment, metadata = self._partition(graph, int(num_parts), clock)
-            reg.counter("partition.runs", algo=self.name).inc()
-            reg.counter("partition.vertices", algo=self.name).inc(graph.num_vertices)
-            reg.timer("partition.run_seconds", algo=self.name).add(
-                clock.segments.get("total", clock.total)
-            )
-        else:
-            with clock.measure("total"):
-                assignment, metadata = self._partition(graph, int(num_parts), clock)
-        return PartitionResult(assignment=assignment, clock=clock, metadata=metadata)
+        reg = telemetry.active()
+        start = time.perf_counter()
+        with reg.span("partition", algo=self.name, k=int(num_parts)):
+            assignment, metadata = self._partition(graph, int(num_parts))
+        elapsed = time.perf_counter() - start
+        reg.counter("partition.runs", algo=self.name).inc()
+        reg.counter("partition.vertices", algo=self.name).inc(graph.num_vertices)
+        reg.timer("partition.run_seconds", algo=self.name).add(elapsed)
+        return PartitionResult(assignment=assignment, elapsed=elapsed, metadata=metadata)
+
+    def _phase(self, phase: str):
+        """The ``partition.phase{algo,phase}`` span around one step of
+        :meth:`_partition` (free while telemetry is off)."""
+        return telemetry.active().span("partition.phase", algo=self.name, phase=phase)
 
     @abc.abstractmethod
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
-        """Produce the assignment; subclasses may add clock segments."""
+        """Produce the assignment and its metadata."""
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

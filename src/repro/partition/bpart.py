@@ -37,7 +37,6 @@ from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.combine import multi_layer_combine
 from repro.partition.kernels import resolve_kernel_name
-from repro.utils.timing import WallClock
 from repro.utils.validation import check_fraction, check_positive, check_probability
 
 __all__ = ["BPartPartitioner", "weighted_stream_partition", "bpart_vertex_weights"]
@@ -173,34 +172,32 @@ class BPartPartitioner(Partitioner):
         self._kernel = resolve_kernel_name(kernel, jobs)
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         def phase1(sub: CSRGraph, pieces: int) -> np.ndarray:
-            with clock.measure("stream"):
-                return weighted_stream_partition(
-                    sub,
-                    pieces,
-                    c=self._c,
-                    alpha=self._alpha,
-                    gamma=self._gamma,
-                    slack=self._slack,
-                    order=self._order,
-                    rng=self._seed,
-                    passes=self._passes,
-                    kernel=self._kernel,
-                    jobs=self._jobs,
-                )
-
-        with clock.measure("combine"):
-            parts, traces = multi_layer_combine(
-                graph,
-                phase1,
-                num_parts,
-                oversplit_base=self._oversplit,
-                base_rounds=self._base_rounds,
-                balance_threshold=self._threshold,
-                max_layers=self._max_layers,
+            return weighted_stream_partition(
+                sub,
+                pieces,
+                c=self._c,
+                alpha=self._alpha,
+                gamma=self._gamma,
+                slack=self._slack,
+                order=self._order,
+                rng=self._seed,
+                passes=self._passes,
+                kernel=self._kernel,
+                jobs=self._jobs,
             )
+
+        parts, traces = multi_layer_combine(
+            graph,
+            phase1,
+            num_parts,
+            oversplit_base=self._oversplit,
+            base_rounds=self._base_rounds,
+            balance_threshold=self._threshold,
+            max_layers=self._max_layers,
+        )
         metadata = {
             "c": self._c,
             "kernel": self._kernel,
@@ -219,7 +216,7 @@ class BPartPartitioner(Partitioner):
         if self._refine:
             from repro.partition.refine import refine_assignment
 
-            with clock.measure("refine"):
+            with self._phase("refine"):
                 assignment = refine_assignment(
                     assignment, epsilon=self._threshold, rounds=5
                 )

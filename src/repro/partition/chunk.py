@@ -23,7 +23,6 @@ import numpy as np
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
-from repro.utils.timing import WallClock
 
 __all__ = ["ChunkVPartitioner", "ChunkEPartitioner"]
 
@@ -45,7 +44,7 @@ class ChunkVPartitioner(Partitioner):
         self._seed = seed
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         from repro.graph.stream import vertex_stream
 
@@ -68,7 +67,7 @@ class ChunkEPartitioner(Partitioner):
         self._seed = seed
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         from repro.graph.stream import vertex_stream
 

@@ -22,7 +22,6 @@ from repro.partition._streamcore import default_alpha, stream_partition
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.kernels import resolve_kernel_name
-from repro.utils.timing import WallClock
 from repro.utils.validation import check_positive
 
 __all__ = ["FennelPartitioner"]
@@ -87,10 +86,10 @@ class FennelPartitioner(Partitioner):
         self._kernel = resolve_kernel_name(kernel, jobs)
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         alpha = self._alpha if self._alpha is not None else default_alpha(graph, num_parts)
-        with clock.measure("stream"):
+        with self._phase("stream"):
             parts = stream_partition(
                 graph,
                 num_parts,

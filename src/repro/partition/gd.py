@@ -29,7 +29,6 @@ from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.utils.rng import as_rng
-from repro.utils.timing import WallClock
 from repro.utils.validation import check_positive
 
 __all__ = ["GDPartitioner"]
@@ -137,7 +136,7 @@ class GDPartitioner(Partitioner):
         self._seed = seed
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         if num_parts & (num_parts - 1):
             raise ConfigurationError(
@@ -162,7 +161,7 @@ class GDPartitioner(Partitioner):
             recurse(vertex_ids[side0], k // 2, base)
             recurse(vertex_ids[~side0], k // 2, base + k // 2)
 
-        with clock.measure("bisect"):
+        with self._phase("bisect"):
             recurse(np.arange(n), num_parts, 0)
         return PartitionAssignment(graph, parts, num_parts), {"iterations": self._iterations}
 

@@ -21,7 +21,6 @@ from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.utils.rng import hash_u64
-from repro.utils.timing import WallClock
 
 __all__ = ["HashPartitioner"]
 
@@ -42,7 +41,7 @@ class HashPartitioner(Partitioner):
         self._seed = int(seed)
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         ids = np.arange(graph.num_vertices, dtype=np.uint64)
         parts = (hash_u64(ids, self._seed) % np.uint64(num_parts)).astype(np.int32)

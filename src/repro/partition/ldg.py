@@ -28,7 +28,6 @@ from repro.graph.stream import vertex_stream
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.kernels import get_kernel, resolve_kernel_name
-from repro.utils.timing import WallClock
 from repro.utils.validation import check_positive
 
 __all__ = ["LDGPartitioner"]
@@ -56,7 +55,7 @@ class LDGPartitioner(Partitioner):
         self._kernel = get_kernel(resolve_kernel_name(kernel, jobs))
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         n = graph.num_vertices
         k = num_parts
@@ -74,7 +73,7 @@ class LDGPartitioner(Partitioner):
             effective = "parallel"
         else:
             effective = "buffered" if gather is not None else self._kernel.name
-        with clock.measure("stream"):
+        with self._phase("stream"):
             if parallel:
                 from repro.partition.kernels.parallel_backend import ldg_parallel
 

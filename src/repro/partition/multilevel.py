@@ -32,7 +32,6 @@ from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.utils.rng import as_rng
-from repro.utils.timing import WallClock
 from repro.utils.validation import check_positive
 
 __all__ = ["MultilevelPartitioner"]
@@ -245,7 +244,7 @@ class MultilevelPartitioner(Partitioner):
         self._seed = seed
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         rng = as_rng(self._seed)
         indptr = graph.indptr.astype(np.int64)
@@ -255,7 +254,7 @@ class MultilevelPartitioner(Partitioner):
 
         levels: list[_Level] = []
         target = max(self._coarsest, 20 * num_parts)
-        with clock.measure("coarsen"):
+        with self._phase("coarsen"):
             cur = (indptr, indices, eweights, vweights)
             while cur[0].size - 1 > target:
                 n_cur = cur[0].size - 1
@@ -270,7 +269,7 @@ class MultilevelPartitioner(Partitioner):
                 levels.append(level)
                 cur = (level.indptr, level.indices, level.eweights, level.vweights)
 
-        with clock.measure("initial"):
+        with self._phase("initial"):
             if levels:
                 parts = _initial_partition(levels[-1], num_parts, self._slack)
             else:
@@ -279,7 +278,7 @@ class MultilevelPartitioner(Partitioner):
                                 np.arange(graph.num_vertices))
                 parts = _initial_partition(pseudo, num_parts, self._slack)
 
-        with clock.measure("refine"):
+        with self._phase("refine"):
             # Project down through the levels, refining at each.
             for i in range(len(levels) - 1, -1, -1):
                 level = levels[i]

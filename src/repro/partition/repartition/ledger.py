@@ -12,14 +12,16 @@ digest of the canonical payload is embedded and re-verified on load.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.errors import ConfigurationError
+from repro.utils import canon
 
 __all__ = ["LEDGER_SCHEMA", "RepartitionLedger"]
 
 LEDGER_SCHEMA = "repartition-epoch/v1"
+
+_LEDGER_KEYS = (
+    "schema", "num_parts", "seed", "config", "scenario", "epochs", "total_migrations", "digest"
+)
 
 
 class RepartitionLedger:
@@ -60,8 +62,7 @@ class RepartitionLedger:
 
     def digest(self) -> str:
         """SHA-256 over the canonical payload (digest field excluded)."""
-        text = json.dumps(self._payload(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return canon.digest(self._payload())
 
     def to_dict(self) -> dict:
         doc = self._payload()
@@ -70,26 +71,22 @@ class RepartitionLedger:
 
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical runs."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canon.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "RepartitionLedger":
         """Rehydrate and verify a ledger document."""
-        doc = json.loads(text)
-        if doc.get("schema") != LEDGER_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported ledger schema {doc.get('schema')!r}; "
-                f"expected {LEDGER_SCHEMA!r}"
-            )
+        doc = canon.loads(text, "repartition ledger")
+        canon.check_tag(doc, "schema", LEDGER_SCHEMA, "repartition ledger")
+        canon.check_keys(doc, "repartition ledger", _LEDGER_KEYS)
         ledger = cls(
             num_parts=doc["num_parts"],
-            seed=doc.get("seed", 0),
-            config=doc.get("config"),
-            scenario=doc.get("scenario"),
+            seed=doc["seed"],
+            config=doc["config"],
+            scenario=doc["scenario"],
         )
-        ledger.epochs = [dict(e) for e in doc.get("epochs", [])]
-        recorded = doc.get("digest")
-        if recorded is not None and recorded != ledger.digest():
+        ledger.epochs = [dict(e) for e in doc["epochs"]]
+        if (doc["digest"], doc["total_migrations"]) != (ledger.digest(), ledger.total_migrations):
             raise ConfigurationError("ledger digest mismatch — corrupted document")
         return ledger
 

@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import hashlib
-import json
-
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.generators import planted_partition
+from repro.utils import canon
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive, check_probability
 
@@ -242,5 +240,4 @@ class ChurnScenario:
 
     def digest(self) -> str:
         """SHA-256 of the canonical parameter dict — the scenario id."""
-        text = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+        return canon.digest(self.to_dict())

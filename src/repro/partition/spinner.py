@@ -27,7 +27,6 @@ from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.utils.rng import as_rng
-from repro.utils.timing import WallClock
 from repro.utils.validation import check_fraction, check_nonnegative, check_positive
 
 __all__ = ["SpinnerPartitioner"]
@@ -67,7 +66,7 @@ class SpinnerPartitioner(Partitioner):
         self._seed = seed
 
     def _partition(
-        self, graph: CSRGraph, num_parts: int, clock: WallClock
+        self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
         rng = as_rng(self._seed)
         n = graph.num_vertices
@@ -79,7 +78,7 @@ class SpinnerPartitioner(Partitioner):
         src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
 
         rounds_run = 0
-        with clock.measure("propagate"):
+        with self._phase("propagate"):
             for _ in range(self._iterations):
                 rounds_run += 1
                 loads = np.bincount(parts, minlength=k).astype(np.float64)

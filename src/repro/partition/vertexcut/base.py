@@ -8,7 +8,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError, PartitionError
 from repro.graph.csr import CSRGraph
-from repro.utils.timing import WallClock
 
 __all__ = ["canonical_edges", "EdgePartition", "EdgePartitioner"]
 
@@ -102,11 +101,8 @@ class EdgePartitioner(abc.ABC):
         if num_parts <= 0:
             raise ConfigurationError(f"num_parts must be positive, got {num_parts}")
         src, dst = canonical_edges(graph)
-        clock = WallClock()
-        with clock.measure("total"):
-            edge_parts = self._assign(graph, src, dst, int(num_parts))
-        part = EdgePartition(graph, src, dst, edge_parts, num_parts)
-        return part
+        edge_parts = self._assign(graph, src, dst, int(num_parts))
+        return EdgePartition(graph, src, dst, edge_parts, num_parts)
 
     @abc.abstractmethod
     def _assign(

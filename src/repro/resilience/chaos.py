@@ -40,6 +40,7 @@ from dataclasses import dataclass, field
 from repro import telemetry
 from repro.errors import ConfigurationError, ReproError
 from repro.resilience.policy import hash_unit
+from repro.utils import canon
 
 __all__ = [
     "CHAOS_ENV",
@@ -56,6 +57,8 @@ __all__ = [
 
 #: environment variable carrying the installed plan's JSON.
 CHAOS_ENV = "REPRO_CHAOS"
+
+CHAOS_FORMAT = "chaos-plan/v1"
 
 #: exit status used by the ``kill`` fault (distinct from Python's 1/2).
 KILL_EXIT_CODE = 70
@@ -195,7 +198,7 @@ class ChaosPlan:
     def to_json(self) -> str:
         return json.dumps(
             {
-                "format": "chaos-plan/v1",
+                "format": CHAOS_FORMAT,
                 "seed": self.seed,
                 "rules": [r.as_dict() for r in self.rules],
             },
@@ -204,20 +207,15 @@ class ChaosPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosPlan":
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid chaos plan JSON: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigurationError("chaos plan must be a JSON object")
-        fmt = payload.get("format", "chaos-plan/v1")
-        if fmt != "chaos-plan/v1":
-            raise ConfigurationError(f"unknown chaos plan format {fmt!r}")
-        rules = []
-        for entry in payload.get("rules", []):
-            known = {k: entry[k] for k in entry if k in ChaosRule.__dataclass_fields__}
-            rules.append(ChaosRule(**known))
-        return cls(seed=int(payload.get("seed", 0)), rules=tuple(rules))
+        """Parse a hand-written plan: ``format``/``seed``/``rules`` and a
+        rule's defaulted knobs may be omitted, no unknown key is accepted."""
+        payload = canon.loads(text, "chaos plan")
+        canon.check_keys(payload, "chaos plan", (), ("format", "seed", "rules"))
+        canon.check_tag(payload, "format", CHAOS_FORMAT, "chaos plan")
+        rules = payload.get("rules", [])
+        for entry in rules:
+            canon.check_keys(entry, "chaos plan rule", *canon.dataclass_keys(ChaosRule))
+        return cls(seed=int(payload.get("seed", 0)), rules=tuple(ChaosRule(**r) for r in rules))
 
 
 _PLAN: ChaosPlan | None = None

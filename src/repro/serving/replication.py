@@ -37,14 +37,13 @@ partitioner shipped in.
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.errors import ConfigurationError, PartitionError
 from repro.partition.assignment import PartitionAssignment
+from repro.utils import canon
 
 __all__ = ["ReplicaPlan", "ensure_within_slack", "plan_replicas"]
 
@@ -103,24 +102,18 @@ class ReplicaPlan:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, compact separators)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canon.dumps(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON — the plan's identity."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return canon.digest(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ReplicaPlan":
         """Rehydrate a ``replica-plan/v1`` document."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid replica plan JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("schema") != PLAN_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported replica plan schema {doc.get('schema')!r}; "
-                f"expected {PLAN_SCHEMA!r}"
-            )
+        doc = canon.loads(text, "replica plan")
+        canon.check_tag(doc, "schema", PLAN_SCHEMA, "replica plan")
+        canon.check_keys(doc, "replica plan", ["schema", *(f.name for f in fields(cls))])
         return cls(
             num_machines=int(doc["num_machines"]),
             replication_factor=int(doc["replication_factor"]),

@@ -10,17 +10,34 @@ serving layer and what lets CI diff two independent runs directly.
 
 from __future__ import annotations
 
-import hashlib
-import json
-
 from repro.bench.report import Table
 from repro.errors import ConfigurationError
 from repro.serving.simulator import ServingConfig, ServingResult
 from repro.serving.workload import WorkloadSpec
+from repro.utils import canon
 
 __all__ = ["ServingReport"]
 
 REPORT_SCHEMA = "serving-report/v1"
+
+_REPORT_KEYS = (
+    "schema", "dataset", "num_parts", "chaos", "workload", "workload_digest",
+    "config", "config_digest", "entries",
+)
+#: what :meth:`ServingResult.summary` writes: always / when replicated / its block.
+_ENTRY_KEYS = (
+    "queries", "completed", "shed", "shed_rate", "throughput", "latency_p50",
+    "latency_p90", "latency_p99", "latency_mean", "latency_max", "makespan",
+    "messages", "batches", "degraded_batches", "cache_flushes", "cache_hit_rate",
+    "busy_max", "busy_mean",
+)
+_ENTRY_REPLICATED_KEYS = ("availability", "replication")
+_ENTRY_REPLICATION_KEYS = (
+    "factor", "plan_digest", "slo_seconds", "crashes", "redispatched",
+    "unavailable_shed", "hedges", "hedge_wins", "heartbeat_drops",
+    "rereplication_bytes", "rereplication_transfers", "transitions",
+    "recovery_seconds", "restored",
+)
 
 
 class ServingReport:
@@ -65,31 +82,37 @@ class ServingReport:
 
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical runs."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canon.dumps(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return canon.digest(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ServingReport":
-        """Rehydrate a report document (schema tag required)."""
-        doc = json.loads(text)
-        if doc.get("schema") != REPORT_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported report schema {doc.get('schema')!r}; "
-                f"expected {REPORT_SCHEMA!r}"
-            )
-        spec = WorkloadSpec.from_json(json.dumps(doc["workload"]))
-        config = ServingConfig.from_dict(doc["config"])
+        """Rehydrate a :meth:`to_json` document — and only that."""
+        doc = canon.loads(text, "serving report")
+        canon.check_tag(doc, "schema", REPORT_SCHEMA, "serving report")
+        canon.check_keys(doc, "serving report", _REPORT_KEYS)
         report = cls(
-            spec,
-            config,
-            dataset=doc.get("dataset", ""),
-            num_parts=doc.get("num_parts", 0),
-            chaos=doc.get("chaos", ""),
+            WorkloadSpec.from_dict(doc["workload"]),
+            ServingConfig.from_dict(doc["config"]),
+            dataset=doc["dataset"],
+            num_parts=doc["num_parts"],
+            chaos=doc["chaos"],
         )
-        report.entries = {str(k): dict(v) for k, v in doc["entries"].items()}
+        recorded = (doc["workload_digest"], doc["config_digest"])
+        if recorded != (report.spec.digest(), report.config.digest()):
+            raise ConfigurationError("serving report digest mismatch — corrupted document")
+        canon.check_keys(doc["entries"], "serving report 'entries'", (), doc["entries"])
+        for name, entry in doc["entries"].items():
+            where = f"serving report entry {name!r}"
+            canon.check_keys(entry, where, _ENTRY_KEYS, _ENTRY_REPLICATED_KEYS)
+            if "replication" in entry:
+                canon.check_keys(
+                    entry["replication"], f"{where} 'replication'", _ENTRY_REPLICATION_KEYS
+                )
+            report.entries[name] = dict(entry)
         return report
 
     # -- rendering -----------------------------------------------------

@@ -68,9 +68,7 @@ plans aimed at the serving layer should use ``exception`` or
 
 from __future__ import annotations
 
-import hashlib
 import heapq
-import json
 import math
 from collections import deque
 from dataclasses import dataclass, field, fields
@@ -94,6 +92,7 @@ from repro.serving.health import (
 )
 from repro.serving.replication import plan_replicas
 from repro.serving.workload import KIND_KHOP, KIND_WALK, QueryTrace
+from repro.utils import canon
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_nonnegative, check_positive
 
@@ -122,11 +121,6 @@ _REPLICATION_KNOBS = (
     "replica_vertex_bytes",
     "replica_edge_bytes",
 )
-
-
-def _null_if_nan(value: float) -> float | None:
-    """NaN → ``None`` so canonical JSON serialises a real ``null``."""
-    return None if math.isnan(value) else float(value)
 
 
 def _nearest_rank(lat: np.ndarray, q: float) -> float:
@@ -261,27 +255,21 @@ class ServingConfig:
         replication knob outside the ``replication`` block all raise
         :class:`~repro.errors.ConfigurationError` naming the key.
         """
-        doc = dict(doc)
-        schema = doc.pop("schema", None)
-        if schema != SERVING_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported serving config schema {schema!r}; "
-                f"expected {SERVING_SCHEMA!r}"
-            )
+        canon.check_tag(doc, "schema", SERVING_SCHEMA, "serving config")
+        canon.check_keys(doc, "serving config", ("schema", *_TOP_LEVEL_KEYS), ("replication",))
+        doc = {k: v for k, v in doc.items() if k != "schema"}
         replication = doc.pop("replication", _REPLICATION_DEFAULTS)
-        _check_keys(doc, _TOP_LEVEL_KEYS, "serving config")
-        _check_keys(replication, _REPLICATION_DEFAULTS, "serving config 'replication'")
+        canon.check_keys(replication, "serving config 'replication'", _REPLICATION_DEFAULTS)
         for block, model in (("cost", CostModel), ("network", NetworkModel)):
-            _check_keys(
-                doc[block], [f.name for f in fields(model)], f"serving config {block!r}"
+            canon.check_keys(
+                doc[block], f"serving config {block!r}", [f.name for f in fields(model)]
             )
             doc[block] = model(**doc[block])  # CostModel turns a cores list into a tuple
         return cls(**doc, **replication)
 
     def digest(self) -> str:
         """SHA-256 of the canonical ``serving/v1`` JSON."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return canon.digest(self.to_dict())
 
 
 #: replication knobs at their defaults serialise to nothing at all, so
@@ -293,13 +281,6 @@ _REPLICATION_DEFAULTS = {
 _TOP_LEVEL_KEYS = tuple(
     f.name for f in fields(ServingConfig) if f.name not in _REPLICATION_KNOBS
 )
-
-
-def _check_keys(doc: dict, expected, where: str) -> None:
-    """``doc`` must carry exactly the keys :meth:`ServingConfig.to_dict` writes."""
-    odd = set(doc).symmetric_difference(expected)
-    if odd:
-        raise ConfigurationError(f"unexpected or missing key {min(odd)!r} in {where}")
 
 
 @dataclass
@@ -416,10 +397,10 @@ class ServingResult:
             "completed": self.completed,
             "shed": int(self.shed.sum()),
             "shed_rate": self.shed_rate,
-            "throughput": _null_if_nan(self.throughput),
-            "latency_p50": _null_if_nan(_nearest_rank(lat, 0.50)),
-            "latency_p90": _null_if_nan(_nearest_rank(lat, 0.90)),
-            "latency_p99": _null_if_nan(_nearest_rank(lat, 0.99)),
+            "throughput": canon.null_if_nan(self.throughput),
+            "latency_p50": canon.null_if_nan(_nearest_rank(lat, 0.50)),
+            "latency_p90": canon.null_if_nan(_nearest_rank(lat, 0.90)),
+            "latency_p99": canon.null_if_nan(_nearest_rank(lat, 0.99)),
             "latency_mean": float(lat.mean()) if lat.size else None,
             "latency_max": float(lat[-1]) if lat.size else None,
             "makespan": self.makespan,

@@ -27,13 +27,13 @@ byte-identical trace arrays.
 from __future__ import annotations
 
 import hashlib
-import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
+from repro.utils import canon
 from repro.utils.rng import derive_rng
 from repro.utils.validation import check_positive
 
@@ -123,31 +123,23 @@ class WorkloadSpec:
 
     def to_json(self) -> str:
         """Canonical JSON (sorted keys, compact separators)."""
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        return canon.dumps(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON — the workload's identity."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return canon.digest(self.to_dict())
+
+    @classmethod
+    def from_dict(cls, doc: dict) -> "WorkloadSpec":
+        """Rebuild a spec from :meth:`to_dict` output — and only that."""
+        canon.check_tag(doc, "schema", WORKLOAD_SCHEMA, "workload")
+        canon.check_keys(doc, "workload", ["schema", *(f.name for f in fields(cls))])
+        return cls(**{k: v for k, v in doc.items() if k != "schema"})
 
     @classmethod
     def from_json(cls, text: str) -> "WorkloadSpec":
         """Parse a ``workload/v1`` document (schema tag required)."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid workload JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigurationError("workload document must be a JSON object")
-        schema = doc.pop("schema", None)
-        if schema != WORKLOAD_SCHEMA:
-            raise ConfigurationError(
-                f"unsupported workload schema {schema!r}; expected {WORKLOAD_SCHEMA!r}"
-            )
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigurationError(f"unknown workload fields: {sorted(unknown)}")
-        return cls(**doc)
+        return cls.from_dict(canon.loads(text, "workload"))
 
     # -- generation ----------------------------------------------------
     def generate(self, graph: CSRGraph) -> "QueryTrace":

@@ -18,10 +18,10 @@ Three consumers, three renderings of one :class:`MetricsRegistry`:
 
 from __future__ import annotations
 
-import json
 import re
 
 from repro.telemetry.registry import MetricsRegistry
+from repro.utils import canon
 
 __all__ = [
     "to_json",
@@ -36,11 +36,7 @@ _LABEL_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 def to_json(registry: MetricsRegistry, *, include_nondeterministic: bool = False) -> str:
     """Canonical JSON form (sorted keys, no whitespace)."""
-    return json.dumps(
-        registry.snapshot(include_nondeterministic=include_nondeterministic),
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return canon.dumps(registry.snapshot(include_nondeterministic=include_nondeterministic))
 
 
 def _prom_name(name: str) -> str:

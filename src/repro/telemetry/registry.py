@@ -1,13 +1,13 @@
 """Process-wide metrics registry: counters, gauges, histograms, timers.
 
-One accounting system for the whole pipeline. Before this module the
-repository kept three disjoint ledgers — :class:`~repro.utils.timing.WallClock`
-segments inside partitioners, :class:`~repro.bench.artifacts.CacheStats`
-counters inside the artifact store, and the BSP
-:class:`~repro.cluster.ledger.TimingLedger` — none of which could be
-read in one place. Every layer now *emits into* this registry (guarded
-by the module flag in :mod:`repro.telemetry`, so the default is a
-strict no-op) and the registry exports everything at once.
+One accounting system for the whole pipeline: partitioners (the
+``partition`` span and its ``partition.phase``/``partition.combine.*``
+children), the artifact store's :class:`~repro.bench.artifacts.CacheStats`
+counters and the BSP :class:`~repro.cluster.ledger.TimingLedger` all
+*emit into* this registry (guarded by the module flag in
+:mod:`repro.telemetry`, so the default is a strict no-op) and the
+registry exports everything at once. There is no second timer: a
+wall-clock breakdown is a span here or it does not exist.
 
 Metric taxonomy and the determinism contract:
 

@@ -1,7 +1,6 @@
-"""Shared utilities: RNG handling, timing, and validation helpers."""
+"""Shared utilities: RNG handling, canonical JSON, and validation helpers."""
 
 from repro.utils.rng import as_rng, derive_rng, spawn_rngs, splitmix64
-from repro.utils.timing import Timer, WallClock
 from repro.utils.validation import (
     check_fraction,
     check_nonnegative,
@@ -14,8 +13,6 @@ __all__ = [
     "derive_rng",
     "spawn_rngs",
     "splitmix64",
-    "Timer",
-    "WallClock",
     "check_fraction",
     "check_nonnegative",
     "check_positive",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-import json
+import dataclasses
 
 import numpy as np
 import pytest
@@ -17,11 +17,22 @@ from repro.bench.artifacts import (
 )
 from repro.bench.harness import ExperimentConfig, run_experiment
 from repro.bench.runner import ExperimentOutcome, run_suite
-from repro.bench.workloads import PAPER_PARTITIONERS, run_app, run_walk_job
+from repro.bench.workloads import (
+    PAPER_PARTITIONERS,
+    run_app,
+    run_fault_walk_job,
+    run_serving_job,
+    run_walk_job,
+)
+from repro.cluster.faults import CheckpointPolicy, Crash, FaultPlan
+from repro.cluster.ledger import TimingLedger
 from repro.graph import chung_lu
 from repro.graph.datasets import clear_dataset_cache, load_dataset
 from repro.partition import get_partitioner
-from repro.partition.vertexcut import DBHPartitioner
+from repro.partition.base import PartitionResult
+from repro.partition.vertexcut import DBHPartitioner, EdgePartition
+from repro.serving import ServingConfig, WorkloadSpec
+from repro.utils import canon
 
 TINY = ExperimentConfig(scale=0.05, seed=3)
 K = 4
@@ -199,14 +210,157 @@ class TestSimulationArtifacts:
 
 
 # ----------------------------------------------------------------------
+# memo: the one round trip, and every site that rides it
+# ----------------------------------------------------------------------
+def _same(a, b) -> bool:
+    """Value equality across a cache round trip (tuples may come back as lists)."""
+    if isinstance(a, tuple):
+        return all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    if isinstance(a, TimingLedger):
+        return a.to_json() == b.to_json()
+    if isinstance(a, PartitionResult):
+        return _same(a.assignment.parts, b.assignment.parts)  # elapsed: TestCachedPartition
+    if isinstance(a, EdgePartition):
+        return _same(a.edge_parts, b.edge_parts) and a.num_parts == b.num_parts
+    if dataclasses.is_dataclass(a):
+        return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    return canon.dumps(a) == canon.dumps(b)
+
+
+def _churn_ledger():
+    from repro.bench.experiments.churn import run_daemon_ledger
+    from repro.partition.repartition import ChurnScenario
+
+    scenario = ChurnScenario(num_vertices=200, num_groups=4, churn_events=60, seed=3)
+    return run_daemon_ledger(scenario, num_parts=4).to_json()
+
+
+def _serve(graph, assignment):
+    spec = WorkloadSpec(users=40, duration=0.05, rate=2000.0, seed=2)
+    return run_serving_job(graph, assignment, spec=spec, config=ServingConfig(), seed=2)
+
+
+def _serve_replicated(graph, assignment):
+    spec = WorkloadSpec(users=40, duration=0.05, rate=2000.0, seed=2)
+    config = ServingConfig(replication_factor=2, hedge_after=0.001)
+    return run_serving_job(graph, assignment, spec=spec, config=config, seed=2)
+
+
+_FAULTS = FaultPlan(crashes=(Crash(machine=1, superstep=1),), checkpoint=CheckpointPolicy(1))
+
+#: artifact kind → the public call that goes through ``memo`` for it.
+SITES = {
+    "partition": lambda g, a: cached_partition("fennel", g, K, seed=1),
+    "vertexcut": lambda g, a: cached_edge_partition(DBHPartitioner(), g, K),
+    "churnledger": lambda g, a: _churn_ledger(),
+    "walk": lambda g, a: run_walk_job(g, a, app_name="ppr", walkers_per_vertex=1, seed=1),
+    "faultwalk": lambda g, a: run_fault_walk_job(g, a, _FAULTS, walkers_per_vertex=1, seed=1),
+    "apprun": lambda g, a: run_app("cc", g, a, seed=1),
+    "servetrace": _serve,
+    "servetrace-k2": _serve_replicated,
+}
+
+
+class TestEveryMemoSite:
+    @pytest.fixture(params=sorted(SITES))
+    def site(self, request, graph):
+        assignment = get_partitioner("hash").partition(graph, K).assignment
+        kind = request.param.split("-")[0]
+        return kind, lambda: SITES[request.param](graph, assignment)
+
+    @staticmethod
+    def _counts(kind):
+        return artifacts.stats_snapshot()["by_kind"].get(kind, {})
+
+    def test_miss_then_disk_hit_then_truncated_file(self, site):
+        kind, call = site
+        cold = call()
+        assert self._counts(kind) == {"hits": 0, "misses": 1, "stores": 1, "errors": 0}
+        assert call() is not None and self._counts(kind)["hits"] == 1  # in-process
+
+        artifacts.reset_store()  # forget the memory layer: the next hit is the disk's
+        warm = call()
+        assert self._counts(kind) == {"hits": 1, "misses": 0, "stores": 0, "errors": 0}
+        assert _same(cold, warm)
+
+        (path,) = (artifacts.get_store().root / kind).glob("*.npz")
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+        artifacts.reset_store()
+        again = call()
+        assert self._counts(kind) == {"hits": 0, "misses": 1, "stores": 1, "errors": 1}
+        assert _same(cold, again)
+
+    def test_no_cache_env_computes_every_time(self, site, monkeypatch):
+        kind, call = site
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        first, second = call(), call()
+        assert _same(first, second) and first is not second
+        assert self._counts(kind) == {}
+        assert not list(artifacts.get_store().root.rglob("*.npz"))
+
+
+class TestMemo:
+    """The protocol itself, with a counting ``compute``."""
+
+    @staticmethod
+    def _memo(calls, **kwargs):
+        def compute():
+            calls.append(len(calls))
+            return {"n": calls[-1]}
+
+        return artifacts.memo(
+            "unit", "fp", "key", compute,
+            lambda v: {"n": np.int64(v["n"])}, lambda p: {"n": int(p["n"])}, **kwargs,
+        )
+
+    def test_computes_once_decodes_once_per_process(self):
+        calls = []
+        first = self._memo(calls)
+        assert self._memo(calls) is first and calls == [0]
+        artifacts.reset_store()
+        decoded = self._memo(calls)
+        assert decoded == first and decoded is not first and calls == [0]
+        assert self._memo(calls) is decoded
+
+    def test_no_cache_env(self, monkeypatch):
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        calls = []
+        assert [self._memo(calls)["n"], self._memo(calls)["n"]] == [0, 1]
+
+    def test_bypass_never_reads_and_never_overwrites(self):
+        calls = []
+        assert self._memo(calls, bypass=True) == {"n": 0}  # warms the cold cell
+        assert artifacts.stats_snapshot()["stores"] == 1
+        assert self._memo(calls, bypass=True) == {"n": 1}  # computed, not read...
+        assert artifacts.stats_snapshot()["hits"] == 0
+        assert self._memo(calls) == {"n": 0}  # ...and the stored value stands
+        artifacts.reset_store()
+        assert self._memo(calls) == {"n": 0} and calls == [0, 1]
+
+    def test_churn_site_passes_bypass_through(self):
+        from repro.bench.experiments.churn import run_daemon_ledger
+        from repro.partition.repartition import ChurnScenario
+
+        scenario = ChurnScenario(num_vertices=200, num_groups=4, churn_events=60, seed=3)
+        run_daemon_ledger(scenario, num_parts=4)
+        for payload in artifacts.get_store()._memory.values():
+            payload["__value__"] = "poisoned"
+        assert run_daemon_ledger(scenario, num_parts=4, bypass_cache=True).epochs
+        assert artifacts.stats_snapshot()["stores"] == 1
+
+
+# ----------------------------------------------------------------------
 # Bypass: timing experiments never read the cache
 # ----------------------------------------------------------------------
 def _poison_partition_clocks(sentinel: float) -> None:
-    """Overwrite every stored partition clock with a sentinel value."""
+    """Overwrite every stored partition's ``elapsed`` with a sentinel value."""
     store = artifacts.get_store()
     for (kind, _fp, _key), payload in store._memory.items():
         if kind == "partition":
-            payload["segments"] = np.array(json.dumps({"total": sentinel}))
+            payload["elapsed"] = np.float64(sentinel)
+            payload.pop("__value__", None)  # in-process hits decode the poison
 
 
 class TestBypass:

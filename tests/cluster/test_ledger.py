@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import TimingLedger
-from repro.errors import SimulationError
+from repro.errors import ConfigurationError, SimulationError
 
 
 class TestIterationTiming:
@@ -163,5 +163,5 @@ class TestEventsAndJson:
         assert again.to_json() == ledger.to_json()
 
     def test_from_json_rejects_other_payloads(self):
-        with pytest.raises(SimulationError):
+        with pytest.raises(ConfigurationError, match="format"):
             TimingLedger.from_json('{"format": "not-a-ledger"}')

@@ -16,6 +16,7 @@ from repro.partition import (
     edge_cut_ratio,
     jains_fairness,
 )
+from repro.partition.base import available_partitioners, get_partitioner
 from repro.partition.bpart import bpart_vertex_weights, weighted_stream_partition
 
 
@@ -105,10 +106,13 @@ class TestBPartFull:
         assert layers[0]["pieces"] >= 8
 
     def test_clock_breakdown(self, g):
+        """``elapsed`` is the whole run; the breakdown lives in spans."""
+        telemetry.set_enabled(True)
         res = BPartPartitioner(seed=1).partition(g, 8)
-        segs = res.clock.segments
-        assert "stream" in segs and "combine" in segs and "total" in segs
-        assert res.elapsed == pytest.approx(segs["total"])
+        spans = {s["name"]: s["dur"] for s in telemetry.registry().spans}
+        assert {"partition", "partition.combine.extract", "partition.combine.stream"} <= set(spans)
+        assert "partition.phase" not in spans  # BPart's phases are the combine spans
+        assert 0.0 < spans["partition.combine.stream"] <= spans["partition"] <= res.elapsed
 
     def test_invalid_parameters(self):
         with pytest.raises(ConfigurationError):
@@ -186,3 +190,35 @@ class TestLayerThatFinalisesNothing:
             ("partition.combine.stream", 2),
             ("partition.combine.stream", 3),
         ]
+
+
+#: every registered partitioner → the ``partition.phase`` spans one run records.
+PHASES = {
+    "bpart": [],
+    "chunk-e": [],
+    "chunk-v": [],
+    "fennel": ["stream"],
+    "gd": ["bisect"],
+    "hash": [],
+    "ldg": ["stream"],
+    "multilevel": ["coarsen", "initial", "refine"],
+    "spinner": ["propagate"],
+}
+
+
+class TestPhaseSpans:
+    def test_every_partitioner_is_listed(self):
+        assert sorted(PHASES) == available_partitioners()
+
+    @pytest.mark.parametrize("name", sorted(PHASES))
+    def test_phase_span_list_pinned(self, g, name):
+        telemetry.set_enabled(True)
+        get_partitioner(name).partition(g, 4)
+        spans = telemetry.registry().spans
+        phases = [s["args"] for s in spans if s["name"] == "partition.phase"]
+        assert phases == [{"algo": name, "phase": p} for p in PHASES[name]]
+        assert [s["args"] for s in spans if s["name"] == "partition"] == [{"algo": name, "k": 4}]
+
+    def test_free_when_telemetry_is_off(self, g):
+        result = get_partitioner("multilevel").partition(g, 4)
+        assert telemetry.registry().spans == [] and result.elapsed > 0.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.graph import grid_graph, ring_graph, social_graph
 from repro.partition import (
@@ -50,8 +51,12 @@ class TestMultilevel:
         assert a.vertex_counts.sum() == 30
 
     def test_clock_phases(self, g):
-        res = MultilevelPartitioner().partition(g, 4)
-        assert {"coarsen", "initial", "refine"} <= set(res.clock.segments)
+        telemetry.set_enabled(True)
+        MultilevelPartitioner().partition(g, 4)
+        phases = [
+            s["args"]["phase"] for s in telemetry.registry().spans if s["name"] == "partition.phase"
+        ]
+        assert phases == ["coarsen", "initial", "refine"]
 
 
 class TestGD:

@@ -156,3 +156,44 @@ class TestPartitionCommand:
     def test_requires_source(self, capsys):
         with pytest.raises(SystemExit):
             main(["partition", "--algo", "bpart"])
+
+
+class TestConfigurationErrorsExitTwo:
+    """A bad ``--plan``/``--chaos`` is one ``error:`` line and exit 2, not a
+    traceback — and never a silently empty plan (each typo exited 0 before)."""
+
+    TRACE = ["trace", "--dataset", "twitter", "--algo", "hash", "--parts", "4", "--scale", "0.05"]
+    SERVE = ["serve", "--dataset", "livejournal", "--scale", "0.05", "--duration", "0.05",
+             "--algos", "hash"]
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (TRACE + ["--plan", '{"crashs":[{"machine":1,"superstep":1}]}'], "'crashs' in fault plan"),
+            (TRACE + ["--plan", '{"crashes":[{"machine":1,"superstep":1,"sperstep":9}]}'], "'sperstep'"),
+            (TRACE + ["--plan", '{"format":"fault-plan/v9"}'], "format 'fault-plan/v9'"),
+            (TRACE + ["--plan", '{"crashes":'], "invalid fault plan JSON"),
+            (TRACE + ["--plan", "[1,2]"], "neither an existing file nor a JSON object"),
+            (TRACE + ["--plan", "no/such/plan.json"], "'no/such/plan.json' is neither"),
+            (SERVE + ["--chaos", '{"rules":[{"site":"serving.machine","kind":"exception","rte":0.5}]}'],
+             "'rte' in chaos plan rule"),
+            (["bench", "fig08", "--scale", "0.05", "--chaos", '{"rulez":[]}'], "'rulez' in chaos plan"),
+        ],
+    )
+    def test_one_error_line_and_exit_two(self, capsys, tmp_path, argv, named):
+        out = tmp_path / "out.json"
+        assert main(argv + (["--out", str(out)] if argv[0] != "bench" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    def test_plan_file_is_checked_like_inline_json(self, capsys, tmp_path):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"recovry": "restart"}', encoding="utf-8")
+        assert main(self.TRACE + ["--plan", str(plan), "--out", str(tmp_path / "t.json")]) == 2
+        assert "unknown key 'recovry' in fault plan" in capsys.readouterr().err
+
+    def test_partial_plan_still_runs(self, capsys, tmp_path):
+        argv = self.TRACE + ["--plan", '{"crashes":[{"machine":1,"superstep":1}]}']
+        assert main(argv + ["--out", str(tmp_path / "t.json")]) == 0
+        assert "faults: 1 crash(es)" in capsys.readouterr().out

@@ -2,15 +2,11 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.utils import (
-    Timer,
-    WallClock,
     as_rng,
     check_fraction,
     check_nonnegative,
@@ -79,24 +75,6 @@ class TestRng:
         parts = hash_u64(v, 3) % np.uint64(8)
         counts = np.bincount(parts.astype(int), minlength=8)
         assert counts.min() > 0.9 * counts.max()
-
-
-class TestTiming:
-    def test_timer_measures(self):
-        with Timer() as t:
-            time.sleep(0.01)
-        assert t.elapsed >= 0.009
-
-    def test_wallclock_accumulates(self):
-        clock = WallClock()
-        with clock.measure("a"):
-            pass
-        with clock.measure("a"):
-            pass
-        clock.add("b", 1.5)
-        assert clock.segments["b"] == 1.5
-        assert clock.segments["a"] >= 0
-        assert clock.total == pytest.approx(clock.segments["a"] + 1.5)
 
 
 class TestValidation:

@@ -96,7 +96,7 @@ def main() -> int:
     kernels = available_kernels()
     timings: dict[str, float] = {}
     for kernel in kernels:
-        # Warm-up outside the timed region (first numba call compiles).
+        # Warm-up outside the timed region.
         time_kernel(g, kernel, 1)
         timings[kernel] = time_kernel(g, kernel, args.repeats)
         print(f"{kernel:12s} {timings[kernel] * 1e3:8.2f} ms")

@@ -39,7 +39,7 @@ from repro.bench.harness import (
     available_experiments,
     experiment_description,
 )
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 
 __all__ = ["main"]
 
@@ -65,6 +65,18 @@ def _path_or_inline(arg: str) -> str:
     if not arg.lstrip().startswith("{"):
         raise ConfigurationError(f"{arg!r} is neither an existing file nor a JSON object")
     return arg
+
+
+def _load_graph(args: argparse.Namespace):
+    """The ``--dataset`` stand-in or the ``--graph`` edge list of one command."""
+    from repro.graph import load_dataset, read_edge_list
+
+    if args.dataset:
+        return load_dataset(args.dataset, scale=args.scale, seed=args.seed)
+    try:
+        return read_edge_list(args.graph)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read --graph: {exc}") from exc
 
 
 def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
@@ -531,15 +543,12 @@ def _run_bench(argv: list[str]) -> int:
 
 
 def _run_partition(argv: list[str]) -> int:
-    from repro.graph import load_dataset, read_edge_list, summarize
+    from repro.graph import summarize
     from repro.partition import balance_report, get_partitioner
 
     args = _partition_parser().parse_args(argv)
     _telemetry_begin(args)
-    if args.dataset:
-        g = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    else:
-        g = read_edge_list(args.graph)
+    g = _load_graph(args)
     print(f"graph: {summarize(g)}")
     # Partitioners accept different knob subsets (hash/chunk take no
     # kernel or jobs, some take no seed); try the richest signature first.
@@ -644,7 +653,7 @@ def _run_trace(argv: list[str]) -> int:
         run_walk_job,
     )
     from repro.cluster.trace import write_chrome_trace
-    from repro.graph import load_dataset, read_edge_list, summarize
+    from repro.graph import summarize
 
     args = _trace_parser().parse_args(argv)
     telemetry_on = _telemetry_begin(args)
@@ -654,12 +663,8 @@ def _run_trace(argv: list[str]) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.dataset:
-        g = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-        job = f"{args.dataset}-{args.algo}-{args.app}"
-    else:
-        g = read_edge_list(args.graph)
-        job = f"graph-{args.algo}-{args.app}"
+    g = _load_graph(args)
+    job = f"{args.dataset or 'graph'}-{args.algo}-{args.app}"
     print(f"graph: {summarize(g)}")
     plan = None
     if args.plan:
@@ -763,16 +768,13 @@ def _metrics_parser() -> argparse.ArgumentParser:
 
 def _run_metrics(argv: list[str]) -> int:
     from repro import telemetry
-    from repro.graph import load_dataset, read_edge_list, summarize
+    from repro.graph import summarize
     from repro.partition import get_partitioner
 
     args = _metrics_parser().parse_args(argv)
     telemetry.set_enabled(True)
     telemetry.reset()
-    if args.dataset:
-        g = load_dataset(args.dataset, scale=args.scale, seed=args.seed)
-    else:
-        g = read_edge_list(args.graph)
+    g = _load_graph(args)
     print(f"graph: {summarize(g)}", file=sys.stderr)
 
     for kwargs in ({"seed": args.seed}, {}):
@@ -838,7 +840,7 @@ def _run_metrics(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """CLI entry; returns a process exit code (2 for a configuration error)."""
+    """CLI entry; returns a process exit code (2 for an error the library raised)."""
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in _SUBCOMMANDS:
         cmd, rest = argv[0], argv[1:]
@@ -846,7 +848,7 @@ def main(argv: list[str] | None = None) -> int:
         cmd, rest = "bench", argv
     try:
         return _dispatch(cmd, rest)
-    except ConfigurationError as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

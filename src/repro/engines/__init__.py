@@ -3,7 +3,7 @@
 Two engines mirror the systems the paper integrates BPart into:
 
 - :mod:`repro.engines.gemini` — iteration-based vertex-centric BSP
-  (PageRank, Connected Components, BFS, SSSP, …), modelled on Gemini
+  (PageRank, Connected Components, BFS), modelled on Gemini
   (Zhu et al., OSDI 2016).
 - :mod:`repro.engines.knightking` — walker-centric BSP random walk
   engine (PPR, RWJ, RWD, DeepWalk, node2vec), modelled on KnightKing

@@ -1,16 +1,6 @@
 """Gemini-like iteration-based vertex-centric BSP engine."""
 
-from repro.engines.gemini.apps import (
-    BFS,
-    SSSP,
-    ConnectedComponents,
-    DegreeCentrality,
-    HITS,
-    KCore,
-    LabelPropagation,
-    PageRank,
-    TriangleCount,
-)
+from repro.engines.gemini.apps import BFS, ConnectedComponents, PageRank
 from repro.engines.gemini.engine import GeminiEngine, GeminiResult
 from repro.engines.gemini.vertex_program import VertexProgram, neighbor_min, neighbor_sum
 
@@ -23,10 +13,4 @@ __all__ = [
     "PageRank",
     "ConnectedComponents",
     "BFS",
-    "SSSP",
-    "DegreeCentrality",
-    "HITS",
-    "LabelPropagation",
-    "KCore",
-    "TriangleCount",
 ]

@@ -2,22 +2,6 @@
 
 from repro.engines.gemini.apps.bfs import BFS
 from repro.engines.gemini.apps.cc import ConnectedComponents
-from repro.engines.gemini.apps.degree import DegreeCentrality
-from repro.engines.gemini.apps.hits import HITS
-from repro.engines.gemini.apps.kcore import KCore
-from repro.engines.gemini.apps.lpa import LabelPropagation
 from repro.engines.gemini.apps.pagerank import PageRank
-from repro.engines.gemini.apps.sssp import SSSP
-from repro.engines.gemini.apps.triangles import TriangleCount
 
-__all__ = [
-    "PageRank",
-    "ConnectedComponents",
-    "BFS",
-    "SSSP",
-    "DegreeCentrality",
-    "HITS",
-    "LabelPropagation",
-    "KCore",
-    "TriangleCount",
-]
+__all__ = ["PageRank", "ConnectedComponents", "BFS"]

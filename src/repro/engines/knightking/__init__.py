@@ -1,8 +1,6 @@
 """KnightKing-like walker-centric BSP random walk engine."""
 
-from repro.engines.knightking.alias import AliasTable, VertexAliasIndex
-from repro.engines.knightking.apps import PPR, RWD, RWJ, DeepWalk, Node2Vec, WalkApp, WeightedWalk
-from repro.engines.knightking.corpus import read_walk_corpus, write_walk_corpus
+from repro.engines.knightking.apps import PPR, RWD, RWJ, DeepWalk, Node2Vec, WalkApp
 from repro.engines.knightking.engine import WalkEngine, WalkResult
 from repro.engines.knightking.transition import arcs_exist, uniform_neighbor
 from repro.engines.knightking.walker import WalkerBatch
@@ -17,11 +15,6 @@ __all__ = [
     "RWD",
     "DeepWalk",
     "Node2Vec",
-    "AliasTable",
-    "VertexAliasIndex",
-    "WeightedWalk",
     "uniform_neighbor",
     "arcs_exist",
-    "read_walk_corpus",
-    "write_walk_corpus",
 ]

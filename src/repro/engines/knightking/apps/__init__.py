@@ -6,6 +6,5 @@ from repro.engines.knightking.apps.node2vec import Node2Vec
 from repro.engines.knightking.apps.ppr import PPR
 from repro.engines.knightking.apps.rwd import RWD
 from repro.engines.knightking.apps.rwj import RWJ
-from repro.engines.knightking.apps.weighted import WeightedWalk
 
-__all__ = ["WalkApp", "PPR", "RWJ", "RWD", "DeepWalk", "Node2Vec", "WeightedWalk"]
+__all__ = ["WalkApp", "PPR", "RWJ", "RWD", "DeepWalk", "Node2Vec"]

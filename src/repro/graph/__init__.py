@@ -48,19 +48,9 @@ from repro.graph.sharded import (
     open_sharded,
     spill_csr,
 )
-from repro.graph.stats import GraphSummary, degree_histogram, powerlaw_exponent, summarize
+from repro.graph.stats import GraphSummary, powerlaw_exponent, summarize
 from repro.graph.stream import vertex_stream
 from repro.graph.subgraph import extract_subgraph, partition_subgraphs
-from repro.graph.transform import (
-    TransformedGraph,
-    connected_components_sizes,
-    filter_min_degree,
-    kcore_subgraph,
-    largest_connected_component,
-    locality_reorder,
-    relabel,
-)
-from repro.graph.weights import EdgeWeights
 
 __all__ = [
     "CSRGraph",
@@ -99,18 +89,9 @@ __all__ = [
     "open_sharded",
     "spill_csr",
     "GraphSummary",
-    "degree_histogram",
     "powerlaw_exponent",
     "summarize",
     "vertex_stream",
     "extract_subgraph",
     "partition_subgraphs",
-    "EdgeWeights",
-    "TransformedGraph",
-    "connected_components_sizes",
-    "filter_min_degree",
-    "kcore_subgraph",
-    "largest_connected_component",
-    "locality_reorder",
-    "relabel",
 ]

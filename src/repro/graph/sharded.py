@@ -292,7 +292,7 @@ class ShardedCSRGraph:
         """Global CSR offsets, lazily assembled (8 bytes/vertex).
 
         Kept for consumers that address arcs by flat slot (walker
-        engines, alias tables); per-vertex adjacency itself stays in the
+        engines); per-vertex adjacency itself stays in the
         shards — pair this with :meth:`take_arcs`.
         """
         if self._indptr is None:

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.graph.csr import CSRGraph
 
-__all__ = ["GraphSummary", "summarize", "degree_histogram", "powerlaw_exponent", "gini"]
+__all__ = ["GraphSummary", "summarize", "powerlaw_exponent", "gini"]
 
 
 @dataclass(frozen=True)
@@ -46,13 +46,6 @@ def summarize(graph: CSRGraph) -> GraphSummary:
         degree_gini=gini(deg),
         powerlaw_exponent=powerlaw_exponent(deg),
     )
-
-
-def degree_histogram(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Return ``(degree_values, counts)`` for nonzero-count degrees."""
-    counts = np.bincount(graph.degrees)
-    values = np.nonzero(counts)[0]
-    return values, counts[values]
 
 
 def powerlaw_exponent(degrees: np.ndarray, *, dmin: int = 2) -> float:

@@ -60,7 +60,6 @@ from repro.partition.metrics import (
 )
 from repro.partition.multilevel import MultilevelPartitioner
 from repro.partition.refine import refine_assignment
-from repro.partition.spinner import SpinnerPartitioner
 from repro.partition import vertexcut
 
 __all__ = [
@@ -81,7 +80,6 @@ __all__ = [
     "available_kernels",
     "get_kernel",
     "MultilevelPartitioner",
-    "SpinnerPartitioner",
     "vertexcut",
     "PartitionBundle",
     "export_partition_bundles",

@@ -14,9 +14,9 @@ capacity bound ``ν·n/k`` applies uniformly.
 
 The inner loop itself lives in :mod:`repro.partition.kernels`: the
 ``kernel=`` knob selects between the reference per-vertex NumPy loop
-(``scalar``), the delta-maintained ``incremental`` loop, the chunked
-``buffered`` gather (the default), and the optional ``numba`` JIT — all
-bit-exact with each other, so the knob trades throughput only.
+(``scalar``), the delta-maintained ``incremental`` loop and the chunked
+``buffered`` gather (the default) — all bit-exact with each other, so
+the knob trades throughput only.
 """
 
 from __future__ import annotations

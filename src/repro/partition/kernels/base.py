@@ -6,8 +6,7 @@ the next vertex off the stream, measure its overlap with each part,
 apply a balance term, assign, update the loads. The loop is inherently
 sequential — each assignment feeds the next score — but *how* the body
 is computed is an implementation detail, and the fastest implementation
-depends on what is installed and on the workload shape. This module
-owns the dispatch.
+depends on the workload shape. This module owns the dispatch.
 
 A backend bundles three entry points:
 
@@ -23,8 +22,7 @@ A backend bundles three entry points:
 
 Backends register themselves at import time (see
 :mod:`repro.partition.kernels`); :func:`get_kernel` resolves a name —
-including ``"auto"`` and graceful fallbacks for optional backends — to
-a :class:`KernelBackend`.
+including ``"auto"`` — to a :class:`KernelBackend`.
 """
 
 from __future__ import annotations
@@ -45,13 +43,11 @@ __all__ = [
     "pow_like_numpy",
 ]
 
-#: Names accepted by ``kernel=`` knobs. ``auto`` resolves to the fastest
-#: available bit-exact backend (``numba`` when importable, else
-#: ``buffered``); ``numba`` falls back to that same default (with a
-#: one-time warning) when the JIT is not installed; ``parallel`` fans
-#: chunk scoring over worker processes and itself degrades to
-#: ``buffered`` at ``jobs=1``.
-KERNEL_CHOICES = ("auto", "scalar", "incremental", "buffered", "numba", "parallel")
+#: Names accepted by ``kernel=`` knobs. ``auto`` resolves to
+#: ``buffered``, the fastest bit-exact backend; ``parallel`` fans chunk
+#: scoring over worker processes and itself degrades to ``buffered`` at
+#: ``jobs=1``.
+KERNEL_CHOICES = ("auto", "scalar", "incremental", "buffered", "parallel")
 
 
 @dataclass(frozen=True)
@@ -89,19 +85,12 @@ def available_kernels() -> list[str]:
 def get_kernel(name: str | None = "auto") -> KernelBackend:
     """Resolve a kernel name to a registered backend.
 
-    ``"auto"`` (or ``None``) prefers the JIT backend when numba is
-    installed and otherwise uses ``buffered`` — both are bit-exact
-    with ``scalar``, so the default never changes results. Requesting
-    ``"numba"`` without numba installed falls back to what ``"auto"``
-    resolves to rather than erroring, so asking for the JIT never lands
-    on a backend slower than the default.
+    ``"auto"`` (or ``None``) is ``buffered`` — bit-exact with
+    ``scalar``, so the default never changes results.
     """
     key = (name or "auto").lower()
-    if key == "numba" and "numba" not in _REGISTRY:
-        _note_numba_fallback()
-        key = "auto"
     if key == "auto":
-        key = "numba" if "numba" in _REGISTRY else "buffered"
+        key = "buffered"
     if key not in _REGISTRY:
         raise ConfigurationError(
             f"unknown streaming kernel {name!r}; choose from {KERNEL_CHOICES}"
@@ -127,14 +116,6 @@ def resolve_kernel_name(name: str | None, jobs: int | None = None) -> str:
         if resolve_jobs(jobs) > 1:
             return "parallel"
     return get_kernel(key).name
-
-
-def _note_numba_fallback() -> None:
-    # Lazy import: numba_backend imports this module at registration
-    # time, so the hook resolves at call time instead.
-    from repro.partition.kernels.numba_backend import note_missing_numba
-
-    note_missing_numba()
 
 
 def pow_like_numpy(base: float, exp: float) -> float:

@@ -18,9 +18,7 @@ from repro.cluster import BSPCluster, TrafficMatrix
 from repro.cluster.faults import FaultAwareCluster
 from repro.engines.gemini import (
     BFS,
-    SSSP,
     ConnectedComponents,
-    DegreeCentrality,
     GeminiEngine,
     PageRank,
     neighbor_min,
@@ -28,7 +26,7 @@ from repro.engines.gemini import (
 )
 from repro.engines.gemini.vertex_program import VertexProgram
 from repro.errors import SimulationError
-from repro.graph import chung_lu, from_edges, path_graph, ring_graph, spill_csr, twitter_like
+from repro.graph import chung_lu, from_edges, ring_graph, spill_csr, twitter_like
 from repro.graph.convert import to_networkx
 from repro.partition import HashPartitioner, PartitionAssignment, get_partitioner
 
@@ -116,7 +114,7 @@ class TestConnectedComponents:
         assert res.iterations <= 11
 
 
-class TestBFSAndSSSP:
+class TestBFS:
     def test_bfs_matches_networkx(self, powerlaw_small):
         a = make_assignment(powerlaw_small)
         res = GeminiEngine(BSPCluster(4)).run(powerlaw_small, a, BFS(source=0))
@@ -127,41 +125,10 @@ class TestBFSAndSSSP:
             else:
                 assert np.isinf(res.values[v])
 
-    def test_unit_sssp_equals_bfs(self, powerlaw_small):
-        a = make_assignment(powerlaw_small)
-        eng = GeminiEngine(BSPCluster(4))
-        bfs = eng.run(powerlaw_small, a, BFS(source=3)).values
-        sssp = eng.run(powerlaw_small, a, SSSP(source=3)).values
-        assert np.array_equal(bfs, sssp)
-
-    def test_weighted_sssp(self):
-        # path 0-1-2 with weights 1 and 10
-        g = path_graph(3)
-        # indices order: v0:[1], v1:[0,2], v2:[1]
-        weights = np.array([1.0, 1.0, 10.0, 10.0])
-        a = make_assignment(g, k=2)
-        res = GeminiEngine(BSPCluster(2)).run(g, a, SSSP(source=0, weights=weights))
-        assert res.values[2] == pytest.approx(11.0)
-
     def test_source_out_of_range(self, ring64):
         a = make_assignment(ring64)
         with pytest.raises(ValueError):
             GeminiEngine(BSPCluster(4)).run(ring64, a, BFS(source=100))
-
-    def test_negative_weights_rejected(self, path10):
-        a = make_assignment(path10, k=2)
-        with pytest.raises(ValueError):
-            GeminiEngine(BSPCluster(2)).run(
-                path10, a, SSSP(source=0, weights=-np.ones(path10.num_edges))
-            )
-
-
-class TestDegreeCentrality:
-    def test_single_iteration(self, ring64):
-        a = make_assignment(ring64)
-        res = GeminiEngine(BSPCluster(4)).run(ring64, a, DegreeCentrality())
-        assert res.iterations == 1
-        assert np.allclose(res.values, 2 / 63)
 
 
 class TestEngineAccounting:

@@ -1,9 +1,7 @@
-"""Tests for the extended Gemini apps (LPA, k-core, triangles) and the
-push/pull/adaptive execution modes."""
+"""Tests for the push/pull/adaptive execution modes."""
 
 from __future__ import annotations
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -12,106 +10,16 @@ from repro.engines.gemini import (
     BFS,
     ConnectedComponents,
     GeminiEngine,
-    KCore,
-    LabelPropagation,
     PageRank,
-    TriangleCount,
 )
 from repro.errors import ConfigurationError
 from repro.graph import chung_lu, complete_graph, grid_graph, path_graph, ring_graph
-from repro.graph.convert import to_networkx
 from repro.partition import HashPartitioner
 
 
 def run(g, program, k=4, **engine_kwargs):
     a = HashPartitioner().partition(g, k).assignment
     return GeminiEngine(BSPCluster(k), **engine_kwargs).run(g, a, program)
-
-
-class TestKCore:
-    def test_matches_networkx(self):
-        g = chung_lu(600, 8.0, rng=61)
-        res = run(g, KCore())
-        core = nx.core_number(to_networkx(g))
-        for v in range(g.num_vertices):
-            assert res.values[v] == core[v]
-
-    def test_ring_is_2core(self, ring64):
-        res = run(ring64, KCore(), k=2)
-        assert (res.values == 2).all()
-
-    def test_complete_graph(self, k5):
-        res = run(k5, KCore(), k=2)
-        assert (res.values == 4).all()
-
-    def test_path_is_1core(self, path10):
-        res = run(path10, KCore(), k=2)
-        assert (res.values == 1).all()
-
-    def test_isolated_vertex_is_0core(self, isolated_vertices):
-        res = run(isolated_vertices, KCore(), k=2)
-        assert res.values[5] == 0
-
-    def test_monotone_convergence(self):
-        # estimates never increase from the degree start
-        g = chung_lu(300, 6.0, rng=62)
-        assert (run(g, KCore(), k=2).values <= g.degrees).all()
-
-
-class TestTriangles:
-    def test_matches_networkx(self):
-        g = chung_lu(500, 8.0, rng=63)
-        res = run(g, TriangleCount())
-        tri = nx.triangles(to_networkx(g))
-        for v in range(g.num_vertices):
-            assert round(res.values[v]) == tri[v]
-
-    def test_complete_graph(self, k5):
-        res = run(k5, TriangleCount(), k=2)
-        # every vertex of K5 is in C(4,2) = 6 triangles
-        assert (res.values == 6.0).all()
-        assert TriangleCount.global_count(res.values) == 10
-
-    def test_triangle_free(self, grid8x8):
-        res = run(grid8x8, TriangleCount(), k=2)
-        assert (res.values == 0).all()
-
-    def test_single_superstep(self, k5):
-        assert run(k5, TriangleCount(), k=2).iterations == 1
-
-
-class TestLabelPropagation:
-    def test_converges(self):
-        g = chung_lu(400, 8.0, rng=64)
-        res = run(g, LabelPropagation())
-        assert res.iterations < LabelPropagation().max_iterations
-
-    def test_clique_collapses_to_one_label(self, k5):
-        res = run(k5, LabelPropagation(), k=2)
-        assert len(np.unique(res.values)) == 1
-
-    def test_disconnected_components_keep_distinct_labels(self, two_components):
-        res = run(two_components, LabelPropagation(), k=2)
-        labels_a = {res.values[v] for v in (0, 1, 2)}
-        labels_b = {res.values[v] for v in (3, 4)}
-        assert labels_a.isdisjoint(labels_b)
-
-    def test_two_cliques_bridge(self):
-        # two K5s joined by one edge → two communities
-        from repro.graph import from_edges
-
-        edges = []
-        for i in range(5):
-            for j in range(i + 1, 5):
-                edges.append((i, j))
-                edges.append((i + 5, j + 5))
-        edges.append((0, 5))
-        src, dst = zip(*edges)
-        g = from_edges(src, dst, 10)
-        res = run(g, LabelPropagation(), k=2)
-        left = {res.values[v] for v in range(5)}
-        right = {res.values[v] for v in range(5, 10)}
-        assert len(left) == 1 and len(right) == 1 and left != right
 
 
 class TestExecutionModes:

@@ -17,7 +17,7 @@ from repro.engines.knightking import (
     uniform_neighbor,
 )
 from repro.errors import ConfigurationError, SimulationError
-from repro.graph import complete_graph, from_edges, path_graph, ring_graph, star_graph
+from repro.graph import chung_lu, complete_graph, from_edges, path_graph, ring_graph, star_graph
 from repro.partition import ChunkVPartitioner, HashPartitioner
 
 
@@ -270,28 +270,28 @@ class TestApps:
             Node2Vec(q=-1)
 
 
-class TestAlias:
-    def test_distribution(self):
-        from repro.engines.knightking import AliasTable
+class TestVisitTracking:
+    def test_counts_match_paths(self):
+        g = chung_lu(300, 6.0, rng=50)
+        a = HashPartitioner().partition(g, 2).assignment
+        engine = WalkEngine(BSPCluster(2), seed=51, record_paths=True, track_visits=True)
+        res = engine.run(g, a, DeepWalk(), walkers_per_vertex=2, max_steps=5)
+        expected = np.bincount(
+            res.paths[res.paths >= 0].ravel(), minlength=g.num_vertices
+        )
+        assert np.array_equal(res.visit_counts, expected)
 
-        weights = np.array([1.0, 2.0, 3.0, 4.0])
-        table = AliasTable.build(weights)
-        samples = table.sample(100_000, rng=0)
-        freq = np.bincount(samples, minlength=4) / 100_000
-        assert np.allclose(freq, weights / weights.sum(), atol=0.01)
+    def test_total_visits(self):
+        g = chung_lu(300, 6.0, rng=52)
+        a = HashPartitioner().partition(g, 2).assignment
+        engine = WalkEngine(BSPCluster(2), seed=53, track_visits=True)
+        res = engine.run(g, a, DeepWalk(), walkers_per_vertex=1, max_steps=3)
+        # one visit per start + one per executed step
+        assert res.visit_counts.sum() == g.num_vertices + res.total_steps
 
-    def test_single_category(self):
-        from repro.engines.knightking import AliasTable
-
-        table = AliasTable.build([5.0])
-        assert (table.sample(100, rng=1) == 0).all()
-
-    def test_invalid_weights(self):
-        from repro.engines.knightking import AliasTable
-
-        with pytest.raises(ConfigurationError):
-            AliasTable.build([])
-        with pytest.raises(ConfigurationError):
-            AliasTable.build([-1.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            AliasTable.build([0.0, 0.0])
+    def test_disabled_by_default(self):
+        g = chung_lu(100, 4.0, rng=54)
+        a = HashPartitioner().partition(g, 2).assignment
+        engine = WalkEngine(BSPCluster(2), seed=55)
+        res = engine.run(g, a, DeepWalk(), walkers_per_vertex=1, max_steps=2)
+        assert res.visit_counts is None

@@ -1,6 +1,6 @@
 """``Runs on shards`` as a checked property: every vertex program and walk
 app the engines export must give the same answer on a dense graph and on
-its ``spill_csr`` twin — or refuse the sharded graph by name, up front."""
+its ``spill_csr`` twin."""
 
 from __future__ import annotations
 
@@ -12,12 +12,8 @@ from repro.engines.gemini import GeminiEngine
 from repro.engines.gemini import apps as vertex_programs
 from repro.engines.knightking import WalkEngine
 from repro.engines.knightking import apps as walk_apps
-from repro.errors import GraphFormatError
 from repro.graph import chung_lu, spill_csr
 from repro.partition import HashPartitioner
-
-#: Programs that cannot run blockwise and must say so.
-REFUSES_SHARDS = {"TriangleCount"}
 
 PARTS = 4
 
@@ -35,10 +31,6 @@ def test_vertex_program_on_shards(name, twins):
     dense, sharded, assignment = twins
     program = getattr(vertex_programs, name)
     on_dense = GeminiEngine(BSPCluster(PARTS)).run(dense, assignment, program())
-    if name in REFUSES_SHARDS:
-        with pytest.raises(GraphFormatError, match=program.name):
-            GeminiEngine(BSPCluster(PARTS)).run(sharded, assignment, program())
-        return
     on_shards = GeminiEngine(BSPCluster(PARTS)).run(sharded, assignment, program())
     np.testing.assert_array_equal(on_shards.values, on_dense.values)
     assert on_shards.modes == on_dense.modes
@@ -51,10 +43,8 @@ def test_walk_app_on_shards(name, twins):
     cls = getattr(walk_apps, name)
 
     def run(graph):
-        weights = np.linspace(1.0, 2.0, graph.num_edges)
-        app = cls(graph, weights) if name == "WeightedWalk" else cls()
         return WalkEngine(BSPCluster(PARTS), seed=3, record_paths=True).run(
-            graph, assignment, app
+            graph, assignment, cls()
         )
 
     on_dense, on_shards = run(dense), run(sharded)

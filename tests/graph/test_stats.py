@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.graph import GraphSummary, chung_lu, degree_histogram, powerlaw_exponent, ring_graph, summarize
+from repro.graph import GraphSummary, chung_lu, powerlaw_exponent, ring_graph, summarize
 from repro.graph.stats import gini
 
 
@@ -56,11 +56,3 @@ class TestSummarize:
         assert s.degree_gini > 0.3
         assert s.avg_degree == pytest.approx(g.avg_degree)
         assert "n=" in str(s)
-
-
-class TestDegreeHistogram:
-    def test_counts_sum_to_n(self, powerlaw_small):
-        values, counts = degree_histogram(powerlaw_small)
-        assert counts.sum() == powerlaw_small.num_vertices
-        assert (counts > 0).all()
-        assert np.array_equal(values, np.sort(values))

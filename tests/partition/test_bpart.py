@@ -202,7 +202,6 @@ PHASES = {
     "hash": [],
     "ldg": ["stream"],
     "multilevel": ["coarsen", "initial", "refine"],
-    "spinner": ["propagate"],
 }
 
 

@@ -27,7 +27,7 @@ from repro.partition import (
 from repro.partition._streamcore import default_alpha, stream_partition
 from repro.partition.bpart import bpart_vertex_weights
 from repro.partition.dynamic import DynamicPartitioner
-from repro.partition.kernels import KERNEL_CHOICES, HAVE_NUMBA
+from repro.partition.kernels import KERNEL_CHOICES
 
 # Every backend registered in this environment except the reference.
 NON_SCALAR = [name for name in available_kernels() if name != "scalar"]
@@ -54,13 +54,14 @@ class TestRegistry:
         assert "buffered" in available_kernels()
 
     def test_auto_resolves(self):
-        backend = get_kernel("auto")
-        assert backend.name == ("numba" if HAVE_NUMBA else "buffered")
+        assert get_kernel("auto").name == "buffered"
 
-    def test_numba_falls_back_gracefully(self):
-        # Must never raise, installed or not, and never land on a backend
-        # slower than the default.
-        assert get_kernel("numba").name == get_kernel("auto").name
+    def test_numba_is_not_a_choice(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["partition", "--kernel", "numba"])
+        assert exc.value.code == 2 and "invalid choice: 'numba'" in capsys.readouterr().err
 
     def test_none_means_auto(self):
         assert get_kernel(None).name == get_kernel("auto").name

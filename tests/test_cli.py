@@ -159,8 +159,8 @@ class TestPartitionCommand:
 
 
 class TestConfigurationErrorsExitTwo:
-    """A bad ``--plan``/``--chaos`` is one ``error:`` line and exit 2, not a
-    traceback — and never a silently empty plan (each typo exited 0 before)."""
+    """A bad ``--plan``/``--chaos``/``--graph`` is one ``error:`` line and exit 2,
+    not a traceback — and never a silently empty plan (each typo exited 0 before)."""
 
     TRACE = ["trace", "--dataset", "twitter", "--algo", "hash", "--parts", "4", "--scale", "0.05"]
     SERVE = ["serve", "--dataset", "livejournal", "--scale", "0.05", "--duration", "0.05",
@@ -183,6 +183,24 @@ class TestConfigurationErrorsExitTwo:
     def test_one_error_line_and_exit_two(self, capsys, tmp_path, argv, named):
         out = tmp_path / "out.json"
         assert main(argv + (["--out", str(out)] if argv[0] != "bench" else [])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "content, named",
+        [
+            (None, "cannot read --graph"),
+            ("0 1\nx 2\n", "g.txt:2: non-integer vertex id"),
+            ("", "cannot split 0 vertices into 4 parts"),
+        ],
+        ids=["missing", "malformed", "empty"],
+    )
+    def test_bad_graph_file_is_one_error_line(self, capsys, tmp_path, content, named):
+        graph, out = tmp_path / "g.txt", tmp_path / "p.npy"
+        if content is not None:
+            graph.write_text(content, encoding="utf-8")
+        assert main(["partition", "--graph", str(graph), "--parts", "4", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not out.exists()

@@ -1,22 +1,15 @@
-"""Tests for the trace exporter, HITS, and walk-corpus IO."""
+"""Tests for the chrome-trace exporter."""
 
 from __future__ import annotations
 
 import json
 
-import networkx as nx
-import numpy as np
 import pytest
 
 from repro.cluster import BSPCluster
 from repro.cluster.trace import to_chrome_trace, write_chrome_trace
 from repro.engines.gemini import GeminiEngine, PageRank
-from repro.engines.gemini.apps.hits import HITS
-from repro.engines.knightking import DeepWalk, WalkEngine
-from repro.engines.knightking.corpus import read_walk_corpus, write_walk_corpus
-from repro.errors import GraphFormatError
-from repro.graph import chung_lu, from_edges
-from repro.graph.convert import to_networkx
+from repro.graph import chung_lu
 from repro.partition import HashPartitioner
 
 
@@ -55,68 +48,3 @@ class TestChromeTrace:
         data = json.loads(p.read_text())
         assert "traceEvents" in data
         assert any(e.get("args", {}).get("name") == "test-job" for e in data["traceEvents"])
-
-
-class TestHITS:
-    def test_matches_networkx_undirected(self):
-        g = chung_lu(300, 8.0, rng=101)
-        a = HashPartitioner().partition(g, 2).assignment
-        res = GeminiEngine(BSPCluster(2)).run(g, a, HITS(iterations=200))
-        hubs, auths = nx.hits(to_networkx(g), max_iter=1000, tol=1e-12)
-        mine = res.values[:, 0]
-        mine = mine / mine.sum()
-        theirs = np.array([auths[v] for v in range(g.num_vertices)])
-        assert np.abs(mine - theirs).max() < 1e-4
-
-    def test_hub_equals_authority_on_undirected(self):
-        g = chung_lu(200, 6.0, rng=102)
-        a = HashPartitioner().partition(g, 2).assignment
-        res = GeminiEngine(BSPCluster(2)).run(g, a, HITS(iterations=100))
-        assert np.allclose(res.values[:, 0], res.values[:, 1], atol=1e-6)
-
-    def test_directed_chain(self):
-        # 0 → 1 → 2: vertex 0 is a pure hub, vertex 2 a pure authority
-        g = from_edges([0, 1], [1, 2], directed=True)
-        a = HashPartitioner().partition(g, 2).assignment
-        res = GeminiEngine(BSPCluster(2)).run(g, a, HITS(iterations=100))
-        auth, hub = res.values[:, 0], res.values[:, 1]
-        assert auth[0] == pytest.approx(0.0, abs=1e-9)
-        assert hub[2] == pytest.approx(0.0, abs=1e-9)
-
-    def test_converges_early(self):
-        g = chung_lu(200, 8.0, rng=103)
-        a = HashPartitioner().partition(g, 2).assignment
-        res = GeminiEngine(BSPCluster(2)).run(g, a, HITS(iterations=500))
-        assert res.iterations < 500
-
-
-class TestWalkCorpus:
-    def test_roundtrip(self, tmp_path):
-        g = chung_lu(200, 6.0, rng=104)
-        a = HashPartitioner().partition(g, 2).assignment
-        engine = WalkEngine(BSPCluster(2), seed=105, record_paths=True)
-        res = engine.run(g, a, DeepWalk(), walkers_per_vertex=1, max_steps=5)
-        p = tmp_path / "walks.txt"
-        lines = write_walk_corpus(res.paths, p)
-        assert lines == res.paths.shape[0]
-        back = read_walk_corpus(p)
-        # same traces modulo padding width
-        for i in range(res.paths.shape[0]):
-            a_trace = res.paths[i][res.paths[i] >= 0]
-            b_trace = back[i][back[i] >= 0]
-            assert np.array_equal(a_trace, b_trace)
-
-    def test_empty_file(self, tmp_path):
-        p = tmp_path / "empty.txt"
-        p.write_text("")
-        assert read_walk_corpus(p).size == 0
-
-    def test_malformed(self, tmp_path):
-        p = tmp_path / "bad.txt"
-        p.write_text("1 two 3\n")
-        with pytest.raises(GraphFormatError):
-            read_walk_corpus(p)
-
-    def test_bad_shape(self, tmp_path):
-        with pytest.raises(GraphFormatError):
-            write_walk_corpus(np.zeros(5), tmp_path / "x.txt")

@@ -1,0 +1,65 @@
+"""Repository guards a builder can run (CI's ``lint`` job only calls this file).
+
+One home per protocol (DESIGN.md §9): the compact JSON form and the
+document digest live in ``utils/canon.py`` — the other sha256 users hash
+arrays or bytes, not documents — and there is no second timer. ``src/``
+has no numba path and does not grow back past the ceiling.
+"""
+
+from __future__ import annotations
+
+import re
+from pathlib import Path
+
+HERE = Path(__file__).resolve()
+ROOT = HERE.parents[1]
+
+#: ``find src -name '*.py' | xargs cat | wc -l`` may not exceed this.
+SRC_LINE_CEILING = 20968
+
+SHA256_HOMES = {
+    f"src/repro/{name}.py"
+    for name in (
+        "utils/canon", "graph/csr", "partition/assignment",
+        "serving/workload", "resilience/policy", "bench/scale",
+    )
+}
+
+
+def _grep(pattern: str, *roots: str, glob: str = "*") -> list[str]:
+    """``path:line`` for every text line under ``roots`` that matches, like ``grep -rnE``."""
+    hits = []
+    for root in roots:
+        for path in sorted((ROOT / root).rglob(glob)):
+            if not path.is_file() or "__pycache__" in path.parts or path == HERE:
+                continue
+            try:
+                lines = path.read_text(encoding="utf-8").splitlines()
+            except UnicodeDecodeError:
+                continue
+            rel = path.relative_to(ROOT).as_posix()
+            hits += [f"{rel}:{n}" for n, line in enumerate(lines, 1) if re.search(pattern, line)]
+    return hits
+
+
+def test_canonical_json_has_one_home():
+    hits = _grep(r"separators=", "src/repro", glob="*.py")
+    assert [h for h in hits if not h.startswith("src/repro/utils/canon.py:")] == []
+
+
+def test_document_digests_have_one_home():
+    hits = _grep(r"hashlib\.sha256\(", "src/repro", glob="*.py")
+    assert [h for h in hits if h.split(":")[0] not in SHA256_HOMES] == []
+
+
+def test_no_second_timer():
+    assert _grep(r"WallClock|utils.timing", "src", "tests", "examples", "benchmarks", "docs") == []
+
+
+def test_no_numba_in_src():
+    assert _grep(r"numba", "src") == []
+
+
+def test_src_does_not_grow_back():
+    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
+    assert lines <= SRC_LINE_CEILING, f"src/ is {lines} lines"

@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import from_edges
-from repro.graph.weights import EdgeWeights
 from repro.partition import HashPartitioner
 from repro.partition.refine import refine_assignment
 from repro.partition.vertexcut import (
@@ -52,20 +51,6 @@ class TestVertexCutProperties:
         assert (p.copies[g.degrees > 0] == 1).all()
 
 
-class TestWeightsProperties:
-    @given(graphs(), st.floats(0.1, 10.0))
-    @settings(max_examples=30, **COMMON)
-    def test_uniform_weighted_degrees(self, g, w):
-        ew = EdgeWeights.uniform(g, w)
-        assert np.allclose(ew.weighted_degrees, w * g.degrees)
-
-    @given(graphs(), st.integers(0, 2**31))
-    @settings(max_examples=30, **COMMON)
-    def test_random_weights_symmetric(self, g, seed):
-        ew = EdgeWeights.random(g, rng=seed)
-        assert ew.is_symmetric()
-
-
 class TestRefineProperties:
     @given(graphs(), st.integers(2, 5))
     @settings(max_examples=30, **COMMON)
@@ -80,32 +65,3 @@ class TestRefineProperties:
         from repro.partition.metrics import edge_cut_ratio
 
         assert edge_cut_ratio(g, r.parts) <= edge_cut_ratio(g, a.parts) + 1e-12
-
-
-class TestTransformProperties:
-    @given(graphs())
-    @settings(max_examples=30, **COMMON)
-    def test_component_sizes_partition_vertices(self, g):
-        from repro.graph.transform import connected_components_sizes
-
-        sizes = connected_components_sizes(g)
-        assert sizes.sum() == g.num_vertices
-        assert (sizes >= 1).all()
-
-    @given(graphs(), st.integers(0, 5))
-    @settings(max_examples=30, **COMMON)
-    def test_kcore_is_subgraph_with_min_degree(self, g, k):
-        from repro.graph.transform import kcore_subgraph
-
-        t = kcore_subgraph(g, k)
-        if t.graph.num_vertices:
-            assert (t.graph.degrees >= k).all()
-
-    @given(graphs(), st.integers(0, 2**31))
-    @settings(max_examples=30, **COMMON)
-    def test_relabel_preserves_degree_multiset(self, g, seed):
-        from repro.graph.transform import relabel
-
-        rng = np.random.default_rng(seed)
-        t = relabel(g, rng.permutation(g.num_vertices))
-        assert np.array_equal(np.sort(t.graph.degrees), np.sort(g.degrees))

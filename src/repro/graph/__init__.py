@@ -6,7 +6,7 @@ This mirrors the storage used by the systems the paper builds on
 (Gemini, KnightKing) and keeps every hot loop vectorisable.
 """
 
-from repro.graph.builder import GraphBuilder, from_edges
+from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 from repro.graph.datasets import (
     DATASETS,
@@ -31,16 +31,7 @@ from repro.graph.generators import (
     social_graph,
     star_graph,
 )
-from repro.graph.io import (
-    read_edge_list,
-    read_edge_list_sharded,
-    read_metis,
-    read_metis_sharded,
-    read_npz,
-    write_edge_list,
-    write_metis,
-    write_npz,
-)
+from repro.graph.io import read_edge_list, write_edge_list
 from repro.graph.sharded import (
     ShardedCSRBuilder,
     ShardedCSRGraph,
@@ -50,11 +41,10 @@ from repro.graph.sharded import (
 )
 from repro.graph.stats import GraphSummary, powerlaw_exponent, summarize
 from repro.graph.stream import vertex_stream
-from repro.graph.subgraph import extract_subgraph, partition_subgraphs
+from repro.graph.subgraph import extract_subgraph
 
 __all__ = [
     "CSRGraph",
-    "GraphBuilder",
     "from_edges",
     "DATASETS",
     "DatasetSpec",
@@ -76,13 +66,7 @@ __all__ = [
     "social_graph",
     "star_graph",
     "read_edge_list",
-    "read_edge_list_sharded",
-    "read_metis",
-    "read_metis_sharded",
-    "read_npz",
     "write_edge_list",
-    "write_metis",
-    "write_npz",
     "ShardedCSRBuilder",
     "ShardedCSRGraph",
     "default_spill_root",
@@ -93,5 +77,4 @@ __all__ = [
     "summarize",
     "vertex_stream",
     "extract_subgraph",
-    "partition_subgraphs",
 ]

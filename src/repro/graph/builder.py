@@ -1,15 +1,13 @@
-"""Constructing :class:`~repro.graph.csr.CSRGraph` from edge data.
+"""Edge data → CSR rows: the one intake and the one canonicaliser.
 
-Two entry points:
-
-- :func:`from_edges` — vectorised one-shot construction from ``(src, dst)``
-  arrays; this is what the generators use.
-- :class:`GraphBuilder` — incremental builder for tests and file loaders
-  that discover edges one batch at a time.
-
-Both paths deduplicate parallel edges, optionally drop self-loops, and
-symmetrise undirected input so the resulting CSR satisfies the storage
-contract documented in :mod:`repro.graph.csr`.
+:func:`from_edges` builds a :class:`~repro.graph.csr.CSRGraph` from
+``(src, dst)`` arrays in RAM; :class:`~repro.graph.sharded.ShardedCSRBuilder`
+builds the same adjacency on disk from a stream of batches. Both check,
+de-loop and symmetrise their input through :func:`intake_edges`, and
+both turn composite keys into rows through :func:`rows_from_keys` —
+``from_edges`` once over the whole key array, the shard writer once per
+bounded block — so the storage contract of :mod:`repro.graph.csr`
+(sorted, unique destinations per source) has a single implementation.
 """
 
 from __future__ import annotations
@@ -17,9 +15,67 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import GraphFormatError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, _index_dtype
 
-__all__ = ["from_edges", "GraphBuilder"]
+__all__ = ["from_edges"]
+
+
+def intake_edges(
+    src, dst, num_vertices: int | None, *, directed: bool
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Check one batch of edges and expand it to the arcs it stores.
+
+    Returns ``(s, d, max_id)``: fresh int64 arc arrays with self-loops
+    dropped (social-network datasets have none, and they make
+    random-walk semantics ambiguous) and, unless ``directed``, both arcs
+    of every edge; ``max_id`` is the largest id seen *before* the drop
+    (``-1`` for an empty batch). Raises :class:`GraphFormatError` on
+    ids that are not integers, unequal lengths, a negative id, or an id
+    that ``num_vertices`` (when given) cannot hold.
+    """
+    s, d = np.asarray(src).ravel(), np.asarray(dst).ravel()
+    for a in (s, d):
+        # An empty Python list arrives as float64 and is still no edges.
+        if a.size and a.dtype.kind not in "iu":
+            raise GraphFormatError(
+                f"vertex ids must be integers, got an array of dtype {a.dtype}"
+            )
+    if s.size != d.size:
+        raise GraphFormatError(f"src and dst lengths differ: {s.size} != {d.size}")
+    s, d = s.astype(np.int64, copy=False), d.astype(np.int64, copy=False)
+    max_id = -1
+    if s.size:
+        if min(s.min(), d.min()) < 0:
+            raise GraphFormatError("negative vertex id in edge list")
+        max_id = int(max(s.max(), d.max()))
+    if num_vertices is not None and max_id >= num_vertices:
+        raise GraphFormatError(
+            f"num_vertices={num_vertices} too small for max vertex id {max_id}"
+        )
+    keep = s != d
+    s, d = s[keep], d[keep]
+    if not directed:
+        s, d = np.concatenate([s, d]), np.concatenate([d, s])
+    return s, d, max_id
+
+
+def rows_from_keys(key: np.ndarray, row_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique destinations per source, from composite keys.
+
+    ``key`` holds ``row · n + dst`` per arc in any order, duplicates
+    included, and is consumed (sorted in place); ``row_keys`` is
+    ``arange(rows + 1) · n``, the first key of every row. Returns
+    ``(degrees, dests)``: the rows' final lengths and their destinations
+    laid end to end, as int64. Searching the row keys in the sorted
+    survivors splits them by source without dividing.
+    """
+    key.sort()
+    keep = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    kept = key[keep]
+    degrees = np.diff(np.searchsorted(kept, row_keys))
+    kept -= np.repeat(row_keys[:-1], degrees)
+    return degrees, kept
 
 
 def from_edges(
@@ -28,10 +84,11 @@ def from_edges(
     num_vertices: int | None = None,
     *,
     directed: bool = False,
-    dedup: bool = True,
-    drop_self_loops: bool = True,
 ) -> CSRGraph:
     """Build a CSR graph from parallel source/target arrays.
+
+    Parallel arcs and self-loops are dropped; ``src`` and ``dst`` are
+    not written to.
 
     Parameters
     ----------
@@ -43,93 +100,17 @@ def from_edges(
     directed:
         ``False`` (default) symmetrises: every input edge yields both
         arcs. ``True`` keeps arcs as given.
-    dedup:
-        Remove parallel arcs (after symmetrisation).
-    drop_self_loops:
-        Remove ``v → v`` arcs (social-network datasets have none, and
-        self-loops make random-walk semantics ambiguous).
     """
-    s = np.asarray(src, dtype=np.int64).ravel()
-    d = np.asarray(dst, dtype=np.int64).ravel()
-    if s.size != d.size:
-        raise GraphFormatError(f"src and dst lengths differ: {s.size} != {d.size}")
-    if s.size and (min(s.min(), d.min()) < 0):
-        raise GraphFormatError("negative vertex id in edge list")
-    inferred = int(max(s.max(), d.max()) + 1) if s.size else 0
-    n = inferred if num_vertices is None else int(num_vertices)
-    if n < inferred:
-        raise GraphFormatError(
-            f"num_vertices={n} too small for max vertex id {inferred - 1}"
-        )
-
-    if drop_self_loops and s.size:
-        keep = s != d
-        s, d = s[keep], d[keep]
-    if not directed and s.size:
-        s, d = np.concatenate([s, d]), np.concatenate([d, s])
-
-    # Sort arcs by (src, dst) with a single key to get sorted neighbour
-    # lists and enable O(m) dedup. n can exceed 2^31 so use int64 key.
-    if s.size:
-        key = s * np.int64(n) + d
-        order = np.argsort(key, kind="stable")
-        s, d, key = s[order], d[order], key[order]
-        if dedup:
-            keep = np.empty(key.size, dtype=bool)
-            keep[0] = True
-            np.not_equal(key[1:], key[:-1], out=keep[1:])
-            s, d = s[keep], d[keep]
-
-    counts = np.bincount(s, minlength=n) if s.size else np.zeros(n, dtype=np.int64)
+    if num_vertices is not None:
+        num_vertices = int(num_vertices)
+    s, d, max_id = intake_edges(src, dst, num_vertices, directed=directed)
+    n = max_id + 1 if num_vertices is None else num_vertices
+    # n can exceed 2^31, so the (src, dst) key is int64.
+    s *= n
+    s += d
+    del d
+    degrees, dests = rows_from_keys(s, np.arange(n + 1, dtype=np.int64) * n)
+    del s
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    dtype = np.int32 if n <= np.iinfo(np.int32).max else np.int64
-    return CSRGraph(indptr, d.astype(dtype), directed=directed, validate=False)
-
-
-class GraphBuilder:
-    """Incremental edge accumulator producing a :class:`CSRGraph`.
-
-    >>> b = GraphBuilder(directed=False)
-    >>> b.add_edge(0, 1)
-    >>> b.add_edges([1, 2], [2, 0])
-    >>> g = b.build()
-    >>> g.num_vertices, g.num_undirected_edges
-    (3, 3)
-    """
-
-    def __init__(self, *, directed: bool = False, num_vertices: int | None = None) -> None:
-        self._directed = directed
-        self._num_vertices = num_vertices
-        self._src_chunks: list[np.ndarray] = []
-        self._dst_chunks: list[np.ndarray] = []
-
-    def add_edge(self, u: int, v: int) -> None:
-        """Append a single edge (arc if the builder is directed)."""
-        self._src_chunks.append(np.array([u], dtype=np.int64))
-        self._dst_chunks.append(np.array([v], dtype=np.int64))
-
-    def add_edges(self, src, dst) -> None:
-        """Append a batch of edges given as parallel arrays."""
-        s = np.asarray(src, dtype=np.int64).ravel()
-        d = np.asarray(dst, dtype=np.int64).ravel()
-        if s.size != d.size:
-            raise GraphFormatError(f"src and dst lengths differ: {s.size} != {d.size}")
-        self._src_chunks.append(s)
-        self._dst_chunks.append(d)
-
-    @property
-    def num_pending_edges(self) -> int:
-        """Edges accumulated so far (before dedup/symmetrisation)."""
-        return int(sum(c.size for c in self._src_chunks))
-
-    def build(self, **kwargs) -> CSRGraph:
-        """Assemble the final graph; accepts :func:`from_edges` options."""
-        if self._src_chunks:
-            src = np.concatenate(self._src_chunks)
-            dst = np.concatenate(self._dst_chunks)
-        else:
-            src = np.empty(0, dtype=np.int64)
-            dst = np.empty(0, dtype=np.int64)
-        kwargs.setdefault("directed", self._directed)
-        return from_edges(src, dst, self._num_vertices, **kwargs)
+    np.cumsum(degrees, out=indptr[1:])
+    return CSRGraph(indptr, dests.astype(_index_dtype(n)), directed=directed, validate=False)

@@ -1,4 +1,4 @@
-"""NetworkX bridge.
+"""NetworkX bridge (one way: CSR → networkx).
 
 Strictly a convenience/validation layer: tests cross-check CSR
 algorithms (connected components, PageRank, cuts) against networkx on
@@ -8,12 +8,9 @@ magnitude heavier than CSR arrays.
 
 from __future__ import annotations
 
-import numpy as np
-
-from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 
-__all__ = ["to_networkx", "from_networkx"]
+__all__ = ["to_networkx"]
 
 
 def to_networkx(graph: CSRGraph):
@@ -28,18 +25,3 @@ def to_networkx(graph: CSRGraph):
         src, dst = src[keep], dst[keep]
     g.add_edges_from(zip(src.tolist(), dst.tolist()))
     return g
-
-
-def from_networkx(g, *, num_vertices: int | None = None) -> CSRGraph:
-    """Convert from a networkx graph with integer node labels 0..n-1."""
-    import networkx as nx
-
-    directed = isinstance(g, nx.DiGraph)
-    edges = np.asarray(list(g.edges()), dtype=np.int64)
-    if edges.size == 0:
-        n = num_vertices if num_vertices is not None else g.number_of_nodes()
-        return from_edges(
-            np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), n, directed=directed
-        )
-    n = num_vertices if num_vertices is not None else g.number_of_nodes()
-    return from_edges(edges[:, 0], edges[:, 1], n, directed=directed)

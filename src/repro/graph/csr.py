@@ -305,36 +305,6 @@ class CSRGraph:
             yield start, stop, local, self._indices[base : base + int(local[-1])]
 
     # ------------------------------------------------------------------
-    # Derived graphs
-    # ------------------------------------------------------------------
-    def reverse(self) -> "CSRGraph":
-        """Transposed graph (in-neighbours become out-neighbours).
-
-        For symmetrised undirected graphs this is an equal graph.
-        """
-        n = self.num_vertices
-        src, dst = self.edge_array()
-        order = np.argsort(dst, kind="stable")
-        new_indices = src[order]
-        counts = np.bincount(dst, minlength=n)
-        new_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(counts, out=new_indptr[1:])
-        return CSRGraph(new_indptr, new_indices, directed=self._directed, validate=False)
-
-    def with_sorted_neighbors(self) -> "CSRGraph":
-        """Copy with each neighbour list sorted ascending.
-
-        Required by :meth:`has_edge` and by node2vec's rejection sampling
-        (membership tests). Builders already sort; this is for graphs
-        assembled manually.
-        """
-        indices = self._indices.copy()
-        for v in range(self.num_vertices):
-            s, e = self._indptr[v], self._indptr[v + 1]
-            indices[s:e] = np.sort(indices[s:e])
-        return CSRGraph(self._indptr, indices, directed=self._directed, validate=False)
-
-    # ------------------------------------------------------------------
     # Dunder
     # ------------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -1,13 +1,13 @@
-"""Graph persistence: edge-list text, NumPy ``.npz`` binary, METIS.
+"""Graph persistence: edge-list text.
 
-The edge-list reader/writer handles the whitespace-separated ``u v``
-format of SNAP/KONECT dumps (the paper's datasets are distributed that
-way), the ``.npz`` format is the fast native round-trip, and the METIS
-format enables interop with external multilevel partitioners.
+The one file format: the whitespace-separated ``u v`` lines of
+SNAP/KONECT dumps (the paper's datasets are distributed that way),
+which is what ``--graph`` hands to :func:`read_edge_list`;
+:func:`write_edge_list` is its inverse.
 
-Real-world edge streams are multi-GB and messy, so the text readers
-take an ``on_error`` recovery mode instead of failing the whole
-ingestion on line one:
+Real-world edge streams are multi-GB and messy, so the reader takes an
+``on_error`` recovery mode instead of failing the whole ingestion on
+line one:
 
 - ``"raise"`` (default) — :class:`~repro.errors.GraphFormatError` with
   ``path:lineno`` on the first malformed line;
@@ -27,7 +27,6 @@ from __future__ import annotations
 import gzip
 import os
 from dataclasses import dataclass
-from pathlib import Path
 from typing import IO
 
 import numpy as np
@@ -41,17 +40,8 @@ __all__ = [
     "ParseIssue",
     "open_text",
     "read_edge_list",
-    "read_edge_list_sharded",
     "write_edge_list",
-    "read_npz",
-    "write_npz",
-    "read_metis",
-    "read_metis_sharded",
-    "write_metis",
 ]
-
-#: Edges buffered per builder batch by the streaming readers.
-STREAM_BATCH = 1 << 20
 
 _ON_ERROR_MODES = ("raise", "skip", "collect")
 
@@ -119,8 +109,7 @@ def _read_lines(fh, path, on_error: str, errors: list | None):
 
 def _parse_edge_lines(fh, path, comments, on_error, errors):
     """Yield ``(u, v)`` pairs from an open edge-list file, applying the
-    recovery mode per malformed line. Shared by the dense and streaming
-    readers so both accept exactly the same inputs."""
+    recovery mode per malformed line."""
     for lineno, line in _read_lines(fh, path, on_error, errors):
         line = line.strip()
         if not line or line.startswith(comments):
@@ -171,53 +160,6 @@ def read_edge_list(
     )
 
 
-def read_edge_list_sharded(
-    path: str | os.PathLike,
-    spill_dir: str | os.PathLike,
-    *,
-    directed: bool = False,
-    comments: str = "#",
-    num_vertices: int | None = None,
-    shard_size: int | None = None,
-    on_error: str = "raise",
-    errors: list | None = None,
-):
-    """Read an edge list directly into a shard directory.
-
-    Same format and recovery modes as :func:`read_edge_list`, but edges
-    flow through :class:`~repro.graph.sharded.ShardedCSRBuilder` in
-    batches of :data:`STREAM_BATCH`, so peak memory is one batch plus one
-    shard — never the graph. The result is content- and
-    fingerprint-identical to ``read_edge_list`` of the same file.
-    """
-    from repro.graph.sharded import DEFAULT_SHARD_SIZE, ShardedCSRBuilder
-
-    _check_mode(on_error, errors)
-    builder = ShardedCSRBuilder(
-        spill_dir,
-        num_vertices=num_vertices,
-        shard_size=shard_size or DEFAULT_SHARD_SIZE,
-        directed=directed,
-    )
-    src: list[int] = []
-    dst: list[int] = []
-    try:
-        with open_text(path) as fh:
-            for u, v in _parse_edge_lines(fh, path, comments, on_error, errors):
-                src.append(u)
-                dst.append(v)
-                if len(src) >= STREAM_BATCH:
-                    builder.add_edges(src, dst)
-                    src.clear()
-                    dst.clear()
-        if src:
-            builder.add_edges(src, dst)
-        return builder.finalize()
-    except BaseException:
-        builder.abort()
-        raise
-
-
 def write_edge_list(graph, path: str | os.PathLike) -> None:
     """Write every arc (undirected graphs: each edge once, ``u < v``)."""
     with open_text(path, "w") as fh:
@@ -230,181 +172,3 @@ def write_edge_list(graph, path: str | os.PathLike) -> None:
                 src, dst = src[keep], dst[keep]
             if src.size:
                 np.savetxt(fh, np.column_stack([src, dst]), fmt="%d")
-
-
-def write_npz(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Binary CSR round-trip (compressed ``.npz``)."""
-    np.savez_compressed(
-        path,
-        indptr=graph.indptr,
-        indices=graph.indices,
-        directed=np.array([graph.directed]),
-    )
-
-
-def read_npz(path: str | os.PathLike) -> CSRGraph:
-    """Load a graph written by :func:`write_npz`."""
-    with np.load(path) as data:
-        try:
-            return CSRGraph(
-                data["indptr"], data["indices"], directed=bool(data["directed"][0])
-            )
-        except KeyError as exc:
-            raise GraphFormatError(f"{path}: missing array {exc}") from exc
-
-
-def write_metis(graph: CSRGraph, path: str | os.PathLike) -> None:
-    """Write the METIS/KaHIP format (1-indexed adjacency lines).
-
-    METIS requires symmetric adjacency, so directed graphs are rejected.
-    """
-    if graph.directed:
-        raise GraphFormatError("METIS format requires an undirected graph")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{graph.num_vertices} {graph.num_undirected_edges}\n")
-        for v in range(graph.num_vertices):
-            fh.write(" ".join(str(int(u) + 1) for u in graph.neighbors(v)) + "\n")
-
-
-def read_metis(
-    path: str | os.PathLike,
-    *,
-    on_error: str = "raise",
-    errors: list | None = None,
-) -> CSRGraph:
-    """Read the METIS/KaHIP format written by :func:`write_metis`.
-
-    The header is always strict — without a trustworthy vertex count
-    there is nothing to recover *to* — and is cross-checked against the
-    body: the declared edge count must match the adjacency lists, and
-    neighbor ids must be positive (the format is 1-indexed; a ``0``
-    almost always means a 0-indexed exporter). Body problems follow
-    ``on_error`` like the edge-list reader.
-    """
-    _check_mode(on_error, errors)
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        n, m = _metis_header(fh, path)
-        src: list[int] = []
-        dst: list[int] = []
-        for v, w in _metis_arcs(fh, path, n, on_error, errors):
-            src.append(v)
-            dst.append(w)
-    _metis_crosscheck(len(src), n, m, path, on_error, errors)
-    # The file stores both directions already; treat as directed arcs and
-    # mark undirected so edge counting stays consistent.
-    g = from_edges(
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        n,
-        directed=True,
-    )
-    return CSRGraph(g.indptr, g.indices, directed=False, validate=False)
-
-
-def _metis_header(fh, path) -> tuple[int, int]:
-    header = fh.readline().split()
-    if len(header) < 2:
-        raise GraphFormatError(
-            f"{path}:1: bad METIS header (need '<num_vertices> <num_edges>')"
-        )
-    try:
-        n, m = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise GraphFormatError(
-            f"{path}:1: non-integer METIS header token in {header[:2]}"
-        ) from exc
-    if n < 0 or m < 0:
-        raise GraphFormatError(f"{path}:1: negative count in METIS header")
-    return n, m
-
-
-def _metis_arcs(fh, path, n, on_error, errors):
-    """Yield 0-indexed ``(v, neighbor)`` arcs from the adjacency body."""
-    for v in range(n):
-        line = fh.readline()
-        if not line:
-            _handle(
-                on_error, errors, path, v + 2,
-                f"truncated: adjacency for vertex {v} missing "
-                f"(header claims {n} vertices)",
-            )
-            break
-        for tok in line.split():
-            try:
-                w = int(tok)
-            except ValueError:
-                _handle(
-                    on_error, errors, path, v + 2,
-                    f"non-integer neighbor id {tok!r}",
-                )
-                continue
-            if w < 1:
-                _handle(
-                    on_error, errors, path, v + 2,
-                    f"non-positive neighbor id {w} "
-                    "(METIS is 1-indexed; is the file 0-indexed?)",
-                )
-                continue
-            yield v, w - 1
-
-
-def _metis_crosscheck(num_arcs, n, m, path, on_error, errors) -> None:
-    if num_arcs != 2 * m:
-        _handle(
-            on_error, errors, path, n + 1,
-            f"header claims {m} edges but adjacency lists encode "
-            f"{num_arcs} arcs (expected {2 * m})",
-        )
-
-
-def read_metis_sharded(
-    path: str | os.PathLike,
-    spill_dir: str | os.PathLike,
-    *,
-    shard_size: int | None = None,
-    on_error: str = "raise",
-    errors: list | None = None,
-):
-    """Read a METIS file directly into a shard directory.
-
-    Same strict header / recoverable body as :func:`read_metis`, with
-    arcs streamed through the sharded builder in :data:`STREAM_BATCH`
-    batches. The file already stores both arc directions, so the builder
-    runs with symmetrisation off; the result is content- and
-    fingerprint-identical to ``read_metis`` of the same file.
-    """
-    from repro.graph.sharded import DEFAULT_SHARD_SIZE, ShardedCSRBuilder
-
-    _check_mode(on_error, errors)
-    path = Path(path)
-    num_arcs = 0
-    src: list[int] = []
-    dst: list[int] = []
-    builder = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            n, m = _metis_header(fh, path)
-            builder = ShardedCSRBuilder(
-                spill_dir,
-                num_vertices=n,
-                shard_size=shard_size or DEFAULT_SHARD_SIZE,
-                directed=False,
-                symmetrize=False,
-            )
-            for v, w in _metis_arcs(fh, path, n, on_error, errors):
-                num_arcs += 1
-                src.append(v)
-                dst.append(w)
-                if len(src) >= STREAM_BATCH:
-                    builder.add_edges(src, dst)
-                    src.clear()
-                    dst.clear()
-        _metis_crosscheck(num_arcs, n, m, path, on_error, errors)
-        if src:
-            builder.add_edges(src, dst)
-        return builder.finalize()
-    except BaseException:
-        if builder is not None:
-            builder.abort()
-        raise

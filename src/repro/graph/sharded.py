@@ -39,10 +39,11 @@ would silently materialise the full edge array fails loudly instead.
 :class:`ShardedCSRBuilder` constructs shards from an edge stream in
 bounded memory: arcs are bucketed to per-shard temp files as they
 arrive, then each bucket is counted, scattered and deduplicated in
-bounded blocks at finalise time — replicating
-:func:`~repro.graph.builder.from_edges` semantics exactly, so a spilled
-build of the same edge stream is content- and fingerprint-identical to
-the dense build.
+bounded blocks at finalise time — through the intake and the rows
+routine of :mod:`repro.graph.builder` that
+:func:`~repro.graph.builder.from_edges` runs too, so a spilled build of
+the same edge stream is content- and fingerprint-identical to the dense
+build.
 
 Telemetry (off by default, aggregate-only): ``graph.sharded.block_reads``
 (blocks/shard-groups served), ``graph.sharded.bytes_mapped`` (bytes of
@@ -64,6 +65,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import GraphFormatError
+from repro.graph.builder import intake_edges, rows_from_keys
 from repro.graph.csr import CSRGraph, _index_dtype, fingerprint_stream
 
 __all__ = [
@@ -579,9 +581,9 @@ def _write_shard(
        destinations (narrowed to ``index_dtype``) behind each source's
        cursor.
     3. **dedup** — walk runs of whole sources whose segments fit
-       ``_BUCKET_CHUNK_ARCS``: rebuild the keys of one run, sort, drop
-       adjacent repeats, read the final degrees off the key boundaries
-       and compact the survivors leftwards over the same array.
+       ``_BUCKET_CHUNK_ARCS``: rebuild the keys of one run, turn them
+       into rows (:func:`~repro.graph.builder.rows_from_keys`) and
+       compact the survivors leftwards over the same array.
 
     Peak memory is one ``index_dtype`` arc array plus int64 transients
     of O(``_BUCKET_CHUNK_ARCS``) — not 3–4 int64 copies of the bucket —
@@ -638,12 +640,7 @@ def _write_shard(
             else:
                 key = np.repeat(row_keys[: b - a], counts[a:b])
                 key += segment
-                key.sort()
-                keep = np.ones(key.size, dtype=bool)
-                np.not_equal(key[1:], key[:-1], out=keep[1:])
-                kept = key[keep]
-                degrees[a:b] = np.diff(np.searchsorted(kept, row_keys[: b - a + 1]))
-                kept -= np.repeat(row_keys[: b - a], degrees[a:b])
+                degrees[a:b], kept = rows_from_keys(key, row_keys[: b - a + 1])
             indices[write : write + kept.size] = kept
             write += kept.size
             a = b
@@ -684,7 +681,7 @@ class ShardedCSRBuilder:
 
     Arcs are appended to per-shard bucket files as raw int64 pairs while
     edges stream in (self-loops dropped and undirected input symmetrised
-    on intake, mirroring :func:`~repro.graph.builder.from_edges`); at
+    by :func:`~repro.graph.builder.intake_edges`); at
     :meth:`finalize` each bucket — O(m / num_shards) arcs — is counted,
     scattered into per-source segments and deduplicated block by block
     (:func:`_write_shard`), then written out as the shard's ``.npy``
@@ -700,12 +697,7 @@ class ShardedCSRBuilder:
     directory:     target shard directory (created if missing).
     num_vertices:  vertex count; inferred as ``max id + 1`` when omitted.
     shard_size:    vertices per shard.
-    directed:      stored flag, as for :func:`from_edges`.
-    symmetrize:    emit both arcs per input edge; defaults to
-                   ``not directed``. Loaders of pre-symmetrised formats
-                   (METIS) pass ``directed=False, symmetrize=False``.
-    drop_self_loops: drop ``v → v`` arcs on intake (default, matching
-                   :func:`from_edges`).
+    directed:      as for :func:`from_edges`.
     """
 
     def __init__(
@@ -715,8 +707,6 @@ class ShardedCSRBuilder:
         num_vertices: int | None = None,
         shard_size: int = DEFAULT_SHARD_SIZE,
         directed: bool = False,
-        symmetrize: bool | None = None,
-        drop_self_loops: bool = True,
     ) -> None:
         if shard_size <= 0:
             raise GraphFormatError(f"shard_size must be positive, got {shard_size}")
@@ -727,8 +717,6 @@ class ShardedCSRBuilder:
         if self._n is not None and self._n < 0:
             raise GraphFormatError(f"num_vertices must be >= 0, got {num_vertices}")
         self._directed = bool(directed)
-        self._symmetrize = (not directed) if symmetrize is None else bool(symmetrize)
-        self._drop_loops = bool(drop_self_loops)
         self._max_id = -1
         self._buckets: dict[int, IO[bytes]] = {}
         self._finalized = False
@@ -746,25 +734,8 @@ class ShardedCSRBuilder:
         """Append a batch of edges given as parallel arrays."""
         if self._finalized:
             raise GraphFormatError("builder already finalized")
-        s = np.ascontiguousarray(src, dtype=np.int64).ravel()
-        d = np.ascontiguousarray(dst, dtype=np.int64).ravel()
-        if s.size != d.size:
-            raise GraphFormatError(f"src and dst lengths differ: {s.size} != {d.size}")
-        if s.size == 0:
-            return
-        if min(s.min(), d.min()) < 0:
-            raise GraphFormatError("negative vertex id in edge list")
-        batch_max = int(max(s.max(), d.max()))
-        if self._n is not None and batch_max >= self._n:
-            raise GraphFormatError(
-                f"num_vertices={self._n} too small for max vertex id {batch_max}"
-            )
+        s, d, batch_max = intake_edges(src, dst, self._n, directed=self._directed)
         self._max_id = max(self._max_id, batch_max)
-        if self._drop_loops:
-            keep = s != d
-            s, d = s[keep], d[keep]
-        if self._symmetrize and s.size:
-            s, d = np.concatenate([s, d]), np.concatenate([d, s])
         if s.size == 0:
             return
         # Bucket ids narrowed to their smallest dtype: NumPy's stable

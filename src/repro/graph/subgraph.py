@@ -15,7 +15,7 @@ import numpy as np
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 
-__all__ = ["Subgraph", "extract_subgraph", "partition_subgraphs"]
+__all__ = ["Subgraph", "extract_subgraph"]
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,3 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
         num_cut_arcs=cut_arcs,
         num_total_arcs=total_arcs,
     )
-
-
-def partition_subgraphs(graph: CSRGraph, parts: np.ndarray, num_parts: int) -> list[Subgraph]:
-    """Extract every part's :class:`Subgraph` from an assignment vector."""
-    parts = np.asarray(parts)
-    if parts.size != graph.num_vertices:
-        raise PartitionError("assignment length != num_vertices")
-    return [extract_subgraph(graph, parts == p) for p in range(num_parts)]

@@ -101,28 +101,6 @@ class TestRowsSorted:
 
 
 class TestDerived:
-    def test_reverse_of_undirected_is_equal(self, grid8x8):
-        assert grid8x8.reverse() == grid8x8
-
-    def test_reverse_directed(self):
-        g = from_edges([0, 0, 1], [1, 2, 2], directed=True)
-        r = g.reverse()
-        assert r.has_edge(1, 0)
-        assert r.has_edge(2, 0)
-        assert r.has_edge(2, 1)
-        assert not r.has_edge(0, 1)
-
-    def test_reverse_twice_identity(self):
-        g = from_edges([0, 0, 1, 3], [1, 2, 2, 0], directed=True)
-        assert g.reverse().reverse() == g
-
-    def test_with_sorted_neighbors(self):
-        # Build an unsorted CSR by hand (3 vertices, vertex 0 has all arcs).
-        g = CSRGraph(np.array([0, 3, 3, 3]), np.array([2, 0, 1], dtype=np.int32),
-                     directed=True)
-        s = g.with_sorted_neighbors()
-        assert list(s.neighbors(0)) == [0, 1, 2]
-
     def test_equality(self, triangle):
         other = from_edges([0, 1, 2], [1, 2, 0])
         assert triangle == other
@@ -141,10 +119,6 @@ class TestFromEdges:
         g = from_edges([0, 1], [0, 2], num_vertices=3)
         assert g.num_undirected_edges == 1
         assert not g.has_edge(0, 0)
-
-    def test_self_loops_kept_when_asked(self):
-        g = from_edges([0], [0], num_vertices=2, drop_self_loops=False, directed=True)
-        assert g.has_edge(0, 0)
 
     def test_num_vertices_override_too_small(self):
         with pytest.raises(GraphFormatError):

@@ -2,19 +2,10 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import GraphFormatError
-from repro.graph import (
-    chung_lu,
-    read_edge_list,
-    read_metis,
-    read_npz,
-    write_edge_list,
-    write_metis,
-    write_npz,
-)
+from repro.graph import chung_lu, read_edge_list, write_edge_list
 from repro.graph.builder import from_edges
 
 
@@ -54,51 +45,6 @@ class TestEdgeList:
         write_edge_list(g, p)
         g2 = read_edge_list(p, directed=True, num_vertices=3)
         assert g2 == g
-
-
-class TestNpz:
-    def test_roundtrip(self, sample, tmp_path):
-        p = tmp_path / "g.npz"
-        write_npz(sample, p)
-        assert read_npz(p) == sample
-
-    def test_directed_flag_preserved(self, tmp_path):
-        g = from_edges([0], [1], directed=True)
-        p = tmp_path / "d.npz"
-        write_npz(g, p)
-        assert read_npz(p).directed
-
-    def test_missing_arrays(self, tmp_path):
-        p = tmp_path / "bad.npz"
-        np.savez(p, foo=np.arange(3))
-        with pytest.raises(GraphFormatError):
-            read_npz(p)
-
-
-class TestMetis:
-    def test_roundtrip(self, sample, tmp_path):
-        p = tmp_path / "g.metis"
-        write_metis(sample, p)
-        g = read_metis(p)
-        assert g == sample
-
-    def test_directed_rejected(self, tmp_path):
-        g = from_edges([0], [1], directed=True)
-        with pytest.raises(GraphFormatError):
-            write_metis(g, tmp_path / "x.metis")
-
-    def test_truncated_file(self, tmp_path):
-        p = tmp_path / "g.metis"
-        p.write_text("3 2\n2\n")
-        with pytest.raises(GraphFormatError):
-            read_metis(p)
-
-    def test_header_counts(self, sample, tmp_path):
-        p = tmp_path / "g.metis"
-        write_metis(sample, p)
-        n, m = map(int, p.read_text().splitlines()[0].split())
-        assert n == sample.num_vertices
-        assert m == sample.num_undirected_edges
 
 
 class TestGzip:

@@ -1,4 +1,4 @@
-"""Robustness tests for the graph readers: malformed and truncated input."""
+"""Robustness tests for the edge-list reader: malformed and truncated input."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError, GraphFormatError
-from repro.graph import ring_graph
-from repro.graph.io import ParseIssue, read_edge_list, read_metis, write_metis
+from repro.graph.io import ParseIssue, read_edge_list
 
 
 def _write(tmp_path, name, text):
@@ -87,68 +86,3 @@ class TestEdgeListOnError:
         path = _write(tmp_path, "ok.txt", "0 1\n")
         with pytest.raises(ConfigurationError, match="errors"):
             read_edge_list(path, on_error="collect")
-
-
-class TestMetisRobustness:
-    def test_round_trip_still_works(self, tmp_path):
-        g = ring_graph(12)
-        path = tmp_path / "ring.metis"
-        write_metis(g, path)
-        h = read_metis(path)
-        assert h.num_vertices == 12
-        assert h.num_undirected_edges == g.num_undirected_edges
-
-    def test_short_header_raises(self, tmp_path):
-        path = _write(tmp_path, "g.metis", "5\n")
-        with pytest.raises(GraphFormatError, match=r":1: bad METIS header"):
-            read_metis(path)
-
-    def test_non_integer_header_raises_with_location(self, tmp_path):
-        path = _write(tmp_path, "g.metis", "five 4\n")
-        with pytest.raises(GraphFormatError, match=r":1: non-integer METIS header"):
-            read_metis(path)
-
-    def test_negative_header_raises(self, tmp_path):
-        path = _write(tmp_path, "g.metis", "3 -1\n\n\n\n")
-        with pytest.raises(GraphFormatError, match=r":1: negative count"):
-            read_metis(path)
-
-    def test_non_integer_neighbor_raises_with_lineno(self, tmp_path):
-        path = _write(tmp_path, "g.metis", "2 1\n2\nx\n")
-        with pytest.raises(GraphFormatError, match=r":3: non-integer neighbor id 'x'"):
-            read_metis(path)
-
-    def test_zero_neighbor_rejected_as_zero_indexed(self, tmp_path):
-        # A 0-indexed exporter: vertex ids 0/1 instead of 1/2.
-        path = _write(tmp_path, "g.metis", "2 1\n1\n0\n")
-        with pytest.raises(GraphFormatError, match=r":3: non-positive neighbor id 0"):
-            read_metis(path)
-
-    def test_header_edge_count_validated_against_body(self, tmp_path):
-        # Header claims 5 edges; the body encodes one (two arcs).
-        path = _write(tmp_path, "g.metis", "2 5\n2\n1\n")
-        with pytest.raises(GraphFormatError, match="header claims 5 edges"):
-            read_metis(path)
-
-    def test_truncated_body_raise_mode(self, tmp_path):
-        path = _write(tmp_path, "g.metis", "3 2\n2\n1 3\n")
-        with pytest.raises(GraphFormatError, match="truncated: adjacency for vertex 2"):
-            read_metis(path)
-
-    def test_truncated_body_collect_mode_keeps_prefix(self, tmp_path):
-        path = _write(tmp_path, "g.metis", "3 2\n2\n1 3\n")
-        issues: list[ParseIssue] = []
-        g = read_metis(path, on_error="collect", errors=issues)
-        assert g.num_vertices == 3
-        # Vertex 2's line is missing, so its arcs are missing too: both
-        # the truncation and the resulting count mismatch are reported.
-        assert any("truncated" in i.message for i in issues)
-        assert any("header claims" in i.message for i in issues)
-
-    def test_skip_mode_drops_bad_tokens(self, tmp_path):
-        telemetry.set_enabled(True)
-        path = _write(tmp_path, "g.metis", "2 1\n2 x\n1\n")
-        g = read_metis(path, on_error="skip")
-        assert g.num_undirected_edges == 1
-        reg = telemetry.registry()
-        assert reg.counter("graph.io.malformed_lines", mode="skip").value == 1

@@ -18,15 +18,9 @@ from repro.errors import GraphFormatError
 from repro.graph import (
     from_edges,
     open_sharded,
-    read_edge_list,
-    read_edge_list_sharded,
-    read_metis,
-    read_metis_sharded,
     social_edge_batches,
     social_graph,
     spill_csr,
-    write_edge_list,
-    write_metis,
 )
 from repro.graph import sharded as sharded_mod
 from repro.graph.sharded import META_NAME, ShardedCSRBuilder, _shard_paths
@@ -208,6 +202,18 @@ class TestBytesDidNotMove:
         dst = np.array([v % n for _, v in edges], dtype=np.int64)
         num_vertices = None if infer else n
         dense = from_edges(src, dst, num_vertices, directed=directed)
+        # Dense and sharded share the rows routine, so neither is an
+        # oracle for the other: plain Python is.
+        arcs = [(int(u), int(v)) for u, v in zip(src, dst) if u != v]
+        if not directed:
+            arcs += [(v, u) for u, v in arcs]
+        inferred = 1 + max(max(u % n, v % n) for u, v in edges) if edges else 0
+        rows = [[] for _ in range(inferred if infer else n)]
+        for u, v in arcs:
+            rows[u].append(v)
+        rows = [sorted(set(row)) for row in rows]
+        assert [dense.neighbors(v).tolist() for v in range(dense.num_vertices)] == rows
+        assert dense.directed == directed and dense.indices.dtype == np.int32
         budget = mock.patch.object(sharded_mod, "_BUCKET_CHUNK_ARCS", chunk)
         with budget, tempfile.TemporaryDirectory() as tmp:
             builder = ShardedCSRBuilder(
@@ -216,7 +222,8 @@ class TestBytesDidNotMove:
             )
             for lo in range(0, src.size, batch):
                 builder.add_edges(src[lo : lo + batch], dst[lo : lo + batch])
-            builder.finalize()
+            built = builder.finalize()
+            assert [built.neighbors(v).tolist() for v in range(built.num_vertices)] == rows
             spill_csr(dense, Path(tmp, "spilled"), shard_size=shard_size)
             assert _dir_files(Path(tmp, "built")) == _dir_files(Path(tmp, "spilled"))
 
@@ -396,20 +403,6 @@ class TestAutoSpillAndIO:
         monkeypatch.setenv("REPRO_SPILL_THRESHOLD", "0")  # disables auto-spill
         graph = DATASETS["livejournal"].generate(scale=0.05, seed=2)
         assert isinstance(graph, CSRGraph)
-
-    def test_edge_list_streaming_parity(self, dense, tmp_path):
-        path = tmp_path / "graph.txt"
-        write_edge_list(dense, path)
-        a = read_edge_list(path)
-        b = read_edge_list_sharded(path, tmp_path / "el-shards", shard_size=300)
-        assert b.fingerprint() == a.fingerprint() == dense.fingerprint()
-
-    def test_metis_streaming_parity(self, dense, tmp_path):
-        path = tmp_path / "graph.metis"
-        write_metis(dense, path)
-        a = read_metis(path)
-        b = read_metis_sharded(path, tmp_path / "metis-shards", shard_size=300)
-        assert b.fingerprint() == a.fingerprint() == dense.fingerprint()
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,6 @@ from repro.graph import (
     CSRGraph,
     extract_subgraph,
     from_edges,
-    partition_subgraphs,
     social_graph,
     spill_csr,
 )
@@ -67,22 +66,6 @@ class TestExtract:
     def test_bad_mask_length(self, triangle):
         with pytest.raises(PartitionError):
             extract_subgraph(triangle, np.zeros(2, dtype=bool))
-
-
-class TestPartitionSubgraphs:
-    def test_parts_cover_graph(self, powerlaw_small):
-        n = powerlaw_small.num_vertices
-        parts = np.arange(n) % 4
-        subs = partition_subgraphs(powerlaw_small, parts, 4)
-        assert sum(s.num_vertices for s in subs) == n
-        # every arc is either internal to exactly one part or cut twice
-        internal = sum(s.graph.num_edges for s in subs)
-        cut = sum(s.num_cut_arcs for s in subs)
-        assert internal + cut == powerlaw_small.num_edges
-
-    def test_wrong_length(self, triangle):
-        with pytest.raises(PartitionError):
-            partition_subgraphs(triangle, np.array([0, 1]), 2)
 
 
 # ----------------------------------------------------------------------

@@ -34,7 +34,7 @@ class TestCanonicalEdges:
     def test_directed_keeps_arcs(self):
         from repro.graph import from_edges
 
-        g = from_edges([0, 1], [1, 0], directed=True, dedup=True)
+        g = from_edges([0, 1], [1, 0], directed=True)
         src, dst = canonical_edges(g)
         assert src.size == 2
 

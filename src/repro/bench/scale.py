@@ -339,7 +339,7 @@ def _parser() -> argparse.ArgumentParser:
         "--demo",
         action="store_true",
         help="acceptance demo: 2^20 vertices at d̄=32 (≈16.8M edges), "
-        f"asserting sharded peak RSS < {DEMO_RSS_BOUND:.0%} of dense",
+        f"asserting sharded peak RSS < {DEMO_RSS_BOUND:.0%}% of dense",
     )
     p.add_argument(
         "--demo-oom",

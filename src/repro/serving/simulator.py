@@ -78,7 +78,6 @@ import numpy as np
 from repro import telemetry
 from repro.cluster.cost import CostModel
 from repro.cluster.network import NetworkModel
-from repro.engines.knightking.transition import uniform_neighbor
 from repro.errors import ConfigurationError
 from repro.partition.assignment import PartitionAssignment
 from repro.resilience.chaos import ChaosError, active_plan, maybe_inject, register_site
@@ -497,7 +496,8 @@ class _Run:
     One handler per event kind (``arrive``, ``batch_done``, ``tick``,
     ``restart``, ``transfer``, ``hedge``) over the shared steps
     ``route`` → ``admit``/``enqueue`` → ``start_batch`` → ``serve_batch``
-    and ``drain``; all accounting accumulates straight into ``result``.
+    and ``drain``; accounting accumulates straight into ``result``, the
+    four once-per-event counters via lists copied in when the loop ends.
     A single-holder plan is the degenerate case: ``route`` has one
     candidate, nothing is re-dispatched or hedged, and the heartbeat
     ticks find every machine healthy.
@@ -524,7 +524,9 @@ class _Run:
             k, block_size=cfg.cache_block_size, capacity=cfg.cache_blocks
         )
         self.part_of_query = assignment.parts[trace.vertex].astype(np.int64)
-        self.demand = _plan_demand(assignment, trace, cfg.cache_block_size)
+        self.home = self.part_of_query.tolist()
+        with telemetry.active().span("serving.demand.plan", queries=q):
+            self.demand = _plan_demand(assignment, trace, cfg.cache_block_size)
         # The chaos plan is read once per run: sites no rule names are
         # never looked up in the loop.
         chaos = active_plan()
@@ -556,6 +558,8 @@ class _Run:
             slo_seconds=float(cfg.slo_seconds),
         )
 
+        self.queries, self.batches, self.messages = [0] * k, [0] * k, [0] * k
+        self.busy_seconds = [0.0] * k
         self.queue: list[deque] = [deque() for _ in range(k)]  # waiting, FIFO
         self.inflight: list[list[int]] = [[] for _ in range(k)]  # batch in service
         self.epoch = [0] * k  # bumped to fence a lost batch's completion
@@ -564,10 +568,11 @@ class _Run:
         self.hedging = cfg.hedge_after > 0.0 and cfg.replication_factor > 1
         self.copies: dict[int, list[int]] = {}  # machines a hedged query sits on
         self.hedge_machine: dict[int, int] = {}
-        self.last_arrival = float(trace.times[-1]) if q else 0.0
+        self.times = trace.times.tolist()
+        self.last_arrival = self.times[-1] if q else 0.0
 
         self.heap: list[tuple[float, int, int, int, int]] = [
-            (t, i, _ARRIVE, i, 0) for i, t in enumerate(trace.times.tolist())
+            (t, i, _ARRIVE, i, 0) for i, t in enumerate(self.times)
         ]
         heapq.heapify(self.heap)
         self.next_seq = q
@@ -575,14 +580,7 @@ class _Run:
     # -- the loop ------------------------------------------------------
     def run(self) -> ServingResult:
         """Pop events in (time, seq) order until none is left."""
-        handlers = (
-            self.arrive,
-            self.batch_done,
-            self.tick,
-            self.restart,
-            self.transfer,
-            self.hedge,
-        )
+        handlers = (self.arrive, self.batch_done, self.tick, self.restart, self.transfer, self.hedge)
         heap = self.heap
         pop = heapq.heappop
         self.push(self.cfg.heartbeat_interval, _TICK, 1)
@@ -591,6 +589,8 @@ class _Run:
             handlers[code](now, a, b)
 
         res, monitor = self.result, self.monitor
+        for name in ("queries", "batches", "messages", "busy_seconds"):
+            getattr(res, name)[:] = getattr(self, name)
         end = max(res.makespan, self.last_arrival)
         if monitor.ledger:
             end = max(end, monitor.ledger[-1].time)
@@ -634,7 +634,7 @@ class _Run:
             queue = self.queue[m]
             if len(queue) < limit:
                 queue.append(qi)
-                self.result.queries[m] += 1
+                self.queries[m] += 1
                 if self.hedging:
                     self.copies.setdefault(qi, []).append(m)
                 if not self.inflight[m]:
@@ -645,7 +645,7 @@ class _Run:
     def admit(self, qi: int, now: float, exclude=()) -> bool:
         """Enqueue ``qi`` on the best healthy replica; False = shed."""
         res = self.result
-        p = int(self.part_of_query[qi])
+        p = self.home[qi]
         candidates = self.route(p, exclude)
         if self.enqueue(qi, now, candidates) >= 0:
             return True
@@ -676,8 +676,8 @@ class _Run:
         if not batch:
             return
         svc = self.serve_batch(m, batch)
-        res.batches[m] += 1
-        res.busy_seconds[m] += svc
+        self.batches[m] += 1
+        self.busy_seconds[m] += svc
         self.inflight[m] = batch
         done = now + svc
         res.makespan = max(res.makespan, done)
@@ -694,12 +694,12 @@ class _Run:
         """
         cfg, res, trace = self.cfg, self.result, self.trace
         edges, remote_reads, ptr, block, count = self.demand
-        kind = trace.kind
-        batch_id = int(res.batches[m])
+        kind, vertex, home = trace.kind, trace.vertex, self.home
+        batch_id = self.batches[m]
         edge_work = 0.0
         steps = remote = 0
         touched: dict[int, int] = {}  # cache block -> vertices read in it
-        walkers = []
+        positions, homes = [], []  # the batch's walkers
         for qi in batch:
             edge_work += edges.item(qi)
             remote += remote_reads.item(qi)
@@ -707,31 +707,35 @@ class _Run:
             for b, c in zip(block[row].tolist(), count[row].tolist()):
                 touched[b] = touched.get(b, 0) + c
             if kind.item(qi) == KIND_WALK:
-                walkers.append(qi)
+                positions.append(vertex.item(qi))
+                homes.append(home[qi])
 
-        # walk queries: advance KnightKing-style uniform transitions,
-        # vectorised across the batch's walkers, RNG derived per
-        # (seed, machine, batch) so runs replay bit-identically — which
-        # is why they cannot be planned ahead: the draws depend on who
-        # shares the batch.
-        if walkers:
+        # walk queries: KnightKing-style uniform transitions, stepped per
+        # walker (a batch holds at most ``batch_max``). The RNG is keyed by
+        # (seed, machine, batch) so runs replay bit-identically — the draws
+        # depend on who shares the batch, so they cannot be planned ahead.
+        if positions:
             graph, parts = self.assignment.graph, self.assignment.parts
+            degrees, indptr, block_size = graph.degrees, graph.indptr, cfg.cache_block_size
             wrng = derive_rng(self.seed, _SALT_WALK, m, batch_id)
-            positions = trace.vertex[walkers]
-            walk_homes = self.part_of_query[walkers]
             for _ in range(trace.spec.walk_steps):
-                positions, dead = uniform_neighbor(graph, positions, wrng)
-                if dead.any():  # dead-end walkers stop; the rest go on
-                    positions, walk_homes = positions[~dead], walk_homes[~dead]
-                    if not positions.size:
-                        break
-                steps += positions.size
-                remote += int(np.count_nonzero(parts[positions] != walk_homes))
-                for b in (positions // cfg.cache_block_size).tolist():
+                slots, moved = [], []
+                for pos, h, u in zip(positions, homes, wrng.random(len(positions)).tolist()):
+                    deg = degrees.item(pos)
+                    if deg:  # a dead-end walker stops, its draw spent
+                        slots.append(indptr.item(pos) + min(int(u * deg), deg - 1))
+                        moved.append(h)
+                if not slots:
+                    break
+                positions, homes = graph.take_arcs(slots).tolist(), moved
+                steps += len(positions)
+                for pos, h in zip(positions, homes):
+                    remote += parts.item(pos) != h
+                    b = pos // block_size
                     touched[b] = touched.get(b, 0) + 1
 
         fetched = self.cache.touch_blocks(m, sorted(touched.items()))
-        res.messages[m] += remote
+        self.messages[m] += remote
 
         work = cfg.cost.compute_seconds(steps=steps, edges=edge_work, vertices=len(batch))
         svc = float(work if isinstance(work, float) else work[m])  # per-machine cores
@@ -778,11 +782,11 @@ class _Run:
     def batch_done(self, now: float, m: int, epoch: int) -> None:
         if epoch != self.epoch[m]:
             return  # cancelled: the machine crashed/was fenced
-        res, times = self.result, self.trace.times
+        res, times = self.result, self.times
         latency, hedging = res.latency, self.hedging
         for qi in self.inflight[m]:
             if not hedging or math.isnan(latency[qi]):
-                latency[qi] = now - float(times[qi])
+                latency[qi] = now - times[qi]
                 res.machine_of_query[qi] = m
                 if hedging and self.hedge_machine.get(qi) == m:
                     res.hedge_wins += 1
@@ -836,17 +840,13 @@ class _Run:
         """
         cfg = self.cfg
         self.monitor.transition(m, now, RECOVERING, "restart")
-        part_v = self.assignment.vertex_counts
-        part_e = self.assignment.edge_counts
-        owned = sorted(
-            self.plan.partitions_of(m),
-            key=lambda p: (-(int(part_v[p]) + int(part_e[p])), p),
-        )
+        part_v = self.assignment.vertex_counts.tolist()
+        part_e = self.assignment.edge_counts.tolist()
+        owned = sorted(self.plan.partitions_of(m), key=lambda p: (-(part_v[p] + part_e[p]), p))
         t = now
         for p in owned:
-            v, e = int(part_v[p]), int(part_e[p])
-            nbytes = v * cfg.replica_vertex_bytes + e * cfg.replica_edge_bytes
-            t += float(cfg.network.request_cost(nbytes, 1.0))
+            nbytes = part_v[p] * cfg.replica_vertex_bytes + part_e[p] * cfg.replica_edge_bytes
+            t += cfg.network.request_cost(nbytes, 1.0)
             self.push(t, _TRANSFER, m, nbytes)
         self.transfers_left[m] = len(owned)
 
@@ -867,7 +867,7 @@ class _Run:
         res = self.result
         if not math.isnan(res.latency[qi]) or res.shed[qi]:
             return
-        candidates = self.route(int(self.part_of_query[qi]), self.copies.get(qi, ()))
+        candidates = self.route(self.home[qi], self.copies.get(qi, ()))
         m = self.enqueue(qi, now, candidates)
         if m >= 0:
             self.hedge_machine[qi] = m

@@ -59,7 +59,7 @@ def oracle_serve_batch(self, m, batch):
     """``_Run.serve_batch`` as it was before the plan (chaos sites aside)."""
     cfg, res, trace = self.cfg, self.result, self.trace
     graph, parts = self.assignment.graph, self.assignment.parts
-    batch_id = int(res.batches[m])
+    batch_id = self.batches[m]
     idx = np.asarray(batch, dtype=np.int64)
     homes, verts, kinds = self.part_of_query[idx], trace.vertex[idx], trace.kind[idx]
     touched = [verts]
@@ -85,7 +85,7 @@ def oracle_serve_batch(self, m, batch):
             remote += int(np.count_nonzero(parts[positions] != walk_homes))
             touched.append(positions)
     fetched = self.cache.touch(m, np.concatenate(touched))
-    res.messages[m] += remote
+    self.messages[m] += remote
     work = cfg.cost.compute_seconds(steps=step_work, edges=edge_work, vertices=float(len(batch)))
     svc = float(work[m]) if np.ndim(work) else float(work)
     if remote:
@@ -113,7 +113,7 @@ def cases(draw):
     spec = WorkloadSpec(
         khop=draw(st.sampled_from([1, 2])),
         khop_cap=draw(st.sampled_from([1, 2, 3, 64])),
-        walk_steps=draw(st.integers(1, 3)),
+        walk_steps=draw(st.integers(1, 6)),
         duration=1.0,
     )
     trace = QueryTrace(
@@ -211,6 +211,50 @@ class TestPlanEqualsThePerQueryLoop:
         shard = _plan_demand(PartitionAssignment(spilled, parts, 4), trace, 64, chunk=100)
         for a, b in zip(dense, shard):
             np.testing.assert_array_equal(a, b)
+
+    def test_whole_run_on_shards(self, tmp_path):
+        # The walk stepper keeps to the planner's contract (degrees /
+        # indptr / take_arcs), so the loop runs on shards unchanged.
+        graph = chung_lu(3000, 8.0, 2.2, rng=3)
+        spilled = spill_csr(graph, tmp_path, shard_size=256)
+        parts = np.arange(3000) % 4
+        trace = WorkloadSpec(duration=0.02, rate=120000.0, walk_frac=0.5, seed=2).generate(graph)
+        config = ServingConfig(cache_blocks=16)
+        dense, shard = (
+            ServingSimulator(PartitionAssignment(g, parts, 4), config, seed=3).run(trace)
+            for g in (graph, spilled)
+        )
+        assert dense.queries.sum() > 2 * dense.batches.sum()  # multi-walker batches
+        assert dense.summary() == shard.summary()
+        np.testing.assert_array_equal(dense.latency, shard.latency)
+        np.testing.assert_array_equal(dense.messages, shard.messages)
+
+    def test_loop_gathers_once_per_walk_step(self, monkeypatch):
+        # With walks on, the loop adds one take_arcs per walk step that
+        # moved a walker, and steps them itself. The oracle run counts
+        # those steps; uniform_neighbor gathers once per call.
+        graph = from_edges(*np.random.default_rng(5).integers(0, 400, (2, 900)), directed=True)
+        assignment = PartitionAssignment(graph, np.arange(graph.num_vertices) % 4, 4)
+        trace = WorkloadSpec(duration=0.02, rate=120000.0, walk_frac=0.7, seed=1).generate(graph)
+        assert not hasattr(simulator_module, "uniform_neighbor")
+        moved, step = [], uniform_neighbor
+
+        def counting(graph, positions, rng):
+            targets, dead = step(graph, positions, rng)
+            moved.append(not dead.all())
+            return targets, dead
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_Run, "serve_batch", oracle_serve_batch)
+            patch.setitem(globals(), "uniform_neighbor", counting)
+            ServingSimulator(assignment, seed=0).run(trace)
+        assert 0 < sum(moved) < len(moved)  # some steps found every walker at a sink
+        calls, real = [], type(graph).take_arcs
+        monkeypatch.setattr(
+            type(graph), "take_arcs", lambda self, slots: calls.append(1) or real(self, slots)
+        )
+        ServingSimulator(assignment, seed=0).run(trace)
+        assert len(calls) == -(-trace.num_queries // _PLAN_CHUNK) + sum(moved)
 
     def test_loop_never_reads_the_graph_for_khop(self, monkeypatch):
         # The per-query k-hop path is gone: with walks off, the only

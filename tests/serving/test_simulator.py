@@ -11,7 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.graph import social_graph
+from repro.graph import rmat, social_graph
 from repro.partition import PartitionAssignment
 from repro.partition.base import get_partitioner
 from repro.resilience import ChaosPlan, ChaosRule, install_plan
@@ -24,6 +24,7 @@ from repro.serving import (
     ServingSimulator,
     WorkloadSpec,
 )
+from repro.serving.workload import KIND_WALK
 
 
 @pytest.fixture(scope="module")
@@ -284,7 +285,7 @@ class TestTelemetry:
         assert hist["count"] == result.completed
         assert hist["per_decade"] == 4  # the bounded-histogram kind
 
-    def test_k1_run_emits_the_plain_series_and_two_spans(self, assignment, trace):
+    def test_k1_run_emits_the_plain_series_and_three_spans(self, assignment, trace):
         telemetry.set_enabled(True)
         ServingSimulator(assignment, seed=1).run(trace)
         reg = telemetry.registry()
@@ -303,6 +304,7 @@ class TestTelemetry:
         spans = {span["name"]: span["args"] for span in reg.spans}
         assert spans == {
             "serving.replication.plan": {},
+            "serving.demand.plan": {"queries": trace.num_queries},
             "serving.event_loop": {"machines": 4, "queries": trace.num_queries},
         }
 
@@ -349,10 +351,10 @@ def result_digest(result) -> str:
     return h.hexdigest()
 
 
-def _served(graph, assignment, config, plan, seed, *, duration, rate):
-    trace = WorkloadSpec(users=300, duration=duration, rate=rate, seed=seed).generate(
-        graph
-    )
+def _served(graph, assignment, config, plan, seed, *, duration, rate, **spec):
+    trace = WorkloadSpec(
+        users=300, duration=duration, rate=rate, seed=seed, **spec
+    ).generate(graph)
     install_plan(plan)
     try:
         return ServingSimulator(assignment, config, seed=seed).run(trace)
@@ -383,6 +385,27 @@ def k2_result(graph, assignment, drill):
     return _served(
         graph, assignment, config, plan, 1, duration=shape[0], rate=shape[1]
     )
+
+
+_ALL_WALKS = {"walk_frac": 1.0, "walk_steps": 8}
+
+
+def walk_result(graph, assignment, cell):
+    """Every query an eight-step walk. At 120 k q/s with a 16-block
+    cache, batches of one to ``batch_max`` walkers each occur dozens of
+    times; on the directed graph walkers die at sinks."""
+    if cell == "directed":
+        graph = rmat(10, 4, rng=7, directed=True)
+        assignment = PartitionAssignment(graph, np.arange(graph.num_vertices) % 4, 4)
+    if cell == "k2-hedged":
+        config = ServingConfig(replication_factor=2, hedge_after=0.0001, cache_blocks=16)
+        shape = (0.05, 60000.0)
+    else:
+        config, shape = ServingConfig(**_GRID_CONFIGS["tight"]), (0.03, 120000.0)
+    result = _served(
+        graph, assignment, config, None, 1, duration=shape[0], rate=shape[1], **_ALL_WALKS
+    )
+    return graph, result
 
 
 class TestBytesDidNotMove:
@@ -430,3 +453,23 @@ class TestBytesDidNotMove:
         else:
             assert result.hedges > result.hedge_wins > 0
         assert result_digest(result) == self.K2[drill]
+
+    # Recorded at 48a1105, the last commit whose walk block called
+    # ``uniform_neighbor`` per step.
+    WALKS = {
+        "full-batches": "25de09813d866e9b341dca7ddd24c21b6e7bca79b48cc742eb026f4c74abd103",
+        "directed": "dbdd03b2e87a32f3464fba231bb4b821131a442d548ac2b85c2a72c7cd2080cc",
+        "k2-hedged": "db2621aac204dff93f638b0a70fd36948a49f806551bc08396407a05f99867cd",
+    }
+
+    @pytest.mark.parametrize("cell", sorted(WALKS))
+    def test_walk_heavy_cells(self, graph, assignment, cell):
+        walked, result = walk_result(graph, assignment, cell)
+        assert (result.kind == KIND_WALK).all()
+        if cell == "full-batches":  # up to eight walkers share one generator
+            assert result.queries.sum() / result.batches.sum() > 2.5
+        elif cell == "directed":  # walkers die on step 1 and mid-walk
+            assert 0.3 < (walked.degrees == 0).mean() < 0.6
+        else:
+            assert result.hedges > result.hedge_wins > 0
+        assert result_digest(result) == self.WALKS[cell]

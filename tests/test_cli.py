@@ -5,7 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _SUBCOMMANDS, main
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_help_exits_zero(command, capsys):
+    # argparse %-formats every help string when it renders: a bare "%" raises
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 class TestBenchCommand:

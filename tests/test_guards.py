@@ -4,7 +4,9 @@ One home per protocol (DESIGN.md §9): the compact JSON form and the
 document digest live in ``utils/canon.py`` — the other sha256 users hash
 arrays or bytes, not documents — there is no second timer, and the edge
 intake and the keys → rows canonicaliser live in ``graph/builder.py``.
-``src/`` has no numba path and does not grow back past the ceiling.
+Serving steps its ≤ ``batch_max`` walkers itself; KnightKing's vectorised
+stepper stays with KnightKing. ``src/`` has no numba path and does not
+grow back past the ceiling.
 """
 
 from __future__ import annotations
@@ -64,6 +66,10 @@ def test_edges_to_rows_has_one_home():
         assert len(hits) == 1 and hits[0].startswith("src/repro/graph/builder.py:"), hits
     hits = _grep("argsort", "src/repro/graph", glob="*.py")
     assert [h for h in hits if h.split(":")[0].endswith(("/builder.py", "/csr.py"))] == []
+
+
+def test_serving_steps_walkers_itself():
+    assert _grep(r"uniform_neighbor", "src/repro/serving") == []
 
 
 def test_no_numba_in_src():

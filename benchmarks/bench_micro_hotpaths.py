@@ -55,10 +55,9 @@ def test_stream_partition_kernel(benchmark, g, kernel):
     )
 
 
-@pytest.mark.parametrize("kernel", available_kernels())
-def test_ldg_kernel(benchmark, g, kernel):
-    """LDG served by the shared kernel layer, per backend."""
-    benchmark(lambda: LDGPartitioner(kernel=kernel).partition(g, 8))
+def test_ldg_kernel(benchmark, g):
+    """LDG through its one running loop (``ldg_buffered``)."""
+    benchmark(lambda: LDGPartitioner().partition(g, 8))
 
 
 def test_neighbor_sum_gather(benchmark, g):

@@ -23,9 +23,7 @@ graph is spilled with :func:`~repro.graph.sharded.spill_csr` and all
 five partitioners must produce bit-identical assignments on both
 representations. ``--demo`` runs the acceptance workload (2^20
 vertices, d̄ = 32 → ≈ 16.8 M edges) and asserts the sharded peak stays
-under 40 % of the dense peak. ``--cores 1 2 4`` sweeps the parallel
-kernel's worker count on one dense cell and records the speedup curve
-against the jobs=1 buffered baseline. ``--demo-oom`` runs the
+under 40 % of the dense peak. ``--demo-oom`` runs the
 larger-than-RAM demonstration: a graph whose dense CSR exceeds a hard
 ``RLIMIT_AS`` budget — the dense control cell must die of
 ``MemoryError`` while the sharded build and partition complete inside
@@ -350,16 +348,6 @@ def _parser() -> argparse.ArgumentParser:
         "control must MemoryError while sharded build+partition complete",
     )
     p.add_argument(
-        "--cores",
-        type=int,
-        nargs="+",
-        default=None,
-        metavar="JOBS",
-        help="parallel-kernel cores sweep (e.g. 1 2 4 8): one dense cell "
-        "per worker count at the largest --scales size, speedup recorded "
-        "against the jobs=1 buffered baseline",
-    )
-    p.add_argument(
         "--jobs",
         type=int,
         default=None,
@@ -438,45 +426,6 @@ def main(argv: list[str] | None = None) -> int:
             if "error" in cell:
                 status = 1
         sweep_cells.extend(cells)
-
-    cores_cells: list[dict] = []
-    if args.cores:
-        exp = max(args.scales)
-        n = 1 << exp
-        print(f"cores sweep: n = 2^{exp} = {n:,}, jobs ∈ {sorted(set(args.cores))}")
-        baseline = run_cell(
-            "dense", n, args.avg_degree, args.parts, args.seed,
-            kernel="buffered", jobs=1,
-        )
-        baseline["scale_exp"] = exp
-        baseline["sweep"] = "cores"
-        print(_fmt(baseline))
-        cores_cells.append(baseline)
-        base_vps = baseline.get("vertices_per_sec")
-        if "error" in baseline:
-            status = 1
-        for jobs in sorted(set(args.cores)):
-            cell = run_cell(
-                "dense", n, args.avg_degree, args.parts, args.seed,
-                kernel="parallel", jobs=jobs,
-            )
-            cell["scale_exp"] = exp
-            cell["sweep"] = "cores"
-            cell["jobs"] = jobs
-            if base_vps and cell.get("vertices_per_sec"):
-                cell["speedup_vs_buffered_1"] = round(
-                    cell["vertices_per_sec"] / base_vps, 3
-                )
-            print(_fmt(cell) + (
-                f"  speedup={cell['speedup_vs_buffered_1']:.2f}x"
-                if "speedup_vs_buffered_1" in cell else ""
-            ))
-            if "error" in cell:
-                status = 1
-            elif baseline.get("checksum") and cell["checksum"] != baseline["checksum"]:
-                print(f"    MISMATCH: jobs={jobs} checksum differs from baseline")
-                status = 1
-            cores_cells.append(cell)
 
     oom_cells: list[dict] = []
     if args.demo_oom:
@@ -571,7 +520,7 @@ def main(argv: list[str] | None = None) -> int:
                     "num_parts": args.parts,
                     "seed": args.seed,
                 },
-                "cells": sweep_cells + cores_cells + oom_cells + demo_cells,
+                "cells": sweep_cells + oom_cells + demo_cells,
                 "parity_control": parity,
                 "machine": platform.machine(),
                 "cpus_visible": cpus,
@@ -589,12 +538,6 @@ def main(argv: list[str] | None = None) -> int:
             "cpus_visible": cpus,
             "python": platform.python_version(),
         }
-        if args.cores:
-            entry["cores_sweep"] = {
-                str(c.get("jobs", 1)): c.get("speedup_vs_buffered_1")
-                for c in cores_cells
-                if c.get("sweep") == "cores" and c.get("kernel") == "parallel"
-            }
         if oom_cells:
             entry["oom_demo_passed"] = oom_passed
             entry["oom_budget_mb"] = OOM_DEMO_BUDGET_MB

@@ -28,6 +28,7 @@ non-deterministic timer/span section) to the given file.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 import time
@@ -188,17 +189,17 @@ def _partition_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--kernel",
         choices=KERNEL_CHOICES,
-        default="auto",
-        help="streaming-loop backend for streaming partitioners "
-        "(all backends produce identical assignments)",
+        default=None,
+        help="streaming-loop backend for fennel and bpart (default: auto; "
+        "all backends produce identical assignments)",
     )
     p.add_argument(
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the parallel streaming backend "
-        "(default: $REPRO_JOBS or 1; 0 means all cores; assignments "
-        "are bit-identical at every value)",
+        help="worker processes for the parallel streaming backend of fennel "
+        "and bpart (default: $REPRO_JOBS or 1; 0 means all cores; "
+        "assignments are bit-identical at every value)",
     )
     p.add_argument("--out", help="write the part-id vector to this .npy file")
     _add_telemetry_flag(p)
@@ -548,25 +549,16 @@ def _run_partition(argv: list[str]) -> int:
 
     args = _partition_parser().parse_args(argv)
     _telemetry_begin(args)
+    # Only the flags the user gave are passed; one the algorithm's
+    # constructor does not take is an error, not silently dropped.
+    flags = {f: getattr(args, f) for f in ("kernel", "jobs") if getattr(args, f) is not None}
+    accepted = inspect.signature(type(get_partitioner(args.algo))).parameters
+    for flag in flags:
+        if flag not in accepted:
+            raise ConfigurationError(f"{args.algo} takes no --{flag}")
+    partitioner = get_partitioner(args.algo, seed=args.seed, **flags)
     g = _load_graph(args)
     print(f"graph: {summarize(g)}")
-    # Partitioners accept different knob subsets (hash/chunk take no
-    # kernel or jobs, some take no seed); try the richest signature first.
-    partitioner = None
-    for kwargs in (
-        {"seed": args.seed, "kernel": args.kernel, "jobs": args.jobs},
-        {"seed": args.seed, "kernel": args.kernel},
-        {"seed": args.seed},
-        {"kernel": args.kernel},
-        {},
-    ):
-        try:
-            partitioner = get_partitioner(args.algo, **kwargs)
-            break
-        except TypeError:
-            continue
-    if partitioner is None:  # pragma: no cover - every registered algo accepts ()
-        partitioner = get_partitioner(args.algo)
     result = partitioner.partition(g, args.parts)
     print(f"{args.algo} into {args.parts} parts in {result.elapsed:.3f}s")
     print(balance_report(result.assignment))
@@ -644,25 +636,25 @@ def _trace_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_app(name: str) -> None:
+    """``--app`` of ``trace`` / ``metrics``, rejected before any graph is loaded."""
+    from repro.bench.workloads import ITERATION_APPS, WALK_APPS
+
+    if name not in WALK_APPS + ITERATION_APPS:
+        raise ConfigurationError(
+            f"unknown app {name!r}; choose from {', '.join(WALK_APPS + ITERATION_APPS)}"
+        )
+
+
 def _run_trace(argv: list[str]) -> int:
     from repro.bench.artifacts import get_assignment
-    from repro.bench.workloads import (
-        ITERATION_APPS,
-        WALK_APPS,
-        run_fault_walk_job,
-        run_walk_job,
-    )
+    from repro.bench.workloads import WALK_APPS, run_fault_walk_job, run_walk_job
     from repro.cluster.trace import write_chrome_trace
     from repro.graph import summarize
 
     args = _trace_parser().parse_args(argv)
     telemetry_on = _telemetry_begin(args)
-    if args.app not in WALK_APPS + ITERATION_APPS:
-        print(
-            f"unknown app {args.app!r}; choose from {', '.join(WALK_APPS + ITERATION_APPS)}",
-            file=sys.stderr,
-        )
-        return 2
+    _check_app(args.app)
     g = _load_graph(args)
     job = f"{args.dataset or 'graph'}-{args.algo}-{args.app}"
     print(f"graph: {summarize(g)}")
@@ -772,29 +764,17 @@ def _run_metrics(argv: list[str]) -> int:
     from repro.partition import get_partitioner
 
     args = _metrics_parser().parse_args(argv)
+    if args.app:
+        _check_app(args.app)
     telemetry.set_enabled(True)
     telemetry.reset()
     g = _load_graph(args)
     print(f"graph: {summarize(g)}", file=sys.stderr)
 
-    for kwargs in ({"seed": args.seed}, {}):
-        try:
-            partitioner = get_partitioner(args.algo, **kwargs)
-            break
-        except TypeError:
-            continue
-    result = partitioner.partition(g, args.parts)
+    result = get_partitioner(args.algo, seed=args.seed).partition(g, args.parts)
 
     if args.app:
-        from repro.bench.workloads import ITERATION_APPS, WALK_APPS
-
-        if args.app not in WALK_APPS + ITERATION_APPS:
-            print(
-                f"unknown app {args.app!r}; choose from "
-                f"{', '.join(WALK_APPS + ITERATION_APPS)}",
-                file=sys.stderr,
-            )
-            return 2
+        from repro.bench.workloads import WALK_APPS
         from repro.cluster import BSPCluster
 
         if args.app in WALK_APPS:

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import PartitionError
-from repro.partition.kernels import get_kernel
+from repro.partition.kernels.incremental import single_incremental
 from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["DynamicPartitioner"]
@@ -72,11 +72,9 @@ class DynamicPartitioner:
                 counters, so scores can differ in the last ulp on exact
                 ties). When ``None`` (open-ended ingest), both adapt to
                 the running totals.
-    kernel:     scoring backend (:mod:`repro.partition.kernels`); the
-                per-arrival decision is the kernels' ``single``
-                primitive, so the same knob that accelerates the
-                offline streams applies to online ingest. All backends
-                choose identically.
+
+    The per-arrival decision is ``kernels.incremental.single_incremental``;
+    ``kernels.scalar.single_scalar`` is its executable spec.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class DynamicPartitioner:
         slack: float = 1.1,
         avg_degree: float = 10.0,
         expected_vertices: int | None = None,
-        kernel: str = "auto",
     ) -> None:
         check_positive("num_parts", num_parts)
         check_probability("c", c)
@@ -105,7 +102,6 @@ class DynamicPartitioner:
         self._slack = float(slack)
         self._prior_dbar = float(avg_degree)
         self._expected = int(expected_vertices) if expected_vertices else None
-        self._backend = get_kernel(kernel)
 
         self._parts: dict[int, int] = {}
         # live counted stubs per resident (|{w in adj(v): w not departed}|)
@@ -279,7 +275,7 @@ class DynamicPartitioner:
         )
         capacity = self._slack * provisioned / self._k
         alpha = self._current_alpha()
-        choice = self._backend.single(
+        choice = single_incremental(
             overlap,
             loads,
             alpha=alpha,

@@ -1,4 +1,4 @@
-"""Pluggable backends for the streaming-assignment inner loop.
+"""Pluggable backends for Eq. 2's streaming loop (Fennel, BPart phase 1).
 
 Importing this package registers every backend:
 
@@ -18,6 +18,12 @@ Importing this package registers every backend:
 ``get_kernel("auto")`` — the default everywhere a ``kernel=`` knob is
 exposed — is ``buffered``; all shipped backends produce identical
 assignments, so the knob trades throughput only (see ``tests/partition/test_kernels.py``).
+
+The registry dispatches that one rule. LDG (``scalar.ldg_scalar`` spec,
+``buffered.ldg_buffered`` running loop) and the dynamic partitioner's
+single decision (``scalar.single_scalar`` spec,
+``incremental.single_incremental`` running step) live beside the Fennel
+loops they mirror and are imported directly by their one caller.
 """
 
 from repro.partition.kernels.base import (

@@ -1,24 +1,19 @@
 """Kernel registry for the streaming-assignment inner loop.
 
-Every streaming partitioner in this library (Fennel, BPart phase-1, LDG,
-the dynamic variant) bottoms out in the same sequential inner loop: pop
-the next vertex off the stream, measure its overlap with each part,
-apply a balance term, assign, update the loads. The loop is inherently
-sequential — each assignment feeds the next score — but *how* the body
-is computed is an implementation detail, and the fastest implementation
-depends on the workload shape. This module owns the dispatch.
+Fennel and BPart's phase 1 bottom out in the same sequential inner
+loop: pop the next vertex off the stream, measure its overlap with each
+part, apply a balance term, assign, update the loads. The loop is
+inherently sequential — each assignment feeds the next score — but *how*
+the body is computed is an implementation detail, and the fastest
+implementation depends on the workload shape. This module owns the
+dispatch.
 
-A backend bundles three entry points:
-
-``fennel``
-    The additive-penalty loop of Eq. 2 (shared by Fennel and BPart's
-    partitioning phase):  ``S(v, G_i) = |V_i ∩ N(v)| − α·γ·W_i^{γ−1}``.
-``ldg``
-    The multiplicative LDG rule: ``|V_i ∩ N(v)| · (1 − W_i/C)``.
-``single``
-    One scoring decision for an externally-maintained state — the
-    primitive :class:`~repro.partition.dynamic.DynamicPartitioner`
-    builds on.
+A backend is one entry point, ``fennel`` — the additive-penalty loop of
+Eq. 2 shared by Fennel and BPart's partitioning phase:
+``S(v, G_i) = |V_i ∩ N(v)| − α·γ·W_i^{γ−1}``. It is the only rule the
+registry dispatches: LDG and the dynamic partitioner's one-decision step
+each keep a ``*_scalar`` spec next to ``fennel_scalar`` and one loop that
+runs (``ldg_buffered``, ``single_incremental``), called directly.
 
 Backends register themselves at import time (see
 :mod:`repro.partition.kernels`); :func:`get_kernel` resolves a name —
@@ -52,21 +47,15 @@ KERNEL_CHOICES = ("auto", "scalar", "incremental", "buffered", "parallel")
 
 @dataclass(frozen=True)
 class KernelBackend:
-    """One streaming-assignment implementation.
+    """One implementation of Eq. 2's streaming loop.
 
-    ``fennel``/``ldg`` mutate the ``parts`` and ``loads`` arrays they are
-    handed; ``single`` returns the chosen part id. ``exact`` records
-    whether the backend is bit-exact with the ``scalar`` reference (all
-    shipped backends are; the flag exists so a future approximate
-    backend can be gated by tolerance tests instead of parity tests).
+    ``fennel`` mutates the ``parts`` and ``loads`` arrays it is handed.
+    Every backend is bit-exact with the ``scalar`` reference
+    (``tests/partition/test_kernels.py``).
     """
 
     name: str
     fennel: Callable[..., None]
-    ldg: Callable[..., None]
-    single: Callable[..., int]
-    exact: bool = True
-    description: str = ""
 
 
 _REGISTRY: dict[str, KernelBackend] = {}

@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.partition.kernels.base import KernelBackend, pow_like_numpy, register_kernel
-from repro.partition.kernels.incremental import single_incremental
 
 __all__ = ["BACKEND", "DEFAULT_CHUNK"]
 
@@ -265,12 +264,5 @@ def ldg_buffered(
     loads[:] = loads_l
 
 
-BACKEND = KernelBackend(
-    name="buffered",
-    fennel=fennel_buffered,
-    ldg=ldg_buffered,
-    single=single_incremental,
-    exact=True,
-    description=f"chunked CSR gather + flat bincount (B={DEFAULT_CHUNK}), exact fixups",
-)
+BACKEND = KernelBackend(name="buffered", fennel=fennel_buffered)
 register_kernel(BACKEND)

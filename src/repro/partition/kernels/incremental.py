@@ -115,77 +115,6 @@ def fennel_incremental(
     loads[:] = loads_l
 
 
-def ldg_incremental(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    stream: np.ndarray,
-    parts: np.ndarray,
-    loads: np.ndarray,
-    *,
-    capacity: float,
-) -> None:
-    k = loads.shape[0]
-    indptr_l = indptr.tolist()
-    indices_l = indices.tolist()
-    stream_l = stream.tolist()
-    parts_l = parts.tolist()
-    loads_l = loads.tolist()
-    # LDG's remaining-capacity weight 1 − W_i/C depends on the load
-    # alone; maintained exactly like the Fennel penalty.
-    weight = [1.0 - x / capacity for x in loads_l]
-    saturated = [x >= capacity for x in loads_l]
-    num_saturated = sum(saturated)
-    counts = [0] * k
-
-    for v in stream_l:
-        touched = []
-        num_assigned = 0
-        for u in indices_l[indptr_l[v] : indptr_l[v + 1]]:
-            p = parts_l[u]
-            if p >= 0:
-                if counts[p] == 0:
-                    touched.append(p)
-                counts[p] += 1
-                num_assigned += 1
-        if num_saturated == k:
-            choice = 0
-            best_load = loads_l[0]
-            for i in range(1, k):
-                if loads_l[i] < best_load:
-                    best_load = loads_l[i]
-                    choice = i
-        else:
-            choice = -1
-            best = _NEG_INF
-            if num_assigned:
-                for i in range(k):
-                    if saturated[i]:
-                        continue
-                    s = counts[i] * weight[i]
-                    if s > best:
-                        best = s
-                        choice = i
-            else:
-                for i in range(k):  # empty overlap → fill least loaded
-                    if saturated[i]:
-                        continue
-                    if weight[i] > best:
-                        best = weight[i]
-                        choice = i
-        for p in touched:
-            counts[p] = 0
-        parts_l[v] = choice
-        grown = loads_l[choice] + 1.0
-        loads_l[choice] = grown
-        weight[choice] = 1.0 - grown / capacity
-        if not saturated[choice] and grown >= capacity:
-            saturated[choice] = True
-            num_saturated += 1
-
-    parts[:] = parts_l
-    loads[:] = loads_l
-
-
 def single_incremental(
     overlap: np.ndarray,
     loads: np.ndarray,
@@ -220,12 +149,5 @@ def single_incremental(
     return choice
 
 
-BACKEND = KernelBackend(
-    name="incremental",
-    fennel=fennel_incremental,
-    ldg=ldg_incremental,
-    single=single_incremental,
-    exact=True,
-    description="delta-maintained penalties and counters, no per-vertex ufuncs",
-)
+BACKEND = KernelBackend(name="incremental", fennel=fennel_incremental)
 register_kernel(BACKEND)

@@ -59,14 +59,9 @@ from repro.parallel import (
     shm_available,
 )
 from repro.partition.kernels.base import KernelBackend, pow_like_numpy, register_kernel
-from repro.partition.kernels.buffered import (
-    _dense_gather,
-    fennel_buffered,
-    ldg_buffered,
-)
-from repro.partition.kernels.incremental import single_incremental
+from repro.partition.kernels.buffered import _dense_gather, fennel_buffered
 
-__all__ = ["BACKEND", "DEFAULT_PARALLEL_CHUNK", "fennel_parallel", "ldg_parallel"]
+__all__ = ["BACKEND", "DEFAULT_PARALLEL_CHUNK", "fennel_parallel"]
 
 #: Chunk size for the parallel backend. Larger than the buffered
 #: default: each task must amortise a pipe round-trip, and the exactness
@@ -390,88 +385,6 @@ class _FennelResolver:
         )
 
 
-class _LDGResolver:
-    """Sequential LDG resolution over worker-scored chunks (single-pass;
-    mirrors :func:`~repro.partition.kernels.buffered.ldg_buffered`)."""
-
-    passes = 1
-
-    def __init__(self, gather, parts, loads, *, capacity):
-        self.gather = gather
-        self._capacity = capacity
-        self._parts_l = parts.tolist()
-        self._loads_l = loads.tolist()
-        self._weight = [1.0 - x / capacity for x in self._loads_l]
-        self._saturated = [x >= capacity for x in self._loads_l]
-        self._num_saturated = sum(self._saturated)
-
-    @property
-    def loads(self):
-        return self._loads_l
-
-    def begin_pass(self) -> None:
-        pass
-
-    def resolve_chunk(self, chunk_start, chunk, table, pulls, sh_parts) -> None:
-        b = chunk.size
-        chunk_l = chunk.tolist()
-        parts_l = self._parts_l
-        loads_l = self._loads_l
-        weight = self._weight
-        saturated = self._saturated
-        capacity = self._capacity
-        k = len(loads_l)
-        snapshot = [parts_l[v] for v in chunk_l]
-        num_assigned = table.sum(axis=1).tolist()
-        for i in range(b):
-            v = chunk_l[i]
-            row = table[i].tolist()
-            assigned = num_assigned[i]
-            pull = pulls.get(i) if pulls is not None else None
-            if pull is not None:
-                P = chunk_start + i
-                for pu, u in pull:
-                    pp = parts_l[u] if pu < P else snapshot[pu - chunk_start]
-                    if pp >= 0:
-                        row[pp] += 1
-                        assigned += 1
-            if self._num_saturated == k:
-                choice = 0
-                best_load = loads_l[0]
-                for p in range(1, k):
-                    if loads_l[p] < best_load:
-                        best_load = loads_l[p]
-                        choice = p
-            else:
-                choice = -1
-                best = _NEG_INF
-                if assigned:
-                    for p in range(k):
-                        if saturated[p]:
-                            continue
-                        s = row[p] * weight[p]
-                        if s > best:
-                            best = s
-                            choice = p
-                else:
-                    for p in range(k):
-                        if saturated[p]:
-                            continue
-                        if weight[p] > best:
-                            best = weight[p]
-                            choice = p
-            parts_l[v] = choice
-            grown = loads_l[choice] + 1.0
-            loads_l[choice] = grown
-            weight[choice] = 1.0 - grown / capacity
-            if not saturated[choice] and grown >= capacity:
-                saturated[choice] = True
-                self._num_saturated += 1
-        sh_parts[chunk] = np.fromiter(
-            (parts_l[v] for v in chunk_l), dtype=sh_parts.dtype, count=b
-        )
-
-
 def _make_setup_extra(indptr, indices, graph):
     """How workers see the adjacency: shm segments (dense) or a re-open
     of the spill directory (sharded)."""
@@ -530,49 +443,5 @@ def fennel_parallel(
     loads[:] = resolver.loads
 
 
-def ldg_parallel(
-    indptr,
-    indices,
-    stream,
-    parts,
-    loads,
-    *,
-    capacity: float,
-    chunk_size: int = DEFAULT_PARALLEL_CHUNK,
-    gather=None,
-    graph=None,
-    jobs: int | None = None,
-) -> None:
-    jobs = resolve_jobs(jobs)
-    sharded = graph is not None and hasattr(graph, "spill_dir")
-    if jobs <= 1 or not shm_available() or not (sharded or indptr is not None):
-        if jobs > 1:
-            note_fallback("kernel.no_shm")
-        ldg_buffered(
-            indptr, indices, stream, parts, loads,
-            capacity=capacity, gather=gather,
-        )
-        return
-    if gather is None:
-        gather = _dense_gather(indptr, indices)
-    resolver = _LDGResolver(gather, parts, loads, capacity=capacity)
-    _run_parallel(
-        resolver,
-        _make_setup_extra(indptr, indices, graph),
-        stream, parts, jobs, int(chunk_size), loads.shape[0],
-    )
-    loads[:] = resolver.loads
-
-
-BACKEND = KernelBackend(
-    name="parallel",
-    fennel=fennel_parallel,
-    ldg=ldg_parallel,
-    single=single_incremental,
-    exact=True,
-    description=(
-        f"worker-scored chunks (B={DEFAULT_PARALLEL_CHUNK}) over shared memory, "
-        "exact in-order resolution; serial fallback = buffered"
-    ),
-)
+BACKEND = KernelBackend(name="parallel", fennel=fennel_parallel)
 register_kernel(BACKEND)

@@ -119,12 +119,5 @@ def single_scalar(
     return int(np.argmax(scores))
 
 
-BACKEND = KernelBackend(
-    name="scalar",
-    fennel=fennel_scalar,
-    ldg=ldg_scalar,
-    single=single_scalar,
-    exact=True,
-    description="per-vertex NumPy loop (bit-exact reference)",
-)
+BACKEND = KernelBackend(name="scalar", fennel=fennel_scalar)
 register_kernel(BACKEND)

@@ -24,7 +24,7 @@ pytestmark = pytest.mark.skipif(
     not shm_available(), reason="no usable shared memory on this host"
 )
 
-ALGOS = ("fennel", "bpart", "ldg", "hash", "chunk-v")
+ALGOS = ("fennel", "bpart", "hash", "chunk-v")
 
 
 @pytest.fixture(scope="module")
@@ -128,12 +128,9 @@ class TestPartitionerParity:
         parallel = get_partitioner(algo, seed=3, **kwargs).partition(g, 5)
         np.testing.assert_array_equal(serial.assignment, parallel.assignment)
 
-    @pytest.mark.parametrize("algo", ["fennel", "bpart", "ldg"])
+    @pytest.mark.parametrize("algo", ["fennel", "bpart"])
     def test_jobs_selects_parallel_kernel(self, algo, dense):
-        p = get_partitioner(algo, seed=3, jobs=2)
-        assert p._kernel if isinstance(p._kernel, str) else p._kernel.name
-        name = p._kernel if isinstance(p._kernel, str) else p._kernel.name
-        assert name == "parallel"
+        assert get_partitioner(algo, seed=3, jobs=2)._kernel == "parallel"
 
 
 class TestCrashFallback:

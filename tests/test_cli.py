@@ -150,18 +150,6 @@ class TestPartitionCommand:
             outs[kernel] = np.load(out_file)
         assert np.array_equal(outs["scalar"], outs["buffered"])
 
-    def test_kernel_ignored_by_kernelless_algos(self, capsys, tmp_path):
-        from repro.graph import chung_lu, write_edge_list
-
-        g = chung_lu(100, 5.0, rng=2)
-        path = tmp_path / "g.txt"
-        write_edge_list(g, path)
-        # hash takes seed but no kernel; the CLI must fall back cleanly.
-        code = main(
-            ["partition", "--graph", str(path), "--algo", "hash", "--parts", "2", "--kernel", "buffered"]
-        )
-        assert code == 0
-
     def test_requires_source(self, capsys):
         with pytest.raises(SystemExit):
             main(["partition", "--algo", "bpart"])
@@ -213,6 +201,26 @@ class TestConfigurationErrorsExitTwo:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named in err
         assert not out.exists()
+
+    SMALL = ["--dataset", "livejournal", "--scale", "0.05"]
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            (["partition", "--algo", "hash", "--kernel", "scalar"], "hash takes no --kernel"),
+            (["partition", "--algo", "ldg", "--jobs", "2"], "ldg takes no --jobs"),
+            (["metrics", "--app", "nope"], "unknown app 'nope'; choose from ppr,"),
+            (["trace", "--app", "nope"], "unknown app 'nope'; choose from ppr,"),
+        ],
+        ids=["hash-kernel", "ldg-jobs", "metrics-app", "trace-app"],
+    )
+    def test_rejected_before_any_graph_is_loaded(self, capsys, argv, error):
+        # a flag the algorithm does not take used to be dropped silently, and
+        # `metrics` partitioned the whole graph before it looked at --app
+        assert main(argv + self.SMALL) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {error}") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_plan_file_is_checked_like_inline_json(self, capsys, tmp_path):
         plan = tmp_path / "plan.json"

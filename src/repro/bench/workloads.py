@@ -12,11 +12,10 @@ Centralising the settings here keeps every experiment comparable:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from repro.bench import artifacts
-from repro.cluster import BSPCluster
-from repro.cluster.faults import CheckpointCostModel, FaultAwareCluster, FaultPlan, FaultReport
+from repro.cluster import BSPCluster, FaultReport
+from repro.cluster.faults import CheckpointCostModel, FaultPlan
 from repro.cluster.ledger import TimingLedger
 from repro.engines.gemini import ConnectedComponents, GeminiEngine, PageRank
 from repro.engines.knightking import PPR, RWD, RWJ, DeepWalk, Node2Vec, WalkEngine
@@ -33,6 +32,7 @@ __all__ = [
     "AppRun",
     "make_partitioners",
     "run_app",
+    "run_on_cluster",
     "run_walk_job",
     "run_serving_job",
     "run_fault_walk_job",
@@ -82,6 +82,33 @@ def _walk_app(name: str):
     if name == "node2vec":
         return Node2Vec(p=2.0, q=0.5), WALK_STEPS
     raise KeyError(f"unknown walk app {name!r}")
+
+
+def _iteration_program(name: str):
+    if name == "pagerank":
+        return PageRank(iterations=10)
+    if name == "cc":
+        return ConnectedComponents()
+    raise KeyError(f"unknown app {name!r}")
+
+
+def run_on_cluster(
+    cluster: BSPCluster,
+    graph: CSRGraph,
+    assignment: PartitionAssignment,
+    app_name: str,
+    *,
+    walkers_per_vertex: int,
+    seed: int,
+):
+    """Run one of the seven §4.1 applications on ``cluster``, uncached;
+    returns the engine's result (its ledger is ``cluster.ledger``)."""
+    if app_name in WALK_APPS:
+        app, steps = _walk_app(app_name)
+        return WalkEngine(cluster, seed=seed).run(
+            graph, assignment, app, walkers_per_vertex=walkers_per_vertex, max_steps=steps
+        )
+    return GeminiEngine(cluster).run(graph, assignment, _iteration_program(app_name))
 
 
 def _walk_payload(result: WalkResult) -> dict:
@@ -179,7 +206,7 @@ def run_fault_walk_job(
     )
 
     def compute() -> tuple[WalkResult, FaultReport]:
-        cluster = FaultAwareCluster(
+        cluster = BSPCluster(
             assignment.num_parts,
             plan,
             graph=graph,
@@ -230,12 +257,7 @@ def run_app(
             waiting_ratio=result.ledger.waiting_ratio,
             iterations=result.num_supersteps,
         )
-    if app_name == "pagerank":
-        program: Callable = PageRank(iterations=10)
-    elif app_name == "cc":
-        program = ConnectedComponents()
-    else:
-        raise KeyError(f"unknown app {app_name!r}")
+    program = _iteration_program(app_name)
 
     # The Gemini simulation is deterministic, so the canonical-engine
     # AppRun summary is a (graph, assignment, app) artifact too.

@@ -648,7 +648,8 @@ def _check_app(name: str) -> None:
 
 def _run_trace(argv: list[str]) -> int:
     from repro.bench.artifacts import get_assignment
-    from repro.bench.workloads import WALK_APPS, run_fault_walk_job, run_walk_job
+    from repro.bench.workloads import run_on_cluster
+    from repro.cluster import BSPCluster, FaultPlan
     from repro.cluster.trace import write_chrome_trace
     from repro.graph import summarize
 
@@ -658,54 +659,21 @@ def _run_trace(argv: list[str]) -> int:
     g = _load_graph(args)
     job = f"{args.dataset or 'graph'}-{args.algo}-{args.app}"
     print(f"graph: {summarize(g)}")
-    plan = None
-    if args.plan:
-        from repro.cluster.faults import FaultPlan
-
-        plan = FaultPlan.from_json(_path_or_inline(args.plan))
-        plan.validate_for(args.parts)
+    plan = FaultPlan.from_json(_path_or_inline(args.plan)) if args.plan else None
     assignment = get_assignment(g, args.algo, num_parts=args.parts, seed=args.seed)
-
-    if args.app in WALK_APPS:
-        if plan is None:
-            result = run_walk_job(
-                g,
-                assignment,
-                app_name=args.app,
-                walkers_per_vertex=args.walkers,
-                seed=args.seed,
-            )
-            ledger = result.ledger
-        else:
-            result, report = run_fault_walk_job(
-                g,
-                assignment,
-                plan,
-                app_name=args.app,
-                walkers_per_vertex=args.walkers,
-                seed=args.seed,
-            )
-            ledger = result.ledger
-            print(
-                f"faults: {len(report.crashes)} crash(es), "
-                f"recovery {report.recovery_seconds:.4f}s, "
-                f"checkpoints {report.num_checkpoints} "
-                f"({report.checkpoint_seconds:.4f}s)"
-            )
-    else:
-        from repro.cluster import BSPCluster
-        from repro.cluster.faults import FaultAwareCluster
-        from repro.engines.gemini import ConnectedComponents, GeminiEngine, PageRank
-
-        program = PageRank(iterations=10) if args.app == "pagerank" else ConnectedComponents()
-        if plan is None:
-            cluster = BSPCluster(args.parts)
-        else:
-            cluster = FaultAwareCluster(
-                args.parts, plan, graph=g, assignment=assignment
-            )
-        result = GeminiEngine(cluster).run(g, assignment, program)
-        ledger = result.ledger
+    cluster = BSPCluster(args.parts, plan, graph=g, assignment=assignment)
+    run_on_cluster(
+        cluster, g, assignment, args.app, walkers_per_vertex=args.walkers, seed=args.seed
+    )
+    ledger = cluster.ledger
+    if plan is not None:
+        report = cluster.report()
+        print(
+            f"faults: {len(report.crashes)} crash(es), "
+            f"recovery {report.recovery_seconds:.4f}s, "
+            f"checkpoints {report.num_checkpoints} "
+            f"({report.checkpoint_seconds:.4f}s)"
+        )
     extra = None
     if telemetry_on:
         from repro import telemetry
@@ -774,32 +742,17 @@ def _run_metrics(argv: list[str]) -> int:
     result = get_partitioner(args.algo, seed=args.seed).partition(g, args.parts)
 
     if args.app:
-        from repro.bench.workloads import WALK_APPS
+        from repro.bench.workloads import run_on_cluster
         from repro.cluster import BSPCluster
 
-        if args.app in WALK_APPS:
-            from repro.bench.workloads import _walk_app
-            from repro.engines.knightking import WalkEngine
-
-            app, default_steps = _walk_app(args.app)
-            WalkEngine(BSPCluster(args.parts), seed=args.seed).run(
-                g,
-                result.assignment,
-                app,
-                walkers_per_vertex=args.walkers,
-                max_steps=default_steps,
-            )
-        else:
-            from repro.engines.gemini import (
-                ConnectedComponents,
-                GeminiEngine,
-                PageRank,
-            )
-
-            program = (
-                PageRank(iterations=10) if args.app == "pagerank" else ConnectedComponents()
-            )
-            GeminiEngine(BSPCluster(args.parts)).run(g, result.assignment, program)
+        run_on_cluster(
+            BSPCluster(args.parts),
+            g,
+            result.assignment,
+            args.app,
+            walkers_per_vertex=args.walkers,
+            seed=args.seed,
+        )
 
     reg = telemetry.registry()
     if args.format == "json":

@@ -15,17 +15,17 @@ functions of the BSP schedule, which this package reproduces exactly:
   per-machine compute/comm/wait bookkeeping.
 - :class:`~repro.cluster.bsp.BSPCluster` — ties them together; engines
   submit per-superstep work and traffic, the cluster derives the
-  schedule.
-- :mod:`~repro.cluster.faults` — deterministic fault injection on top:
-  :class:`~repro.cluster.faults.FaultAwareCluster` executes a
-  :class:`~repro.cluster.faults.FaultPlan` (crashes, stragglers,
-  degraded links, checkpoints) while driving the same engines
-  unmodified.
+  schedule. Its optional :class:`~repro.cluster.faults.FaultPlan`
+  (crashes, stragglers, degraded links, checkpoints) perturbs that
+  schedule, and :meth:`~repro.cluster.bsp.BSPCluster.report` summarises
+  the result as a :class:`~repro.cluster.bsp.FaultReport`.
+- :mod:`~repro.cluster.faults` — the plan DSL, checkpoint pricing and
+  the recovery planners the cluster executes.
 """
 
-from repro.cluster.bsp import BSPCluster
+from repro.cluster.bsp import BSPCluster, FaultReport
 from repro.cluster.cost import CostModel
-from repro.cluster.faults import FaultAwareCluster, FaultPlan
+from repro.cluster.faults import FaultPlan
 from repro.cluster.ledger import IterationTiming, LedgerEvent, TimingLedger
 from repro.cluster.messages import TrafficMatrix
 from repro.cluster.network import NetworkModel
@@ -34,8 +34,8 @@ from repro.cluster.trace import to_chrome_trace, write_chrome_trace
 __all__ = [
     "BSPCluster",
     "CostModel",
-    "FaultAwareCluster",
     "FaultPlan",
+    "FaultReport",
     "NetworkModel",
     "TimingLedger",
     "IterationTiming",

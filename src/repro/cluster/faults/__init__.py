@@ -16,14 +16,14 @@ is exactly what BPart optimises.
   ``|V_i|`` + ``|E_i|`` state sizes;
 - :mod:`~repro.cluster.faults.recovery` — ``restart`` and
   ``redistribute`` recovery planners, the latter reusing BPart's
-  combining logic so balanced inputs recover into balanced clusters;
-- :mod:`~repro.cluster.faults.cluster` — :class:`FaultAwareCluster`,
-  the drop-in :class:`~repro.cluster.bsp.BSPCluster` replacement that
-  both engines drive unmodified.
+  combining logic so balanced inputs recover into balanced clusters.
+
+A plan is executed by the one cluster,
+``BSPCluster(num_machines, plan, graph=..., assignment=...)``
+(:mod:`repro.cluster.bsp`), which both engines drive unmodified.
 """
 
 from repro.cluster.faults.checkpoint import CheckpointCostModel
-from repro.cluster.faults.cluster import FaultAwareCluster, FaultReport
 from repro.cluster.faults.plan import (
     CheckpointPolicy,
     Crash,
@@ -42,9 +42,7 @@ __all__ = [
     "CheckpointPolicy",
     "Crash",
     "DegradedLink",
-    "FaultAwareCluster",
     "FaultPlan",
-    "FaultReport",
     "RecoveryOutcome",
     "Straggler",
     "plan_redistribute",

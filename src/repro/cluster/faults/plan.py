@@ -19,8 +19,8 @@ Plans are plain frozen dataclasses with a canonical JSON form
 (:meth:`FaultPlan.to_json` / :meth:`FaultPlan.from_json`) and a stable
 :meth:`FaultPlan.digest` that the artifact cache folds into experiment
 keys — a cached fault-free run can never be replayed for a faulty
-config. :meth:`FaultPlan.sample` draws a random-but-reproducible plan
-from a seed via :func:`repro.utils.rng.derive_rng`.
+config. A window that can never open (negative start, non-positive
+duration) is rejected, never silently dropped.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from dataclasses import dataclass, field, replace
 
 from repro.errors import ConfigurationError
 from repro.utils import canon
-from repro.utils.rng import derive_rng
 
 __all__ = [
     "Crash",
@@ -155,28 +154,27 @@ class FaultPlan:
             if c.machine in seen:
                 raise ConfigurationError(f"machine {c.machine} crashes more than once")
             seen.add(c.machine)
+        # A window that can never open would inject nothing, silently.
         for s in self.stragglers:
+            if s.start < 0:
+                raise ConfigurationError(f"straggler start must be >= 0, got {s.start}")
             if s.duration <= 0:
                 raise ConfigurationError("straggler duration must be positive")
             if s.factor <= 0:
                 raise ConfigurationError("straggler factor must be positive")
         for l in self.degraded_links:
+            if l.start < 0:
+                raise ConfigurationError(f"degraded link start must be >= 0, got {l.start}")
+            if l.duration is not None and l.duration <= 0:
+                raise ConfigurationError(
+                    f"degraded link duration must be positive or null, got {l.duration}"
+                )
             if l.bandwidth_scale <= 0 or l.latency_scale <= 0:
                 raise ConfigurationError("link scales must be positive")
             if l.src == l.dst:
                 raise ConfigurationError("degraded link endpoints must differ")
 
     # ------------------------------------------------------------------
-    @property
-    def is_zero_fault(self) -> bool:
-        """True when the plan perturbs nothing (no events, no checkpoints)."""
-        return (
-            not self.crashes
-            and not self.stragglers
-            and not self.degraded_links
-            and self.checkpoint.interval == 0
-        )
-
     @property
     def needs_state(self) -> bool:
         """Whether simulating this plan requires per-machine state sizes
@@ -272,67 +270,3 @@ class FaultPlan:
     def with_recovery(self, strategy: str) -> "FaultPlan":
         """The same plan under a different recovery strategy."""
         return replace(self, recovery=strategy)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def sample(
-        cls,
-        num_machines: int,
-        *,
-        seed: int,
-        horizon: int = 4,
-        num_crashes: int = 1,
-        num_stragglers: int = 1,
-        num_degraded_links: int = 0,
-        checkpoint_interval: int = 2,
-        recovery: str = "redistribute",
-        straggler_factor: float = 3.0,
-    ) -> "FaultPlan":
-        """Draw a reproducible random plan.
-
-        All randomness flows from ``seed`` through
-        :func:`repro.utils.rng.derive_rng`, so the same arguments always
-        produce the same plan (and hence the same digest).
-        """
-        if num_machines <= 1:
-            raise ConfigurationError("sampling a fault plan needs >= 2 machines")
-        if num_crashes >= num_machines:
-            raise ConfigurationError("cannot crash every machine")
-        rng = derive_rng(seed, 0xFA17)
-        machines = rng.permutation(num_machines)
-        crashes = tuple(
-            Crash(machine=int(machines[i]), superstep=int(rng.integers(1, max(2, horizon))))
-            for i in range(num_crashes)
-        )
-        stragglers = tuple(
-            Straggler(
-                machine=int(rng.integers(0, num_machines)),
-                start=int(rng.integers(0, max(1, horizon - 1))),
-                duration=int(rng.integers(1, 3)),
-                factor=float(straggler_factor),
-            )
-            for _ in range(num_stragglers)
-        )
-        links = []
-        for _ in range(num_degraded_links):
-            src = int(rng.integers(0, num_machines))
-            dst = int(rng.integers(0, num_machines))
-            if src == dst:
-                dst = (dst + 1) % num_machines
-            links.append(
-                DegradedLink(
-                    src=src,
-                    dst=dst,
-                    start=int(rng.integers(0, max(1, horizon - 1))),
-                    duration=int(rng.integers(1, horizon + 1)),
-                    bandwidth_scale=float(0.25 + 0.5 * rng.random()),
-                )
-            )
-        return cls(
-            crashes=crashes,
-            stragglers=stragglers,
-            degraded_links=tuple(links),
-            checkpoint=CheckpointPolicy(interval=checkpoint_interval),
-            recovery=recovery,
-            seed=int(seed),
-        )

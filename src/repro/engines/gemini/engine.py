@@ -62,10 +62,9 @@ class GeminiEngine:
     ----------
     cluster:
         The BSP cluster; its machine count must equal the assignment's
-        part count at :meth:`run` time. Anything with the
-        :class:`~repro.cluster.bsp.BSPCluster` superstep surface works —
-        in particular :class:`~repro.cluster.faults.FaultAwareCluster`
-        injects crashes/stragglers without engine changes.
+        part count at :meth:`run` time. A cluster built with a
+        :class:`~repro.cluster.faults.FaultPlan` injects
+        crashes/stragglers without engine changes.
     aggregate_messages:
         Model Gemini's sender-side aggregation: multiple updates from
         machine ``a`` to the same target vertex merge into one message.

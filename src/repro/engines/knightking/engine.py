@@ -73,10 +73,9 @@ class WalkEngine:
     Parameters
     ----------
     cluster:
-        Machine count must equal the assignment's part count. Any object
-        with the :class:`~repro.cluster.bsp.BSPCluster` superstep surface
-        is accepted, e.g. :class:`~repro.cluster.faults.FaultAwareCluster`
-        for fault-injected runs — engines never see the faults.
+        Machine count must equal the assignment's part count. A cluster
+        built with a :class:`~repro.cluster.faults.FaultPlan` runs the
+        job under faults — engines never see them.
     mode:
         ``"step_sync"`` or ``"greedy"`` (see module docstring).
     record_paths:

@@ -7,7 +7,7 @@ artifact-store I/O that fails or returns corrupted files, and multi-GB
 edge streams with malformed lines. Three building blocks:
 
 - :mod:`repro.resilience.policy` — :class:`RetryPolicy` (exponential
-  backoff with *seeded, deterministic* jitter), :class:`Timeout`, and a
+  backoff with *seeded, deterministic* jitter) and a
   :class:`CircuitBreaker` that converts "the pool keeps dying" into a
   deliberate degradation to serial execution.
 - :mod:`repro.resilience.chaos` — a deterministic fault-injection
@@ -41,14 +41,12 @@ from repro.resilience.journal import JsonlJournal
 from repro.resilience.policy import (
     CircuitBreaker,
     RetryPolicy,
-    Timeout,
     call_with_retry,
     hash_unit,
 )
 
 __all__ = [
     "RetryPolicy",
-    "Timeout",
     "CircuitBreaker",
     "call_with_retry",
     "hash_unit",

@@ -1,4 +1,4 @@
-"""Retry, timeout, and circuit-breaker policies.
+"""Retry and circuit-breaker policies.
 
 The policies are *value objects* — they hold knobs and pure arithmetic,
 never threads or timers — so the same instances work in the suite
@@ -20,7 +20,6 @@ from repro.errors import ConfigurationError
 
 __all__ = [
     "RetryPolicy",
-    "Timeout",
     "CircuitBreaker",
     "call_with_retry",
     "hash_unit",
@@ -85,40 +84,6 @@ class RetryPolicy:
     def attempts(self) -> range:
         """``range`` of 1-based attempt numbers this policy allows."""
         return range(1, self.max_attempts + 1)
-
-
-@dataclass(frozen=True)
-class Timeout:
-    """A per-operation wall-clock bound (``None`` = unbounded)."""
-
-    seconds: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.seconds is not None and self.seconds <= 0:
-            raise ConfigurationError(
-                f"timeout must be positive or None, got {self.seconds}"
-            )
-
-    @property
-    def bounded(self) -> bool:
-        return self.seconds is not None
-
-    def deadline(self, start: float | None = None) -> float | None:
-        """Absolute ``perf_counter`` deadline, or ``None`` if unbounded."""
-        if self.seconds is None:
-            return None
-        return (time.perf_counter() if start is None else start) + self.seconds
-
-    def remaining(self, deadline: float | None) -> float | None:
-        """Seconds left until ``deadline`` (clamped at 0), or ``None``."""
-        if deadline is None:
-            return None
-        return max(0.0, deadline - time.perf_counter())
-
-    def expired(self, deadline: float | None) -> bool:
-        if deadline is None:
-            return False
-        return time.perf_counter() >= deadline
 
 
 @dataclass

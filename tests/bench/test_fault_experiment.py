@@ -151,60 +151,51 @@ class TestCli:
         assert "Crash recovery" in out
         assert "bpart" in out
 
+    def test_faults_json_is_deterministic_and_balanced(self, capsys, tmp_path):
+        # The second run reads every artifact the first one stored on disk.
+        from repro.bench import artifacts
+
+        runs = []
+        for name in ("run1.json", "run2.json"):
+            artifacts.reset_store()
+            assert main(["faults", "--scale", "0.05", "--json", str(tmp_path / name)]) == 0
+            runs.append(json.loads((tmp_path / name).read_text())["results"][0])
+        one, two = ({k: v for k, v in r.items() if k not in ("wall_time_s", "cache")} for r in runs)
+        assert one == two, "fault experiment not deterministic across runs"
+        assert runs[1]["cache"]["hits"] > 0 and runs[1]["cache"]["misses"] == 0
+        data = one["data"]
+        for dataset in ("livejournal", "twitter"):
+            assert data[f"{dataset}/bpart/survivor_edge_max_dev"] < 0.35
+            assert (
+                data[f"{dataset}/bpart/degraded_waiting_ratio"]
+                < data[f"{dataset}/chunk-v/degraded_waiting_ratio"]
+            )
+
+    TRACE = ["trace", "--dataset", "twitter", "--algo", "bpart", "--parts", "4",
+             "--scale", "0.05", "--seed", "3", "--walkers", "1"]
+
+    # Each test covers both paths `trace` runs: a walk app and a Gemini app.
     def test_trace_subcommand_with_plan(self, capsys, tmp_path):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(PLAN.to_json())
-        out_file = tmp_path / "trace.json"
-        code = main(
-            [
-                "trace",
-                "--dataset",
-                "twitter",
-                "--algo",
-                "bpart",
-                "--parts",
-                "4",
-                "--scale",
-                "0.05",
-                "--seed",
-                "3",
-                "--walkers",
-                "1",
-                "--plan",
-                str(plan_file),
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        assert "trace written" in capsys.readouterr().out
-        payload = json.loads(out_file.read_text())
-        kinds = {e["cat"] for e in payload["traceEvents"] if e.get("ph") == "i"}
-        assert {"crash", "recovery", "checkpoint", "straggler"} <= kinds
+        for app in ("deepwalk", "pagerank"):
+            out_file = tmp_path / f"{app}.json"
+            argv = self.TRACE + ["--app", app, "--plan", str(plan_file), "--out", str(out_file)]
+            assert main(argv) == 0
+            out = capsys.readouterr().out
+            assert "faults: 1 crash(es)" in out and "trace written" in out
+            events = json.loads(out_file.read_text())["traceEvents"]
+            kinds = {e["cat"] for e in events if e.get("ph") == "i"}
+            assert {"crash", "recovery", "checkpoint", "straggler"} <= kinds, app
 
     def test_trace_subcommand_plain(self, capsys, tmp_path):
-        out_file = tmp_path / "trace.json"
-        code = main(
-            [
-                "trace",
-                "--dataset",
-                "twitter",
-                "--app",
-                "pagerank",
-                "--parts",
-                "4",
-                "--scale",
-                "0.05",
-                "--seed",
-                "3",
-                "--out",
-                str(out_file),
-            ]
-        )
-        assert code == 0
-        events = json.loads(out_file.read_text())["traceEvents"]
-        assert any(e["ph"] == "X" for e in events)
-        assert not any(e["ph"] == "i" for e in events)
+        for app in ("deepwalk", "pagerank"):
+            out_file = tmp_path / f"{app}.json"
+            assert main(self.TRACE + ["--app", app, "--out", str(out_file)]) == 0
+            assert "faults:" not in capsys.readouterr().out
+            events = json.loads(out_file.read_text())["traceEvents"]
+            assert any(e["ph"] == "X" for e in events)
+            assert not any(e["ph"] == "i" for e in events), app
 
     def test_trace_rejects_unknown_app(self, capsys, tmp_path):
         code = main(

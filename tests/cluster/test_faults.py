@@ -1,10 +1,12 @@
 """Tests for the fault-injection subsystem (plan DSL, checkpoint cost,
-recovery planners, and the FaultAwareCluster wrapper)."""
+recovery planners, and a :class:`BSPCluster` executing a plan)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.cluster import BSPCluster
 from repro.cluster.faults import (
@@ -12,7 +14,6 @@ from repro.cluster.faults import (
     CheckpointPolicy,
     Crash,
     DegradedLink,
-    FaultAwareCluster,
     FaultPlan,
     Straggler,
     plan_redistribute,
@@ -64,14 +65,10 @@ class TestFaultPlan:
         )
 
     def test_zero_fault_flags(self):
-        assert FaultPlan().is_zero_fault
         assert not FaultPlan().needs_state
-        assert not STANDARD_PLAN.is_zero_fault
         assert STANDARD_PLAN.needs_state
         # Stragglers alone perturb timing but need no state.
-        p = FaultPlan(stragglers=(Straggler(machine=0, start=0),))
-        assert not p.is_zero_fault
-        assert not p.needs_state
+        assert not FaultPlan(stragglers=(Straggler(machine=0, start=0),)).needs_state
 
     def test_validation_errors(self):
         with pytest.raises(ConfigurationError):
@@ -93,13 +90,19 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan.from_json('{"format": "something-else"}')
 
-    def test_sample_is_deterministic(self):
-        a = FaultPlan.sample(8, seed=11, num_degraded_links=1)
-        b = FaultPlan.sample(8, seed=11, num_degraded_links=1)
-        assert a == b
-        assert a.digest() == b.digest()
-        assert a != FaultPlan.sample(8, seed=12, num_degraded_links=1)
-        a.validate_for(8)
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"degraded_links":[{"src":0,"dst":1,"duration":0}]}', "link duration"),
+            ('{"degraded_links":[{"src":0,"dst":1,"duration":-2}]}', "link duration"),
+            ('{"degraded_links":[{"src":0,"dst":1,"start":-1}]}', "link start"),
+            ('{"stragglers":[{"machine":0,"start":-4,"duration":2}]}', "straggler start"),
+        ],
+    )
+    def test_windows_that_never_open_are_rejected(self, text, named):
+        # each of these parsed and injected nothing
+        with pytest.raises(ConfigurationError, match=named):
+            FaultPlan.from_json(text)
 
     def test_straggler_and_link_windows(self):
         s = Straggler(machine=0, start=2, duration=2)
@@ -180,33 +183,14 @@ class TestRecoveryPlanners:
             plan_redistribute(g, a.parts.astype(np.int64), MACHINES, 1, alive)
 
 
-class TestZeroFaultEquivalence:
-    def test_ledger_bit_identical_to_bsp(self, job):
-        g, a = job
-        base = _run_walk(BSPCluster(MACHINES), g, a)
-        faulty = _run_walk(FaultAwareCluster(MACHINES, FaultPlan()), g, a)
-        assert faulty.ledger.to_json() == base.ledger.to_json()
-        assert faulty.total_messages == base.total_messages
-        assert (faulty.final_positions == base.final_positions).all()
-        assert faulty.ledger.waiting_ratio == base.ledger.waiting_ratio
-
-    def test_overlap_flag_preserved(self, job):
-        g, a = job
-        base = _run_walk(BSPCluster(MACHINES, overlap=True), g, a)
-        faulty = _run_walk(
-            FaultAwareCluster(MACHINES, FaultPlan(), overlap=True), g, a
-        )
-        assert faulty.ledger.to_json() == base.ledger.to_json()
-
-
-class TestFaultAwareCluster:
+class TestFaultInjection:
     def _faulty(self, job, plan, **kwargs):
         g, a = job
-        return FaultAwareCluster(MACHINES, plan, graph=g, assignment=a, **kwargs)
+        return BSPCluster(MACHINES, plan, graph=g, assignment=a, **kwargs)
 
     def test_requires_state_for_crashes(self):
         with pytest.raises(ConfigurationError):
-            FaultAwareCluster(MACHINES, STANDARD_PLAN)
+            BSPCluster(MACHINES, STANDARD_PLAN)
 
     def test_deterministic_byte_identical(self, job):
         g, a = job
@@ -255,14 +239,12 @@ class TestFaultAwareCluster:
         # BPart input ⇒ recovered survivors stay near-balanced.
         assert report.survivor_vertex_max_dev < 0.15
         assert report.survivor_edge_max_dev < 0.35
-        hosting = cluster.hosting
-        assert (hosting != 1).all()
 
     def test_straggler_slows_compute(self, job):
         g, a = job
         plan = FaultPlan(stragglers=(Straggler(machine=0, start=0, duration=1, factor=4.0),))
         base = _run_walk(BSPCluster(MACHINES), g, a)
-        slow = _run_walk(FaultAwareCluster(MACHINES, plan), g, a)
+        slow = _run_walk(BSPCluster(MACHINES, plan), g, a)
         assert slow.ledger.iterations[0].compute[0] == pytest.approx(
             4.0 * base.ledger.iterations[0].compute[0]
         )
@@ -279,7 +261,7 @@ class TestFaultAwareCluster:
             degraded_links=(DegradedLink(src=0, dst=1, bandwidth_scale=0.25),)
         )
         base = _run_walk(BSPCluster(MACHINES), g, a)
-        slow = _run_walk(FaultAwareCluster(MACHINES, plan), g, a)
+        slow = _run_walk(BSPCluster(MACHINES, plan), g, a)
         assert slow.runtime >= base.runtime
         assert slow.ledger.comm_matrix.sum() > base.ledger.comm_matrix.sum()
         assert any(e.kind == "degraded-link" for e in slow.ledger.events)
@@ -293,7 +275,7 @@ class TestFaultAwareCluster:
         reports = {}
         for algo in ("bpart", "chunk-v"):
             a = get_partitioner(algo, seed=2).partition(g, MACHINES).assignment
-            cluster = FaultAwareCluster(
+            cluster = BSPCluster(
                 MACHINES, plan, graph=g, assignment=a, checkpoint_cost=cost
             )
             _run_walk(cluster, g, a)
@@ -316,7 +298,7 @@ class TestFaultAwareCluster:
                 checkpoint=CheckpointPolicy(interval=interval),
                 seed=7,
             )
-            cluster = FaultAwareCluster(MACHINES, plan, graph=g, assignment=a)
+            cluster = BSPCluster(MACHINES, plan, graph=g, assignment=a)
             _run_walk(cluster, g, a)
             return cluster.report().crashes[0]["replay_seconds"]
 
@@ -328,7 +310,7 @@ class TestFaultAwareCluster:
         cluster = self._faulty(job, STANDARD_PLAN)
         cluster.begin_run()
         cluster.report()  # mid-run report is fine
-        fresh = FaultAwareCluster(MACHINES)
+        fresh = BSPCluster(MACHINES)
         with pytest.raises(SimulationError):
             fresh.ledger  # noqa: B018 - property raises before begin_run
 
@@ -342,3 +324,124 @@ class TestFaultAwareCluster:
         assert np.allclose(res.values, base.values)
         assert res.ledger.num_iterations > base.ledger.num_iterations
         assert cluster.report().alive == [True, False, True, True]
+
+
+# ----------------------------------------------------------------------
+# Invariants over generated plans: any plan within the cluster size and
+# the job's horizon, on either engine.
+# ----------------------------------------------------------------------
+HORIZON = 6  # engine supersteps: DeepWalk(4 steps) runs 4, PageRank(5) runs 5
+
+
+@st.composite
+def fault_plans(draw, machines=MACHINES, horizon=HORIZON):
+    step = st.integers(0, horizon - 1)
+    crashed = draw(st.lists(st.integers(0, machines - 1), unique=True, max_size=machines - 1))
+    stragglers = draw(
+        st.lists(
+            st.builds(
+                Straggler,
+                machine=st.integers(0, machines - 1),
+                start=step,
+                duration=st.integers(1, horizon),
+                factor=st.floats(1.0, 4.0),
+            ),
+            max_size=2,
+        )
+    )
+    links = []
+    for _ in range(draw(st.integers(0, 2))):
+        src = draw(st.integers(0, machines - 1))
+        links.append(
+            DegradedLink(
+                src=src,
+                dst=(src + draw(st.integers(1, machines - 1))) % machines,
+                start=draw(step),
+                duration=draw(st.none() | st.integers(1, horizon)),
+                bandwidth_scale=draw(st.floats(0.1, 1.0)),
+                latency_scale=draw(st.floats(1.0, 3.0)),
+            )
+        )
+    return FaultPlan(
+        crashes=tuple(Crash(machine=m, superstep=draw(step)) for m in crashed),
+        stragglers=tuple(stragglers),
+        degraded_links=tuple(links),
+        checkpoint=CheckpointPolicy(interval=draw(st.integers(0, 3))),
+        recovery=draw(st.sampled_from(("restart", "redistribute"))),
+        seed=draw(st.integers(0, 100)),
+    )
+
+
+def _run_app(cluster, engine, g, a):
+    from repro.engines.gemini import GeminiEngine, PageRank
+
+    if engine == "deepwalk":
+        return _run_walk(cluster, g, a)
+    return GeminiEngine(cluster).run(g, a, PageRank(iterations=5))
+
+
+@pytest.fixture(scope="module")
+def fault_free(job):
+    g, a = job
+    return {e: _run_app(BSPCluster(MACHINES), e, g, a) for e in ("deepwalk", "pagerank")}
+
+
+class TestGeneratedPlans:
+    @pytest.mark.parametrize("engine", ["deepwalk", "pagerank"])
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plan=fault_plans())
+    def test_invariants(self, job, fault_free, engine, plan):
+        g, a = job
+        base = fault_free[engine]
+        cluster = BSPCluster(MACHINES, plan, graph=g, assignment=a)
+        result = _run_app(cluster, engine, g, a)
+        ledger, report = cluster.ledger, cluster.report()
+        events = ledger.events
+
+        # Every crash that fires yields exactly one crash and one recovery event.
+        fired = sorted(c.machine for c in plan.crashes if c.superstep < base.ledger.num_iterations)
+        for kind in ("crash", "recovery"):
+            assert sorted(e.machine for e in events if e.kind == kind) == fired
+        assert sorted(c["machine"] for c in report.crashes) == fired
+
+        # A machine that died under redistribute does nothing from then on.
+        if plan.recovery == "redistribute":
+            for e in (e for e in events if e.kind == "crash"):
+                later = slice(e.superstep + 1, None)
+                assert not ledger.active_matrix[later, e.machine].any()
+                assert not ledger.compute_matrix[later, e.machine].any()
+                assert not ledger.comm_matrix[later, e.machine].any()
+        assert report.alive == [
+            not (plan.recovery == "redistribute" and m in fired) for m in range(MACHINES)
+        ]
+
+        # The report is the ledger's own arithmetic.
+        def seconds(kind):
+            return sum(e.seconds for e in events if e.kind == kind)
+
+        checkpoints = [e for e in events if e.kind == "checkpoint"]
+        assert report.recovery_seconds == seconds("recovery")
+        assert report.checkpoint_seconds == seconds("checkpoint")
+        assert report.num_checkpoints == len(checkpoints)
+        assert report.runtime == ledger.total_runtime
+        assert ledger.num_iterations == (
+            base.ledger.num_iterations + len(fired) + report.num_checkpoints
+        )
+
+        # Faults move the schedule, never the numbers.
+        if engine == "deepwalk":
+            assert np.array_equal(result.final_positions, base.final_positions)
+        else:
+            assert np.array_equal(result.values, base.values)
+
+    @pytest.mark.parametrize("with_state", [False, True])
+    def test_empty_plan_leaves_no_trace(self, job, fault_free, with_state):
+        g, a = job
+        state = {"graph": g, "assignment": a} if with_state else {}
+        cluster = BSPCluster(MACHINES, FaultPlan(), **state)
+        result = _run_walk(cluster, g, a)
+        assert result.ledger.events == []
+        assert not result.ledger.has_active_masks
+        assert result.ledger.to_json() == fault_free["deepwalk"].ledger.to_json()
+        assert type(cluster.total_messages) is int
+        assert cluster.total_messages == fault_free["deepwalk"].total_messages

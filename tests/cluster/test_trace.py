@@ -7,8 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from repro.cluster import TimingLedger, to_chrome_trace, write_chrome_trace
-from repro.cluster.faults import CheckpointPolicy, Crash, FaultAwareCluster, FaultPlan
+from repro.cluster import BSPCluster, TimingLedger, to_chrome_trace, write_chrome_trace
+from repro.cluster.faults import CheckpointPolicy, Crash, FaultPlan
 from repro.engines.knightking import DeepWalk, WalkEngine
 from repro.graph import chung_lu
 from repro.partition import get_partitioner
@@ -109,7 +109,7 @@ class TestFaultTrace:
             checkpoint=CheckpointPolicy(interval=2),
             seed=3,
         )
-        cluster = FaultAwareCluster(4, plan, graph=g, assignment=a)
+        cluster = BSPCluster(4, plan, graph=g, assignment=a)
         WalkEngine(cluster, seed=1).run(g, a, DeepWalk(), walkers_per_vertex=1, max_steps=3)
         events = to_chrome_trace(cluster.ledger)
         kinds = {e["cat"] for e in events if e["ph"] == "i"}

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cluster import BSPCluster, TrafficMatrix
-from repro.cluster.faults import FaultAwareCluster
+from repro.cluster.faults import FaultPlan
 from repro.engines.gemini import (
     BFS,
     ConnectedComponents,
@@ -235,8 +235,9 @@ class TestBytesDidNotMove:
     def test_grid(self, recorded, cell):
         assert _cell(*cell) == recorded[_cell_id(*cell)]
 
-    # A spilled graph and a fault-free FaultAwareCluster read the same
-    # bytes as the dense graph on a BSPCluster (they did on bb71436 too).
+    # A spilled graph, and a cluster given the empty fault plan with its
+    # graph and assignment bound (as `trace` builds it), read the same
+    # bytes as the dense graph on a plain BSPCluster (they did on bb71436 too).
     def test_spilled_graph(self, recorded, tmp_path):
         cell = ("pagerank", "bpart", "adaptive", True, 1)
         spilled = spill_csr(_job("bpart", 1)[0], tmp_path, shard_size=512)
@@ -244,7 +245,12 @@ class TestBytesDidNotMove:
 
     def test_fault_aware_cluster_without_faults(self, recorded):
         cell = ("cc", "chunk-v", "push", True, 2)
-        assert _cell(*cell, cluster=FaultAwareCluster) == recorded[_cell_id(*cell)]
+        g, a = _job("chunk-v", 2)
+
+        def cluster(k):
+            return BSPCluster(k, FaultPlan(), graph=g, assignment=a)
+
+        assert _cell(*cell, cluster=cluster) == recorded[_cell_id(*cell)]
 
 
 # ----------------------------------------------------------------------

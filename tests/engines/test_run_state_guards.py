@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import BSPCluster
-from repro.cluster.faults import FaultAwareCluster, FaultPlan
+from repro.cluster.faults import FaultPlan
 from repro.engines.gemini import GeminiEngine, PageRank
 from repro.engines.knightking import WalkEngine
 from repro.engines.knightking.apps import DeepWalk
@@ -67,7 +67,7 @@ class TestFaultClusterGuards:
             ' {"superstep": 0, "machine": 1}], "recovery": "redistribute"}'
         )
         with pytest.raises(ConfigurationError, match="no survivors"):
-            FaultAwareCluster(2, plan, graph=ring64, assignment=assignment)
+            BSPCluster(2, plan, graph=ring64, assignment=assignment)
 
     def test_superstep_after_total_cluster_loss(self, ring64):
         # Defensive guard: a cluster whose liveness mask is empty (a
@@ -75,7 +75,7 @@ class TestFaultClusterGuards:
         # raises first) refuses further supersteps instead of recording
         # all-zero iterations.
         assignment = _assignment(ring64, parts=2)
-        cluster = FaultAwareCluster(2, graph=ring64, assignment=assignment)
+        cluster = BSPCluster(2, graph=ring64, assignment=assignment)
         cluster.begin_run()
         cluster._alive[:] = False
         with pytest.raises(SimulationError, match="every machine has crashed"):

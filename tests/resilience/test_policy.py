@@ -1,4 +1,4 @@
-"""Unit tests for the retry/timeout/breaker policy value objects."""
+"""Unit tests for the retry/breaker policy value objects."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from repro.errors import ConfigurationError
 from repro.resilience import (
     CircuitBreaker,
     RetryPolicy,
-    Timeout,
     call_with_retry,
     hash_unit,
 )
@@ -66,28 +65,6 @@ class TestRetryPolicy:
     def test_delay_rejects_zero_attempt(self):
         with pytest.raises(ConfigurationError):
             RetryPolicy().delay(0)
-
-
-class TestTimeout:
-    def test_unbounded(self):
-        t = Timeout(None)
-        assert not t.bounded
-        assert t.deadline() is None
-        assert t.remaining(None) is None
-        assert not t.expired(None)
-
-    def test_bounded_deadline(self):
-        t = Timeout(5.0)
-        deadline = t.deadline(start=100.0)
-        assert deadline == 105.0
-        assert t.remaining(float("inf")) > 0
-        assert t.expired(0.0)  # deadline in the distant past
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            Timeout(0.0)
-        with pytest.raises(ConfigurationError):
-            Timeout(-1.0)
 
 
 class TestCircuitBreaker:

@@ -175,6 +175,15 @@ class TestConfigurationErrorsExitTwo:
             (SERVE + ["--chaos", '{"rules":[{"site":"serving.machine","kind":"exception","rte":0.5}]}'],
              "'rte' in chaos plan rule"),
             (["bench", "fig08", "--scale", "0.05", "--chaos", '{"rulez":[]}'], "'rulez' in chaos plan"),
+            # fault windows that can never open
+            (TRACE + ["--plan", '{"degraded_links":[{"src":0,"dst":1,"duration":0}]}'],
+             "degraded link duration must be positive or null, got 0"),
+            (TRACE + ["--plan", '{"degraded_links":[{"src":0,"dst":1,"duration":-2}]}'],
+             "degraded link duration must be positive or null, got -2"),
+            (TRACE + ["--plan", '{"degraded_links":[{"src":0,"dst":1,"start":-1}]}'],
+             "degraded link start must be >= 0, got -1"),
+            (TRACE + ["--plan", '{"stragglers":[{"machine":0,"start":-4,"duration":2}]}'],
+             "straggler start must be >= 0, got -4"),
         ],
     )
     def test_one_error_line_and_exit_two(self, capsys, tmp_path, argv, named):

@@ -27,35 +27,12 @@ class TrafficMatrix:
         self._counts = np.zeros((num_machines, num_machines), dtype=np.int64)
 
     @classmethod
-    def from_pairs(
-        cls, num_machines: int, src_machines: np.ndarray, dst_machines: np.ndarray
-    ) -> "TrafficMatrix":
-        """Build from parallel source/destination machine-id arrays.
-
-        Intra-machine pairs are dropped (local delivery is free).
-        Vectorised: one ``bincount`` over flattened pair ids.
-        """
-        tm = cls(num_machines)
-        src = np.asarray(src_machines, dtype=np.int64)
-        dst = np.asarray(dst_machines, dtype=np.int64)
-        if src.size != dst.size:
-            raise SimulationError("src and dst machine arrays differ in length")
-        if src.size:
-            if src.min() < 0 or src.max() >= num_machines or dst.min() < 0 or dst.max() >= num_machines:
-                raise SimulationError("machine id outside cluster")
-            cross = src != dst
-            flat = src[cross] * num_machines + dst[cross]
-            counts = np.bincount(flat, minlength=num_machines * num_machines)
-            tm._counts += counts.reshape(num_machines, num_machines)
-        return tm
-
-    @classmethod
     def from_counts(cls, counts: np.ndarray) -> "TrafficMatrix":
         """Build from a dense per-pair count matrix.
 
-        The diagonal is zeroed — local delivery is free, matching
-        :meth:`from_pairs`. Used by the Gemini engine's superstep
-        census, which bincounts ``src_machine * M + dst_machine`` ids.
+        The diagonal is zeroed — local delivery is free. Both engines
+        build their supersteps' traffic this way, from a ``bincount`` of
+        ``src_machine * M + dst_machine`` ids.
         """
         arr = np.asarray(counts, dtype=np.int64)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -74,11 +51,6 @@ class TrafficMatrix:
     def num_machines(self) -> int:
         return self._counts.shape[0]
 
-    def add(self, src: int, dst: int, count: int = 1) -> None:
-        """Record ``count`` messages ``src → dst`` (no-op if same machine)."""
-        if src != dst:
-            self._counts[src, dst] += count
-
     @property
     def sent(self) -> np.ndarray:
         """Messages sent per machine (row sums)."""
@@ -93,9 +65,3 @@ class TrafficMatrix:
     def total(self) -> int:
         """Total cross-machine messages this superstep."""
         return int(self._counts.sum())
-
-    def __iadd__(self, other: "TrafficMatrix") -> "TrafficMatrix":
-        if other.num_machines != self.num_machines:
-            raise SimulationError("traffic matrices of different cluster sizes")
-        self._counts += other._counts
-        return self

@@ -218,12 +218,15 @@ def _build_census(graph: CSRGraph, parts: np.ndarray, m: int) -> dict:
     """Per-assignment census structures: the cut arcs grouped for one
     linear pass per superstep.
 
-    The cut arcs are stably sorted by aggregation key (source machine,
-    target vertex) — the group-once-then-cheap-in-order-passes idea of
-    buffered streaming partitioners — so a push superstep needs no sort:
+    The cut arcs are sorted by aggregation key (source machine, target
+    vertex) — the group-once-then-cheap-in-order-passes idea of buffered
+    streaming partitioners — so a push superstep needs no sort:
     ``cut_src``/``cut_pair`` are per arc (source vertex, and
     ``src_machine * m + dst_machine``), ``group_starts`` marks where each
-    key's run begins and ``group_pair`` is the pair id of each run.
+    key's run begins and ``group_pair`` is the pair id of each run. The
+    sort need not be stable: the order of arcs inside a run is never
+    observed, since every consumer reduces a run with
+    ``logical_or.reduceat``, ``bincount`` or ``unique``.
     """
     n = np.int64(graph.num_vertices)
     # Walk the adjacency one block at a time (dense graphs yield a single
@@ -240,7 +243,7 @@ def _build_census(graph: CSRGraph, parts: np.ndarray, m: int) -> dict:
     cut_dst = np.concatenate(dst_chunks)
     src_part = parts[cut_src]
     key = src_part * n + cut_dst
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key = key[order]
     starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
     cut_pair = (src_part * m + parts[cut_dst])[order]

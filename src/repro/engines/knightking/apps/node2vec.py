@@ -10,10 +10,11 @@ neighbour ``y`` of ``cur``:
 KnightKing's key trick — which made billion-edge node2vec feasible — is
 *rejection sampling*: propose a uniform neighbour and accept with
 probability ``w(y)/w_max``; only the accepted proposal pays the
-adjacency check. We reproduce exactly that, with the adjacency check
-vectorised as a batched binary search (:func:`arcs_exist`), looping only
-over rejection *rounds* (geometric tail, a handful of rounds in
-practice), never over walkers.
+adjacency check. We reproduce exactly that, looping only over rejection
+*rounds* (geometric tail, a handful of rounds in practice), never over
+walkers: each round's adjacency checks are one batched
+:func:`arcs_exist` call — on an in-RAM graph a single sorted-key lookup
+of the round's ``(prev, y)`` pairs in the graph's arc keys.
 """
 
 from __future__ import annotations

@@ -148,6 +148,9 @@ class WalkEngine:
         elif np.asarray(start_vertices).size == 0:
             raise SimulationError("no walkers to run: start_vertices is empty")
         batch = WalkerBatch.start_at(start_vertices)
+        bad = batch.pos[(batch.pos < 0) | (batch.pos >= n)]
+        if bad.size:
+            raise ConfigurationError(f"start_vertices must lie in [0, {n}), got {bad[0]}")
         parts = assignment.parts.astype(np.int64)
         m = self._cluster.num_machines
 
@@ -164,20 +167,15 @@ class WalkEngine:
         self._cluster.begin_run()
         steps_rows: list[np.ndarray] = []
         supersteps = 0
-        while batch.alive.any():
-            supersteps += 1
-            if supersteps > _MAX_SUPERSTEPS:  # pragma: no cover - defensive
-                raise SimulationError("walk did not terminate (superstep cap hit)")
-            if self._mode == "step_sync":
-                steps_per_m, traffic = self._superstep_sync(
-                    graph, parts, m, batch, app, rng, max_steps, paths
-                )
-            else:
-                steps_per_m, traffic = self._superstep_greedy(
-                    graph, parts, m, batch, app, rng, max_steps, paths
-                )
-            steps_rows.append(steps_per_m)
-            self._cluster.superstep(steps=steps_per_m, traffic=traffic)
+        superstep = self._superstep_sync if self._mode == "step_sync" else self._superstep_greedy
+        with telemetry.active().span("engine.walk.run", app=app.name, machines=m):
+            while batch.alive.any():
+                supersteps += 1
+                if supersteps > _MAX_SUPERSTEPS:  # pragma: no cover - defensive
+                    raise SimulationError("walk did not terminate (superstep cap hit)")
+                steps_per_m, traffic = superstep(graph, parts, m, batch, app, rng, max_steps, paths)
+                steps_rows.append(steps_per_m)
+                self._cluster.superstep(steps=steps_per_m, traffic=traffic)
 
         steps_matrix = (
             np.stack(steps_rows) if steps_rows else np.zeros((0, m))
@@ -245,37 +243,34 @@ class WalkEngine:
     ) -> tuple[np.ndarray, TrafficMatrix]:
         idx = np.nonzero(batch.alive)[0]
         home = parts[batch.pos[idx]]
-        old_pos = batch.pos[idx].copy()
         moved = self._advance(graph, batch, idx, app, rng, max_steps, paths)
-        steps_per_m = np.bincount(home[moved], minlength=m).astype(np.float64)
         # A walker is transmitted whenever its executed step lands on a
         # different machine — including its final step, since the walker
-        # state (path tail) lives with its last vertex's host.
-        src_m = parts[old_pos[moved]]
-        dst_m = parts[batch.pos[idx[moved]]]
-        traffic = TrafficMatrix.from_pairs(m, src_m, dst_m)
-        return steps_per_m, traffic
+        # state (path tail) lives with its last vertex's host. Moves are
+        # counted per machine pair; from_counts drops the local diagonal.
+        src_m = home[moved]
+        counts = np.bincount(src_m * m + parts[batch.pos[idx[moved]]], minlength=m * m)
+        steps_per_m = np.bincount(src_m, minlength=m).astype(np.float64)
+        return steps_per_m, TrafficMatrix.from_counts(counts.reshape(m, m))
 
     def _superstep_greedy(
         self, graph, parts, m, batch, app, rng, max_steps, paths
     ) -> tuple[np.ndarray, TrafficMatrix]:
         steps_per_m = np.zeros(m, dtype=np.float64)
-        traffic = TrafficMatrix(m)
+        counts = np.zeros(m * m, dtype=np.int64)
         # Walkers keep moving while they stay on their current machine.
         local = batch.alive.copy()
         while local.any():
             idx = np.nonzero(local)[0]
             home = parts[batch.pos[idx]]
-            old_pos = batch.pos[idx].copy()
             moved = self._advance(graph, batch, idx, app, rng, max_steps, paths)
-            steps_per_m += np.bincount(home[moved], minlength=m).astype(np.float64)
+            src_m = home[moved]
+            dst_m = parts[batch.pos[idx[moved]]]
+            steps_per_m += np.bincount(src_m, minlength=m)
+            counts += np.bincount(src_m * m + dst_m, minlength=m * m)
             crossed = np.zeros(idx.size, dtype=bool)
-            crossed[moved] = parts[batch.pos[idx[moved]]] != parts[old_pos[moved]]
-            if crossed.any():
-                src_m = parts[old_pos[crossed]]
-                dst_m = parts[batch.pos[idx[crossed]]]
-                traffic += TrafficMatrix.from_pairs(m, src_m, dst_m)
+            crossed[moved] = dst_m != src_m
             still = batch.alive[idx]
             local[idx[~still]] = False  # terminated or step-capped
             local[idx[crossed]] = False  # in transit until next superstep
-        return steps_per_m, traffic
+        return steps_per_m, TrafficMatrix.from_counts(counts.reshape(m, m))

@@ -2,9 +2,12 @@
 
 All functions operate on *batches* of walkers at once — the engine never
 loops over individual walkers in Python. The second-order membership
-test (:func:`arcs_exist`) is a vectorised binary search over each
-walker's CSR neighbour range, exploiting that the builder stores
-neighbour lists sorted.
+test (:func:`arcs_exist`) exploits that the builder stores neighbour
+lists sorted: on an in-RAM :class:`CSRGraph` the arc keys ``row·n + col``
+are then globally ascending, and one ``searchsorted`` of the sorted
+query keys answers the whole batch; a sharded graph, which must go
+through ``take_arcs``, runs a vectorised binary search over each
+walker's neighbour range instead.
 """
 
 from __future__ import annotations
@@ -43,13 +46,25 @@ def uniform_neighbor(
 def arcs_exist(graph: CSRGraph, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Vectorised ``graph.has_edge(sources[i], targets[i])`` for batches.
 
-    Binary search over each source's sorted neighbour range; O(log d)
-    vectorised rounds rather than per-walker Python calls.
+    Ids must lie in ``[0, n)``. A dense graph sorts the query keys once
+    and looks them all up in :attr:`CSRGraph.arc_keys` with one
+    ``searchsorted`` — in-order probes, the group-once idea of buffered
+    streaming — then scatters the hits back into query order. Other
+    graphs take O(log d) rounds of masked ``take_arcs`` gathers.
     """
     src = np.asarray(sources, dtype=np.int64)
     tgt = np.asarray(targets, dtype=np.int64)
     if graph.num_edges == 0:
         return np.zeros(src.size, dtype=bool)
+    if isinstance(graph, CSRGraph):
+        keys = graph.arc_keys
+        query = (src * graph.num_vertices + tgt).astype(keys.dtype)
+        order = np.argsort(query)
+        query = query[order]
+        slot = np.searchsorted(keys, query)
+        hit = np.empty(src.size, dtype=bool)
+        hit[order] = keys[np.minimum(slot, keys.size - 1)] == query
+        return hit
     lo = graph.indptr[src].copy()
     hi = graph.indptr[src + 1].copy()
     num_arcs = graph.num_edges

@@ -49,10 +49,6 @@ class WalkerBatch:
         return self.pos.size
 
     @property
-    def num_alive(self) -> int:
-        return int(self.alive.sum())
-
-    @property
     def total_steps(self) -> int:
         """Steps executed across all walkers so far."""
         return int(self.steps.sum())

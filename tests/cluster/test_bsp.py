@@ -10,41 +10,25 @@ from repro.errors import SimulationError
 
 
 class TestTrafficMatrix:
-    def test_from_pairs_drops_local(self):
-        tm = TrafficMatrix.from_pairs(3, np.array([0, 0, 1]), np.array([0, 1, 2]))
+    def test_from_counts_drops_local(self):
+        counts = np.array([[4, 1, 0], [0, 7, 1], [0, 0, 2]])
+        tm = TrafficMatrix.from_counts(counts)
         assert tm.total == 2
         assert tm.counts[0, 1] == 1
         assert tm.counts[1, 2] == 1
         assert tm.counts[0, 0] == 0
+        assert counts[0, 0] == 4  # the caller's matrix is copied, not zeroed
 
     def test_sent_received(self):
-        tm = TrafficMatrix.from_pairs(3, np.array([0, 0, 2]), np.array([1, 2, 1]))
+        tm = TrafficMatrix.from_counts(np.array([[0, 1, 1], [0, 0, 0], [0, 1, 0]]))
         assert list(tm.sent) == [2, 0, 1]
         assert list(tm.received) == [0, 2, 1]
 
-    def test_add(self):
-        tm = TrafficMatrix(2)
-        tm.add(0, 1, 5)
-        tm.add(1, 1, 9)  # local: ignored
-        assert tm.total == 5
-
-    def test_iadd(self):
-        a = TrafficMatrix.from_pairs(2, np.array([0]), np.array([1]))
-        b = TrafficMatrix.from_pairs(2, np.array([0]), np.array([1]))
-        a += b
-        assert a.counts[0, 1] == 2
-
-    def test_machine_range_check(self):
+    def test_counts_must_be_square(self):
         with pytest.raises(SimulationError):
-            TrafficMatrix.from_pairs(2, np.array([0]), np.array([5]))
-
-    def test_length_mismatch(self):
+            TrafficMatrix.from_counts(np.zeros((2, 3)))
         with pytest.raises(SimulationError):
-            TrafficMatrix.from_pairs(2, np.array([0, 1]), np.array([1]))
-
-    def test_size_mismatch_iadd(self):
-        with pytest.raises(SimulationError):
-            TrafficMatrix(2).__iadd__(TrafficMatrix(3))
+            TrafficMatrix.from_counts(np.zeros(4))
 
 
 class TestBSPCluster:
@@ -55,7 +39,7 @@ class TestBSPCluster:
             network=NetworkModel(bandwidth=1e6, latency=0.0, message_bytes=1),
         )
         cl.begin_run()
-        tm = TrafficMatrix.from_pairs(2, np.array([0]), np.array([1]))
+        tm = TrafficMatrix.from_counts(np.array([[0, 1], [0, 0]]))
         cl.superstep(steps=np.array([100.0, 50.0]), traffic=tm)
         ledger = cl.ledger
         assert ledger.num_iterations == 1

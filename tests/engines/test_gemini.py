@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import telemetry
-from repro.cluster import BSPCluster, TrafficMatrix
+from repro.cluster import BSPCluster
 from repro.cluster.faults import FaultPlan
 from repro.engines.gemini import (
     BFS,
@@ -287,6 +287,13 @@ class _RecordingCluster(BSPCluster):
         super().superstep(edges=edges, vertices=vertices, traffic=traffic, **kw)
 
 
+def pair_counts(m, src_machines, dst_machines):
+    """``m × m`` count of cross-machine ``src → dst`` pairs (local ones dropped)."""
+    src, dst = np.asarray(src_machines, np.int64), np.asarray(dst_machines, np.int64)
+    cross = src != dst
+    return np.bincount(src[cross] * m + dst[cross], minlength=m * m).reshape(m, m)
+
+
 def oracle_push(graph, parts, active, aggregate, m):
     """(edges, vertices, counts) of one push superstep, the old way:
     re-sort the live cut arcs' aggregation keys with np.unique."""
@@ -297,23 +304,19 @@ def oracle_push(graph, parts, active, aggregate, m):
     live = active[src]
     if aggregate:
         keys = np.unique(parts[src[live]] * graph.num_vertices + dst[live])
-        tm = TrafficMatrix.from_pairs(
-            m, keys // graph.num_vertices, parts[keys % graph.num_vertices]
-        )
+        counts = pair_counts(m, keys // graph.num_vertices, parts[keys % graph.num_vertices])
     else:
-        tm = TrafficMatrix.from_pairs(m, parts[src[live]], parts[dst[live]])
+        counts = pair_counts(m, parts[src[live]], parts[dst[live]])
     edges = np.bincount(parts, weights=graph.degrees * active, minlength=m)
     vertices = np.bincount(parts, weights=active, minlength=m)
-    return edges, vertices, tm.counts
+    return edges, vertices, counts
 
 
 def oracle_pull(graph, parts, m):
     src, dst = graph.edge_array()
     cut = parts[src] != parts[dst]
     mirrors = np.unique(parts[dst[cut]].astype(np.int64) * graph.num_vertices + src[cut])
-    return TrafficMatrix.from_pairs(
-        m, parts[mirrors % graph.num_vertices], mirrors // graph.num_vertices
-    ).counts
+    return pair_counts(m, parts[mirrors % graph.num_vertices], mirrors // graph.num_vertices)
 
 
 def _supersteps(graph, parts, masks, k, **engine_kw):

@@ -2,9 +2,18 @@
 
 from __future__ import annotations
 
+import functools
+import hashlib
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.cluster import BSPCluster
 from repro.engines.knightking import (
     PPR,
@@ -16,9 +25,17 @@ from repro.engines.knightking import (
     arcs_exist,
     uniform_neighbor,
 )
-from repro.errors import ConfigurationError, SimulationError
-from repro.graph import chung_lu, complete_graph, from_edges, path_graph, ring_graph, star_graph
-from repro.partition import ChunkVPartitioner, HashPartitioner
+from repro.errors import ConfigurationError, GraphFormatError, SimulationError
+from repro.graph import (
+    CSRGraph,
+    chung_lu,
+    from_edges,
+    path_graph,
+    spill_csr,
+    star_graph,
+    twitter_like,
+)
+from repro.partition import ChunkVPartitioner, HashPartitioner, get_partitioner
 
 
 def make_assignment(g, k=4, seed=0):
@@ -61,6 +78,46 @@ class TestTransitionPrimitives:
         assert not arcs_exist(g, np.array([0]), np.array([1]))[0]
 
 
+@st.composite
+def membership_cases(draw):
+    """A small graph (isolated vertices and zero arcs included) and query
+    pairs that hit its arcs, touch vertices 0 and n − 1 and repeat."""
+    n = draw(st.integers(1, 30))
+    vertex = st.integers(0, n - 1) | st.sampled_from([0, n - 1])
+    num_edges = draw(st.integers(0, 60))
+    src = draw(st.lists(vertex, min_size=num_edges, max_size=num_edges))
+    dst = draw(st.lists(vertex, min_size=num_edges, max_size=num_edges))
+    g = from_edges(src, dst, num_vertices=n, directed=draw(st.booleans()))
+    pair = st.tuples(vertex, vertex)
+    if g.num_edges:
+        pair = pair | st.sampled_from(list(g.iter_edges()))
+    queries = draw(st.lists(pair, max_size=40))
+    queries += queries[: draw(st.integers(0, len(queries)))]
+    return g, np.array(queries, dtype=np.int64).reshape(-1, 2)
+
+
+class TestArcMembership:
+    @given(case=membership_cases())
+    @example(case=(from_edges([], [], num_vertices=3), np.array([[0, 2], [0, 2]])))
+    @example(case=(path_graph(4), np.empty((0, 2), dtype=np.int64)))
+    @settings(max_examples=150, deadline=None)
+    def test_sorted_lookup_matches_has_edge_and_round_loop(self, case):
+        g, queries = case
+        src, dst = queries[:, 0], queries[:, 1]
+        got = arcs_exist(g, src, dst)
+        assert got.dtype == bool and got.shape == src.shape
+        assert got.tolist() == [g.has_edge(int(u), int(v)) for u, v in queries]
+        with tempfile.TemporaryDirectory() as spill:
+            twin = spill_csr(g, spill, shard_size=7)
+            np.testing.assert_array_equal(arcs_exist(twin, src, dst), got)
+
+    def test_unsorted_row_raises_on_first_use(self):
+        # Row 0 is [2, 1]: the round loop answered (0, 2) with False.
+        g = CSRGraph(np.array([0, 2, 3, 4]), np.array([2, 1, 0, 0]))
+        with pytest.raises(GraphFormatError, match="sorted"):
+            arcs_exist(g, np.array([0]), np.array([2]))
+
+
 class TestEngineBasics:
     def test_paths_follow_edges(self, powerlaw_small):
         a = make_assignment(powerlaw_small)
@@ -92,6 +149,16 @@ class TestEngineBasics:
         res = engine.run(ring64, a, DeepWalk(), start_vertices=starts, max_steps=1)
         assert res.paths.shape[0] == 3
         assert list(res.paths[:, 0]) == [0, 0, 7]
+
+    @pytest.mark.parametrize("starts, bad", [([-1, 0], -1), ([3, 64, 65], 64)])
+    def test_start_vertices_outside_the_graph(self, ring64, starts, bad):
+        class Watched(BSPCluster):
+            def begin_run(self):
+                raise AssertionError("the run started")
+
+        a = make_assignment(ring64)
+        with pytest.raises(ConfigurationError, match=rf"start_vertices .*got {bad}\b"):
+            WalkEngine(Watched(4)).run(ring64, a, DeepWalk(), start_vertices=np.array(starts))
 
     def test_steps_matrix_sums_to_total(self, powerlaw_small):
         a = make_assignment(powerlaw_small)
@@ -295,3 +362,71 @@ class TestVisitTracking:
         engine = WalkEngine(BSPCluster(2), seed=55)
         res = engine.run(g, a, DeepWalk(), walkers_per_vertex=1, max_steps=2)
         assert res.visit_counts is None
+
+
+class TestTelemetry:
+    def test_run_span(self, ring64):
+        a = make_assignment(ring64)
+        telemetry.set_enabled(True)
+        for app in (DeepWalk(), Node2Vec()):
+            WalkEngine(BSPCluster(4), seed=1).run(ring64, a, app, max_steps=3)
+        spans = telemetry.registry().spans
+        assert [(s["name"], s["args"]) for s in spans] == [
+            ("engine.walk.run", {"app": "deepwalk", "machines": 4}),
+            ("engine.walk.run", {"app": "node2vec", "machines": 4}),
+        ]
+        assert all(s["dur"] > 0 for s in spans)
+
+
+# ----------------------------------------------------------------------
+# Bytes did not move: digests recorded on the commit before the sorted-key
+# arc test and the bincount traffic count (4a82ba1), with this file's own
+# `_digest` run against that tree.
+# Re-record with `PYTHONPATH=src python tests/engines/test_knightking.py`.
+# ----------------------------------------------------------------------
+DIGESTS = Path(__file__).parent / "data" / "walk_digests.json"
+APPS = {
+    "deepwalk": DeepWalk,
+    "node2vec": lambda: Node2Vec(2.0, 0.5),
+    "ppr": lambda: PPR(0.1),
+    "rwj": lambda: RWJ(0.2),
+    "rwd": RWD,
+}
+GRID = [
+    (app, algo, mode)
+    for app in APPS
+    for algo in ("bpart", "chunk-v")
+    for mode in ("step_sync", "greedy")
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _job(algo):
+    g = twitter_like(scale=0.1, seed=1)
+    return g, get_partitioner(algo, seed=1).partition(g, 4).assignment
+
+
+def _cell(app, algo, mode) -> str:
+    g, a = _job(algo)
+    engine = WalkEngine(BSPCluster(4), mode=mode, seed=4, record_paths=True)
+    res = engine.run(g, a, APPS[app](), walkers_per_vertex=2, max_steps=8)
+    h = hashlib.sha256(res.ledger.to_json().encode())
+    h.update(np.ascontiguousarray(res.paths, dtype=np.int64).tobytes())
+    h.update(np.ascontiguousarray(res.final_positions, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+class TestBytesDidNotMove:
+    @pytest.fixture(scope="class")
+    def recorded(self):
+        return json.loads(DIGESTS.read_text())
+
+    @pytest.mark.parametrize("cell", GRID, ids="/".join)
+    def test_grid(self, recorded, cell):
+        assert _cell(*cell) == recorded["/".join(cell)]
+
+
+if __name__ == "__main__":
+    DIGESTS.parent.mkdir(exist_ok=True)
+    digests = {"/".join(cell): _cell(*cell) for cell in GRID}
+    DIGESTS.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")

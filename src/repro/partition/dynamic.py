@@ -437,16 +437,6 @@ class DynamicPartitioner:
             return 0.0, 0.0
         return bias(self._vcounts), bias(self._ecounts)
 
-    def assignment_for(self, graph) -> "np.ndarray":
-        """Part-id vector aligned with ``graph``'s vertex ids.
-
-        Every graph vertex must be present in the partitioner.
-        """
-        out = np.empty(graph.num_vertices, dtype=np.int32)
-        for v in range(graph.num_vertices):
-            out[v] = self.part_of(v)
-        return out
-
     def __repr__(self) -> str:
         vb, eb = self.balance()
         return (

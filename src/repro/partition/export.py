@@ -63,10 +63,6 @@ class PartitionBundle:
     def num_arcs(self) -> int:
         return self.indices.size
 
-    def is_ghost(self, local_id: int) -> bool:
-        """Whether a neighbour id refers to a remote (ghost) vertex."""
-        return local_id >= self.num_local
-
 
 def export_partition_bundles(
     assignment: PartitionAssignment, directory: str | os.PathLike

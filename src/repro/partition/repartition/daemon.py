@@ -179,25 +179,6 @@ class RepartitionDaemon:
         self._events_since_epoch = 0
         return record
 
-    # -- snapshots for baselines ---------------------------------------
-    def snapshot_edges(self) -> tuple[list[int], np.ndarray, np.ndarray]:
-        """``(resident ids, src, dst)`` of the live resident↔resident
-        edges (each undirected edge once, in compacted local ids) —
-        what a periodic full re-partition would operate on."""
-        ids = sorted(self.dp.vertices())
-        local = {v: i for i, v in enumerate(ids)}
-        # collect into a pair set so one-sided adjacencies (one endpoint
-        # listed the other at arrival, reverse unknown) appear once
-        pairs: set[tuple[int, int]] = set()
-        for v in ids:
-            for w in self.dp.neighbors_of(v):
-                if w in local and w != v:
-                    pairs.add((v, w) if v < w else (w, v))
-        ordered = sorted(pairs)
-        src = np.asarray([local[a] for a, _ in ordered], dtype=np.int64)
-        dst = np.asarray([local[b] for _, b in ordered], dtype=np.int64)
-        return ids, src, dst
-
     def __repr__(self) -> str:
         return (
             f"RepartitionDaemon(k={self.dp.num_parts}, "

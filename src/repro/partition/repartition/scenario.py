@@ -45,10 +45,6 @@ class ChurnEvent:
     v: int = -1
     neighbors: tuple[int, ...] = ()
 
-    def to_list(self) -> list:
-        """Compact JSON-friendly form ``[kind, u, v, [nbrs...]]``."""
-        return [self.kind, self.u, self.v, list(self.neighbors)]
-
 
 @dataclass(frozen=True)
 class ChurnScenario:

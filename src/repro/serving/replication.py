@@ -70,10 +70,6 @@ class ReplicaPlan:
     hosted_v: tuple[int, ...]
     hosted_e: tuple[int, ...]
 
-    def holders_of(self, partition: int) -> tuple[int, ...]:
-        """Machines holding ``partition``'s blocks, primary first."""
-        return self.holders[partition]
-
     def partitions_of(self, machine: int) -> tuple[int, ...]:
         """Partitions whose blocks ``machine`` carries, ascending."""
         return tuple(

@@ -10,6 +10,7 @@ serving layer and what lets CI diff two independent runs directly.
 
 from __future__ import annotations
 
+from repro import telemetry
 from repro.bench.report import Table
 from repro.errors import ConfigurationError
 from repro.serving.simulator import ServingConfig, ServingResult
@@ -82,7 +83,8 @@ class ServingReport:
 
     def to_json(self) -> str:
         """Canonical JSON — byte-identical for identical runs."""
-        return canon.dumps(self.to_dict())
+        with telemetry.active().span("serving.report.render"):
+            return canon.dumps(self.to_dict())
 
     def digest(self) -> str:
         """SHA-256 of the canonical JSON."""
@@ -163,9 +165,10 @@ class ServingReport:
 
     def render(self) -> str:
         """Human-readable report for the CLI."""
-        lines = [self.table().render()]
-        lines.append(
-            f"workload {self.spec.digest()[:12]}  config {self.config.digest()[:12]}"
-            + (f"  chaos {self.chaos}" if self.chaos else "")
-        )
-        return "\n".join(lines)
+        with telemetry.active().span("serving.report.render"):
+            lines = [self.table().render()]
+            lines.append(
+                f"workload {self.spec.digest()[:12]}  config {self.config.digest()[:12]}"
+                + (f"  chaos {self.chaos}" if self.chaos else "")
+            )
+            return "\n".join(lines)

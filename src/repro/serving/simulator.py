@@ -20,9 +20,11 @@ never retried (open-loop users do not back off).
 Determinism contract: the event heap orders by ``(time, seq)`` where
 arrival events take seqs ``0..q-1`` in trace order and every other
 event draws from a counter starting at ``q`` — no float tie ever
-decides an ordering. Walk randomness derives from
-``derive_rng(seed, salt, machine, batch)``. Same (assignment, trace,
-config, seed, chaos plan) ⇒ identical :class:`ServingResult`.
+decides an ordering. A walk batch's draws are the ones ``derive_rng``
+gives for ``(seed, salt, machine, batch)``, seeded from a per-machine
+table that :func:`~repro.utils.rng.seed_states` computes 1 024 batches
+at a time. Same (assignment, trace, config, seed, chaos plan) ⇒
+identical :class:`ServingResult`.
 
 **Replication**: each partition's blocks are placed on
 ``replication_factor`` (K) machines by :func:`~repro.serving.replication.
@@ -92,8 +94,8 @@ from repro.serving.health import (
 from repro.serving.replication import plan_replicas
 from repro.serving.workload import KIND_KHOP, KIND_WALK, QueryTrace
 from repro.utils import canon
-from repro.utils.rng import derive_rng
-from repro.utils.validation import check_nonnegative, check_positive
+from repro.utils.rng import rng_from_state, seed_states
+from repro.utils.validation import check_count, check_nonnegative, check_positive
 
 __all__ = ["ServingConfig", "ServingSimulator", "ServingResult"]
 
@@ -182,21 +184,15 @@ class ServingConfig:
     replica_edge_bytes: int = 8
 
     def __post_init__(self) -> None:
-        check_positive("queue_limit", self.queue_limit)
-        check_positive("batch_max", self.batch_max)
-        check_positive("cache_blocks", self.cache_blocks)
-        check_positive("cache_block_size", self.cache_block_size)
-        check_positive("block_bytes", self.block_bytes)
+        for name in _COUNT_KNOBS:
+            check_count(name, getattr(self, name))
         if self.slowdown_factor < 1.0:
             raise ConfigurationError(
                 f"slowdown_factor must be >= 1, got {self.slowdown_factor!r}"
             )
-        check_positive("replication_factor", self.replication_factor)
         check_positive("heartbeat_interval", self.heartbeat_interval)
         check_positive("restart_delay", self.restart_delay)
         check_positive("slo_seconds", self.slo_seconds)
-        check_positive("replica_vertex_bytes", self.replica_vertex_bytes)
-        check_positive("replica_edge_bytes", self.replica_edge_bytes)
         check_nonnegative("hedge_after", self.hedge_after)
         check_nonnegative("replica_slack", self.replica_slack)
         if not (1 <= self.suspect_after < self.dead_after):
@@ -280,6 +276,8 @@ _REPLICATION_DEFAULTS = {
 _TOP_LEVEL_KEYS = tuple(
     f.name for f in fields(ServingConfig) if f.name not in _REPLICATION_KNOBS
 )
+#: every ``int`` field is a count: a positive ``int``, never a float or bool.
+_COUNT_KNOBS = tuple(f.name for f in fields(ServingConfig) if f.type == "int")
 
 
 @dataclass
@@ -377,11 +375,6 @@ class ServingResult:
         if not (0.0 < q <= 1.0):
             raise ConfigurationError(f"quantile must be in (0, 1], got {q!r}")
         return _nearest_rank(self.completed_latencies(), q)
-
-    def mean_latency(self) -> float:
-        """Mean completed latency (NaN if nothing completed)."""
-        lat = self.completed_latencies()
-        return float(lat.mean()) if lat.size else float("nan")
 
     def summary(self) -> dict:
         """JSON-ready SLO summary (deterministic, byte-stable).
@@ -560,6 +553,7 @@ class _Run:
 
         self.queries, self.batches, self.messages = [0] * k, [0] * k, [0] * k
         self.busy_seconds = [0.0] * k
+        self.walk_seeds = [np.empty((0, 4), np.uint64)] * k  # per machine, row = batch id
         self.queue: list[deque] = [deque() for _ in range(k)]  # waiting, FIFO
         self.inflight: list[list[int]] = [[] for _ in range(k)]  # batch in service
         self.epoch = [0] * k  # bumped to fence a lost batch's completion
@@ -711,16 +705,25 @@ class _Run:
                 homes.append(home[qi])
 
         # walk queries: KnightKing-style uniform transitions, stepped per
-        # walker (a batch holds at most ``batch_max``). The RNG is keyed by
-        # (seed, machine, batch) so runs replay bit-identically — the draws
-        # depend on who shares the batch, so they cannot be planned ahead.
+        # walker (a batch holds at most ``batch_max``). The draws are the
+        # ones derive_rng gives for (seed, _SALT_WALK, m, batch_id), seeded
+        # from the machine's state table (1 024 rows, doubled as batches
+        # pass its end), so runs replay bit-identically — they depend on
+        # who shares the batch, so they cannot be planned ahead. A step
+        # takes one double per live walker: zip pulls ``positions`` first,
+        # so the tail that dead-end walkers leave unused is never read.
         if positions:
             graph, parts = self.assignment.graph, self.assignment.parts
             degrees, indptr, block_size = graph.degrees, graph.indptr, cfg.cache_block_size
-            wrng = derive_rng(self.seed, _SALT_WALK, m, batch_id)
-            for _ in range(trace.spec.walk_steps):
+            seeds, walk_steps = self.walk_seeds[m], trace.spec.walk_steps
+            if batch_id >= len(seeds):
+                rows = 1024 << max(0, batch_id.bit_length() - 10)
+                seeds = self.walk_seeds[m] = seed_states(np.arange(rows), self.seed, _SALT_WALK, m)
+            wrng = rng_from_state(seeds[batch_id])
+            draws = iter(wrng.random(len(positions) * walk_steps).tolist())
+            for _ in range(walk_steps):
                 slots, moved = [], []
-                for pos, h, u in zip(positions, homes, wrng.random(len(positions)).tolist()):
+                for pos, h, u in zip(positions, homes, draws):
                     deg = degrees.item(pos)
                     if deg:  # a dead-end walker stops, its draw spent
                         slots.append(indptr.item(pos) + min(int(u * deg), deg - 1))

@@ -27,15 +27,17 @@ byte-identical trace arrays.
 from __future__ import annotations
 
 import hashlib
+import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
+from repro import telemetry
 from repro.errors import ConfigurationError
 from repro.graph.csr import CSRGraph
 from repro.utils import canon
 from repro.utils.rng import derive_rng
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_count, check_positive
 
 __all__ = ["WorkloadSpec", "QueryTrace", "KIND_KHOP", "KIND_WALK"]
 
@@ -89,13 +91,12 @@ class WorkloadSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        check_positive("users", self.users)
+        for name in ("users", "khop", "khop_cap", "walk_steps"):
+            check_count(name, getattr(self, name))
         check_positive("duration", self.duration)
         check_positive("rate", self.rate)
         check_positive("zipf_s", self.zipf_s)
         check_positive("window_frac", self.window_frac)
-        check_positive("khop_cap", self.khop_cap)
-        check_positive("walk_steps", self.walk_steps)
         for name in ("locality", "walk_frac"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -149,6 +150,7 @@ class WorkloadSpec:
         own salted generator, so changing one knob never perturbs the
         streams of the others.
         """
+        start = time.perf_counter()  # the span is recorded once ``queries`` is known
         n = graph.num_vertices
         if n == 0:
             raise ConfigurationError("cannot generate a workload on an empty graph")
@@ -202,6 +204,9 @@ class WorkloadSpec:
 
         for arr in (times, user, vertex, kind):
             arr.setflags(write=False)
+        telemetry.active().add_span(
+            "serving.workload.generate", start, time.perf_counter() - start, queries=q
+        )
         return QueryTrace(spec=self, times=times, user=user, vertex=vertex, kind=kind)
 
 

@@ -1,7 +1,8 @@
 """Shared utilities: RNG handling, canonical JSON, and validation helpers."""
 
-from repro.utils.rng import as_rng, derive_rng, spawn_rngs, splitmix64
+from repro.utils.rng import as_rng, derive_rng, splitmix64
 from repro.utils.validation import (
+    check_count,
     check_fraction,
     check_nonnegative,
     check_positive,
@@ -11,8 +12,8 @@ from repro.utils.validation import (
 __all__ = [
     "as_rng",
     "derive_rng",
-    "spawn_rngs",
     "splitmix64",
+    "check_count",
     "check_fraction",
     "check_nonnegative",
     "check_positive",

@@ -10,8 +10,9 @@ partition, and walk traces.
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["as_rng", "derive_rng", "spawn_rngs", "splitmix64", "hash_u64"]
+__all__ = ["as_rng", "derive_rng", "seed_states", "rng_from_state", "splitmix64", "hash_u64"]
 
 # Constants of the splitmix64 finaliser (Steele et al., "Fast splittable
 # pseudorandom number generators", OOPSLA 2014). Used as a deterministic
@@ -23,6 +24,14 @@ _SM64_MUL1 = np.uint64(_MUL1)
 _SM64_MUL2 = np.uint64(_MUL2)
 
 
+# NumPy's SeedSequence (a pool of four uint32 words) hashes with the
+# multiplier chains ``init * mult**k``; they do not depend on the entropy.
+# Mixing calls hashmix 16 times, generate_state(4, uint64) hashes 8 words.
+_HASH_A = [0x43B0D7E5 * pow(0x931E8875, k, 2**32) % 2**32 for k in range(17)]
+_HASH_B = [0x8B51F9DD * pow(0x58F38DED, k, 2**32) % 2**32 for k in range(9)]
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
 def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     """Coerce ``seed`` into a :class:`numpy.random.Generator`.
 
@@ -32,6 +41,18 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
+
+
+def _fold(base: int, salt) -> int:
+    # splitmix64 on plain ints, masked to 64 bits: the same fold as the
+    # array :func:`splitmix64` without a uint64 round-trip per salt.
+    mixed = base & _MASK64
+    for s in salt:
+        z = ((mixed ^ (s & _MASK64)) + _GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
+        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
+        mixed = z ^ (z >> 31)
+    return mixed
 
 
 def derive_rng(seed: int | np.random.Generator | None, *salt: int) -> np.random.Generator:
@@ -48,23 +69,52 @@ def derive_rng(seed: int | np.random.Generator | None, *salt: int) -> np.random.
         return np.random.default_rng()
     else:
         base = int(seed)
-    # splitmix64 on plain ints, masked to 64 bits: the same fold as the
-    # array :func:`splitmix64` without a uint64 round-trip per salt.
-    mixed = base & _MASK64
-    for s in salt:
-        z = ((mixed ^ (s & _MASK64)) + _GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * _MUL1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MUL2) & _MASK64
-        mixed = z ^ (z >> 31)
-    return np.random.default_rng(mixed)
+    return np.random.default_rng(_fold(base, salt))
 
 
-def spawn_rngs(seed: int | np.random.Generator | None, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` independent generators (one per simulated machine)."""
-    root = np.random.SeedSequence(
-        seed if isinstance(seed, int) else int(as_rng(seed).integers(0, 2**63 - 1))
-    )
-    return [np.random.default_rng(ss) for ss in root.spawn(n)]
+def seed_states(indices: np.ndarray, seed: int, *salt: int) -> np.ndarray:
+    """PCG64 seed states of ``derive_rng(seed, *salt, i)`` for each ``i`` in ``indices``.
+
+    Row ``j`` is ``SeedSequence(mixed).generate_state(4, np.uint64)`` for
+    :func:`derive_rng`'s fold ``mixed`` of ``(seed, *salt, indices[j])``, hashed
+    for all keys at once: a key below 2**32 is the entropy ``[lo]``, which
+    hashes like ``[lo, 0]``. :func:`rng_from_state` turns a row into the generator.
+    """
+    keys = splitmix64(np.uint64(_fold(int(seed), salt)) ^ np.asarray(indices, dtype=np.uint64))
+    lo, hi = (keys & 0xFFFFFFFF).astype(np.uint32), (keys >> 32).astype(np.uint32)
+    consts = iter(zip(_HASH_A, _HASH_A[1:]))
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        xor, mul = next(consts)
+        value = (value ^ xor) * mul
+        return value ^ (value >> 16)
+
+    pool = [hashmix(w) for w in (lo, hi, np.zeros_like(lo), np.zeros_like(lo))]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                value = _MIX_L * pool[dst] - _MIX_R * hashmix(pool[src])
+                pool[dst] = value ^ (value >> 16)
+    words = []
+    for i, (xor, mul) in enumerate(zip(_HASH_B, _HASH_B[1:])):
+        value = (pool[i % 4] ^ xor) * mul
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
+
+
+class _State(ISeedSequence):
+    """Hands PCG64 one precomputed ``generate_state(4, np.uint64)`` row."""
+
+    def __init__(self, row: np.ndarray) -> None:
+        self.row = row
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.row
+
+
+def rng_from_state(row: np.ndarray) -> np.random.Generator:
+    """The PCG64 generator of one :func:`seed_states` row."""
+    return np.random.Generator(np.random.PCG64(_State(row)))
 
 
 def splitmix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:

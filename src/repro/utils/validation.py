@@ -8,14 +8,23 @@ broadcasting error deep in a hot loop.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ConfigurationError
 
 __all__ = [
+    "check_count",
     "check_positive",
     "check_nonnegative",
     "check_probability",
     "check_fraction",
 ]
+
+
+def check_count(name: str, value: int) -> None:
+    """Require a positive ``int`` or NumPy integer; ``bool`` is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value <= 0:
+        raise ConfigurationError(f"{name} must be a positive integer, got {value!r}")
 
 
 def check_positive(name: str, value: float) -> None:

@@ -98,10 +98,10 @@ class TestPlanReplicas:
         plan = plan_replicas(skewed, 2, slack=0.5)
         assert plan.balance()["edge_ratio"] <= 1.5 * base
 
-    def test_holders_of_matches_partitions_of(self, assignment):
+    def test_holders_match_partitions_of(self, assignment):
         plan = plan_replicas(assignment, 2)
         for p in range(8):
-            for m in plan.holders_of(p):
+            for m in plan.holders[p]:
                 assert p in plan.partitions_of(m)
 
 

@@ -20,6 +20,7 @@ from repro.serving import (
     SITE_MACHINE,
     QueryTrace,
     ServingConfig,
+    ServingReport,
     ServingResult,
     ServingSimulator,
     WorkloadSpec,
@@ -54,6 +55,30 @@ class TestConfig:
     def test_digest_sensitive(self):
         assert ServingConfig().digest() != ServingConfig(batch_max=2).digest()
         assert ServingConfig().digest() == ServingConfig().digest()
+
+    COUNTS = (
+        "queue_limit", "batch_max", "cache_blocks", "cache_block_size", "block_bytes",
+        "replication_factor", "suspect_after", "dead_after", "replica_vertex_bytes",
+        "replica_edge_bytes",
+    )
+
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True, 0])
+    @pytest.mark.parametrize("name", COUNTS)
+    def test_count_fields_take_positive_integers_only(self, name, bad):
+        # ``batch_max=2.5`` used to serve batches of 3 while reporting 2,
+        # and ``cache_block_size=64.5`` failed in the demand planner.
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a positive integer"):
+            ServingConfig(**{name: bad})
+        doc = ServingConfig(replication_factor=3).to_dict()
+        (doc["replication"] if name in doc["replication"] else doc)[name] = bad
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            ServingConfig.from_dict(doc)
+
+    def test_numpy_integer_counts_serialise_as_ints(self):
+        cfg = ServingConfig(batch_max=np.int64(4), replication_factor=np.int32(2))
+        assert cfg.to_dict()["batch_max"] == 4 and cfg.digest() == ServingConfig(
+            batch_max=4, replication_factor=2
+        ).digest()
 
 
 class TestFromDictRejectsWhatToDictNeverWrote:
@@ -195,7 +220,7 @@ class TestServing:
         result = ServingSimulator(assignment, seed=1).run(trace)
         expect = result.summary()
         assert expect["latency_p99"] == result.latency_quantile(0.99)
-        assert expect["latency_mean"] == result.mean_latency()
+        assert expect["latency_mean"] == float(result.completed_latencies().mean())
         sorts, real = [], ServingResult.completed_latencies
         monkeypatch.setattr(
             ServingResult, "completed_latencies", lambda self: sorts.append(1) or real(self)
@@ -308,6 +333,30 @@ class TestTelemetry:
             "serving.event_loop": {"machines": 4, "queries": trace.num_queries},
         }
 
+    def test_generate_serve_report_spans_every_boundary(self, graph, assignment):
+        spec = WorkloadSpec(users=300, duration=0.1, rate=1500.0, seed=2)
+        report = ServingReport(spec, ServingConfig(), num_parts=4)
+
+        def generate_serve_report():
+            trace = spec.generate(graph)
+            report.entries.clear()
+            report.add("bpart", ServingSimulator(assignment, seed=1).run(trace))
+            return trace.num_queries, report.to_json(), report.render()
+
+        off = generate_serve_report()
+        assert telemetry.registry().spans == []
+        telemetry.set_enabled(True)
+        assert generate_serve_report() == off
+        q = off[0]
+        assert [(span["name"], span["args"]) for span in telemetry.registry().spans] == [
+            ("serving.workload.generate", {"queries": q}),
+            ("serving.replication.plan", {}),
+            ("serving.demand.plan", {"queries": q}),
+            ("serving.event_loop", {"machines": 4, "queries": q}),
+            ("serving.report.render", {}),
+            ("serving.report.render", {}),
+        ]
+
 
 # ----------------------------------------------------------------------
 _DIGESTED = (
@@ -393,17 +442,26 @@ _ALL_WALKS = {"walk_frac": 1.0, "walk_steps": 8}
 def walk_result(graph, assignment, cell):
     """Every query an eight-step walk. At 120 k q/s with a 16-block
     cache, batches of one to ``batch_max`` walkers each occur dozens of
-    times; on the directed graph walkers die at sinks."""
+    times; on the directed graph walkers die at sinks. ``table-grows``
+    is 2 s at 4 k q/s, long enough for one machine to pass 2 048
+    batches; ``one-step`` walks one step and ``lone-walkers`` serves one
+    walker per batch."""
     if cell == "directed":
         graph = rmat(10, 4, rng=7, directed=True)
         assignment = PartitionAssignment(graph, np.arange(graph.num_vertices) % 4, 4)
+    config, shape = ServingConfig(**_GRID_CONFIGS["tight"]), (0.03, 120000.0)
+    walks = dict(_ALL_WALKS)
     if cell == "k2-hedged":
         config = ServingConfig(replication_factor=2, hedge_after=0.0001, cache_blocks=16)
         shape = (0.05, 60000.0)
-    else:
-        config, shape = ServingConfig(**_GRID_CONFIGS["tight"]), (0.03, 120000.0)
+    elif cell == "table-grows":
+        config, shape = ServingConfig(), (2.0, 4000.0)
+    elif cell == "one-step":
+        walks["walk_steps"] = 1
+    elif cell == "lone-walkers":
+        config = ServingConfig(batch_max=1, **_GRID_CONFIGS["tight"])
     result = _served(
-        graph, assignment, config, None, 1, duration=shape[0], rate=shape[1], **_ALL_WALKS
+        graph, assignment, config, None, 1, duration=shape[0], rate=shape[1], **walks
     )
     return graph, result
 
@@ -454,12 +512,16 @@ class TestBytesDidNotMove:
             assert result.hedges > result.hedge_wins > 0
         assert result_digest(result) == self.K2[drill]
 
-    # Recorded at 48a1105, the last commit whose walk block called
-    # ``uniform_neighbor`` per step.
+    # The first three were recorded at 48a1105, the last commit whose walk
+    # block called ``uniform_neighbor`` per step; the last three at 23aa66c,
+    # the last commit that called ``derive_rng`` once per walk batch.
     WALKS = {
         "full-batches": "25de09813d866e9b341dca7ddd24c21b6e7bca79b48cc742eb026f4c74abd103",
         "directed": "dbdd03b2e87a32f3464fba231bb4b821131a442d548ac2b85c2a72c7cd2080cc",
         "k2-hedged": "db2621aac204dff93f638b0a70fd36948a49f806551bc08396407a05f99867cd",
+        "table-grows": "f852914504231b1701c90f5eafd8b90391faba00ebe751881a384e885ba13635",
+        "one-step": "76540744a86545a0a8a7d17d205cd663b6006ac976054f2063812dee8d1c2ed6",
+        "lone-walkers": "fbcd8dbc77faee8e6d64f71484e2e2101ff4442de53e055bb552d40b394d67f4",
     }
 
     @pytest.mark.parametrize("cell", sorted(WALKS))
@@ -470,6 +532,10 @@ class TestBytesDidNotMove:
             assert result.queries.sum() / result.batches.sum() > 2.5
         elif cell == "directed":  # walkers die on step 1 and mid-walk
             assert 0.3 < (walked.degrees == 0).mean() < 0.6
-        else:
+        elif cell == "k2-hedged":
             assert result.hedges > result.hedge_wins > 0
+        elif cell == "table-grows":
+            assert result.batches.max() > 2100
+        elif cell == "lone-walkers":
+            assert (result.batches == result.queries).all()
         assert result_digest(result) == self.WALKS[cell]

@@ -39,6 +39,17 @@ class TestSpecValidation:
         with pytest.raises(ConfigurationError):
             WorkloadSpec(**kwargs)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, True])
+    @pytest.mark.parametrize("name", ["users", "khop", "khop_cap", "walk_steps"])
+    def test_count_knobs_take_positive_integers_only(self, name, bad):
+        # ``walk_steps=2.5`` used to digest as 2 and then fail mid-run;
+        # ``walk_steps=True`` served as one step.
+        with pytest.raises(ConfigurationError, match=f"^{name} must be a positive integer"):
+            WorkloadSpec(**{name: bad})
+        doc = {**WorkloadSpec().to_dict(), name: bad}
+        with pytest.raises(ConfigurationError, match=f"^{name} "):
+            WorkloadSpec.from_dict(doc)
+
 
 class TestCanonicalIdentity:
     def test_digest_stable_across_instances(self):

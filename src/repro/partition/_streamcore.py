@@ -15,8 +15,8 @@ capacity bound ``ν·n/k`` applies uniformly.
 The inner loop itself lives in :mod:`repro.partition.kernels`: the
 ``kernel=`` knob selects between the reference per-vertex NumPy loop
 (``scalar``), the delta-maintained ``incremental`` loop and the chunked
-``buffered`` gather (the default) — all bit-exact with each other, so
-the knob trades throughput only.
+``buffered`` gather with its compiled resolver (the default) — all
+bit-exact with each other, so the knob trades throughput only.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.stream import vertex_stream
 from repro.parallel import note_fallback, resolve_jobs
 from repro.partition.kernels import get_kernel
+from repro.utils.validation import check_at_least
 
 __all__ = ["stream_partition", "default_alpha"]
 
@@ -70,7 +71,8 @@ def stream_partition(
         indicator. Must sum to ≈ ``n`` for the capacity bound to match
         the paper's setting.
     alpha, gamma:
-        Score constants of Eq. 2.
+        Score constants of Eq. 2; ``gamma < 1`` (or NaN) is a
+        :class:`~repro.errors.ConfigurationError`.
     slack:
         Capacity factor ν: a part whose indicator already exceeds
         ``ν · Σw / k`` is excluded from the argmax (Fennel's standard
@@ -94,6 +96,7 @@ def stream_partition(
         non-parallel kernel choice is respected and runs in-process.
         Assignments are bit-identical at every jobs value.
     """
+    check_at_least("gamma", gamma, 1.0)
     n = graph.num_vertices
     k = int(num_parts)
     parts = np.full(n, -1, dtype=np.int32)
@@ -118,65 +121,27 @@ def stream_partition(
     # choice routes there (all backends are bit-exact — the knob trades
     # throughput only, so the routing is invisible in the output).
     gather = getattr(graph, "gather_block", None)
-    if backend.name == "parallel":
-        effective = "parallel"
-    else:
-        effective = "buffered" if gather is not None else backend.name
+    dense = gather is None
+    effective = backend.name if backend.name == "parallel" or dense else "buffered"
     w = np.ascontiguousarray(vertex_weights, dtype=np.float64)
     loads = np.zeros(k, dtype=np.float64)
     capacity = slack * w.sum() / k
     stream = vertex_stream(graph, order, rng=rng)
+    args = (graph.indptr if dense else None, graph.indices if dense else None,
+            stream, parts, loads, w)
+    knobs = dict(alpha=float(alpha), gamma=float(gamma), capacity=float(capacity),
+                 passes=int(passes))
     # A `with` block, so a kernel that raises cannot leave the timer open
     # (disabled telemetry hands back a no-op context).
     with telemetry.active().timer("partition.stream.seconds", kernel=effective).time():
         if backend.name == "parallel":
             from repro.partition.kernels.parallel_backend import fennel_parallel
 
-            dense = gather is None
-            fennel_parallel(
-                graph.indptr if dense else None,
-                graph.indices if dense else None,
-                stream,
-                parts,
-                loads,
-                w,
-                alpha=float(alpha),
-                gamma=float(gamma),
-                capacity=float(capacity),
-                passes=int(passes),
-                gather=gather,
-                graph=graph,
-                jobs=eff_jobs,
-            )
-        elif gather is not None:
-            from repro.partition.kernels.buffered import fennel_buffered
-
-            fennel_buffered(
-                None,
-                None,
-                stream,
-                parts,
-                loads,
-                w,
-                alpha=float(alpha),
-                gamma=float(gamma),
-                capacity=float(capacity),
-                passes=int(passes),
-                gather=gather,
-            )
+            fennel_parallel(*args, **knobs, gather=gather, graph=graph, jobs=eff_jobs)
+        elif dense:
+            backend.fennel(*args, **knobs)
         else:
-            backend.fennel(
-                graph.indptr,
-                graph.indices,
-                stream,
-                parts,
-                loads,
-                w,
-                alpha=float(alpha),
-                gamma=float(gamma),
-                capacity=float(capacity),
-                passes=int(passes),
-            )
+            get_kernel("buffered").fennel(*args, **knobs, gather=gather)
     if telemetry.enabled():
         # Aggregates only, recorded after the kernel: the per-vertex hot
         # loop stays untouched, so disabled-mode cost is one flag read.

@@ -37,7 +37,7 @@ from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.combine import multi_layer_combine
 from repro.partition.kernels import resolve_kernel_name
-from repro.utils.validation import check_fraction, check_positive, check_probability
+from repro.utils.validation import check_at_least, check_fraction, check_positive, check_probability
 
 __all__ = ["BPartPartitioner", "weighted_stream_partition", "bpart_vertex_weights"]
 
@@ -150,6 +150,7 @@ class BPartPartitioner(Partitioner):
         refine: bool = False,
     ) -> None:
         check_probability("c", c)
+        check_at_least("gamma", gamma, 1.0)
         check_positive("passes", passes)
         self._passes = int(passes)
         self._refine = bool(refine)

@@ -160,7 +160,8 @@ def multi_layer_combine(
             pieces = (oversplit_base**rounds) * n_remaining_parts
         pieces = min(pieces, rem_count)
 
-        with telemetry.active().span("partition.combine.stream", layer=layer):
+        with telemetry.active().span("partition.combine.stream", layer=layer, pieces=pieces,
+                                     vertices=rem_count):
             piece_parts = np.asarray(partition_fn(sub.graph, pieces), dtype=np.int32)
         if piece_parts.size != rem_count:
             raise PartitionError("partition_fn returned wrong-length assignment")

@@ -42,7 +42,7 @@ import numpy as np
 from repro import telemetry
 from repro.errors import PartitionError
 from repro.partition.kernels.incremental import single_incremental
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_at_least, check_positive, check_probability
 
 __all__ = ["DynamicPartitioner"]
 
@@ -90,7 +90,7 @@ class DynamicPartitioner:
     ) -> None:
         check_positive("num_parts", num_parts)
         check_probability("c", c)
-        check_positive("gamma", gamma)
+        check_at_least("gamma", gamma, 1.0)
         check_positive("slack", slack)
         check_positive("avg_degree", avg_degree)
         if expected_vertices is not None:

@@ -22,7 +22,7 @@ from repro.partition._streamcore import default_alpha, stream_partition
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.kernels import resolve_kernel_name
-from repro.utils.validation import check_positive
+from repro.utils.validation import check_at_least, check_positive
 
 __all__ = ["FennelPartitioner"]
 
@@ -36,7 +36,8 @@ class FennelPartitioner(Partitioner):
         Score constant; ``None`` uses the original paper's
         ``√k · m / n^{3/2}``.
     gamma:
-        Balance exponent (default 1.5, the original recommendation).
+        Balance exponent, at least 1 (default 1.5, the original
+        recommendation).
     slack:
         Capacity factor ν — parts above ``ν·n/k`` vertices are excluded.
     order:
@@ -71,7 +72,7 @@ class FennelPartitioner(Partitioner):
     ) -> None:
         if alpha is not None:
             check_positive("alpha", alpha)
-        check_positive("gamma", gamma)
+        check_at_least("gamma", gamma, 1.0)
         check_positive("slack", slack)
         check_positive("passes", passes)
         self._alpha = alpha

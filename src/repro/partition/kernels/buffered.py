@@ -1,33 +1,37 @@
-"""Buffered streaming kernel: chunked vectorised overlap gather.
+"""Buffered streaming kernel: chunked adjacency gather, sequential resolve.
 
-Processes the stream in chunks of ``B`` vertices (Chhabra et al.'s
-buffered-streaming idea, 2024). For each chunk, the neighbour-part
-overlap of *all* chunk members is computed with one vectorised CSR
-gather plus a single flat ``bincount`` over ``chunk_pos·k + part``
-keys — amortising the NumPy dispatch overhead the scalar loop pays per
-vertex across ``B`` vertices.
+The stream is processed in chunks of ``B`` vertices (Chhabra et al.'s
+buffered-streaming idea, 2024): one vectorised gather fetches the whole
+chunk's neighbour lists (``_dense_gather`` for in-RAM CSR,
+``ShardedCSRGraph.gather_block`` for shards). The decision stays
+sequential. For Eq. 2 it runs in C: ``_fennel.c`` resolves a chunk in
+one call with ``fennel_scalar``'s semantics, so assignments are
+bit-identical. The library is compiled on first use with the
+interpreter's C compiler into ``$REPRO_CACHE_DIR/kernels/`` (else
+``~/.cache/repro-bpart/kernels/``) and loaded once per process; with no
+working compiler the kernel raises ``ConfigurationError``.
 
-Chunk members are then resolved sequentially. The gathered overlap is a
-snapshot from the chunk boundary, so it is blind to assignments made
-*inside* the chunk; left uncorrected this costs real quality (≈ 25–35 %
-worse cuts on the 10k-vertex social micro-bench, because early chunks
-place the hubs with no signal). Instead of accepting the approximation,
-the resolver patches the snapshot exactly: intra-chunk edges (a
-``B/n``-fraction of all edges) are extracted from the same gather, and
-each vertex pulls the *current* part of its already-resolved
-chunk-mates before scoring. That restores the scalar reference's
-semantics bit-for-bit — the sequence of (count, penalty) pairs fed to
-the argmax is identical — while keeping the heavy gather vectorised.
-The ``kernel="buffered"`` knob therefore changes throughput only, never
-assignments; the parity suite holds it to the same standard as
-``incremental``.
+LDG's loop stays in Python over a ``bincount`` snapshot of the chunk's
+overlaps, patched with the current part of already-resolved chunk-mates.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
-from repro.partition.kernels.base import KernelBackend, pow_like_numpy, register_kernel
+from repro import telemetry
+from repro.errors import ConfigurationError
+from repro.partition.kernels.base import KernelBackend, register_kernel
+from repro.utils import canon
 
 __all__ = ["BACKEND", "DEFAULT_CHUNK"]
 
@@ -36,6 +40,44 @@ __all__ = ["BACKEND", "DEFAULT_CHUNK"]
 DEFAULT_CHUNK = 256
 
 _NEG_INF = float("-inf")
+_SOURCE = Path(__file__).with_name("_fennel.c")
+# no contraction into fused multiply-adds: every rounding step matches the spec's
+_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    """Build ``_fennel.c`` once per cache directory; load it once per process."""
+    from repro.bench.artifacts import default_cache_dir
+
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_FLAGS]
+    key = canon.digest({"source": _SOURCE.read_text(), "command": cmd})
+    target = default_cache_dir() / "kernels" / f"fennel-{key[:16]}.so"
+    cached = target.is_file()
+    with telemetry.active().span("partition.kernels.build", cached=cached):
+        if not cached:
+            target.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
+            os.close(fd)
+            try:
+                try:
+                    run = subprocess.run([*cmd, "-o", tmp, str(_SOURCE), "-lm"],
+                                         capture_output=True, text=True)
+                except OSError as exc:  # no such compiler
+                    run = subprocess.CompletedProcess(cmd, 1, "", exc.strerror or str(exc))
+                if run.returncode == 0:
+                    os.replace(tmp, target)
+            finally:
+                Path(tmp).unlink(missing_ok=True)
+            if run.returncode != 0:
+                first = (run.stderr.strip().splitlines() or ["no output"])[0]
+                raise ConfigurationError(
+                    f"cannot build the buffered kernel with `{shlex.join(cmd)}`: {first}")
+        lib = ctypes.CDLL(str(target))
+    lib.fennel_chunk.argtypes = [_I, _P, _P, _P, _P, _P, _P, _I, _D, _D, _D, _P, _P]
+    lib.fennel_chunk.restype = None
+    return lib
 
 
 def _dense_gather(indptr, indices):
@@ -45,11 +87,8 @@ def _dense_gather(indptr, indices):
 
     def gather(chunk):
         lens = indptr[chunk + 1] - indptr[chunk]
-        total = int(lens.sum())
-        if total == 0:
-            return lens, indices[:0]
         first = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        slots = np.repeat(indptr[chunk] - first, lens) + np.arange(total)
+        slots = np.repeat(indptr[chunk] - first, lens) + np.arange(int(lens.sum()))
         return lens, indices[slots]
 
     return gather
@@ -109,80 +148,23 @@ def fennel_buffered(
 ) -> None:
     if gather is None:
         gather = _dense_gather(indptr, indices)
-    n = parts.shape[0]
+    resolve = _library().fennel_chunk
     k = loads.shape[0]
-    gm1 = gamma - 1.0
-    ag = alpha * gamma
-    weights_l = weights.tolist()
-    parts_l = parts.tolist()
-    loads_l = loads.tolist()
-    penalty = [ag * pow_like_numpy(x, gm1) for x in loads_l]
-    saturated = [x >= capacity for x in loads_l]
-    num_saturated = sum(saturated)
-    posmap = np.full(n, -1, dtype=np.int64)
-
+    parts_c = np.ascontiguousarray(parts, dtype=np.int32)
+    loads_c = np.ascontiguousarray(loads, dtype=np.float64)
+    w = np.ascontiguousarray(weights, dtype=np.float64)
+    if w.shape != parts.shape or parts_c.max(initial=-1) >= k:
+        raise ValueError(f"need one weight per vertex and part ids below {k}")
+    scratch = (np.empty(k), np.zeros(k, dtype=np.int64))
+    state = (parts_c.ctypes.data, loads_c.ctypes.data, w.ctypes.data, k, alpha * gamma,
+             gamma - 1.0, capacity, *(a.ctypes.data for a in scratch))
     for _pass in range(passes):
-        for begin in range(0, n, chunk_size):
-            chunk = stream[begin : begin + chunk_size]
-            B = chunk.size
-            posmap[chunk] = np.arange(B)
-            overlap, pulls, _ = _chunk_overlap(gather, parts, posmap, chunk, k)
-            posmap[chunk] = -1
-            chunk_l = chunk.tolist()
-            snapshot = [parts_l[v] for v in chunk_l]
-            for i in range(B):
-                v = chunk_l[i]
-                current = parts_l[v]
-                if current >= 0:
-                    # Re-streaming: release v's load before re-scoring.
-                    released = loads_l[current] - weights_l[v]
-                    loads_l[current] = released
-                    penalty[current] = ag * pow_like_numpy(released, gm1)
-                    if saturated[current] and released < capacity:
-                        saturated[current] = False
-                        num_saturated -= 1
-                row = overlap[i]
-                pull = pulls[i]
-                if pull is not None:
-                    # Patch the snapshot with chunk-mates resolved since
-                    # the chunk boundary — this is what makes the chunked
-                    # resolution exact rather than approximate.
-                    for j in pull:
-                        old = snapshot[j]
-                        new = parts_l[chunk_l[j]]
-                        if old != new:
-                            if old >= 0:
-                                row[old] -= 1
-                            row[new] += 1
-                if num_saturated == k:
-                    choice = 0
-                    best_load = loads_l[0]
-                    for p in range(1, k):
-                        if loads_l[p] < best_load:
-                            best_load = loads_l[p]
-                            choice = p
-                else:
-                    choice = -1
-                    best = _NEG_INF
-                    for p in range(k):
-                        if saturated[p]:
-                            continue
-                        s = row[p] - penalty[p]
-                        if s > best:
-                            best = s
-                            choice = p
-                parts_l[v] = choice
-                grown = loads_l[choice] + weights_l[v]
-                loads_l[choice] = grown
-                penalty[choice] = ag * pow_like_numpy(grown, gm1)
-                if not saturated[choice] and grown >= capacity:
-                    saturated[choice] = True
-                    num_saturated += 1
-            parts[chunk] = np.fromiter(
-                (parts_l[v] for v in chunk_l), dtype=parts.dtype, count=B
-            )
-
-    loads[:] = loads_l
+        for begin in range(0, parts.shape[0], chunk_size):
+            chunk = np.ascontiguousarray(stream[begin : begin + chunk_size], dtype=np.int64)
+            lens, nbrs = (np.ascontiguousarray(a, dtype=np.int64) for a in gather(chunk))
+            resolve(chunk.size, chunk.ctypes.data, lens.ctypes.data, nbrs.ctypes.data, *state)
+    parts[:] = parts_c
+    loads[:] = loads_c
 
 
 def ldg_buffered(

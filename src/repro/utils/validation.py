@@ -15,6 +15,7 @@ from repro.errors import ConfigurationError
 __all__ = [
     "check_count",
     "check_positive",
+    "check_at_least",
     "check_nonnegative",
     "check_probability",
     "check_fraction",
@@ -31,6 +32,12 @@ def check_positive(name: str, value: float) -> None:
     """Require ``value > 0``."""
     if not value > 0:
         raise ConfigurationError(f"{name} must be positive, got {value!r}")
+
+
+def check_at_least(name: str, value: float, floor: float) -> None:
+    """Require ``value >= floor``; NaN fails."""
+    if not value >= floor:
+        raise ConfigurationError(f"{name} must be >= {floor:g}, got {value!r}")
 
 
 def check_nonnegative(name: str, value: float) -> None:

@@ -191,6 +191,18 @@ class TestLayerThatFinalisesNothing:
             ("partition.combine.stream", 3),
         ]
 
+    def test_stream_spans_carry_the_schedule(self):
+        # pieces and vertices streamed per layer: the zero-yield middle layer
+        # re-streams the whole remainder, visible without editing code.
+        g = load_dataset("twitter", 0.1, 3)
+        telemetry.set_enabled(True)
+        layers = BPartPartitioner().partition(g, 4).metadata["layers"]
+        args = [s["args"] for s in telemetry.registry().spans
+                if s["name"] == "partition.combine.stream"]
+        assert [a["pieces"] for a in args] == [t["pieces"] for t in layers]
+        vertices = [a["vertices"] for a in args]
+        assert vertices[0] == g.num_vertices > vertices[1] == vertices[2]
+
 
 #: every registered partitioner → the ``partition.phase`` spans one run records.
 PHASES = {

@@ -11,6 +11,7 @@ loop that runs and a ``*_scalar`` spec it is compared against here.
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -19,23 +20,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.graph import chung_lu, rmat, social_graph, spill_csr
+from repro.graph import CSRGraph, chung_lu, rmat, social_graph, spill_csr
 from repro.graph.stream import vertex_stream
 from repro.partition import (
     BPartPartitioner,
     FennelPartitioner,
     LDGPartitioner,
+    PartitionAssignment,
     available_kernels,
     edge_cut_ratio,
     get_kernel,
 )
 from repro.partition import dynamic
 from repro.partition._streamcore import default_alpha, stream_partition
-from repro.partition.bpart import bpart_vertex_weights
+from repro.partition.bpart import bpart_vertex_weights, weighted_stream_partition
 from repro.partition.dynamic import DynamicPartitioner
 from repro.partition.kernels import KERNEL_CHOICES
 from repro.partition.kernels.incremental import single_incremental
-from repro.partition.kernels.scalar import ldg_scalar, single_scalar
+from repro.partition.kernels.buffered import fennel_buffered
+from repro.partition.kernels.scalar import fennel_scalar, ldg_scalar, single_scalar
 from repro.utils import canon
 
 # Every backend registered in this environment except the reference.
@@ -134,6 +137,81 @@ class TestFennelParity:
         ref = _fennel_parts(g, k, kernel="scalar", order=order, rng=seed, passes=passes)
         out = _fennel_parts(g, k, kernel=kernel, order=order, rng=seed, passes=passes)
         assert np.array_equal(ref, out)
+
+
+@st.composite
+def stream_cases(draw):
+    """A small undirected graph (self-loops and isolated vertices allowed,
+    built as CSR directly since ``from_edges`` drops self-loops) plus the
+    knobs of one ``stream_partition`` call."""
+    n = draw(st.integers(1, 40))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    src = np.array([a for a, b in pairs] + [b for a, b in pairs if a != b], dtype=np.int64)
+    dst = np.array([b for a, b in pairs] + [a for a, b in pairs if a != b], dtype=np.int64)
+    order = np.argsort(src, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=n))))
+    g = CSRGraph(indptr, dst[order].astype(np.int32))
+    k = draw(st.integers(1, 8))
+    # BPart's indicator, perturbed per vertex so that releasing a re-streamed
+    # vertex can leave a part's load a rounding error below zero (a NaN penalty)
+    jitter = draw(st.lists(st.floats(0.5, 1.5), min_size=n, max_size=n))
+    return g, k, dict(
+        vertex_weights=bpart_vertex_weights(g, draw(st.sampled_from([0.0, 0.5, 1.0]))) * jitter,
+        alpha=draw(st.sampled_from([default_alpha(g, k), 0.5, 3.0])),
+        gamma=draw(st.sampled_from([1.0, 1.5, 2.0])),
+        slack=draw(st.floats(0.8, 1.1)),
+        passes=draw(st.integers(1, 3)),
+        order=draw(st.sampled_from(["natural", "random"])),
+        rng=draw(st.integers(0, 9)),
+    )
+
+
+class TestBufferedEqualsScalar:
+    """The compiled resolver against the executable spec, dense and sharded."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=stream_cases(), shard_size=st.integers(1, 16))
+    def test_property_buffered_is_scalar(self, case, shard_size):
+        g, k, knobs = case
+        with np.errstate(invalid="ignore"):  # the spec's np.power on a negative load
+            ref = stream_partition(g, k, kernel="scalar", **knobs)
+        assert np.array_equal(stream_partition(g, k, kernel="buffered", **knobs), ref)
+        with tempfile.TemporaryDirectory() as tmp:
+            sharded = spill_csr(g, tmp, shard_size=shard_size)
+            try:
+                assert np.array_equal(stream_partition(sharded, k, **knobs), ref)
+            finally:
+                sharded.close()
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize(
+        "start", [0.0, -0.0, -1e-17, 5e-324], ids=["zero", "negzero", "tinyneg", "subnormal"]
+    )
+    def test_penalty_edge_loads(self, start, gamma):
+        # One part starts at the edge-case load, the others at 0.5 and 1.0;
+        # -1e-17 ** 0.5 is NaN, which np.argmax (the spec) picks first.
+        g = chung_lu(30, 4.0, rng=3)
+        stream = np.arange(g.num_vertices, dtype=np.int64)
+        out = {}
+        for name, kernel in (("scalar", fennel_scalar), ("buffered", fennel_buffered)):
+            parts = np.full(g.num_vertices, -1, dtype=np.int32)
+            loads = np.array([0.5, start, 1.0])
+            with np.errstate(invalid="ignore"):
+                kernel(g.indptr, g.indices, stream, parts, loads, np.ones(g.num_vertices),
+                       alpha=0.7, gamma=gamma, capacity=40.0, passes=1)
+            out[name] = parts, loads
+        assert np.array_equal(out["scalar"][0], out["buffered"][0])
+        assert out["scalar"][1].tobytes() == out["buffered"][1].tobytes()
+
+    def test_arrays_are_checked_before_the_c_call(self):
+        g = chung_lu(40, 4.0, rng=5)
+        with pytest.raises(ValueError, match="one weight per vertex"):
+            stream_partition(g, 3, vertex_weights=np.ones(5), alpha=0.5)
+        parts = np.full(g.num_vertices, 3, dtype=np.int32)  # a part id >= k
+        with pytest.raises(ValueError, match="part ids below 3"):
+            fennel_buffered(g.indptr, g.indices, np.arange(g.num_vertices), parts,
+                            np.zeros(3), np.ones(g.num_vertices),
+                            alpha=0.5, gamma=1.5, capacity=20.0, passes=1)
 
 
 def _ldg_spec_parts(g, k, *, order, seed, slack=1.1):
@@ -289,6 +367,15 @@ def ldg_cell_digest(graph, order):
     return LDGPartitioner(order=order, seed=8).partition(graph, 6).assignment.fingerprint()
 
 
+def fennel_cell_digest(graph, rule, passes, slack):
+    """Fennel k=6, or BPart's phase 1 at 32 pieces, through the default kernel."""
+    if rule == "fennel":
+        res = FennelPartitioner(slack=slack, passes=passes).partition(graph, 6)
+        return res.assignment.fingerprint()
+    parts = weighted_stream_partition(graph, 32, slack=slack, passes=passes)
+    return PartitionAssignment(graph, parts, 32).fingerprint()
+
+
 def dynamic_sequence_digest():
     g = chung_lu(500, 8.0, rng=77)
     victims = np.random.default_rng(79).choice(g.num_vertices, size=150, replace=False)
@@ -320,6 +407,23 @@ class TestBytesDidNotMove:
 
     def test_dynamic_sequence_pinned(self):
         assert dynamic_sequence_digest() == GOLDEN["dynamic/ingest+churn"]
+
+    # Recorded before the compiled resolver landed, with every kernel of a cell
+    # agreeing (scalar, incremental, buffered and parallel at jobs=2; sharded
+    # cells through buffered, scalar and parallel). Slack 0.9 is the value that
+    # reaches the all-saturated fallback: at slack >= 1 some part is always
+    # below capacity, since the loads sum to less than k·capacity.
+    @pytest.mark.parametrize("kind", ["dense", "sharded"])
+    @pytest.mark.parametrize("slack", [0.9, 1.0, 1.1])
+    @pytest.mark.parametrize("passes", [1, 3])
+    @pytest.mark.parametrize("rule", ["fennel", "phase1"])
+    @pytest.mark.parametrize("graph", sorted(GOLDEN_GRAPHS))
+    def test_fennel_rule_digest_pinned(self, graph, rule, passes, slack, kind, tmp_path):
+        g = GOLDEN_GRAPHS[graph]()
+        if kind == "sharded":
+            g = spill_csr(g, tmp_path, shard_size=256)
+        key = f"{rule}/{graph}/p{passes}/s{slack}/{kind}"
+        assert fennel_cell_digest(g, rule, passes, slack) == GOLDEN[key]
 
 
 @pytest.mark.parametrize("option, value", [("kernel", "buffered"), ("jobs", 2)], ids=["kernel", "jobs"])

@@ -8,6 +8,7 @@ import pytest
 from repro.errors import ConfigurationError, PartitionError
 from repro.graph import social_graph
 from repro.partition import (
+    BPartPartitioner,
     ChunkEPartitioner,
     ChunkVPartitioner,
     FennelPartitioner,
@@ -18,6 +19,9 @@ from repro.partition import (
     get_partitioner,
     jains_fairness,
 )
+from repro.partition._streamcore import stream_partition
+from repro.partition.bpart import weighted_stream_partition
+from repro.partition.dynamic import DynamicPartitioner
 
 ALL_STREAMING = [ChunkVPartitioner, ChunkEPartitioner, HashPartitioner, FennelPartitioner, LDGPartitioner]
 
@@ -149,6 +153,33 @@ class TestFennel:
         g = from_edges([], [], num_vertices=12)
         a = FennelPartitioner().partition(g, 3).assignment
         assert list(a.vertex_counts) == [4, 4, 4]
+
+
+class TestGammaAtLeastOne:
+    """γ < 1 makes a zero load's penalty infinite, and the kernels used to
+    disagree about it: Fennel raised a part-id error, BPart a raw
+    ``bincount`` ValueError, ``buffered`` wrote part −1 where ``scalar``
+    wrote 0, and a negative γ partitioned silently."""
+
+    ENTRY_POINTS = {
+        "fennel": lambda g, gamma: FennelPartitioner(gamma=gamma).partition(g, 4),
+        "bpart": lambda g, gamma: BPartPartitioner(gamma=gamma).partition(g, 4),
+        "dynamic": lambda g, gamma: DynamicPartitioner(4, gamma=gamma),
+        "stream": lambda g, gamma: stream_partition(
+            g, 4, vertex_weights=np.ones(g.num_vertices), alpha=0.5, gamma=gamma
+        ),
+        "phase1": lambda g, gamma: weighted_stream_partition(g, 4, gamma=gamma),
+    }
+
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_gamma_one_is_accepted(self, powerlaw_small, entry):
+        self.ENTRY_POINTS[entry](powerlaw_small, 1.0)
+
+    @pytest.mark.parametrize("gamma", [0.999, 0.5, 0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+    def test_gamma_below_one_is_rejected(self, powerlaw_small, entry, gamma):
+        with pytest.raises(ConfigurationError, match="gamma"):
+            self.ENTRY_POINTS[entry](powerlaw_small, gamma)
 
 
 class TestLDG:

@@ -11,11 +11,14 @@ rule only. One cluster class runs the BSP superstep, faults included.
 On a dense graph node2vec's arc test is one ``searchsorted`` and no
 ``take_arcs`` gather, the Gemini census sort is not stable, and traffic
 is counted per machine pair, never built from pair arrays.
-``src/`` has no numba path and does not grow back past the ceiling.
+Fennel's rule decides each chunk in one compiled call, not a Python loop.
+``src/`` (``.py`` and ``.c``) has no numba path and does not grow back past
+the ceiling.
 """
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
@@ -24,7 +27,7 @@ import pytest
 HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 
-#: ``find src -name '*.py' | xargs cat | wc -l`` may not exceed this.
+#: ``find src -name '*.py' -o -name '*.c' | xargs cat | wc -l`` may not exceed this.
 SRC_LINE_CEILING = 20043
 
 SHA256_HOMES = {
@@ -150,5 +153,18 @@ def test_no_numba_in_src():
 
 
 def test_src_does_not_grow_back():
-    lines = sum(p.read_bytes().count(b"\n") for p in (ROOT / "src").rglob("*.py"))
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "src").rglob("*.c")]
+    lines = sum(p.read_bytes().count(b"\n") for p in files)
     assert lines <= SRC_LINE_CEILING, f"src/ is {lines} lines"
+
+
+def test_fennel_decision_is_compiled():
+    # fennel_buffered gathers and calls the C resolver once per chunk; no Python
+    # loop over the parts (or over a chunk's vertices) is left in it.
+    path = ROOT / "src/repro/partition/kernels/buffered.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "fennel_buffered")
+    loops = [ast.unparse(n.iter) for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+    assert sorted(loops) == ["gather(chunk)", "range(0, parts.shape[0], chunk_size)",
+                             "range(passes)", "scratch"], loops
+    assert (path.parent / "_fennel.c").is_file()

@@ -6,10 +6,8 @@ chunk's neighbour lists (``_dense_gather`` for in-RAM CSR,
 ``ShardedCSRGraph.gather_block`` for shards). The decision stays
 sequential. For Eq. 2 it runs in C: ``_fennel.c`` resolves a chunk in
 one call with ``fennel_scalar``'s semantics, so assignments are
-bit-identical. The library is compiled on first use with the
-interpreter's C compiler into ``$REPRO_CACHE_DIR/kernels/`` (else
-``~/.cache/repro-bpart/kernels/``) and loaded once per process; with no
-working compiler the kernel raises ``ConfigurationError``.
+bit-identical. :func:`repro.utils.native.load` builds it on first use;
+with no working compiler the kernel raises ``ConfigurationError``.
 
 LDG's loop stays in Python over a ``bincount`` snapshot of the chunk's
 overlaps, patched with the current part of already-resolved chunk-mates.
@@ -19,19 +17,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
 from pathlib import Path
 
 import numpy as np
 
-from repro import telemetry
-from repro.errors import ConfigurationError
 from repro.partition.kernels.base import KernelBackend, register_kernel
-from repro.utils import canon
+from repro.utils import native
 
 __all__ = ["BACKEND", "DEFAULT_CHUNK"]
 
@@ -40,41 +31,14 @@ __all__ = ["BACKEND", "DEFAULT_CHUNK"]
 DEFAULT_CHUNK = 256
 
 _NEG_INF = float("-inf")
-_SOURCE = Path(__file__).with_name("_fennel.c")
-# no contraction into fused multiply-adds: every rounding step matches the spec's
-_FLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
 _P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
 
 
 @functools.cache
 def _library() -> ctypes.CDLL:
-    """Build ``_fennel.c`` once per cache directory; load it once per process."""
-    from repro.bench.artifacts import default_cache_dir
-
-    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_FLAGS]
-    key = canon.digest({"source": _SOURCE.read_text(), "command": cmd})
-    target = default_cache_dir() / "kernels" / f"fennel-{key[:16]}.so"
-    cached = target.is_file()
-    with telemetry.active().span("partition.kernels.build", cached=cached):
-        if not cached:
-            target.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=target.parent)
-            os.close(fd)
-            try:
-                try:
-                    run = subprocess.run([*cmd, "-o", tmp, str(_SOURCE), "-lm"],
-                                         capture_output=True, text=True)
-                except OSError as exc:  # no such compiler
-                    run = subprocess.CompletedProcess(cmd, 1, "", exc.strerror or str(exc))
-                if run.returncode == 0:
-                    os.replace(tmp, target)
-            finally:
-                Path(tmp).unlink(missing_ok=True)
-            if run.returncode != 0:
-                first = (run.stderr.strip().splitlines() or ["no output"])[0]
-                raise ConfigurationError(
-                    f"cannot build the buffered kernel with `{shlex.join(cmd)}`: {first}")
-        lib = ctypes.CDLL(str(target))
+    """``_fennel.c``, built once per cache directory and loaded once per process."""
+    lib = native.load(Path(__file__).with_name("_fennel.c"), "partition.kernels.build",
+                      "buffered kernel")
     lib.fennel_chunk.argtypes = [_I, _P, _P, _P, _P, _P, _P, _I, _D, _D, _D, _P, _P]
     lib.fennel_chunk.restype = None
     return lib

@@ -10,30 +10,63 @@ That is the mechanism by which vertex-balance (the |V_i| axis of the
 paper's two-dimensional objective) surfaces in serving telemetry, not
 just in batch runtimes.
 
-The cache is plain deterministic Python: an :class:`OrderedDict` per
-machine with move-to-end on hit and FIFO-of-LRU eviction, no clocks, no
-randomness.
+The LRU lives in arrays: ``prev``/``next`` block ids and a ``resident``
+flag per (machine, block), and per machine one row of ``head, tail,
+size`` and the counters. One call into ``_serve.c`` applies a batch:
+move-to-end on hit, append on miss, eviction from the LRU end once the
+whole batch is in. The arrays grow before a call, never inside one.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+import ctypes
+import functools
+from pathlib import Path
 
 import numpy as np
 
-from repro.utils.validation import check_positive
+from repro.errors import ConfigurationError
+from repro.utils import native
+from repro.utils.validation import check_count
 
 __all__ = ["PartitionAwareCache"]
 
+# Slots of the context array, named as in the enum of ``_serve.c``.
+(_EDGES, _REMOTE, _PTR, _BLOCK, _COUNT, _PARTS, _PREV, _NEXT, _RESIDENT, _ROWS, _ACC, _SEEN,
+ _NBLOCKS, _BLOCK_SIZE, _CAPACITY, WORK, READS) = range(17)
+_RUN_DTYPES = ("f8", "i8", "i8", "i4", "i4", "i4")  # demand columns (_plan_demand), parts
+
+
+@functools.cache
+def _library() -> ctypes.CDLL:
+    """``_serve.c``, built once per cache directory and loaded once per process."""
+    lib = native.load(Path(__file__).with_name("_serve.c"), "serving.kernels.build",
+                      "serving kernel")
+    p, i = ctypes.c_void_p, ctypes.c_int64
+    lib.serve_reads.argtypes, lib.serve_reads.restype = [p, i, p, i, p, p, i], i
+    return lib
+
 
 class PartitionAwareCache:
-    """Per-machine LRU over vertex blocks with hit/miss telemetry."""
+    """Per-machine LRU over vertex blocks with hit/miss telemetry.
+
+    ``serve_reads(context_address, machine, batch, len, visited, homes,
+    len)`` is the batch step: it returns the fetched blocks and leaves
+    the edge work (float64 bits) and remote reads in ``context[WORK]``
+    and ``context[READS]``.
+    """
 
     __slots__ = (
         "num_machines",
         "block_size",
         "capacity",
-        "_blocks",
+        "serve_reads",
+        "context",
+        "context_address",
+        "_rows",
+        "_links",
+        "_merge",
+        "_run",
         "hits",
         "misses",
         "miss_blocks",
@@ -42,68 +75,75 @@ class PartitionAwareCache:
     )
 
     def __init__(self, num_machines: int, *, block_size: int = 64, capacity: int = 256) -> None:
-        check_positive("num_machines", num_machines)
-        check_positive("block_size", block_size)
-        check_positive("capacity", capacity)
-        self.num_machines = int(num_machines)
+        check_count("num_machines", num_machines)
+        check_count("block_size", block_size)
+        check_count("capacity", capacity)
+        self.num_machines = k = int(num_machines)
         self.block_size = int(block_size)
         self.capacity = int(capacity)
-        self._blocks: list[OrderedDict] = [OrderedDict() for _ in range(self.num_machines)]
-        self.hits = np.zeros(self.num_machines, dtype=np.int64)
-        self.misses = np.zeros(self.num_machines, dtype=np.int64)
-        self.miss_blocks = np.zeros(self.num_machines, dtype=np.int64)
-        self.evictions = np.zeros(self.num_machines, dtype=np.int64)
-        self.flushes = np.zeros(self.num_machines, dtype=np.int64)
+        self.serve_reads = _library().serve_reads
+        self.context = np.zeros(READS + 1, dtype=np.int64)
+        self.context_address = self.context.ctypes.data
+        self._rows = np.zeros((k, 8), dtype=np.int64)  # head, tail, size, then the counters
+        self._rows[:, :2] = -1
+        self.hits, self.misses, self.miss_blocks, self.evictions, self.flushes = self._rows[:, 3:].T
+        self.context[[_ROWS, _BLOCK_SIZE, _CAPACITY]] = (
+            self._rows.ctypes.data, self.block_size, self.capacity)
+        # prev, next, resident per (machine, block); grown before any call
+        self._links = tuple(np.zeros((k, 0), t) for t in (np.int32, np.int32, np.uint8))
+        self._grow(1)
+
+    def _grow(self, blocks: int) -> None:
+        """Room for block ids below ``blocks``, at least doubling; resident lists survive."""
+        old = self._links[0].shape[1]
+        if blocks > old:
+            new = max(blocks, 2 * old)
+            self._links = tuple(np.pad(a, ((0, 0), (0, new - old))) for a in self._links)
+            self._merge = (np.zeros(new, np.int64), np.empty(new, np.int64))
+            self.context[[_PREV, _NEXT, _RESIDENT, _ACC, _SEEN, _NBLOCKS]] = (
+                *(a.ctypes.data for a in (*self._links, *self._merge)), new)
+
+    def attach(self, demand: tuple, parts: np.ndarray) -> None:
+        """Point the batch step at a run's demand table and parts; size for its graph."""
+        self._grow(parts.size // self.block_size + 1)
+        self._run = tuple(  # kept alive while the context holds their addresses
+            np.ascontiguousarray(a, dtype=t) for a, t in zip((*demand, parts), _RUN_DTYPES))
+        self.context[_EDGES : _PARTS + 1] = [a.ctypes.data for a in self._run]
+
+    def _machine(self, machine: int) -> int:
+        if isinstance(machine, bool) or not isinstance(machine, (int, np.integer)) or not (
+                0 <= machine < self.num_machines):
+            raise ConfigurationError(
+                f"machine must be an integer in [0, {self.num_machines}), got {machine!r}")
+        return int(machine)
 
     def touch(self, machine: int, vertices: np.ndarray) -> int:
         """Access ``vertices`` on ``machine``; returns fetched blocks.
 
-        ``np.unique`` over the vertices' blocks, then
-        :meth:`touch_blocks` on the resulting sorted pairs.
-        """
-        verts = np.asarray(vertices, dtype=np.int64)
-        if verts.size == 0:
-            return 0
-        blocks, counts = np.unique(verts // self.block_size, return_counts=True)
-        return self.touch_blocks(machine, zip(blocks.tolist(), counts.tolist()))
-
-    def touch_blocks(self, machine: int, pairs) -> int:
-        """Access ``(block, vertex count)`` pairs, ascending by block.
-
         Per-vertex hits/misses are tallied by whether the vertex's block
         was resident *before* this call; the return value is the number
         of distinct blocks that had to be fetched (the quantity the
-        simulator turns into wire reads). Missing blocks are inserted
-        and the LRU trimmed back to capacity. Blocks must be distinct;
-        their order is the LRU order they are left in.
+        simulator turns into wire reads). The blocks are applied in
+        ascending order, the LRU order they are left in.
         """
-        lru = self._blocks[machine]
-        hits = misses = fetched = 0
-        for block, count in pairs:
-            if block in lru:
-                hits += count
-                lru.move_to_end(block)
-            else:
-                misses += count
-                fetched += 1
-                lru[block] = True
-        self.hits[machine] += hits
-        if fetched:  # only an insertion can push the LRU past capacity
-            self.misses[machine] += misses
-            self.miss_blocks[machine] += fetched
-            evicted = max(len(lru) - self.capacity, 0)
-            for _ in range(evicted):
-                lru.popitem(last=False)
-            self.evictions[machine] += evicted
-        return fetched
+        machine, verts = self._machine(machine), np.asarray(vertices)
+        if verts.size == 0:
+            return 0
+        if verts.dtype.kind not in "iu" or verts.min() < 0:
+            raise ConfigurationError(
+                f"vertices must be non-negative integer ids, got {verts.dtype} "
+                f"with minimum {verts.min()!r}")
+        verts = np.ascontiguousarray(verts, dtype=np.int64).ravel()
+        self._grow(int(verts.max()) // self.block_size + 1)
+        return self.serve_reads(
+            self.context_address, machine, None, 0, verts.ctypes.data, None, verts.size)
 
     def flush(self, machine: int) -> int:
         """Drop every block on ``machine`` (chaos: cache corruption).
 
         Returns how many blocks were discarded.
         """
-        dropped = len(self._blocks[machine])
-        self._blocks[machine].clear()
+        dropped = self.reset(machine)
         self.flushes[machine] += 1
         return dropped
 
@@ -114,30 +154,20 @@ class PartitionAwareCache:
         count toward the ``flushes`` telemetry — a re-replicated
         machine legitimately starts cold. Returns dropped blocks.
         """
-        dropped = len(self._blocks[machine])
-        self._blocks[machine].clear()
+        machine = self._machine(machine)
+        dropped = int(self._rows[machine, 2])
+        self._links[2][machine] = 0
+        self._rows[machine, :3] = (-1, -1, 0)
         return dropped
 
-    def resident_blocks(self, machine: int) -> int:
-        """Blocks currently cached on ``machine``."""
-        return len(self._blocks[machine])
-
-    def hit_rate(self, machine: int | None = None) -> float:
-        """Vertex-level hit rate, per machine or overall; 0.0 if idle."""
-        if machine is None:
-            hits, misses = int(self.hits.sum()), int(self.misses.sum())
-        else:
-            hits, misses = int(self.hits[machine]), int(self.misses[machine])
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def stats(self) -> dict:
-        """Aggregate counters in JSON-ready form."""
+        """Aggregate counters in JSON-ready form; ``hit_rate`` is per vertex, 0.0 if idle."""
+        hits, misses = int(self.hits.sum()), int(self.misses.sum())
         return {
-            "hits": int(self.hits.sum()),
-            "misses": int(self.misses.sum()),
+            "hits": hits,
+            "misses": misses,
             "miss_blocks": int(self.miss_blocks.sum()),
             "evictions": int(self.evictions.sum()),
             "flushes": int(self.flushes.sum()),
-            "hit_rate": self.hit_rate(),
+            "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
         }

@@ -11,7 +11,9 @@ and :class:`~repro.cluster.network.NetworkModel` the BSP engines use
 (via :meth:`NetworkModel.request_cost`), which is what makes serving
 SLOs comparable across partitioners: a hub-heavy part means longer
 per-batch work, more remote reads across the cut, and a colder cache —
-all three show up in the tail.
+all three show up in the tail. A batch's reads (its demand-table rows
+and its walkers' visits) are merged and applied to the machine's
+:class:`~repro.serving.cache.PartitionAwareCache` in one compiled call.
 
 Admission control is a bounded per-machine queue with deterministic
 shedding: an arrival finding the queue full is dropped and counted,
@@ -72,6 +74,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from collections import deque
 from dataclasses import dataclass, field, fields
 
@@ -83,7 +86,7 @@ from repro.cluster.network import NetworkModel
 from repro.errors import ConfigurationError
 from repro.partition.assignment import PartitionAssignment
 from repro.resilience.chaos import ChaosError, active_plan, maybe_inject, register_site
-from repro.serving.cache import PartitionAwareCache
+from repro.serving.cache import READS, WORK, PartitionAwareCache
 from repro.serving.health import (
     DEAD,
     HEALTHY,
@@ -513,13 +516,16 @@ class _Run:
             suspect_after=cfg.suspect_after,
             dead_after=cfg.dead_after,
         )
-        self.cache = PartitionAwareCache(
+        self.cache = cache = PartitionAwareCache(
             k, block_size=cfg.cache_block_size, capacity=cfg.cache_blocks
         )
         self.part_of_query = assignment.parts[trace.vertex].astype(np.int64)
         self.home = self.part_of_query.tolist()
         with telemetry.active().span("serving.demand.plan", queries=q):
-            self.demand = _plan_demand(assignment, trace, cfg.cache_block_size)
+            cache.attach(_plan_demand(assignment, trace, cfg.cache_block_size), assignment.parts)
+        # the batch step and where it leaves the edge work and remote reads
+        self.serve_reads, self.reads_context = cache.serve_reads, cache.context_address
+        self.work_out, self.reads_out = cache.context.view(np.float64), cache.context
         # The chaos plan is read once per run: sites no rule names are
         # never looked up in the loop.
         chaos = active_plan()
@@ -680,29 +686,16 @@ class _Run:
     def serve_batch(self, m: int, batch: list[int]) -> float:
         """Service seconds for one batch, with side-effect accounting.
 
-        Sums the batch's rows of the demand table and runs its walkers.
-        Remote reads are counted against each query's own home
-        partition (the data the serving replica holds locally) — on a
-        single-holder plan that is uniformly ``m``, under replication a
-        batch may mix partitions.
+        Runs the batch's walkers, then accounts its demand-table rows and
+        their visits in one ``serve_reads`` call. Remote reads are counted
+        against each query's own home partition (the data the serving
+        replica holds locally) — on a single-holder plan that is
+        uniformly ``m``, under replication a batch may mix partitions.
         """
         cfg, res, trace = self.cfg, self.result, self.trace
-        edges, remote_reads, ptr, block, count = self.demand
         kind, vertex, home = trace.kind, trace.vertex, self.home
         batch_id = self.batches[m]
-        edge_work = 0.0
-        steps = remote = 0
-        touched: dict[int, int] = {}  # cache block -> vertices read in it
-        positions, homes = [], []  # the batch's walkers
-        for qi in batch:
-            edge_work += edges.item(qi)
-            remote += remote_reads.item(qi)
-            row = slice(ptr.item(qi), ptr.item(qi + 1))
-            for b, c in zip(block[row].tolist(), count[row].tolist()):
-                touched[b] = touched.get(b, 0) + c
-            if kind.item(qi) == KIND_WALK:
-                positions.append(vertex.item(qi))
-                homes.append(home[qi])
+        visited, visitor_homes = [], []  # every vertex a walker stepped to, and its home
 
         # walk queries: KnightKing-style uniform transitions, stepped per
         # walker (a batch holds at most ``batch_max``). The draws are the
@@ -712,9 +705,11 @@ class _Run:
         # who shares the batch, so they cannot be planned ahead. A step
         # takes one double per live walker: zip pulls ``positions`` first,
         # so the tail that dead-end walkers leave unused is never read.
-        if positions:
-            graph, parts = self.assignment.graph, self.assignment.parts
-            degrees, indptr, block_size = graph.degrees, graph.indptr, cfg.cache_block_size
+        walkers = [qi for qi in batch if kind.item(qi) == KIND_WALK]
+        if walkers:
+            positions, homes = [vertex.item(qi) for qi in walkers], [home[qi] for qi in walkers]
+            graph = self.assignment.graph
+            degrees, indptr = graph.degrees, graph.indptr
             seeds, walk_steps = self.walk_seeds[m], trace.spec.walk_steps
             if batch_id >= len(seeds):
                 rows = 1024 << max(0, batch_id.bit_length() - 10)
@@ -731,13 +726,19 @@ class _Run:
                 if not slots:
                     break
                 positions, homes = graph.take_arcs(slots).tolist(), moved
-                steps += len(positions)
-                for pos, h in zip(positions, homes):
-                    remote += parts.item(pos) != h
-                    b = pos // block_size
-                    touched[b] = touched.get(b, 0) + 1
+                visited += positions
+                visitor_homes += homes
 
-        fetched = self.cache.touch_blocks(m, sorted(touched.items()))
+        # The batch's demand rows and the walkers' visits, merged per cache
+        # block and applied to m's LRU: one call into _serve.c, handed flat
+        # buffers (a null address when no walker moved).
+        steps, ids = len(visited), array("q", batch)
+        if steps:
+            visited, visitor_homes = array("q", visited), array("q", visitor_homes)
+        fetched = self.serve_reads(
+            self.reads_context, m, ids.buffer_info()[0], len(batch),
+            steps and visited.buffer_info()[0], steps and visitor_homes.buffer_info()[0], steps)
+        edge_work, remote = self.work_out.item(WORK), self.reads_out.item(READS)
         self.messages[m] += remote
 
         work = cfg.cost.compute_seconds(steps=steps, edges=edge_work, vertices=len(batch))

@@ -1,8 +1,11 @@
-"""Building and loading the compiled Fennel resolver (``kernels/_fennel.c``).
+"""Building and loading the compiled libraries: the Fennel resolver
+(``partition/kernels/_fennel.c``) and the serving batch step
+(``serving/_serve.c``).
 
-The library is compiled on first use into ``$REPRO_CACHE_DIR/kernels/``
-and loaded once per process; these tests drive that path with fresh
-caches, child processes and a compiler that is missing or fails.
+Both go through one helper, ``utils/native.load``: compiled on first
+use into ``$REPRO_CACHE_DIR/kernels/`` and loaded once per process.
+These tests drive that path for each library with fresh caches, child
+processes and a compiler that is missing or fails.
 """
 
 from __future__ import annotations
@@ -19,20 +22,29 @@ from repro import telemetry
 from repro.cli import main
 from repro.errors import ConfigurationError
 from repro.partition.kernels import buffered
+from repro.serving import cache as serving_cache
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-# Loads the library with telemetry on and prints the build span's `cached` arg.
-# With --no-compiler any attempt to run the compiler fails.
+#: each library's memoised loader, build span and name in the error message
+LIBRARIES = {
+    "fennel": (buffered._library, "partition.kernels.build", "buffered kernel"),
+    "serve": (serving_cache._library, "serving.kernels.build", "serving kernel"),
+}
+
+# Loads both libraries with telemetry on and prints each build span's `cached`
+# arg. With --no-compiler any attempt to run the compiler fails.
 CHILD = """
 import subprocess, sys
 from repro import telemetry
-from repro.partition.kernels.buffered import _library
+from repro.partition.kernels.buffered import _library as fennel
+from repro.serving.cache import _library as serve
 if "--no-compiler" in sys.argv:
     subprocess.run = None
 telemetry.set_enabled(True)
-_library()
-print(telemetry.registry().spans[0]["args"]["cached"])
+fennel()
+serve()
+print(*(span["args"]["cached"] for span in telemetry.registry().spans))
 """
 
 
@@ -49,57 +61,65 @@ def _finish(proc: subprocess.Popen) -> str:
 
 
 @pytest.fixture
-def fresh_library():
-    """``_library`` with its per-process memo cleared before and after."""
-    buffered._library.cache_clear()
-    yield buffered._library
-    buffered._library.cache_clear()
+def fresh_libraries():
+    """Both loaders with their per-process memos cleared before and after."""
+    def clear():
+        for load, _, _ in LIBRARIES.values():
+            load.cache_clear()
+    clear()
+    yield
+    clear()
 
 
 @pytest.fixture
-def compiler(monkeypatch, fresh_library):
+def compiler(monkeypatch, fresh_libraries):
     """Replace the interpreter's ``CC`` with the given command line."""
     def use(command: str) -> None:
         monkeypatch.setattr(sysconfig, "get_config_var", lambda name: command)
     return use
 
 
-def test_cold_build_into_an_empty_cache(fresh_library, tmp_path, monkeypatch):
+def test_cold_build_into_an_empty_cache(fresh_libraries, tmp_path, monkeypatch):
     cache = tmp_path / "empty"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     telemetry.set_enabled(True)
-    lib = fresh_library()
-    assert fresh_library() is lib  # memoised: one build span, one handle
-    built = list((cache / "kernels").iterdir())
-    assert len(built) == 1 and built[0].name.startswith("fennel-") and built[0].suffix == ".so"
+    for load, _, _ in LIBRARIES.values():
+        lib = load()
+        assert load() is lib  # memoised: one build span, one handle
+    built = sorted(p.name for p in (cache / "kernels").iterdir())
+    assert [b.split("-")[0] for b in built] == ["fennel", "serve"]
+    assert all(b.endswith(".so") for b in built)
     spans = [(s["name"], s["args"]) for s in telemetry.registry().spans]
-    assert spans == [("partition.kernels.build", {"cached": False})]
+    assert spans == [(span, {"cached": False}) for _, span, _ in LIBRARIES.values()]
 
 
 def test_second_process_loads_without_the_compiler(tmp_path):
-    assert _finish(_child(tmp_path)) == "False"
-    assert _finish(_child(tmp_path, "--no-compiler")) == "True"
+    assert _finish(_child(tmp_path)) == "False False"
+    assert _finish(_child(tmp_path, "--no-compiler")) == "True True"
 
 
 def test_concurrent_builds_both_succeed(tmp_path):
     procs = [_child(tmp_path) for _ in range(2)]
-    assert all(_finish(p) in ("True", "False") for p in procs)
-    assert len(list((tmp_path / "kernels").iterdir())) == 1  # no temp file left behind
+    for proc in procs:
+        assert set(_finish(proc).split()) <= {"True", "False"}
+    assert len(list((tmp_path / "kernels").iterdir())) == 2  # no temp file left behind
 
 
 def test_missing_compiler_is_a_configuration_error(compiler):
     compiler("/nonexistent/cc")
-    with pytest.raises(ConfigurationError, match="/nonexistent/cc"):
-        buffered._library()
+    for load, _, _ in LIBRARIES.values():
+        with pytest.raises(ConfigurationError, match="/nonexistent/cc"):
+            load()
 
 
 def test_failed_build_names_the_command_and_first_stderr_line(compiler):
     compiler("sh -c 'echo first >&2; echo second >&2; exit 1'")
-    with pytest.raises(ConfigurationError) as exc:
-        buffered._library()
-    message = str(exc.value)
-    assert message.startswith("cannot build the buffered kernel with `sh -c")
-    assert message.endswith(": first") and "\n" not in message
+    for load, _, what in LIBRARIES.values():
+        with pytest.raises(ConfigurationError) as exc:
+            load()
+        message = str(exc.value)
+        assert message.startswith(f"cannot build the {what} with `sh -c")
+        assert message.endswith(": first") and "\n" not in message
 
 
 def test_cli_reports_a_missing_compiler_in_one_line(compiler, capsys):
@@ -108,3 +128,12 @@ def test_cli_reports_a_missing_compiler_in_one_line(compiler, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot build the buffered kernel")
+
+
+def test_serve_reports_a_missing_compiler_in_one_line(compiler, capsys):
+    compiler("/nonexistent/cc")
+    argv = ["serve", "--dataset", "livejournal", "--scale", "0.02", "--algos", "hash",
+            "--duration", "0.01"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot build the serving kernel")

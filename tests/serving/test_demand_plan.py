@@ -5,10 +5,14 @@ cache-block footprint once, vectorised; ``serve_batch`` only sums rows.
 The loop that used to do this per query inside ``serve_batch`` lives on
 here as the reference oracle: each table row must equal it exactly, and
 a whole run over the planned table must equal a run whose batches are
-served by the oracle.
+served by the oracle. The compiled batch step that consumes the table
+(``serving/_serve.c``) must equal the Python merge it replaced, fed to
+the ``OrderedDict`` model of the cache.
 """
 
 from __future__ import annotations
+
+from array import array
 
 import numpy as np
 import pytest
@@ -21,9 +25,11 @@ from repro.graph import chung_lu, from_edges, spill_csr
 from repro.partition.assignment import PartitionAssignment
 from repro.serving import PartitionAwareCache, ServingConfig, ServingSimulator, WorkloadSpec
 from repro.serving import simulator as simulator_module
+from repro.serving.cache import READS, WORK
 from repro.serving.simulator import _PLAN_CHUNK, _SALT_WALK, _plan_demand, _Run
 from repro.serving.workload import KIND_KHOP, KIND_WALK, QueryTrace
 from repro.utils.rng import derive_rng
+from tests.serving._cache_model import COUNTERS, ModelCache, lru_order
 
 
 # -- the deleted per-query loop, kept as the oracle ----------------------
@@ -282,39 +288,77 @@ def _khop_trace(vertices, **spec):
     )
 
 
-# -- touch_blocks(sorted pairs) == touch(vertices) ------------------------
-_COUNTERS = ("hits", "misses", "miss_blocks", "evictions", "flushes")
+# -- the compiled batch step == the Python merge + the OrderedDict model ---
+def python_batch_step(model, table, parts, block_size, m, batch, visits):
+    """What ``serve_batch`` did in Python before ``_serve.c``: sum the
+    batch's demand rows, add the walkers' visits, merge per block, and
+    hand the sorted pairs to ``touch_blocks``."""
+    edges, remote_reads, ptr, block, count = table
+    edge_work, remote, touched = 0.0, 0, {}
+    for qi in batch:
+        edge_work += edges.item(qi)
+        remote += remote_reads.item(qi)
+        row = slice(ptr.item(qi), ptr.item(qi + 1))
+        for b, c in zip(block[row].tolist(), count[row].tolist()):
+            touched[b] = touched.get(b, 0) + c
+    for pos, home in visits:
+        remote += parts.item(pos) != home
+        touched[pos // block_size] = touched.get(pos // block_size, 0) + 1
+    return model.touch_blocks(m, sorted(touched.items())), edge_work, remote
+
+
+def compiled_batch_step(cache, m, batch, visits):
+    """One ``serve_reads`` call, as ``serve_batch`` makes it."""
+    ids = array("q", batch)
+    pos, homes = (array("q", column) for column in zip(*visits)) if visits else ((), ())
+    walked = (pos.buffer_info()[0], homes.buffer_info()[0], len(pos)) if visits else (None, None, 0)
+    fetched = cache.serve_reads(cache.context_address, m, ids.buffer_info()[0], len(batch), *walked)
+    return fetched, cache.context.view(np.float64)[WORK], int(cache.context[READS])
+
+
+@st.composite
+def batch_streams(draw):
+    """A planned demand table and a stream of batches on two machines:
+    query ids (repeats allowed) plus walker visits ``(vertex, home)``,
+    interleaved with flushes and resets."""
+    assignment, trace, block_size = draw(cases())
+    n, q = assignment.graph.num_vertices, trace.num_queries
+    step = st.tuples(
+        st.integers(0, 1),
+        st.lists(st.integers(0, q - 1), max_size=8) if q else st.just([]),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, 3)), max_size=24),
+    )
+    stream = draw(st.lists(st.one_of(step, st.sampled_from(["flush", "reset"])), max_size=25))
+    return assignment, trace, block_size, draw(st.sampled_from([1, 3, 64])), stream
 
 
 class TestTouchBlocks:
-    @given(
-        batches=st.lists(
-            st.tuples(st.integers(0, 1), st.lists(st.integers(0, 60), min_size=1, max_size=25)),
-            max_size=30,
-        ),
-        block_size=st.sampled_from([1, 4, 16]),
-        capacity=st.sampled_from([1, 3, 64]),
-    )
+    @given(case=batch_streams())
     @settings(max_examples=150, deadline=None)
-    def test_equals_touch(self, batches, block_size, capacity):
-        by_vertex = PartitionAwareCache(2, block_size=block_size, capacity=capacity)
-        by_block = PartitionAwareCache(2, block_size=block_size, capacity=capacity)
-        for machine, vertices in batches:
-            merged: dict[int, int] = {}
-            for v in vertices:
-                merged[v // block_size] = merged.get(v // block_size, 0) + 1
-            fetched = by_block.touch_blocks(machine, sorted(merged.items()))
-            assert fetched == by_vertex.touch(machine, np.array(vertices))
-            assert list(by_block._blocks[machine]) == list(by_vertex._blocks[machine])  # LRU order
-        for name in _COUNTERS:
-            np.testing.assert_array_equal(getattr(by_block, name), getattr(by_vertex, name))
+    def test_equals_touch(self, case):
+        assignment, trace, block_size, capacity, stream = case
+        table = _plan_demand(assignment, trace, block_size)
+        model = ModelCache(2, block_size=block_size, capacity=capacity)
+        cache = PartitionAwareCache(2, block_size=block_size, capacity=capacity)
+        cache.attach(table, assignment.parts)
+        for i, step in enumerate(stream):
+            if isinstance(step, str):  # a chaos flush or a recovery reset of machine i % 2
+                assert getattr(cache, step)(i % 2) == getattr(model, step)(i % 2)
+                continue
+            m, batch, visits = step
+            assert compiled_batch_step(cache, m, batch, visits) == python_batch_step(
+                model, table, assignment.parts, block_size, m, batch, visits
+            )
+            assert lru_order(cache, m) == model.order(m)
+        for name in COUNTERS:
+            assert getattr(cache, name).tolist() == getattr(model, name)
 
     def test_evictions_are_counted(self):
         cache = PartitionAwareCache(1, block_size=1, capacity=2)
-        assert cache.touch_blocks(0, [(0, 1), (1, 2), (2, 1), (3, 5)]) == 4
-        assert (cache.evictions[0], cache.misses[0], cache.resident_blocks(0)) == (2, 9, 2)
-        assert cache.touch_blocks(0, [(2, 3), (3, 1)]) == 0 and cache.hits[0] == 4
-        assert cache.touch_blocks(0, []) == 0
+        assert cache.touch(0, np.array([0, 1, 1, 2, 3, 3, 3, 3, 3])) == 4
+        assert (cache.evictions[0], cache.misses[0], lru_order(cache, 0)) == (2, 9, [2, 3])
+        assert cache.touch(0, np.array([2, 2, 2, 3])) == 0 and cache.hits[0] == 4
+        assert cache.touch(0, np.array([], dtype=np.int64)) == 0
 
 
 # -- satellites -----------------------------------------------------------

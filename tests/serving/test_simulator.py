@@ -11,7 +11,7 @@ import pytest
 
 from repro import telemetry
 from repro.errors import ConfigurationError
-from repro.graph import rmat, social_graph
+from repro.graph import rmat, social_graph, spill_csr
 from repro.partition import PartitionAssignment
 from repro.partition.base import get_partitioner
 from repro.resilience import ChaosPlan, ChaosRule, install_plan
@@ -25,6 +25,7 @@ from repro.serving import (
     ServingSimulator,
     WorkloadSpec,
 )
+from repro.serving import cache as serving_cache
 from repro.serving.workload import KIND_WALK
 
 
@@ -311,6 +312,7 @@ class TestTelemetry:
         assert hist["per_decade"] == 4  # the bounded-histogram kind
 
     def test_k1_run_emits_the_plain_series_and_three_spans(self, assignment, trace):
+        serving_cache._library()  # a process's first load emits serving.kernels.build
         telemetry.set_enabled(True)
         ServingSimulator(assignment, seed=1).run(trace)
         reg = telemetry.registry()
@@ -466,6 +468,35 @@ def walk_result(graph, assignment, cell):
     return graph, result
 
 
+_CACHE_CHAOS = ChaosPlan(seed=3, rules=(ChaosRule(site=SITE_CACHE, kind="exception", rate=0.5),))
+
+
+def cache_result(graph, assignment, cell, tmp_path):
+    """Cells that stress the block cache, each on the default query mix
+    (walkers and k-hop rows merge in one batch): one-block capacity,
+    one-vertex blocks (every batch touches many blocks), one block for
+    the whole graph, a flush every other batch, the K=2 crash drill
+    (``reset`` after re-replication) on a 16-block cache, and the
+    ``full-batches`` walk cell on 256-vertex shards."""
+    if cell == "sharded-walks":
+        shards = spill_csr(graph, tmp_path / "shards", shard_size=256)
+        return walk_result(shards, PartitionAssignment(shards, assignment.parts, 4),
+                           "full-batches")[1]
+    config, plan, shape = ServingConfig(cache_blocks=16), None, (0.03, 120000.0)
+    if cell == "capacity-1":
+        config = ServingConfig(cache_blocks=1)
+    elif cell == "block-size-1":
+        config = ServingConfig(cache_blocks=16, cache_block_size=1)
+    elif cell == "one-block":
+        config = ServingConfig(cache_block_size=2048)
+    elif cell == "flush-chaos":
+        plan = _CACHE_CHAOS
+    elif cell == "k2-crash":
+        config = ServingConfig(replication_factor=2, cache_blocks=16)
+        plan, shape = _CRASH, (0.5, 1500.0)
+    return _served(graph, assignment, config, plan, 1, duration=shape[0], rate=shape[1])
+
+
 class TestBytesDidNotMove:
     """Digests recorded on the commit that still had two event loops
     (``_run_simple`` for these K=1 cells, ``_run_replicated`` for K=2)."""
@@ -539,3 +570,32 @@ class TestBytesDidNotMove:
         elif cell == "lone-walkers":
             assert (result.batches == result.queries).all()
         assert result_digest(result) == self.WALKS[cell]
+
+    # Recorded at ea98260, the last commit whose cache was an OrderedDict
+    # per machine fed by a Python merge of the batch's demand rows.
+    # The shards run the ``full-batches`` walk cell, so its digest is that one.
+    CACHE = {
+        "block-size-1": "c37d96259bcfd25b95534fcaaec5ef69cd70883eb5e028dd1aba2db42f3726aa",
+        "capacity-1": "4a60d5c8bb45062784370aec8203e18df0e01b5a17ee54fe5e70616d00febc61",
+        "flush-chaos": "a0cc1d7305843d2bcde681b03caaf9c60797b8c6e8933c2bffb8d82ca8021ef9",
+        "k2-crash": "fae8e3a57d25b4511b9739c7fd353f3e0738d9d80b6c5b4dc9d873acf8a8a310",
+        "one-block": "6496b1743bd9654b1380136ea350672a6c5094f35efcf2f35dfe13a00d8bcd2c",
+        "sharded-walks": WALKS["full-batches"],
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CACHE))
+    def test_cache_cells(self, graph, assignment, cell, tmp_path):
+        result = cache_result(graph, assignment, cell, tmp_path)
+        stats = result.cache_stats
+        assert (result.kind == KIND_WALK).any()
+        if cell == "one-block":  # one cold fetch per machine, never an eviction
+            assert (stats["miss_blocks"], stats["evictions"]) == (4, 0)
+        else:
+            assert stats["evictions"] > 0
+        if cell == "block-size-1":
+            assert stats["miss_blocks"] > 50 * result.batches.sum()
+        elif cell == "flush-chaos":
+            assert result.cache_flushes.sum() > result.batches.sum() // 3
+        elif cell == "k2-crash":
+            assert result.crashes == 1 and result.restored
+        assert result_digest(result) == self.CACHE[cell]

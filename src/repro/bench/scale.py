@@ -119,15 +119,18 @@ def _run_cell(
     batch_size: int | None = None,
 ) -> dict:
     """Build + partition one cell; runs inside the child process."""
+    from repro.graph import from_edges, generators, social_edge_batches
+    from repro.graph.sharded import DEFAULT_SHARD_SIZE, ShardedCSRBuilder
+    from repro.partition._streamcore import default_alpha, stream_partition
+    from repro.partition.kernels import buffered
+
     if mem_cap_mb is not None:
         import resource
 
+        generators._library()  # map the compiled libraries before the cap,
+        buffered._library()  # which then budgets graph and partition memory only
         cap = int(mem_cap_mb) * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-    from repro.graph import from_edges, social_edge_batches
-    from repro.graph.sharded import DEFAULT_SHARD_SIZE, ShardedCSRBuilder
-    from repro.partition._streamcore import default_alpha, stream_partition
 
     # Both representations consume the *same* batched edge stream, so
     # the resulting CSRs are arc-for-arc identical and the assignment

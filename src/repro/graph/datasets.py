@@ -28,6 +28,7 @@ import shutil
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro import telemetry
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import social_edge_batches, social_graph
 from repro.utils.validation import check_positive
@@ -100,11 +101,10 @@ class DatasetSpec:
         check_positive("scale", scale)
         n = max(64, int(round(self.base_vertices * scale)))
         threshold = spill_threshold()
-        if threshold and n * self.avg_degree > threshold:
-            return self._generate_sharded(n, seed)
-        return social_graph(
-            n, self.avg_degree, self.exponent, locality=self.locality, rng=seed
-        )
+        with telemetry.active().span("graph.generate", dataset=self.name, n=n):
+            if threshold and n * self.avg_degree > threshold:
+                return self._generate_sharded(n, seed)
+            return social_graph(n, self.avg_degree, self.exponent, locality=self.locality, rng=seed)
 
     def _generate_sharded(self, n: int, seed: int):
         from repro.errors import GraphFormatError

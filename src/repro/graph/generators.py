@@ -15,11 +15,17 @@ used throughout the test suite.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
+from repro.utils import native
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_positive, check_probability
 
@@ -108,6 +114,36 @@ def _shuffle_windows(values: np.ndarray, window: int, rng) -> None:
         rng.shuffle(values[start : start + window])
 
 
+@functools.cache
+def _library() -> ctypes.CDLL:
+    """``_sample.c``, built once per cache directory and loaded once per process."""
+    lib = native.load(Path(__file__).with_name("_sample.c"), "graph.kernels.build",
+                      "graph sampler")
+    p, i = ctypes.c_void_p, ctypes.c_int64
+    lib.sample_cdf.argtypes, lib.sample_cdf.restype = [p, p, i, p, i, p], None
+    return lib
+
+
+def _endpoints(rng, p, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``rng.choice(p.size, size=m, p=p)`` twice: the same ids, the same generator state."""
+    p = np.ascontiguousarray(p, dtype=np.float64)
+    if p.ndim != 1 or not ((p >= 0).all() and abs(p.sum() - 1) <= np.finfo(float).eps ** 0.5):
+        raise ValueError("p must be 1-D, non-negative, free of NaN and sum to 1")
+    return _draw(rng, p, m), _draw(rng, p, m)
+
+
+def _draw(rng, p: np.ndarray, m: int) -> np.ndarray:
+    cdf = p.cumsum()  # choice's cdf and uniforms; guide[j]: the answer for u = j / buckets
+    cdf /= cdf[-1]
+    u = rng.random(m)
+    buckets = 1 << max(1, (p.size - 1).bit_length())  # a power of two: see _sample.c
+    guide = np.append(cdf.searchsorted(np.arange(buckets) / buckets, side="right"), p.size)
+    out = np.empty(m, dtype=np.int64)
+    _library().sample_cdf(cdf.ctypes.data, guide.ctypes.data, buckets, u.ctypes.data, m,
+                          out.ctypes.data)
+    return out
+
+
 def social_graph(
     num_vertices: int,
     avg_degree: float,
@@ -141,28 +177,10 @@ def social_graph(
                   Chung–Lu; calibrate against the dataset's chunk cut).
     window_frac:  half-width of the locality window as a fraction of n.
     """
-    check_positive("num_vertices", num_vertices)
-    check_positive("avg_degree", avg_degree)
-    check_probability("locality", locality)
-    check_fraction_local = 0.0 < window_frac <= 1.0
-    if not check_fraction_local:
-        raise ConfigurationError(f"window_frac must be in (0, 1], got {window_frac}")
-    rng = as_rng(rng)
-    n = int(num_vertices)
-    w = powerlaw_degrees(n, avg_degree, exponent, order="windows", rng=rng)
-    p = w / w.sum()
-    m = int(round(n * avg_degree / 2 * 1.08))
-    src = rng.choice(n, size=m, p=p)
-    dst = rng.choice(n, size=m, p=p)
-    local = rng.random(m) < locality
-    n_local = int(local.sum())
-    if n_local:
-        half = max(1, int(round(n * window_frac)))
-        offsets = rng.integers(1, half + 1, size=n_local) * rng.choice(
-            np.array([-1, 1]), size=n_local
-        )
-        dst[local] = np.clip(src[local] + offsets, 0, n - 1)
-    return from_edges(src, dst, n, directed=False)
+    batches = social_edge_batches(num_vertices, avg_degree, exponent, locality=locality,
+                                  window_frac=window_frac, rng=rng, batch_size=sys.maxsize)
+    src, dst = next(batches, (np.empty(0, np.int64),) * 2)  # one batch; none when m = 0
+    return from_edges(src, dst, int(num_vertices), directed=False)
 
 
 def social_edge_batches(
@@ -183,15 +201,13 @@ def social_edge_batches(
     to a :class:`~repro.graph.sharded.ShardedCSRBuilder` to construct
     graphs larger than RAM.
 
-    Deterministic for a fixed ``(seed, batch_size)``. Note the RNG is
-    consumed per batch, so the realised graph differs from a one-shot
-    :func:`social_graph` call with the same seed (same distribution,
-    different sample) — out-of-core builds are their own dataset family,
-    not a byte-level replay of the in-RAM one.
+    Deterministic for a fixed ``(seed, batch_size)``. The RNG is consumed
+    per batch, so only a ``batch_size`` of at least the edge count gives
+    :func:`social_graph`'s sample; smaller batches give another sample of
+    the same distribution — out-of-core builds are their own dataset
+    family, not a byte-level replay of the in-RAM one.
     """
-    check_positive("num_vertices", num_vertices)
-    check_positive("avg_degree", avg_degree)
-    check_probability("locality", locality)
+    check_probability("locality", locality)  # powerlaw_degrees checks n and the degree
     if not 0.0 < window_frac <= 1.0:
         raise ConfigurationError(f"window_frac must be in (0, 1], got {window_frac}")
     check_positive("batch_size", batch_size)
@@ -203,10 +219,8 @@ def social_edge_batches(
     half = max(1, int(round(n * window_frac)))
     sign = np.array([-1, 1])
     for begin in range(0, m, int(batch_size)):
-        b = min(int(batch_size), m - begin)
-        src = rng.choice(n, size=b, p=p)
-        dst = rng.choice(n, size=b, p=p)
-        local = rng.random(b) < locality
+        src, dst = _endpoints(rng, p, min(int(batch_size), m - begin))
+        local = rng.random(src.size) < locality
         n_local = int(local.sum())
         if n_local:
             offsets = rng.integers(1, half + 1, size=n_local) * rng.choice(
@@ -232,21 +246,18 @@ def chung_lu(
     slightly below the target; the stand-in datasets compensate by
     oversampling ~5 %.
 
-    Fully vectorised: two :meth:`Generator.choice` draws of ``m`` ids.
+    Fully vectorised: two :meth:`Generator.choice`-equal draws of ``m`` ids.
     """
     rng = as_rng(rng)
     n = int(num_vertices)
     if weights is None:
         weights = powerlaw_degrees(n, avg_degree, exponent, rng=rng)
     w = np.asarray(weights, dtype=np.float64)
-    if w.size != n:
-        raise ConfigurationError(f"weights length {w.size} != num_vertices {n}")
-    p = w / w.sum()
+    if w.shape != (n,) or not ((w >= 0).all() and 0.0 < w.sum() < np.inf):
+        raise ConfigurationError(f"weights must be {n} finite non-negative values, not all zero")
     # Undirected edges; each contributes degree 2, so m = n·d̄/2. Oversample
     # to offset dedup/self-loop losses on heavy-tailed sequences.
-    m = int(round(n * avg_degree / 2 * 1.05))
-    src = rng.choice(n, size=m, p=p)
-    dst = rng.choice(n, size=m, p=p)
+    src, dst = _endpoints(rng, w / w.sum(), int(round(n * avg_degree / 2 * 1.05)))
     return from_edges(src, dst, n, directed=False)
 
 

@@ -5,7 +5,11 @@
 routine (its body was a stable ``argsort`` plus gathers then), from
 ``{name: build().fingerprint() for name, build in GRAPHS.items()}``:
 "sorted unique destinations per source" has one encoding, so the
-rewrite may move no dense graph.
+rewrite may move no dense graph. The twitter ×2 cells (the
+``partition_dense`` benchmark's first two inputs), the full-size
+``partition_sharded`` stream and the zero-weight Chung–Lu cell were
+recorded, twice, before the generators' weighted draws moved from
+``Generator.choice`` into ``graph/_sample.c``.
 """
 
 from __future__ import annotations
@@ -40,19 +44,28 @@ PINNED = json.loads(
 )
 
 
-def _batched_social():
-    # partition_sharded's stream at 1/8 size, through the dense builder.
-    batches = list(social_edge_batches(2**14, 16.0, 2.3, rng=1, batch_size=1 << 15))
+def _batched_social(shrink: int):
+    # partition_sharded's stream at 1/shrink size, through the dense builder.
+    n = 2**17 // shrink
+    batches = list(social_edge_batches(n, 16.0, 2.3, rng=1, batch_size=(1 << 18) // shrink))
     return from_edges(
         np.concatenate([s for s, _ in batches]),
         np.concatenate([d for _, d in batches]),
-        num_vertices=2**14,
+        num_vertices=n,
     )
+
+
+def _zero_weights():
+    # user weights with zero mass at both ends and in the middle
+    w = np.linspace(1.0, 20.0, 500)
+    w[[0, 1, 250, 498, 499]] = 0.0
+    return w
 
 
 GRAPHS = {
     "social_graph": lambda: social_graph(3000, 12.0, 2.3, rng=1),
     "chung_lu": lambda: chung_lu(3000, 10.0, 2.4, rng=1),
+    "chung_lu zero weights": lambda: chung_lu(500, 8.0, weights=_zero_weights(), rng=1),
     "rmat": lambda: rmat(11, 8, rng=1),
     "rmat directed": lambda: rmat(11, 8, rng=1, directed=True),
     "barabasi_albert": lambda: barabasi_albert(2000, 4, rng=1),
@@ -63,12 +76,16 @@ GRAPHS = {
     "star_graph": lambda: star_graph(256),
     "grid_graph": lambda: grid_graph(17, 23),
     "complete_graph": lambda: complete_graph(41),
-    "social_edge_batches -> from_edges": _batched_social,
+    "social_edge_batches -> from_edges": lambda: _batched_social(8),
+    "social_edge_batches 2^17 -> from_edges": lambda: _batched_social(1),
     **{
         f"{name} scale={scale}": (lambda n=name, s=scale: load_dataset(n, s, 1))
         for name in ("livejournal", "twitter", "friendster")
         for scale in (0.25, 1.0)
     },
+    # partition_dense's first two inputs
+    "twitter scale=2.0": lambda: load_dataset("twitter", 2.0, 1),
+    "twitter scale=2.0 seed=1001": lambda: load_dataset("twitter", 2.0, 1001),
 }
 
 

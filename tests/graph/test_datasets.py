@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.graph import DATASETS, friendster_like, livejournal_like, load_dataset, twitter_like
 from repro.graph.stats import gini
 
@@ -49,3 +50,18 @@ class TestDatasets:
         fs = friendster_like(0.5, 0)
         assert fs.num_vertices > lj.num_vertices
         assert fs.avg_degree > lj.avg_degree
+
+
+def test_generate_is_spanned_with_the_sampler_build_inside():
+    from repro.graph import generators
+
+    generators._library.cache_clear()
+    try:
+        telemetry.set_enabled(True)
+        DATASETS["livejournal"].generate(0.02, 1)
+        spans = [(s["name"], s["args"]) for s in telemetry.registry().spans]
+    finally:
+        generators._library.cache_clear()
+    # the build span closes first: it nests inside the first generate
+    assert spans == [("graph.kernels.build", {"cached": False}),
+                     ("graph.generate", {"dataset": "livejournal", "n": 320})]

@@ -11,11 +11,13 @@ from repro.graph import (
     chung_lu,
     complete_graph,
     erdos_renyi,
+    from_edges,
     grid_graph,
     path_graph,
     powerlaw_degrees,
     ring_graph,
     rmat,
+    social_edge_batches,
     social_graph,
     star_graph,
 )
@@ -76,6 +78,17 @@ class TestChungLu:
         with pytest.raises(ConfigurationError):
             chung_lu(100, 5.0, weights=np.ones(50))
 
+    @pytest.mark.filterwarnings("error")  # no "invalid value" warning before the error
+    @pytest.mark.parametrize("weights", [
+        [1.0, -1.0, 2.0, 3.0],
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, np.inf, 2.0, 3.0],
+        [1.0, np.nan, 2.0, 3.0],
+    ], ids=["negative", "all-zero", "inf", "nan"])
+    def test_bad_weights_are_a_configuration_error(self, weights):
+        with pytest.raises(ConfigurationError, match="weights"):
+            chung_lu(4, 2.0, weights=weights)
+
 
 class TestSocialGraph:
     def test_locality_reduces_chunk_cut(self):
@@ -102,6 +115,20 @@ class TestSocialGraph:
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
             social_graph(100, 5.0, window_frac=0.0)
+
+    @pytest.mark.parametrize("n, degree, exponent, locality",
+                             [(500, 5.0, 2.5, 0.2), (2000, 29.99, 2.4, 0.34)])
+    def test_is_the_one_batch_case_of_the_edge_stream(self, n, degree, exponent, locality):
+        (batch,) = social_edge_batches(n, degree, exponent, locality=locality, rng=3,
+                                       batch_size=n * int(degree))
+        assert from_edges(*batch, n) == social_graph(n, degree, exponent,
+                                                     locality=locality, rng=3)
+
+    def test_no_edges_to_draw(self):
+        # m = round(3 · 0.1 / 2 · 1.08) = 0: no batch, an edgeless graph
+        assert list(social_edge_batches(3, 0.1, rng=1)) == []
+        g = social_graph(3, 0.1, rng=1)
+        assert (g.num_vertices, g.num_edges) == (3, 0)
 
 
 class TestRmat:

@@ -1,8 +1,8 @@
 """Building and loading the compiled libraries: the Fennel resolver
-(``partition/kernels/_fennel.c``) and the serving batch step
-(``serving/_serve.c``).
+(``partition/kernels/_fennel.c``), the serving batch step
+(``serving/_serve.c``) and the generators' sampler (``graph/_sample.c``).
 
-Both go through one helper, ``utils/native.load``: compiled on first
+All go through one helper, ``utils/native.load``: compiled on first
 use into ``$REPRO_CACHE_DIR/kernels/`` and loaded once per process.
 These tests drive that path for each library with fresh caches, child
 processes and a compiler that is missing or fails.
@@ -21,6 +21,8 @@ import pytest
 from repro import telemetry
 from repro.cli import main
 from repro.errors import ConfigurationError
+from repro.graph import generators, ring_graph, write_edge_list
+from repro.graph.datasets import clear_dataset_cache
 from repro.partition.kernels import buffered
 from repro.serving import cache as serving_cache
 
@@ -30,20 +32,23 @@ SRC = str(Path(__file__).resolve().parents[2] / "src")
 LIBRARIES = {
     "fennel": (buffered._library, "partition.kernels.build", "buffered kernel"),
     "serve": (serving_cache._library, "serving.kernels.build", "serving kernel"),
+    "sample": (generators._library, "graph.kernels.build", "graph sampler"),
 }
 
-# Loads both libraries with telemetry on and prints each build span's `cached`
+# Loads the three libraries with telemetry on and prints each build span's `cached`
 # arg. With --no-compiler any attempt to run the compiler fails.
 CHILD = """
 import subprocess, sys
 from repro import telemetry
 from repro.partition.kernels.buffered import _library as fennel
 from repro.serving.cache import _library as serve
+from repro.graph.generators import _library as sample
 if "--no-compiler" in sys.argv:
     subprocess.run = None
 telemetry.set_enabled(True)
 fennel()
 serve()
+sample()
 print(*(span["args"]["cached"] for span in telemetry.registry().spans))
 """
 
@@ -62,10 +67,12 @@ def _finish(proc: subprocess.Popen) -> str:
 
 @pytest.fixture
 def fresh_libraries():
-    """Both loaders with their per-process memos cleared before and after."""
+    """Every loader's per-process memo, and the dataset cache built with
+    them, cleared before and after."""
     def clear():
         for load, _, _ in LIBRARIES.values():
             load.cache_clear()
+        clear_dataset_cache()
     clear()
     yield
     clear()
@@ -87,22 +94,22 @@ def test_cold_build_into_an_empty_cache(fresh_libraries, tmp_path, monkeypatch):
         lib = load()
         assert load() is lib  # memoised: one build span, one handle
     built = sorted(p.name for p in (cache / "kernels").iterdir())
-    assert [b.split("-")[0] for b in built] == ["fennel", "serve"]
+    assert [b.split("-")[0] for b in built] == ["fennel", "sample", "serve"]
     assert all(b.endswith(".so") for b in built)
     spans = [(s["name"], s["args"]) for s in telemetry.registry().spans]
     assert spans == [(span, {"cached": False}) for _, span, _ in LIBRARIES.values()]
 
 
 def test_second_process_loads_without_the_compiler(tmp_path):
-    assert _finish(_child(tmp_path)) == "False False"
-    assert _finish(_child(tmp_path, "--no-compiler")) == "True True"
+    assert _finish(_child(tmp_path)) == "False False False"
+    assert _finish(_child(tmp_path, "--no-compiler")) == "True True True"
 
 
 def test_concurrent_builds_both_succeed(tmp_path):
     procs = [_child(tmp_path) for _ in range(2)]
     for proc in procs:
         assert set(_finish(proc).split()) <= {"True", "False"}
-    assert len(list((tmp_path / "kernels").iterdir())) == 2  # no temp file left behind
+    assert len(list((tmp_path / "kernels").iterdir())) == 3  # no temp file left behind
 
 
 def test_missing_compiler_is_a_configuration_error(compiler):
@@ -126,6 +133,14 @@ def test_cli_reports_a_missing_compiler_in_one_line(compiler, capsys):
     compiler("/nonexistent/cc")
     argv = ["partition", "--dataset", "livejournal", "--scale", "0.02", "--algo", "fennel"]
     assert main(argv) == 2
+    err = capsys.readouterr().err.splitlines()  # generating the graph fails first
+    assert len(err) == 1 and err[0].startswith("error: cannot build the graph sampler")
+
+
+def test_cli_on_an_edge_list_reports_the_buffered_kernel(compiler, capsys, tmp_path):
+    write_edge_list(ring_graph(64), tmp_path / "ring.txt")
+    compiler("/nonexistent/cc")
+    assert main(["partition", "--graph", str(tmp_path / "ring.txt"), "--algo", "fennel"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: cannot build the buffered kernel")
 
@@ -136,4 +151,4 @@ def test_serve_reports_a_missing_compiler_in_one_line(compiler, capsys):
             "--duration", "0.01"]
     assert main(argv) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("error: cannot build the serving kernel")
+    assert len(err) == 1 and err[0].startswith("error: cannot build the graph sampler")

@@ -13,7 +13,9 @@ On a dense graph node2vec's arc test is one ``searchsorted`` and no
 is counted per machine pair, never built from pair arrays.
 Fennel's rule decides each chunk in one compiled call, not a Python loop,
 and a serving batch's reads are accounted by one compiled call too: no
-Python merge of its demand rows, no ``OrderedDict`` LRU.
+Python merge of its demand rows, no ``OrderedDict`` LRU. The generators
+draw weighted endpoints through one compiled sampler, never
+``choice(…, p=…)``.
 ``src/`` (``.py`` and ``.c``) has no numba path and does not grow back past
 the ceiling.
 """
@@ -30,7 +32,7 @@ HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 
 #: ``find src -name '*.py' -o -name '*.c' | xargs cat | wc -l`` may not exceed this.
-SRC_LINE_CEILING = 20173
+SRC_LINE_CEILING = 20203
 
 SHA256_HOMES = {
     f"src/repro/{name}.py"
@@ -194,3 +196,18 @@ def test_serving_reads_are_one_compiled_call():
                              "zip((*demand, parts), _RUN_DTYPES)"], loops
     assert not [n for n in ast.walk(cache) if isinstance(n, ast.While)]
     assert (serving / "_serve.c").is_file()
+
+
+def test_weighted_draws_go_through_the_sampler():
+    # every weighted endpoint draw under graph/ is _endpoints (graph/_sample.c);
+    # no Generator.choice with p= is left there
+    graph = ROOT / "src/repro/graph"
+    weighted = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(graph.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("choice")
+        and any(k.arg == "p" for k in node.keywords)
+    ]
+    assert weighted == []
+    assert (graph / "_sample.c").is_file()

@@ -74,7 +74,7 @@ def test_walker_step_batch(benchmark, g):
 
 
 def test_arcs_exist_batch(benchmark, g):
-    """Batched sorted-key adjacency test (node2vec's inner check)."""
+    """Batched sorted-row adjacency test (node2vec's inner check)."""
     rng = np.random.default_rng(2)
     src = rng.integers(0, g.num_vertices, size=50_000)
     dst = rng.integers(0, g.num_vertices, size=50_000)

@@ -12,8 +12,9 @@ partitioned graph, charging each superstep to the cluster:
 
 Each superstep's census is one in-process pass: the cut arcs are grouped
 by (source machine, target vertex) once per assignment
-(:func:`_build_census`), so an iteration is a gather of the active mask,
-one ``logical_or.reduceat`` over the groups and one ``bincount``.
+(:func:`repro.engines.superstep.census_build`, a linear counting sort in
+C), so a push iteration is one C pass over the groups
+(:func:`~repro.engines.superstep.census_push`).
 
 The numerical result is exact: the program's transition runs on global
 arrays, so the partition affects only the timing ledger — exactly the
@@ -30,6 +31,7 @@ from repro import telemetry
 from repro.cluster.bsp import BSPCluster
 from repro.cluster.ledger import TimingLedger
 from repro.cluster.messages import TrafficMatrix
+from repro.engines import superstep
 from repro.engines.gemini.vertex_program import VertexProgram
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.csr import CSRGraph
@@ -140,9 +142,7 @@ class GeminiEngine:
     def _run(self, graph: CSRGraph, structs: dict, program: VertexProgram) -> GeminiResult:
         m = self._cluster.num_machines
         degrees = graph.degrees
-        parts = structs["parts"]
-        cut_src = structs["cut_src"]
-        starts = structs["group_starts"]
+        parts, n = structs["parts"], graph.num_vertices
         total_arcs = max(graph.num_edges, 1)
         self._cluster.begin_run()
         state, active = program.initialize(graph)
@@ -182,17 +182,9 @@ class GeminiEngine:
                 active_parts = parts[active_vertices]
                 edges_per_m = np.bincount(active_parts, weights=active_degrees, minlength=m)
                 vertices_per_m = np.bincount(active_parts, minlength=m).astype(np.float64)
-                # One message per live cut arc or, aggregated, per group
-                # (source machine, target vertex) with any live arc.
-                live_arc = active[cut_src]
-                if not self._aggregate:
-                    live_pairs = structs["cut_pair"][live_arc]
-                elif starts.size:
-                    live_group = np.logical_or.reduceat(live_arc, starts)
-                    live_pairs = structs["group_pair"][live_group]
-                else:  # no cut arcs (one machine, or no edge crosses): no groups
-                    live_pairs = starts
-                counts = np.bincount(live_pairs, minlength=m * m).reshape(m, m)
+                if active.shape != parts.shape:  # census_push reads it at every cut source
+                    raise SimulationError(f"{program.name}: {active.size} active flags, n={n}")
+                counts = superstep.census_push(structs, active, self._aggregate, m)
 
             # from_counts copies: clusters may consume the matrix they get.
             self._cluster.superstep(
@@ -215,44 +207,11 @@ class GeminiEngine:
 
 
 def _build_census(graph: CSRGraph, parts: np.ndarray, m: int) -> dict:
-    """Per-assignment census structures: the cut arcs grouped for one
-    linear pass per superstep.
-
-    The cut arcs are sorted by aggregation key (source machine, target
-    vertex) — the group-once-then-cheap-in-order-passes idea of buffered
-    streaming partitioners — so a push superstep needs no sort:
-    ``cut_src``/``cut_pair`` are per arc (source vertex, and
-    ``src_machine * m + dst_machine``), ``group_starts`` marks where each
-    key's run begins and ``group_pair`` is the pair id of each run. The
-    sort need not be stable: the order of arcs inside a run is never
-    observed, since every consumer reduces a run with
-    ``logical_or.reduceat``, ``bincount`` or ``unique``.
-    """
-    n = np.int64(graph.num_vertices)
-    # Walk the adjacency one block at a time (dense graphs yield a single
-    # zero-copy block) so sharded graphs never materialise the full edge
-    # array.
-    src_chunks, dst_chunks = [], []
-    for start, stop, local, idx in graph.iter_blocks():
-        src = np.repeat(np.arange(start, stop, dtype=np.int64), np.diff(local))
-        dst = idx.astype(np.int64, copy=False)
-        cut = parts[src] != parts[dst]
-        src_chunks.append(src[cut])
-        dst_chunks.append(dst[cut])
-    cut_src = np.concatenate(src_chunks)
-    cut_dst = np.concatenate(dst_chunks)
-    src_part = parts[cut_src]
-    key = src_part * n + cut_dst
-    order = np.argsort(key)
-    key = key[order]
-    starts = np.flatnonzero(np.diff(key, prepend=-1))  # keys are >= 0
-    cut_pair = (src_part * m + parts[cut_dst])[order]
+    """Per-assignment census structures: the grouped cut arcs of
+    :func:`~repro.engines.superstep.census_build` plus the pull-mode loads."""
     return {
         "parts": parts,
-        "cut_src": cut_src[order],
-        "cut_pair": cut_pair,
-        "group_starts": starts,
-        "group_pair": cut_pair[starts],
+        **superstep.census_build(graph, parts, m),
         "all_edges_per_m": np.bincount(
             parts, weights=graph.degrees.astype(np.float64), minlength=m
         ),

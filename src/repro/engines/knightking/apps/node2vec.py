@@ -13,8 +13,8 @@ probability ``w(y)/w_max``; only the accepted proposal pays the
 adjacency check. We reproduce exactly that, looping only over rejection
 *rounds* (geometric tail, a handful of rounds in practice), never over
 walkers: each round's adjacency checks are one batched
-:func:`arcs_exist` call — on an in-RAM graph a single sorted-key lookup
-of the round's ``(prev, y)`` pairs in the graph's arc keys.
+:func:`arcs_exist` call — on an in-RAM graph one C binary search of
+each ``(prev, y)`` query's sorted row.
 """
 
 from __future__ import annotations

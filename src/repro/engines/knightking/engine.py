@@ -21,7 +21,11 @@ Two synchronisation modes:
 
 Numerical semantics are exact: walks follow real edges with the app's
 transition law, so traces are valid regardless of the partition — only
-the *timing* depends on it.
+the *timing* depends on it. A superstep round is one call pair into
+``engines/_superstep.c`` around the app's NumPy draw:
+:func:`~repro.engines.superstep.walk_live` picks the walkers to advance
+and :func:`~repro.engines.superstep.walk_apply` moves them and does the
+accounting.
 """
 
 from __future__ import annotations
@@ -34,11 +38,13 @@ from repro import telemetry
 from repro.cluster.bsp import BSPCluster
 from repro.cluster.ledger import TimingLedger
 from repro.cluster.messages import TrafficMatrix
+from repro.engines import superstep
 from repro.engines.knightking.walker import WalkerBatch
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.utils.rng import as_rng
+from repro.utils.validation import check_count, check_vertex_ids
 
 __all__ = ["WalkEngine", "WalkResult"]
 
@@ -135,22 +141,19 @@ class WalkEngine:
                 f"assignment has {assignment.num_parts} parts but cluster has "
                 f"{self._cluster.num_machines} machines"
             )
-        if max_steps <= 0:
-            raise ConfigurationError(f"max_steps must be positive, got {max_steps}")
+        if assignment.graph is not graph and assignment.graph != graph:
+            raise SimulationError("assignment was computed for a different graph")
+        check_count("max_steps", max_steps)
         rng = as_rng(self._seed)
         n = graph.num_vertices
         if n == 0:
             raise SimulationError("cannot run walks on an empty graph")
         if start_vertices is None:
-            if walkers_per_vertex <= 0:
-                raise ConfigurationError("walkers_per_vertex must be positive")
+            check_count("walkers_per_vertex", walkers_per_vertex)
             start_vertices = np.tile(np.arange(n, dtype=np.int64), walkers_per_vertex)
         elif np.asarray(start_vertices).size == 0:
             raise SimulationError("no walkers to run: start_vertices is empty")
-        batch = WalkerBatch.start_at(start_vertices)
-        bad = batch.pos[(batch.pos < 0) | (batch.pos >= n)]
-        if bad.size:
-            raise ConfigurationError(f"start_vertices must lie in [0, {n}), got {bad[0]}")
+        batch = WalkerBatch.start_at(check_vertex_ids("start_vertices", start_vertices, n))
         parts = assignment.parts.astype(np.int64)
         m = self._cluster.num_machines
 
@@ -167,13 +170,13 @@ class WalkEngine:
         self._cluster.begin_run()
         steps_rows: list[np.ndarray] = []
         supersteps = 0
-        superstep = self._superstep_sync if self._mode == "step_sync" else self._superstep_greedy
         with telemetry.active().span("engine.walk.run", app=app.name, machines=m):
             while batch.alive.any():
                 supersteps += 1
                 if supersteps > _MAX_SUPERSTEPS:  # pragma: no cover - defensive
                     raise SimulationError("walk did not terminate (superstep cap hit)")
-                steps_per_m, traffic = superstep(graph, parts, m, batch, app, rng, max_steps, paths)
+                steps_per_m, traffic = self._superstep(graph, parts, m, batch, app, rng,
+                                                       max_steps, paths)
                 steps_rows.append(steps_per_m)
                 self._cluster.superstep(steps=steps_per_m, traffic=traffic)
 
@@ -204,73 +207,20 @@ class WalkEngine:
         )
 
     # ------------------------------------------------------------------
-    def _advance(
-        self,
-        graph: CSRGraph,
-        batch: WalkerBatch,
-        idx: np.ndarray,
-        app,
-        rng,
-        max_steps: int,
-        paths: np.ndarray | None,
-    ) -> np.ndarray:
-        """Advance walkers ``idx`` one step in place.
-
-        Returns the mask (over ``idx``) of walkers that actually moved —
-        walkers that terminated in place (PPR stop, dead end) execute no
-        step and are excluded from the load accounting.
-        """
-        new_pos, terminated = app.advance(
-            graph, batch.pos[idx], batch.prev[idx], rng
-        )
-        moved = ~terminated
-        moved_idx = idx[moved]
-        batch.prev[moved_idx] = batch.pos[moved_idx]
-        batch.pos[moved_idx] = new_pos[moved]
-        batch.steps[moved_idx] += 1
-        if paths is not None and moved_idx.size:
-            paths[moved_idx, batch.steps[moved_idx]] = batch.pos[moved_idx]
-        if self._visits is not None and moved_idx.size:
-            self._visits += np.bincount(
-                batch.pos[moved_idx], minlength=self._visits.size
-            )
-        batch.alive[idx[terminated]] = False
-        batch.alive[moved_idx] &= batch.steps[moved_idx] < max_steps
-        return moved
-
-    def _superstep_sync(
-        self, graph, parts, m, batch, app, rng, max_steps, paths
-    ) -> tuple[np.ndarray, TrafficMatrix]:
-        idx = np.nonzero(batch.alive)[0]
-        home = parts[batch.pos[idx]]
-        moved = self._advance(graph, batch, idx, app, rng, max_steps, paths)
-        # A walker is transmitted whenever its executed step lands on a
-        # different machine — including its final step, since the walker
-        # state (path tail) lives with its last vertex's host. Moves are
-        # counted per machine pair; from_counts drops the local diagonal.
-        src_m = home[moved]
-        counts = np.bincount(src_m * m + parts[batch.pos[idx[moved]]], minlength=m * m)
-        steps_per_m = np.bincount(src_m, minlength=m).astype(np.float64)
-        return steps_per_m, TrafficMatrix.from_counts(counts.reshape(m, m))
-
-    def _superstep_greedy(
-        self, graph, parts, m, batch, app, rng, max_steps, paths
-    ) -> tuple[np.ndarray, TrafficMatrix]:
-        steps_per_m = np.zeros(m, dtype=np.float64)
-        counts = np.zeros(m * m, dtype=np.int64)
-        # Walkers keep moving while they stay on their current machine.
-        local = batch.alive.copy()
-        while local.any():
-            idx = np.nonzero(local)[0]
-            home = parts[batch.pos[idx]]
-            moved = self._advance(graph, batch, idx, app, rng, max_steps, paths)
-            src_m = home[moved]
-            dst_m = parts[batch.pos[idx[moved]]]
-            steps_per_m += np.bincount(src_m, minlength=m)
-            counts += np.bincount(src_m * m + dst_m, minlength=m * m)
-            crossed = np.zeros(idx.size, dtype=bool)
-            crossed[moved] = dst_m != src_m
-            still = batch.alive[idx]
-            local[idx[~still]] = False  # terminated or step-capped
-            local[idx[crossed]] = False  # in transit until next superstep
-        return steps_per_m, TrafficMatrix.from_counts(counts.reshape(m, m))
+    def _superstep(self, graph, parts, m, batch, app, rng, max_steps, paths):
+        """One superstep: step_sync moves every live walker once, greedy
+        repeats that over the walkers still on their machine until none is.
+        A move is charged to the machine it leaves and sent when it lands
+        elsewhere, the final step included (the walker state lives with its
+        last vertex's host); walkers that stop in place execute no step."""
+        load, counts = np.zeros(m), np.zeros(m * m, dtype=np.int64)
+        local = batch.alive.copy() if self._mode == "greedy" else None
+        while True:  # the first round always has walkers: run() checks alive.any()
+            idx, cur, prv = superstep.walk_live(
+                batch.alive if local is None else local, batch.pos, batch.prev)
+            targets, terminated = app.advance(graph, cur, prv, rng)
+            superstep.walk_apply(batch, idx, targets, terminated, parts, max_steps, load, counts,
+                                 paths=paths, visits=self._visits, local=local)
+            if local is None or not local.any():
+                break
+        return load, TrafficMatrix.from_counts(counts.reshape(m, m))

@@ -1,20 +1,23 @@
 """Vectorised transition sampling primitives for walker engines.
 
-All functions operate on *batches* of walkers at once — the engine never
-loops over individual walkers in Python. The second-order membership
-test (:func:`arcs_exist`) exploits that the builder stores neighbour
-lists sorted: on an in-RAM :class:`CSRGraph` the arc keys ``row·n + col``
-are then globally ascending, and one ``searchsorted`` of the sorted
-query keys answers the whole batch; a sharded graph, which must go
-through ``take_arcs``, runs a vectorised binary search over each
-walker's neighbour range instead.
+All functions operate on *batches* of walkers at once and check every
+vertex id against ``[0, n)`` first (a ``ConfigurationError`` names the
+first bad one); the per-walker loops are C (``engines/_superstep.c``).
+:func:`uniform_neighbor` gets its arc slots there and its targets from
+``take_arcs``, so sharded graphs are served too. The second-order
+membership test (:func:`arcs_exist`) binary-searches each query's row,
+which every builder stores sorted; a sharded graph, which must go
+through ``take_arcs``, runs a vectorised binary search instead.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.engines import superstep
+from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.utils.validation import check_vertex_ids
 
 __all__ = ["uniform_neighbor", "arcs_exist"]
 
@@ -28,43 +31,31 @@ def uniform_neighbor(
     ``dead_end=True`` and their target set to their current position
     (callers terminate them).
     """
-    pos = np.asarray(positions, dtype=np.int64)
-    deg = graph.degrees[pos]
-    dead = deg == 0
-    # floor(u · deg) is uniform over [0, deg); guard deg=0 with max(…,1).
-    offsets = (rng.random(pos.size) * deg).astype(np.int64)
-    slots = graph.indptr[pos] + np.minimum(offsets, np.maximum(deg - 1, 0))
-    # Dead-end walkers may sit at the last vertex, where indptr[pos]
-    # already equals m — point their slot at 0 and overwrite below.
-    slots[dead] = 0
+    pos = check_vertex_ids("positions", positions, graph.num_vertices)
+    slots, dead = superstep.uniform_slots(graph.indptr, pos, rng.random(pos.size))
     # take_arcs == indices[slots], but shard-aware for out-of-core graphs.
     targets = graph.take_arcs(slots).astype(np.int64) if graph.num_edges else pos.copy()
-    targets[dead] = pos[dead]
+    np.copyto(targets, pos, where=dead)
     return targets, dead
 
 
 def arcs_exist(graph: CSRGraph, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Vectorised ``graph.has_edge(sources[i], targets[i])`` for batches.
 
-    Ids must lie in ``[0, n)``. A dense graph sorts the query keys once
-    and looks them all up in :attr:`CSRGraph.arc_keys` with one
-    ``searchsorted`` — in-order probes, the group-once idea of buffered
-    streaming — then scatters the hits back into query order. Other
-    graphs take O(log d) rounds of masked ``take_arcs`` gathers.
+    A dense graph answers each query with one binary search of its
+    sorted row in C (an unsorted row is a :class:`GraphFormatError`).
+    Other graphs take O(log d) rounds of masked ``take_arcs`` gathers.
     """
-    src = np.asarray(sources, dtype=np.int64)
-    tgt = np.asarray(targets, dtype=np.int64)
+    src = check_vertex_ids("sources", sources, graph.num_vertices)
+    tgt = check_vertex_ids("targets", targets, graph.num_vertices)
+    if src.size != tgt.size:
+        raise ConfigurationError(f"{src.size} sources but {tgt.size} targets")
     if graph.num_edges == 0:
         return np.zeros(src.size, dtype=bool)
     if isinstance(graph, CSRGraph):
-        keys = graph.arc_keys
-        query = (src * graph.num_vertices + tgt).astype(keys.dtype)
-        order = np.argsort(query)
-        query = query[order]
-        slot = np.searchsorted(keys, query)
-        hit = np.empty(src.size, dtype=bool)
-        hit[order] = keys[np.minimum(slot, keys.size - 1)] == query
-        return hit
+        if not graph.rows_sorted:
+            raise GraphFormatError("arcs_exist needs every neighbour list sorted ascending")
+        return superstep.arcs_sorted(graph.indptr, graph.indices, src, tgt)
     lo = graph.indptr[src].copy()
     hi = graph.indptr[src + 1].copy()
     num_arcs = graph.num_edges

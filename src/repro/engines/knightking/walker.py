@@ -3,7 +3,7 @@
 A walk app reads/writes these arrays; the engine owns lifecycle
 (activation, termination, step caps) and the per-machine accounting.
 Struct-of-arrays instead of walker objects keeps every engine operation
-a single vectorised NumPy expression.
+one pass over flat arrays, in NumPy or in ``engines/_superstep.c``.
 """
 
 from __future__ import annotations

@@ -102,8 +102,7 @@ class CSRGraph:
         construction; disable for trusted internal callers on hot paths.
     """
 
-    __slots__ = ("_indptr", "_indices", "_directed", "_degrees", "_fingerprint",
-                 "_rows_sorted", "_arc_keys")
+    __slots__ = ("_indptr", "_indices", "_directed", "_degrees", "_fingerprint", "_rows_sorted")
 
     def __init__(
         self,
@@ -123,7 +122,6 @@ class CSRGraph:
         self._degrees: np.ndarray | None = None
         self._fingerprint: str | None = None
         self._rows_sorted: bool | None = None
-        self._arc_keys: np.ndarray | None = None
         if validate:
             self.validate()
         # Freeze the backing arrays: CSRGraph is shared across partitioners
@@ -205,27 +203,6 @@ class CSRGraph:
             descents[starts[(starts > 0) & (starts < self._indices.size)] - 1] = False
             self._rows_sorted = not descents.any()
         return self._rows_sorted
-
-    @property
-    def arc_keys(self) -> np.ndarray:
-        """Key ``row·n + col`` of every arc, in slot order (computed once,
-        then cached).
-
-        Sorted rows make the keys globally ascending, so one
-        ``searchsorted`` answers any batch of membership queries. The
-        dtype is the narrowest that holds ``n² − 1`` (int32 up to 46 340
-        vertices). Raises :class:`GraphFormatError` when a row is unsorted.
-        """
-        if self._arc_keys is None:
-            if not self.rows_sorted:
-                raise GraphFormatError("arc keys need every neighbour list sorted ascending")
-            n = self.num_vertices
-            dtype = _index_dtype(n * n)
-            keys = np.repeat(np.arange(n, dtype=dtype) * dtype.type(n), self.degrees)
-            keys += self._indices.astype(dtype, copy=False)
-            keys.setflags(write=False)
-            self._arc_keys = keys
-        return self._arc_keys
 
     @property
     def avg_degree(self) -> float:

@@ -19,6 +19,7 @@ __all__ = [
     "check_nonnegative",
     "check_probability",
     "check_fraction",
+    "check_vertex_ids",
 ]
 
 
@@ -56,3 +57,16 @@ def check_fraction(name: str, value: float) -> None:
     """Require ``0 < value <= 1`` — a nonzero fraction of a whole."""
     if not (0.0 < value <= 1.0):
         raise ConfigurationError(f"{name} must be in (0, 1], got {value!r}")
+
+
+def check_vertex_ids(name: str, ids, n: int) -> np.ndarray:
+    """``ids`` as 1-D int64 vertex ids in ``[0, n)``, or a ``ConfigurationError``
+    naming ``name`` (and the first id outside)."""
+    ids = np.asarray(ids)
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise ConfigurationError(f"{name} must be a 1-D array of integer vertex ids")
+    ids = np.ascontiguousarray(ids, dtype=np.int64)
+    if ids.size and (ids.min() < 0 or ids.max() >= n):
+        bad = ids[(ids < 0) | (ids >= n)][0]
+        raise ConfigurationError(f"{name} must lie in [0, {n}), got {bad}")
+    return ids

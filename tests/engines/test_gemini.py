@@ -26,7 +26,7 @@ from repro.engines.gemini import (
 )
 from repro.engines.gemini.vertex_program import VertexProgram
 from repro.errors import SimulationError
-from repro.graph import chung_lu, from_edges, ring_graph, spill_csr, twitter_like
+from repro.graph import CSRGraph, chung_lu, from_edges, spill_csr, twitter_like
 from repro.graph.convert import to_networkx
 from repro.partition import HashPartitioner, PartitionAssignment, get_partitioner
 
@@ -198,6 +198,10 @@ GRID = [
     for agg in (True, False)
     for seed in (1, 2)
 ]
+# Cells added on 1f6df5d, before the compiled census: the same graph with 8-byte
+# neighbour ids and a fresh assignment, so the census is built from them.
+WIDE = [(prog, "bpart", mode, agg, 1)
+        for prog in PROGRAMS for mode, agg in (("push", True), ("push", False), ("adaptive", True))]
 
 
 @functools.lru_cache(maxsize=None)
@@ -226,6 +230,14 @@ def _cell_id(prog, algo, mode, agg, seed) -> str:
     return f"{prog}/{algo}/{mode}/{'agg' if agg else 'raw'}/seed{seed}"
 
 
+def _wide_cell(prog, algo, mode, agg, seed) -> str:
+    g, a = _job(algo, seed)
+    wide = CSRGraph(g.indptr, g.indices.astype(np.int64))
+    engine = GeminiEngine(BSPCluster(a.num_parts), mode=mode, aggregate_messages=agg)
+    return _digest(engine.run(wide, PartitionAssignment(wide, a.parts, a.num_parts),
+                              PROGRAMS[prog]()))
+
+
 class TestBytesDidNotMove:
     @pytest.fixture(scope="class")
     def recorded(self):
@@ -234,6 +246,10 @@ class TestBytesDidNotMove:
     @pytest.mark.parametrize("cell", GRID, ids=lambda c: _cell_id(*c))
     def test_grid(self, recorded, cell):
         assert _cell(*cell) == recorded[_cell_id(*cell)]
+
+    @pytest.mark.parametrize("cell", WIDE, ids=lambda c: _cell_id(*c) + "/int64")
+    def test_int64_indices(self, recorded, cell):
+        assert _wide_cell(*cell) == recorded[_cell_id(*cell) + "/int64"]
 
     # A spilled graph, and a cluster given the empty fault plan with its
     # graph and assignment bound (as `trace` builds it), read the same
@@ -463,4 +479,5 @@ class TestTelemetry:
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
     digests = {_cell_id(*cell): _cell(*cell) for cell in GRID}
+    digests.update({_cell_id(*cell) + "/int64": _wide_cell(*cell) for cell in WIDE})
     DIGESTS.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from repro import telemetry
 from repro.cluster import BSPCluster
+from repro.engines.gemini import ConnectedComponents, GeminiEngine, PageRank
 from repro.engines.knightking import (
     PPR,
     RWD,
@@ -76,6 +77,24 @@ class TestTransitionPrimitives:
     def test_arcs_exist_empty_graph(self):
         g = from_edges([], [], num_vertices=3)
         assert not arcs_exist(g, np.array([0]), np.array([1]))[0]
+
+    # Key 0·4 + 6 collided with arc 1 → 2, and -3 wrapped around; the walker
+    # at -1 raised an IndexError about "size 6". Every id is checked before C.
+    @pytest.mark.parametrize("sharded", [False, True], ids=["dense", "sharded"])
+    @pytest.mark.parametrize("call, bad", [
+        (lambda g: arcs_exist(g, [0], [6]), "targets .*got 6"),
+        (lambda g: arcs_exist(g, [1], [-3]), "targets .*got -3"),
+        (lambda g: arcs_exist(g, [4, 0], [0, 0]), "sources .*got 4"),
+        (lambda g: uniform_neighbor(g, [-1], np.random.default_rng(0)), "positions .*got -1"),
+    ], ids=["target-past-n", "negative-target", "source-past-n", "negative-position"])
+    def test_ids_outside_the_graph(self, tmp_path, sharded, call, bad):
+        g = from_edges([0, 1, 1], [1, 2, 3], num_vertices=4)
+        with pytest.raises(ConfigurationError, match=rf"{bad}\b"):
+            call(spill_csr(g, tmp_path, shard_size=2) if sharded else g)
+
+    def test_arcs_exist_pairs_sources_with_targets(self):
+        with pytest.raises(ConfigurationError, match="2 sources but 1 targets"):
+            arcs_exist(path_graph(4), [0, 1], [1])
 
 
 @st.composite
@@ -159,6 +178,23 @@ class TestEngineBasics:
         a = make_assignment(ring64)
         with pytest.raises(ConfigurationError, match=rf"start_vertices .*got {bad}\b"):
             WalkEngine(Watched(4)).run(ring64, a, DeepWalk(), start_vertices=np.array(starts))
+
+    # These used to walk from [1, 2], run 3 and 1 steps, and raise a raw
+    # TypeError and IndexError.
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"start_vertices": np.array([1.7, 2.2])}, "start_vertices"),
+        ({"start_vertices": np.array([[1, 2]])}, "start_vertices"),
+        ({"max_steps": 2.5}, "max_steps"),
+        ({"max_steps": True}, "max_steps"),
+        ({"walkers_per_vertex": 1.5}, "walkers_per_vertex"),
+    ], ids=["float-starts", "2d-starts", "float-steps", "bool-steps", "float-walkers"])
+    def test_bad_arguments_are_configuration_errors(self, ring64, kwargs, name):
+        class Watched(BSPCluster):
+            def begin_run(self):
+                raise AssertionError("the run started")
+
+        with pytest.raises(ConfigurationError, match=name):
+            WalkEngine(Watched(4)).run(ring64, make_assignment(ring64), DeepWalk(), **kwargs)
 
     def test_steps_matrix_sums_to_total(self, powerlaw_small):
         a = make_assignment(powerlaw_small)
@@ -392,12 +428,15 @@ APPS = {
     "rwj": lambda: RWJ(0.2),
     "rwd": RWD,
 }
-GRID = [
-    (app, algo, mode)
-    for app in APPS
-    for algo in ("bpart", "chunk-v")
-    for mode in ("step_sync", "greedy")
-]
+#: engine options of each cell variant; the original cells (no suffix) record paths
+VARIANTS = {"paths": {"record_paths": True}, "nopaths": {}, "visits": {"track_visits": True}}
+MODES = ("step_sync", "greedy")
+GRID = [(app, algo, mode) for app in APPS for algo in ("bpart", "chunk-v") for mode in MODES]
+# Cells added on 1f6df5d, before the superstep kernel: no paths, visit counts, and
+# node2vec on int64 indices.
+GRID += [(app, "bpart", mode, variant)
+         for variant in ("nopaths", "visits") for app in APPS for mode in MODES]
+GRID += [("node2vec", "bpart", mode, "int64") for mode in MODES]
 
 
 @functools.lru_cache(maxsize=None)
@@ -406,13 +445,39 @@ def _job(algo):
     return g, get_partitioner(algo, seed=1).partition(g, 4).assignment
 
 
-def _cell(app, algo, mode) -> str:
+def _cell(app, algo, mode, variant="paths") -> str:
     g, a = _job(algo)
-    engine = WalkEngine(BSPCluster(4), mode=mode, seed=4, record_paths=True)
+    if variant == "int64":  # the same graph with 8-byte neighbour ids
+        g, variant = CSRGraph(g.indptr, g.indices.astype(np.int64)), "paths"
+    engine = WalkEngine(BSPCluster(4), mode=mode, seed=4, **VARIANTS[variant])
     res = engine.run(g, a, APPS[app](), walkers_per_vertex=2, max_steps=8)
     h = hashlib.sha256(res.ledger.to_json().encode())
-    h.update(np.ascontiguousarray(res.paths, dtype=np.int64).tobytes())
-    h.update(np.ascontiguousarray(res.final_positions, dtype=np.int64).tobytes())
+    for out in (res.paths, res.final_positions, res.visit_counts):
+        if out is not None:
+            h.update(np.ascontiguousarray(out, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+#: analytics_bsp's body (benchmarks/e2e/workloads.py) at twitter scale 0.25
+ANALYTICS = (
+    (GeminiEngine, lambda: PageRank(10), {}),
+    (GeminiEngine, ConnectedComponents, {}),
+    (WalkEngine, DeepWalk, {"walkers_per_vertex": 5, "max_steps": 4}),
+    (WalkEngine, lambda: Node2Vec(2.0, 0.5), {"walkers_per_vertex": 5, "max_steps": 4}),
+    (WalkEngine, lambda: PPR(0.1), {"walkers_per_vertex": 5, "max_steps": 60}),
+)
+
+
+def _analytics_cell(seed=1) -> str:
+    """Every ledger of the five apps on BPart and Chunk-V, k = 8."""
+    g = twitter_like(scale=0.25, seed=seed)
+    h = hashlib.sha256()
+    for algo in ("bpart", "chunk-v"):
+        a = get_partitioner(algo, seed=seed).partition(g, 8).assignment
+        for engine, make, kwargs in ANALYTICS:
+            cluster = BSPCluster(8)
+            run = GeminiEngine(cluster) if engine is GeminiEngine else WalkEngine(cluster, seed=seed)
+            h.update(run.run(g, a, make(), **kwargs).ledger.to_json().encode())
     return h.hexdigest()
 
 
@@ -425,8 +490,12 @@ class TestBytesDidNotMove:
     def test_grid(self, recorded, cell):
         assert _cell(*cell) == recorded["/".join(cell)]
 
+    def test_analytics_shape(self, recorded):
+        assert _analytics_cell() == recorded["analytics/twitter-0.25/seed1"]
+
 
 if __name__ == "__main__":
     DIGESTS.parent.mkdir(exist_ok=True)
     digests = {"/".join(cell): _cell(*cell) for cell in GRID}
+    digests["analytics/twitter-0.25/seed1"] = _analytics_cell()
     DIGESTS.write_text(json.dumps(digests, indent=0, sort_keys=True) + "\n")

@@ -49,6 +49,40 @@ class TestWalkEngineGuards:
             )
 
 
+    # The compiled step reads every target it moves a walker to: an app that
+    # returns ids outside the graph, or too few of them, is stopped first.
+    @pytest.mark.parametrize("step, match", [
+        (lambda pos: (pos + 1000, np.zeros(pos.size, bool)), "stepped to 1"),
+        (lambda pos: (-np.ones(pos.size, np.int64), np.zeros(pos.size, bool)), "stepped to -1"),
+        (lambda pos: (pos[:-1], np.zeros(pos.size - 1, bool)), "targets and flags"),
+    ], ids=["past-n", "negative", "short"])
+    def test_bad_app_steps_rejected(self, ring64, step, match):
+        class Broken(DeepWalk):
+            def advance(self, graph, positions, previous, rng):
+                return step(positions)
+
+        with pytest.raises(SimulationError, match=match):
+            WalkEngine(BSPCluster(2)).run(ring64, _assignment(ring64), Broken())
+
+    # The compiled step reads the assignment at every walker's vertex: one
+    # computed for another graph (a smaller one, with walkers past its end,
+    # or one of the same size) is refused before any walker moves.
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_assignment_of_another_graph_rejected(self, ring64, n):
+        other = from_edges(np.arange(n), (np.arange(n) + 2) % n, num_vertices=n)
+        with pytest.raises(SimulationError, match="different graph"):
+            WalkEngine(BSPCluster(2)).run(ring64, _assignment(other), DeepWalk(),
+                                          start_vertices=np.arange(32, 64))
+
+    def test_terminated_walkers_may_report_any_target(self, ring64):
+        class Stops(DeepWalk):
+            def advance(self, graph, positions, previous, rng):
+                return -np.ones(positions.size, np.int64), np.ones(positions.size, bool)
+
+        res = WalkEngine(BSPCluster(2)).run(ring64, _assignment(ring64), Stops())
+        assert res.total_steps == 0 and res.num_supersteps == 1
+
+
 class TestGeminiEngineGuards:
     def test_empty_graph_rejected(self):
         g = _empty_graph()
@@ -56,6 +90,15 @@ class TestGeminiEngineGuards:
         engine = GeminiEngine(BSPCluster(2))
         with pytest.raises(SimulationError, match="empty graph"):
             engine.run(g, assignment, PageRank(iterations=3))
+
+    def test_active_mask_of_the_wrong_size_rejected(self, ring64):
+        class Short(PageRank):
+            def initialize(self, graph):
+                state, active = super().initialize(graph)
+                return state, active[:-1]
+
+        with pytest.raises(SimulationError, match="63 active flags, n=64"):
+            GeminiEngine(BSPCluster(2)).run(ring64, _assignment(ring64), Short(iterations=3))
 
 
 class TestFaultClusterGuards:

@@ -100,22 +100,6 @@ class TestRowsSorted:
         assert from_edges([], [], num_vertices=4).rows_sorted
 
 
-class TestArcKeys:
-    def test_one_key_per_slot_cached_and_read_only(self):
-        g = from_edges([0, 0, 1, 3], [2, 1, 2, 0], num_vertices=5)
-        keys = g.arc_keys
-        assert keys.tolist() == [u * 5 + v for u, v in g.iter_edges()]
-        assert keys.dtype == np.int32 and not keys.flags.writeable
-        assert g.arc_keys is keys
-
-    @pytest.mark.parametrize("n, dtype", [(46_340, np.int32), (46_341, np.int64)])
-    def test_narrowest_dtype_holding_n_squared(self, n, dtype):
-        indptr = np.zeros(n + 1, np.int64)
-        indptr[-1] = 1  # one arc (n-1) → (n-1), the largest key
-        keys = CSRGraph(indptr, np.array([n - 1])).arc_keys
-        assert keys.dtype == dtype and keys.tolist() == [n * n - 1]
-
-
 class TestDerived:
     def test_equality(self, triangle):
         other = from_edges([0, 1, 2], [1, 2, 0])

@@ -1,6 +1,7 @@
 """Building and loading the compiled libraries: the Fennel resolver
 (``partition/kernels/_fennel.c``), the serving batch step
-(``serving/_serve.c``) and the generators' sampler (``graph/_sample.c``).
+(``serving/_serve.c``), the generators' sampler (``graph/_sample.c``)
+and the engines' superstep kernel (``engines/_superstep.c``).
 
 All go through one helper, ``utils/native.load``: compiled on first
 use into ``$REPRO_CACHE_DIR/kernels/`` and loaded once per process.
@@ -20,6 +21,7 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
+from repro.engines import superstep
 from repro.errors import ConfigurationError
 from repro.graph import generators, ring_graph, write_edge_list
 from repro.graph.datasets import clear_dataset_cache
@@ -33,9 +35,10 @@ LIBRARIES = {
     "fennel": (buffered._library, "partition.kernels.build", "buffered kernel"),
     "serve": (serving_cache._library, "serving.kernels.build", "serving kernel"),
     "sample": (generators._library, "graph.kernels.build", "graph sampler"),
+    "superstep": (superstep._library, "engine.kernels.build", "engine kernel"),
 }
 
-# Loads the three libraries with telemetry on and prints each build span's `cached`
+# Loads the four libraries with telemetry on and prints each build span's `cached`
 # arg. With --no-compiler any attempt to run the compiler fails.
 CHILD = """
 import subprocess, sys
@@ -43,12 +46,14 @@ from repro import telemetry
 from repro.partition.kernels.buffered import _library as fennel
 from repro.serving.cache import _library as serve
 from repro.graph.generators import _library as sample
+from repro.engines.superstep import _library as superstep
 if "--no-compiler" in sys.argv:
     subprocess.run = None
 telemetry.set_enabled(True)
 fennel()
 serve()
 sample()
+superstep()
 print(*(span["args"]["cached"] for span in telemetry.registry().spans))
 """
 
@@ -94,22 +99,22 @@ def test_cold_build_into_an_empty_cache(fresh_libraries, tmp_path, monkeypatch):
         lib = load()
         assert load() is lib  # memoised: one build span, one handle
     built = sorted(p.name for p in (cache / "kernels").iterdir())
-    assert [b.split("-")[0] for b in built] == ["fennel", "sample", "serve"]
+    assert [b.split("-")[0] for b in built] == ["fennel", "sample", "serve", "superstep"]
     assert all(b.endswith(".so") for b in built)
     spans = [(s["name"], s["args"]) for s in telemetry.registry().spans]
     assert spans == [(span, {"cached": False}) for _, span, _ in LIBRARIES.values()]
 
 
 def test_second_process_loads_without_the_compiler(tmp_path):
-    assert _finish(_child(tmp_path)) == "False False False"
-    assert _finish(_child(tmp_path, "--no-compiler")) == "True True True"
+    assert _finish(_child(tmp_path)) == "False False False False"
+    assert _finish(_child(tmp_path, "--no-compiler")) == "True True True True"
 
 
 def test_concurrent_builds_both_succeed(tmp_path):
     procs = [_child(tmp_path) for _ in range(2)]
     for proc in procs:
         assert set(_finish(proc).split()) <= {"True", "False"}
-    assert len(list((tmp_path / "kernels").iterdir())) == 3  # no temp file left behind
+    assert len(list((tmp_path / "kernels").iterdir())) == 4  # no temp file left behind
 
 
 def test_missing_compiler_is_a_configuration_error(compiler):

@@ -119,16 +119,16 @@ def _run_cell(
     batch_size: int | None = None,
 ) -> dict:
     """Build + partition one cell; runs inside the child process."""
-    from repro.graph import from_edges, generators, social_edge_batches
+    from repro.graph import from_edges, social_edge_batches
     from repro.graph.sharded import DEFAULT_SHARD_SIZE, ShardedCSRBuilder
     from repro.partition._streamcore import default_alpha, stream_partition
-    from repro.partition.kernels import buffered
+    from repro.utils import native
 
     if mem_cap_mb is not None:
         import resource
 
-        generators._library()  # map the compiled libraries before the cap,
-        buffered._library()  # which then budgets graph and partition memory only
+        for key in ("sample", "fennel"):  # map the compiled libraries before the cap,
+            native.library(key)  # which then budgets graph and partition memory only
         cap = int(mem_cap_mb) * 2**20
         resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
 

@@ -142,7 +142,7 @@ class GeminiEngine:
     def _run(self, graph: CSRGraph, structs: dict, program: VertexProgram) -> GeminiResult:
         m = self._cluster.num_machines
         degrees = graph.degrees
-        parts, n = structs["parts"], graph.num_vertices
+        parts = structs["parts"]
         total_arcs = max(graph.num_edges, 1)
         self._cluster.begin_run()
         state, active = program.initialize(graph)
@@ -182,8 +182,6 @@ class GeminiEngine:
                 active_parts = parts[active_vertices]
                 edges_per_m = np.bincount(active_parts, weights=active_degrees, minlength=m)
                 vertices_per_m = np.bincount(active_parts, minlength=m).astype(np.float64)
-                if active.shape != parts.shape:  # census_push reads it at every cut source
-                    raise SimulationError(f"{program.name}: {active.size} active flags, n={n}")
                 counts = superstep.census_push(structs, active, self._aggregate, m)
 
             # from_counts copies: clusters may consume the matrix they get.

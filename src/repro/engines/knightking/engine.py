@@ -22,10 +22,9 @@ Two synchronisation modes:
 Numerical semantics are exact: walks follow real edges with the app's
 transition law, so traces are valid regardless of the partition — only
 the *timing* depends on it. A superstep round is one call pair into
-``engines/_superstep.c`` around the app's NumPy draw:
-:func:`~repro.engines.superstep.walk_live` picks the walkers to advance
-and :func:`~repro.engines.superstep.walk_apply` moves them and does the
-accounting.
+``engines/_superstep.c`` (through :func:`repro.utils.native.call`) around
+the app's NumPy draw: ``walk_live`` picks the walkers to advance and
+``walk_apply`` moves them and does the accounting.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ from repro import telemetry
 from repro.cluster.bsp import BSPCluster
 from repro.cluster.ledger import TimingLedger
 from repro.cluster.messages import TrafficMatrix
-from repro.engines import superstep
 from repro.engines.knightking.walker import WalkerBatch
 from repro.errors import ConfigurationError, SimulationError
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
+from repro.utils import native
 from repro.utils.rng import as_rng
 from repro.utils.validation import check_count, check_vertex_ids
 
@@ -216,11 +215,14 @@ class WalkEngine:
         load, counts = np.zeros(m), np.zeros(m * m, dtype=np.int64)
         local = batch.alive.copy() if self._mode == "greedy" else None
         while True:  # the first round always has walkers: run() checks alive.any()
-            idx, cur, prv = superstep.walk_live(
-                batch.alive if local is None else local, batch.pos, batch.prev)
+            mask = batch.alive if local is None else local  # the walkers to advance, in id order
+            idx, cur, prv = (np.empty(np.count_nonzero(mask), dtype=np.int64) for _ in range(3))
+            native.call("walk_live", mask, batch.pos, batch.prev, idx, cur, prv)
             targets, terminated = app.advance(graph, cur, prv, rng)
-            superstep.walk_apply(batch, idx, targets, terminated, parts, max_steps, load, counts,
-                                 paths=paths, visits=self._visits, local=local)
+            native.call("walk_apply", idx, np.ascontiguousarray(targets, dtype=np.int64),
+                        np.ascontiguousarray(terminated, dtype=bool), parts, load, max_steps,
+                        batch.pos, batch.prev, batch.steps, batch.alive, counts, paths,
+                        self._visits, local)
             if local is None or not local.any():
                 break
         return load, TrafficMatrix.from_counts(counts.reshape(m, m))

@@ -1,13 +1,10 @@
 """Vectorised transition sampling primitives for walker engines.
 
 All functions operate on *batches* of walkers at once and check every
-vertex id against ``[0, n)`` first (a ``ConfigurationError`` names the
-first bad one); the per-walker loops are C (``engines/_superstep.c``).
-:func:`uniform_neighbor` gets its arc slots there and its targets from
-``take_arcs``, so sharded graphs are served too. The second-order
-membership test (:func:`arcs_exist`) binary-searches each query's row,
-which every builder stores sorted; a sharded graph, which must go
-through ``take_arcs``, runs a vectorised binary search instead.
+vertex id against ``[0, n)`` (a ``ConfigurationError`` names the first
+bad one); the per-walker loops are C (``engines/_superstep.c``), block by
+block of ``iter_blocks`` or through ``take_arcs``, so sharded graphs are
+served too.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ import numpy as np
 from repro.engines import superstep
 from repro.errors import ConfigurationError, GraphFormatError
 from repro.graph.csr import CSRGraph
+from repro.utils import native
 from repro.utils.validation import check_vertex_ids
 
 __all__ = ["uniform_neighbor", "arcs_exist"]
@@ -31,8 +29,10 @@ def uniform_neighbor(
     ``dead_end=True`` and their target set to their current position
     (callers terminate them).
     """
-    pos = check_vertex_ids("positions", positions, graph.num_vertices)
-    slots, dead = superstep.uniform_slots(graph.indptr, pos, rng.random(pos.size))
+    pos = check_vertex_ids("positions", positions, None)
+    u = rng.random(pos.size)
+    slots, dead = np.empty(pos.size, dtype=np.int64), np.empty(pos.size, dtype=bool)
+    native.call("uniform_slots", graph.indptr, pos, u, slots, dead)
     # take_arcs == indices[slots], but shard-aware for out-of-core graphs.
     targets = graph.take_arcs(slots).astype(np.int64) if graph.num_edges else pos.copy()
     np.copyto(targets, pos, where=dead)
@@ -40,42 +40,20 @@ def uniform_neighbor(
 
 
 def arcs_exist(graph: CSRGraph, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Vectorised ``graph.has_edge(sources[i], targets[i])`` for batches.
-
-    A dense graph answers each query with one binary search of its
-    sorted row in C (an unsorted row is a :class:`GraphFormatError`).
-    Other graphs take O(log d) rounds of masked ``take_arcs`` gathers.
-    """
-    src = check_vertex_ids("sources", sources, graph.num_vertices)
+    """Vectorised ``graph.has_edge(sources[i], targets[i])``: a binary search of each
+    query's row, which every builder stores sorted (else a :class:`GraphFormatError`)."""
+    src = check_vertex_ids("sources", sources, None)
     tgt = check_vertex_ids("targets", targets, graph.num_vertices)
     if src.size != tgt.size:
         raise ConfigurationError(f"{src.size} sources but {tgt.size} targets")
-    if graph.num_edges == 0:
-        return np.zeros(src.size, dtype=bool)
     if isinstance(graph, CSRGraph):
-        if not graph.rows_sorted:
+        if graph.num_edges and not graph.rows_sorted:
             raise GraphFormatError("arcs_exist needs every neighbour list sorted ascending")
         return superstep.arcs_sorted(graph.indptr, graph.indices, src, tgt)
-    lo = graph.indptr[src].copy()
-    hi = graph.indptr[src + 1].copy()
-    num_arcs = graph.num_edges
-    # Invariant: the answer slot, if any, is in [lo, hi).
-    while True:
-        open_mask = lo < hi
-        if not open_mask.any():
-            break
-        mid = (lo + hi) // 2
-        # Only compare where the range is still open; closed ranges keep
-        # lo == hi and drop out.
-        vals = np.where(
-            open_mask, graph.take_arcs(np.minimum(mid, num_arcs - 1)), 0
-        )
-        go_right = open_mask & (vals < tgt)
-        go_left = open_mask & (vals > tgt)
-        found = open_mask & (vals == tgt)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(go_left, mid, hi)
-        # Collapse found ranges to a sentinel "hit" state.
-        lo = np.where(found, -1, lo)
-        hi = np.where(found, -2, hi)  # lo > hi ⇒ loop ignores, mark as hit
-    return lo == -1
+    # each block's C call sees only its own rows, so sources outside [0, n) are refused here
+    src = check_vertex_ids("sources", src, graph.num_vertices)
+    hit = np.zeros(src.size, dtype=bool)
+    for start, stop, local, ids in graph.iter_blocks():
+        sel = np.flatnonzero((src >= start) & (src < stop))
+        hit[sel] = superstep.arcs_sorted(local, ids, src[sel], tgt[sel], start)
+    return hit

@@ -15,10 +15,7 @@ used throughout the test suite.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -114,16 +111,6 @@ def _shuffle_windows(values: np.ndarray, window: int, rng) -> None:
         rng.shuffle(values[start : start + window])
 
 
-@functools.cache
-def _library() -> ctypes.CDLL:
-    """``_sample.c``, built once per cache directory and loaded once per process."""
-    lib = native.load(Path(__file__).with_name("_sample.c"), "graph.kernels.build",
-                      "graph sampler")
-    p, i = ctypes.c_void_p, ctypes.c_int64
-    lib.sample_cdf.argtypes, lib.sample_cdf.restype = [p, p, i, p, i, p], None
-    return lib
-
-
 def _endpoints(rng, p, m: int) -> tuple[np.ndarray, np.ndarray]:
     """``rng.choice(p.size, size=m, p=p)`` twice: the same ids, the same generator state."""
     p = np.ascontiguousarray(p, dtype=np.float64)
@@ -133,14 +120,11 @@ def _endpoints(rng, p, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _draw(rng, p: np.ndarray, m: int) -> np.ndarray:
-    cdf = p.cumsum()  # choice's cdf and uniforms; guide[j]: the answer for u = j / buckets
+    cdf = p.cumsum()  # choice's cdf and uniforms; _sample.c fills the guide table
     cdf /= cdf[-1]
-    u = rng.random(m)
-    buckets = 1 << max(1, (p.size - 1).bit_length())  # a power of two: see _sample.c
-    guide = np.append(cdf.searchsorted(np.arange(buckets) / buckets, side="right"), p.size)
-    out = np.empty(m, dtype=np.int64)
-    _library().sample_cdf(cdf.ctypes.data, guide.ctypes.data, buckets, u.ctypes.data, m,
-                          out.ctypes.data)
+    u, out = rng.random(m), np.empty(m, dtype=np.int64)
+    guide = np.empty((1 << max(1, (p.size - 1).bit_length())) + 1, dtype=np.int64)
+    native.call("sample_cdf", cdf, guide, u, out)
     return out
 
 

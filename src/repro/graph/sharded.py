@@ -501,10 +501,6 @@ class ShardedCSRGraph:
         out = np.empty(flat.size, dtype=self._index_dtype)
         if flat.size == 0:
             return out
-        # Clamp into range: batched binary searches (arcs_exist) compute
-        # mid-slots for already-closed ranges too; those lanes are masked
-        # out by the caller but must not fault here.
-        flat = np.clip(flat, 0, max(self._m - 1, 0))
         shard_of = np.searchsorted(self._edge_offsets, flat, side="right") - 1
         np.clip(shard_of, 0, max(self._num_shards - 1, 0), out=shard_of)
         for shard in np.unique(shard_of):

@@ -11,18 +11,24 @@ static double pw(double base, double e) {
     return pow(base, e);
 }
 
-void fennel_chunk(int64_t b, const int64_t *chunk, const int64_t *lens, const int64_t *nbrs,
-                  int32_t *parts, double *loads, const double *w, int64_t k, double ag,
-                  double gm1, double cap, double *pen, int64_t *cnt) {
+/* Places chunk[0..b) (lists back to back in nbrs[0..z)); -1, else the first bad i (-2 - i: a part). */
+int64_t fennel_chunk(const int64_t *chunk, int64_t b, const int64_t *lens, const int64_t *nbrs,
+                     int64_t z, int32_t *parts, int64_t n, double *loads, int64_t k, const double *w,
+                     double ag, double gm1, double cap, double *pen, int64_t *cnt) {
     for (int64_t p = 0; p < k; p++) pen[p] = ag * pw(loads[p], gm1);
-    for (int64_t i = 0; i < b; nbrs += lens[i++]) {
+    for (int64_t i = 0; i < b; z -= lens[i], nbrs += lens[i++]) {
         int64_t v = chunk[i], d = lens[i], c = 0, open = 0, j, p;
+        if (v < 0 || v >= n || d < 0 || d > z) return i;
+        if (parts[v] >= k) return -2 - i;
         if (parts[v] >= 0) {
             loads[parts[v]] -= w[v];
             pen[parts[v]] = ag * pw(loads[parts[v]], gm1);
         }
-        for (j = 0; j < d; j++)
+        for (j = 0; j < d; j++) {  /* a refusal leaves the state partly written: the call raises */
+            if (nbrs[j] < 0 || nbrs[j] >= n) return i;
+            if (parts[nbrs[j]] >= k) return -2 - i;
             if (parts[nbrs[j]] >= 0) cnt[parts[nbrs[j]]]++;
+        }
         double best = -INFINITY;
         for (p = 0; p < k; p++) {
             if (loads[p] >= cap) continue;
@@ -40,4 +46,5 @@ void fennel_chunk(int64_t b, const int64_t *chunk, const int64_t *lens, const in
         loads[c] += w[v];
         pen[c] = ag * pw(loads[c], gm1);
     }
+    return -1;
 }

@@ -5,19 +5,15 @@ buffered-streaming idea, 2024): one vectorised gather fetches the whole
 chunk's neighbour lists (``_dense_gather`` for in-RAM CSR,
 ``ShardedCSRGraph.gather_block`` for shards). The decision stays
 sequential. For Eq. 2 it runs in C: ``_fennel.c`` resolves a chunk in
-one call with ``fennel_scalar``'s semantics, so assignments are
-bit-identical. :func:`repro.utils.native.load` builds it on first use;
-with no working compiler the kernel raises ``ConfigurationError``.
+one checked call (:func:`repro.utils.native.call`) with ``fennel_scalar``'s
+semantics, so assignments are bit-identical; with no working compiler the
+kernel raises ``ConfigurationError``.
 
 LDG's loop stays in Python over a ``bincount`` snapshot of the chunk's
 overlaps, patched with the current part of already-resolved chunk-mates.
 """
 
 from __future__ import annotations
-
-import ctypes
-import functools
-from pathlib import Path
 
 import numpy as np
 
@@ -31,17 +27,6 @@ __all__ = ["BACKEND", "DEFAULT_CHUNK"]
 DEFAULT_CHUNK = 256
 
 _NEG_INF = float("-inf")
-_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
-
-
-@functools.cache
-def _library() -> ctypes.CDLL:
-    """``_fennel.c``, built once per cache directory and loaded once per process."""
-    lib = native.load(Path(__file__).with_name("_fennel.c"), "partition.kernels.build",
-                      "buffered kernel")
-    lib.fennel_chunk.argtypes = [_I, _P, _P, _P, _P, _P, _P, _I, _D, _D, _D, _P, _P]
-    lib.fennel_chunk.restype = None
-    return lib
 
 
 def _dense_gather(indptr, indices):
@@ -112,21 +97,16 @@ def fennel_buffered(
 ) -> None:
     if gather is None:
         gather = _dense_gather(indptr, indices)
-    resolve = _library().fennel_chunk
-    k = loads.shape[0]
     parts_c = np.ascontiguousarray(parts, dtype=np.int32)
     loads_c = np.ascontiguousarray(loads, dtype=np.float64)
     w = np.ascontiguousarray(weights, dtype=np.float64)
-    if w.shape != parts.shape or parts_c.max(initial=-1) >= k:
-        raise ValueError(f"need one weight per vertex and part ids below {k}")
-    scratch = (np.empty(k), np.zeros(k, dtype=np.int64))
-    state = (parts_c.ctypes.data, loads_c.ctypes.data, w.ctypes.data, k, alpha * gamma,
-             gamma - 1.0, capacity, *(a.ctypes.data for a in scratch))
+    scratch = (np.empty(loads_c.size), np.zeros(loads_c.size, dtype=np.int64))
     for _pass in range(passes):
         for begin in range(0, parts.shape[0], chunk_size):
             chunk = np.ascontiguousarray(stream[begin : begin + chunk_size], dtype=np.int64)
             lens, nbrs = (np.ascontiguousarray(a, dtype=np.int64) for a in gather(chunk))
-            resolve(chunk.size, chunk.ctypes.data, lens.ctypes.data, nbrs.ctypes.data, *state)
+            native.call("fennel_chunk", chunk, lens, nbrs, parts_c, loads_c, w, alpha * gamma,
+                        gamma - 1.0, capacity, *scratch)
     parts[:] = parts_c
     loads[:] = loads_c
 

@@ -1,14 +1,14 @@
-/* One serving batch's reads on machine m (simulator.py's serve_batch): demand-table
- * rows summed in batch order plus walker visits (remote unless home is NULL), merged
- * per block and applied to m's LRU in ascending order (a hit moves to the MRU end, a
- * miss is appended; eviction from the LRU end only after the whole batch). ctx is
- * PartitionAwareCache's context array (cache.py); returns the fetched blocks. */
+/* One serving batch's reads on machine m (simulator.py's serve_batch): demand-table rows
+ * summed in batch order plus walker visits (remote unless home is NULL), merged per block and
+ * applied to m's LRU in ascending order (a hit moves to the MRU end, a miss is appended; eviction
+ * from the LRU end only after the whole batch). ctx: utils/native.py's SERVE. Returns -1, or,
+ * changing nothing, i for a demand row batch[i] past ctx's, nq + i for pos[i], nq + nw for m. */
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
 enum { EDGES, REMOTE, PTR, BLOCK, COUNT, PARTS, PREV, NEXT, RESIDENT, ROWS, ACC, SEEN,
-       NBLOCKS, BLOCK_SIZE, CAPACITY, WORK, READS };
+       NROWS, N, MACHINES, NBLOCKS, BLOCK_SIZE, CAPACITY, WORK, READS, FETCHED };
 enum { HEAD, TAIL, SIZE, HITS, MISSES, MISS_BLOCKS, EVICTIONS, FLUSHES, ROW };  /* per machine */
 #define AT(type, slot) ((type *)(intptr_t)ctx[slot])
 
@@ -23,6 +23,12 @@ int64_t serve_reads(int64_t *ctx, int64_t m, const int64_t *batch, int64_t nq,
     const int32_t *block = AT(int32_t, BLOCK), *count = AT(int32_t, COUNT);
     int64_t *acc = AT(int64_t, ACC), *seen = AT(int64_t, SEEN), ns = 0, remote = 0, i, j, b;
     double work = 0.0;
+    if (m < 0 || m >= ctx[MACHINES] || ctx[BLOCK_SIZE] < 1) return nq + nw;
+    for (i = 0; i < nq; i++)
+        if (batch[i] < 0 || batch[i] >= ctx[NROWS]) return i;
+    for (i = 0; i < nw; i++)
+        if (pos[i] < 0 || pos[i] / ctx[BLOCK_SIZE] >= ctx[NBLOCKS] || (home && pos[i] >= ctx[N]))
+            return nq + i;
     for (i = 0; i < nq; i++) {
         work += AT(double, EDGES)[batch[i]];
         remote += AT(int64_t, REMOTE)[batch[i]];
@@ -76,5 +82,6 @@ int64_t serve_reads(int64_t *ctx, int64_t m, const int64_t *batch, int64_t nq,
     }
     memcpy(&ctx[WORK], &work, sizeof work);
     ctx[READS] = remote;
-    return fetched;
+    ctx[FETCHED] = fetched;
+    return -1;
 }

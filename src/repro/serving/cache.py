@@ -14,14 +14,10 @@ The LRU lives in arrays: ``prev``/``next`` block ids and a ``resident``
 flag per (machine, block), and per machine one row of ``head, tail,
 size`` and the counters. One call into ``_serve.c`` applies a batch:
 move-to-end on hit, append on miss, eviction from the LRU end once the
-whole batch is in. The arrays grow before a call, never inside one.
-"""
+whole batch is in. The arrays grow before a call, never inside one; ``context``
+(a :class:`repro.utils.native.Struct`) checks and holds them."""
 
 from __future__ import annotations
-
-import ctypes
-import functools
-from pathlib import Path
 
 import numpy as np
 
@@ -31,42 +27,22 @@ from repro.utils.validation import check_count
 
 __all__ = ["PartitionAwareCache"]
 
-# Slots of the context array, named as in the enum of ``_serve.c``.
-(_EDGES, _REMOTE, _PTR, _BLOCK, _COUNT, _PARTS, _PREV, _NEXT, _RESIDENT, _ROWS, _ACC, _SEEN,
- _NBLOCKS, _BLOCK_SIZE, _CAPACITY, WORK, READS) = range(17)
+#: where serve_reads leaves the edge work (float64 bits), remote reads and fetched blocks
+WORK, READS, FETCHED = (native.Struct().index[s] for s in ("work", "reads", "fetched"))
 _RUN_DTYPES = ("f8", "i8", "i8", "i4", "i4", "i4")  # demand columns (_plan_demand), parts
 
 
-@functools.cache
-def _library() -> ctypes.CDLL:
-    """``_serve.c``, built once per cache directory and loaded once per process."""
-    lib = native.load(Path(__file__).with_name("_serve.c"), "serving.kernels.build",
-                      "serving kernel")
-    p, i = ctypes.c_void_p, ctypes.c_int64
-    lib.serve_reads.argtypes, lib.serve_reads.restype = [p, i, p, i, p, p, i], i
-    return lib
-
-
 class PartitionAwareCache:
-    """Per-machine LRU over vertex blocks with hit/miss telemetry.
-
-    ``serve_reads(context_address, machine, batch, len, visited, homes,
-    len)`` is the batch step: it returns the fetched blocks and leaves
-    the edge work (float64 bits) and remote reads in ``context[WORK]``
-    and ``context[READS]``.
-    """
+    """Per-machine LRU over vertex blocks with hit/miss telemetry; its batch step
+    is ``native.call("serve_reads", context, machine, batch, visited, homes)``."""
 
     __slots__ = (
         "num_machines",
         "block_size",
         "capacity",
-        "serve_reads",
         "context",
-        "context_address",
         "_rows",
         "_links",
-        "_merge",
-        "_run",
         "hits",
         "misses",
         "miss_blocks",
@@ -81,14 +57,11 @@ class PartitionAwareCache:
         self.num_machines = k = int(num_machines)
         self.block_size = int(block_size)
         self.capacity = int(capacity)
-        self.serve_reads = _library().serve_reads
-        self.context = np.zeros(READS + 1, dtype=np.int64)
-        self.context_address = self.context.ctypes.data
         self._rows = np.zeros((k, 8), dtype=np.int64)  # head, tail, size, then the counters
         self._rows[:, :2] = -1
         self.hits, self.misses, self.miss_blocks, self.evictions, self.flushes = self._rows[:, 3:].T
-        self.context[[_ROWS, _BLOCK_SIZE, _CAPACITY]] = (
-            self._rows.ctypes.data, self.block_size, self.capacity)
+        self.context = native.Struct(rows=self._rows, k=k, block_size=self.block_size,
+                                     capacity=self.capacity)
         # prev, next, resident per (machine, block); grown before any call
         self._links = tuple(np.zeros((k, 0), t) for t in (np.int32, np.int32, np.uint8))
         self._grow(1)
@@ -99,16 +72,14 @@ class PartitionAwareCache:
         if blocks > old:
             new = max(blocks, 2 * old)
             self._links = tuple(np.pad(a, ((0, 0), (0, new - old))) for a in self._links)
-            self._merge = (np.zeros(new, np.int64), np.empty(new, np.int64))
-            self.context[[_PREV, _NEXT, _RESIDENT, _ACC, _SEEN, _NBLOCKS]] = (
-                *(a.ctypes.data for a in (*self._links, *self._merge)), new)
+            self.context.set(**dict(zip(("prev", "next", "resident"), self._links)),
+                             acc=np.zeros(new, np.int64), seen=np.empty(new, np.int64))
 
     def attach(self, demand: tuple, parts: np.ndarray) -> None:
         """Point the batch step at a run's demand table and parts; size for its graph."""
         self._grow(parts.size // self.block_size + 1)
-        self._run = tuple(  # kept alive while the context holds their addresses
-            np.ascontiguousarray(a, dtype=t) for a, t in zip((*demand, parts), _RUN_DTYPES))
-        self.context[_EDGES : _PARTS + 1] = [a.ctypes.data for a in self._run]
+        self.context.set(**{name: np.ascontiguousarray(a, dtype=t) for name, a, t in zip(
+            ("edges", "remote", "ptr", "block", "count", "parts"), (*demand, parts), _RUN_DTYPES)})
 
     def _machine(self, machine: int) -> int:
         if isinstance(machine, bool) or not isinstance(machine, (int, np.integer)) or not (
@@ -129,14 +100,12 @@ class PartitionAwareCache:
         machine, verts = self._machine(machine), np.asarray(vertices)
         if verts.size == 0:
             return 0
-        if verts.dtype.kind not in "iu" or verts.min() < 0:
-            raise ConfigurationError(
-                f"vertices must be non-negative integer ids, got {verts.dtype} "
-                f"with minimum {verts.min()!r}")
+        if verts.dtype.kind not in "iu":
+            raise ConfigurationError(f"vertices must be integer ids, got {verts.dtype}")
         verts = np.ascontiguousarray(verts, dtype=np.int64).ravel()
         self._grow(int(verts.max()) // self.block_size + 1)
-        return self.serve_reads(
-            self.context_address, machine, None, 0, verts.ctypes.data, None, verts.size)
+        native.call("serve_reads", self.context, machine, np.empty(0, np.int64), verts, None)
+        return int(self.context.slots[FETCHED])
 
     def flush(self, machine: int) -> int:
         """Drop every block on ``machine`` (chaos: cache corruption).

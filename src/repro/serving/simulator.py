@@ -86,7 +86,7 @@ from repro.cluster.network import NetworkModel
 from repro.errors import ConfigurationError
 from repro.partition.assignment import PartitionAssignment
 from repro.resilience.chaos import ChaosError, active_plan, maybe_inject, register_site
-from repro.serving.cache import READS, WORK, PartitionAwareCache
+from repro.serving.cache import FETCHED, READS, WORK, PartitionAwareCache
 from repro.serving.health import (
     DEAD,
     HEALTHY,
@@ -96,7 +96,7 @@ from repro.serving.health import (
 )
 from repro.serving.replication import plan_replicas
 from repro.serving.workload import KIND_KHOP, KIND_WALK, QueryTrace
-from repro.utils import canon
+from repro.utils import canon, native
 from repro.utils.rng import rng_from_state, seed_states
 from repro.utils.validation import check_count, check_nonnegative, check_positive
 
@@ -523,9 +523,8 @@ class _Run:
         self.home = self.part_of_query.tolist()
         with telemetry.active().span("serving.demand.plan", queries=q):
             cache.attach(_plan_demand(assignment, trace, cfg.cache_block_size), assignment.parts)
-        # the batch step and where it leaves the edge work and remote reads
-        self.serve_reads, self.reads_context = cache.serve_reads, cache.context_address
-        self.work_out, self.reads_out = cache.context.view(np.float64), cache.context
+        # where the batch step leaves the edge work, remote reads and fetched blocks
+        self.work_out, self.reads_out = cache.context.slots.view(np.float64), cache.context.slots
         # The chaos plan is read once per run: sites no rule names are
         # never looked up in the loop.
         chaos = active_plan()
@@ -729,16 +728,13 @@ class _Run:
                 visited += positions
                 visitor_homes += homes
 
-        # The batch's demand rows and the walkers' visits, merged per cache
-        # block and applied to m's LRU: one call into _serve.c, handed flat
-        # buffers (a null address when no walker moved).
-        steps, ids = len(visited), array("q", batch)
-        if steps:
-            visited, visitor_homes = array("q", visited), array("q", visitor_homes)
-        fetched = self.serve_reads(
-            self.reads_context, m, ids.buffer_info()[0], len(batch),
-            steps and visited.buffer_info()[0], steps and visitor_homes.buffer_info()[0], steps)
+        # The batch's demand rows and the walkers' visits, merged per cache block and
+        # applied to m's LRU: one checked call into _serve.c (None when no walker moved).
+        steps = len(visited)
+        walked = (array("q", visited), array("q", visitor_homes)) if steps else (None, None)
+        native.call("serve_reads", self.cache.context, m, array("q", batch), *walked)
         edge_work, remote = self.work_out.item(WORK), self.reads_out.item(READS)
+        fetched = self.reads_out.item(FETCHED)
         self.messages[m] += remote
 
         work = cfg.cost.compute_seconds(steps=steps, edges=edge_work, vertices=len(batch))

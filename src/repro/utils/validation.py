@@ -59,14 +59,14 @@ def check_fraction(name: str, value: float) -> None:
         raise ConfigurationError(f"{name} must be in (0, 1], got {value!r}")
 
 
-def check_vertex_ids(name: str, ids, n: int) -> np.ndarray:
-    """``ids`` as 1-D int64 vertex ids in ``[0, n)``, or a ``ConfigurationError``
-    naming ``name`` (and the first id outside)."""
+def check_vertex_ids(name: str, ids, n: int | None) -> np.ndarray:
+    """``ids`` as 1-D int64 vertex ids in ``[0, n)`` (``n=None``: the C loop reading them
+    checks), or a ``ConfigurationError`` naming ``name`` (and the first id outside)."""
     ids = np.asarray(ids)
     if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
         raise ConfigurationError(f"{name} must be a 1-D array of integer vertex ids")
     ids = np.ascontiguousarray(ids, dtype=np.int64)
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
+    if n is not None and ids.size and (ids.min() < 0 or ids.max() >= n):
         bad = ids[(ids < 0) | (ids >= n)][0]
         raise ConfigurationError(f"{name} must lie in [0, {n}), got {bad}")
     return ids

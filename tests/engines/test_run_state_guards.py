@@ -54,7 +54,7 @@ class TestWalkEngineGuards:
     @pytest.mark.parametrize("step, match", [
         (lambda pos: (pos + 1000, np.zeros(pos.size, bool)), "stepped to 1"),
         (lambda pos: (-np.ones(pos.size, np.int64), np.zeros(pos.size, bool)), "stepped to -1"),
-        (lambda pos: (pos[:-1], np.zeros(pos.size - 1, bool)), "targets and flags"),
+        (lambda pos: (pos[:-1], np.zeros(pos.size - 1, bool)), "63 target values, k=64"),
     ], ids=["past-n", "negative", "short"])
     def test_bad_app_steps_rejected(self, ring64, step, match):
         class Broken(DeepWalk):

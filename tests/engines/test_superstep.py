@@ -23,6 +23,7 @@ from repro.engines.knightking.walker import WalkerBatch
 from repro.errors import GraphFormatError
 from repro.graph import CSRGraph, ShardedCSRGraph, from_edges, spill_csr
 from repro.partition import PartitionAssignment
+from repro.utils import native
 from tests.engines import _engine_model as model
 
 
@@ -89,14 +90,15 @@ def test_walk_round_matches_the_model(case, record):
     twin_paths = None if paths is None else paths.copy()
     twin_visits = None if visits is None else visits.copy()
 
-    idx, cur, prv = superstep.walk_live(batch.alive if local is None else local,
-                                        batch.pos, batch.prev)
+    mask = batch.alive if local is None else local
+    idx, cur, prv = (np.empty(np.count_nonzero(mask), dtype=np.int64) for _ in range(3))
+    native.call("walk_live", mask, batch.pos, batch.prev, idx, cur, prv)
     want_idx = np.flatnonzero(batch.alive if local is None else local)
     assert idx.tolist() == want_idx.tolist()
     assert cur.tolist() == batch.pos[idx].tolist() and prv.tolist() == batch.prev[idx].tolist()
     load, counts = np.zeros(k), np.zeros(k * k, dtype=np.int64)
-    superstep.walk_apply(batch, idx, targets, terminated, parts, max_steps, load, counts,
-                         paths=paths, visits=visits, local=local)
+    native.call("walk_apply", idx, targets, terminated, parts, load, max_steps, batch.pos,
+                batch.prev, batch.steps, batch.alive, counts, paths, visits, local)
 
     home = parts[twin.pos[want_idx]]
     moved = model.apply_step(twin, want_idx, targets, terminated, max_steps, twin_paths,
@@ -142,7 +144,8 @@ def test_uniform_slots_match_the_model(g, data):
     u = rng.random(size)
     u[rng.random(size) < 0.2] = np.nextafter(1.0, 0.0)  # the cap at deg - 1
     u[rng.random(size) < 0.1] = 0.0
-    slots, dead = superstep.uniform_slots(g.indptr, pos, u)
+    slots, dead = np.empty(size, dtype=np.int64), np.empty(size, dtype=bool)
+    native.call("uniform_slots", g.indptr, pos, u, slots, dead)
     want_slots, want_dead = model.uniform_slots(g.indptr, pos, u)
     np.testing.assert_array_equal(slots, want_slots)
     np.testing.assert_array_equal(dead, want_dead)

@@ -53,15 +53,17 @@ class TestDatasets:
 
 
 def test_generate_is_spanned_with_the_sampler_build_inside():
-    from repro.graph import generators
+    from repro.utils import native
 
-    generators._library.cache_clear()
+    native.library.cache_clear()
+    native._checked.cache_clear()
     try:
         telemetry.set_enabled(True)
         DATASETS["livejournal"].generate(0.02, 1)
         spans = [(s["name"], s["args"]) for s in telemetry.registry().spans]
     finally:
-        generators._library.cache_clear()
+        native.library.cache_clear()
+        native._checked.cache_clear()
     # the build span closes first: it nests inside the first generate
     assert spans == [("graph.kernels.build", {"cached": False}),
                      ("graph.generate", {"dataset": "livejournal", "n": 320})]

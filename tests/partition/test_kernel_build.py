@@ -3,8 +3,9 @@
 (``serving/_serve.c``), the generators' sampler (``graph/_sample.c``)
 and the engines' superstep kernel (``engines/_superstep.c``).
 
-All go through one helper, ``utils/native.load``: compiled on first
-use into ``$REPRO_CACHE_DIR/kernels/`` and loaded once per process.
+All are declared in one table, ``utils/native.py``, and built by one
+helper: compiled on first use into ``$REPRO_CACHE_DIR/kernels/`` and
+loaded once per process.
 These tests drive that path for each library with fresh caches, child
 processes and a compiler that is missing or fails.
 """
@@ -21,39 +22,24 @@ import pytest
 
 from repro import telemetry
 from repro.cli import main
-from repro.engines import superstep
 from repro.errors import ConfigurationError
-from repro.graph import generators, ring_graph, write_edge_list
+from repro.graph import ring_graph, write_edge_list
 from repro.graph.datasets import clear_dataset_cache
-from repro.partition.kernels import buffered
-from repro.serving import cache as serving_cache
+from repro.utils import native
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
-#: each library's memoised loader, build span and name in the error message
-LIBRARIES = {
-    "fennel": (buffered._library, "partition.kernels.build", "buffered kernel"),
-    "serve": (serving_cache._library, "serving.kernels.build", "serving kernel"),
-    "sample": (generators._library, "graph.kernels.build", "graph sampler"),
-    "superstep": (superstep._library, "engine.kernels.build", "engine kernel"),
-}
-
-# Loads the four libraries with telemetry on and prints each build span's `cached`
-# arg. With --no-compiler any attempt to run the compiler fails.
+# Loads every library of the table with telemetry on and prints each build span's
+# `cached` arg. With --no-compiler any attempt to run the compiler fails.
 CHILD = """
 import subprocess, sys
 from repro import telemetry
-from repro.partition.kernels.buffered import _library as fennel
-from repro.serving.cache import _library as serve
-from repro.graph.generators import _library as sample
-from repro.engines.superstep import _library as superstep
+from repro.utils import native
 if "--no-compiler" in sys.argv:
     subprocess.run = None
 telemetry.set_enabled(True)
-fennel()
-serve()
-sample()
-superstep()
+for key in native.LIBRARIES:
+    native.library(key)
 print(*(span["args"]["cached"] for span in telemetry.registry().spans))
 """
 
@@ -72,11 +58,11 @@ def _finish(proc: subprocess.Popen) -> str:
 
 @pytest.fixture
 def fresh_libraries():
-    """Every loader's per-process memo, and the dataset cache built with
+    """The table's per-process memos, and the dataset cache built with
     them, cleared before and after."""
     def clear():
-        for load, _, _ in LIBRARIES.values():
-            load.cache_clear()
+        native.library.cache_clear()
+        native._checked.cache_clear()
         clear_dataset_cache()
     clear()
     yield
@@ -95,14 +81,14 @@ def test_cold_build_into_an_empty_cache(fresh_libraries, tmp_path, monkeypatch):
     cache = tmp_path / "empty"
     monkeypatch.setenv("REPRO_CACHE_DIR", str(cache))
     telemetry.set_enabled(True)
-    for load, _, _ in LIBRARIES.values():
-        lib = load()
-        assert load() is lib  # memoised: one build span, one handle
+    for key in native.LIBRARIES:
+        lib = native.library(key)
+        assert native.library(key) is lib  # memoised: one build span, one handle
     built = sorted(p.name for p in (cache / "kernels").iterdir())
     assert [b.split("-")[0] for b in built] == ["fennel", "sample", "serve", "superstep"]
     assert all(b.endswith(".so") for b in built)
     spans = [(s["name"], s["args"]) for s in telemetry.registry().spans]
-    assert spans == [(span, {"cached": False}) for _, span, _ in LIBRARIES.values()]
+    assert spans == [(span, {"cached": False}) for _, span, _ in native.LIBRARIES.values()]
 
 
 def test_second_process_loads_without_the_compiler(tmp_path):
@@ -119,16 +105,16 @@ def test_concurrent_builds_both_succeed(tmp_path):
 
 def test_missing_compiler_is_a_configuration_error(compiler):
     compiler("/nonexistent/cc")
-    for load, _, _ in LIBRARIES.values():
+    for key in native.LIBRARIES:
         with pytest.raises(ConfigurationError, match="/nonexistent/cc"):
-            load()
+            native.library(key)
 
 
 def test_failed_build_names_the_command_and_first_stderr_line(compiler):
     compiler("sh -c 'echo first >&2; echo second >&2; exit 1'")
-    for load, _, what in LIBRARIES.values():
+    for key, (_, _, what) in native.LIBRARIES.items():
         with pytest.raises(ConfigurationError) as exc:
-            load()
+            native.library(key)
         message = str(exc.value)
         assert message.startswith(f"cannot build the {what} with `sh -c")
         assert message.endswith(": first") and "\n" not in message

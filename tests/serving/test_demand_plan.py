@@ -25,9 +25,10 @@ from repro.graph import chung_lu, from_edges, spill_csr
 from repro.partition.assignment import PartitionAssignment
 from repro.serving import PartitionAwareCache, ServingConfig, ServingSimulator, WorkloadSpec
 from repro.serving import simulator as simulator_module
-from repro.serving.cache import READS, WORK
+from repro.serving.cache import FETCHED, READS, WORK
 from repro.serving.simulator import _PLAN_CHUNK, _SALT_WALK, _plan_demand, _Run
 from repro.serving.workload import KIND_KHOP, KIND_WALK, QueryTrace
+from repro.utils import native
 from repro.utils.rng import derive_rng
 from tests.serving._cache_model import COUNTERS, ModelCache, lru_order
 
@@ -309,11 +310,10 @@ def python_batch_step(model, table, parts, block_size, m, batch, visits):
 
 def compiled_batch_step(cache, m, batch, visits):
     """One ``serve_reads`` call, as ``serve_batch`` makes it."""
-    ids = array("q", batch)
-    pos, homes = (array("q", column) for column in zip(*visits)) if visits else ((), ())
-    walked = (pos.buffer_info()[0], homes.buffer_info()[0], len(pos)) if visits else (None, None, 0)
-    fetched = cache.serve_reads(cache.context_address, m, ids.buffer_info()[0], len(batch), *walked)
-    return fetched, cache.context.view(np.float64)[WORK], int(cache.context[READS])
+    pos, homes = (array("q", column) for column in zip(*visits)) if visits else (None, None)
+    native.call("serve_reads", cache.context, m, array("q", batch), pos, homes)
+    slots = cache.context.slots
+    return int(slots[FETCHED]), slots.view(np.float64)[WORK], int(slots[READS])
 
 
 @st.composite

@@ -25,8 +25,8 @@ from repro.serving import (
     ServingSimulator,
     WorkloadSpec,
 )
-from repro.serving import cache as serving_cache
 from repro.serving.workload import KIND_WALK
+from repro.utils import native
 
 
 @pytest.fixture(scope="module")
@@ -312,7 +312,7 @@ class TestTelemetry:
         assert hist["per_decade"] == 4  # the bounded-histogram kind
 
     def test_k1_run_emits_the_plain_series_and_three_spans(self, assignment, trace):
-        serving_cache._library()  # a process's first load emits serving.kernels.build
+        native.library("serve")  # a process's first load emits serving.kernels.build
         telemetry.set_enabled(True)
         ServingSimulator(assignment, seed=1).run(trace)
         reg = telemetry.registry()

@@ -15,7 +15,8 @@ Fennel's rule decides each chunk in one compiled call, not a Python loop,
 and a serving batch's reads are accounted by one compiled call too: no
 Python merge of its demand rows, no ``OrderedDict`` LRU. The generators
 draw weighted endpoints through one compiled sampler, never
-``choice(…, p=…)``.
+``choice(…, p=…)``. Only ``utils/native.py`` loads a C library, sets
+``argtypes`` or takes an array's address.
 ``src/`` (``.py`` and ``.c``) has no numba path and does not grow back past
 the ceiling.
 """
@@ -117,14 +118,14 @@ def test_engine_bookkeeping_is_compiled(monkeypatch):
 
     g = graph.chung_lu(300, 6.0, rng=1)
     parts = np.arange(g.num_vertices) % 4
-    lib, calls = superstep._library(), []
+    native, calls = superstep.native, []
+    real = native.call
 
-    class Recording:  # the library, naming each function the wrappers fetch
-        def __getattr__(self, name):
-            calls.append(name)
-            return getattr(lib, name)
+    def recording(name, *args):  # the one call path, naming each function called
+        calls.append(name)
+        return real(name, *args)
 
-    monkeypatch.setattr(superstep, "_library", Recording)
+    monkeypatch.setattr(native, "call", recording)
     queries = np.arange(1000) % g.num_vertices
     with monkeypatch.context() as patch:  # no sorting and no gathers around the calls
         for name in ("argsort", "searchsorted"):
@@ -167,6 +168,13 @@ def test_serving_walks_seed_from_a_table(monkeypatch):
     assert 0 < len(builds) <= 4 * (1 + doublings)
 
 
+def test_one_module_knows_the_c_abi():
+    # utils/native.py's table is the one place that loads a library, declares
+    # signatures or hands an array's address to C
+    hits = _grep(r"ctypes\.CDLL|argtypes|\.ctypes\.data|native\.load\(|buffer_info", "src")
+    assert [h for h in hits if not h.startswith("src/repro/utils/native.py:")] == []
+
+
 def test_no_numba_in_src():
     assert _grep(r"numba", "src") == []
 
@@ -185,7 +193,7 @@ def test_fennel_decision_is_compiled():
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "fennel_buffered")
     loops = [ast.unparse(n.iter) for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
     assert sorted(loops) == ["gather(chunk)", "range(0, parts.shape[0], chunk_size)",
-                             "range(passes)", "scratch"], loops
+                             "range(passes)"], loops
     assert (path.parent / "_fennel.c").is_file()
 
 
@@ -196,8 +204,10 @@ def test_serving_reads_are_one_compiled_call():
     tree = ast.parse((serving / "simulator.py").read_text(encoding="utf-8"))
     fn = next(n for n in ast.walk(tree)
               if isinstance(n, ast.FunctionDef) and n.name == "serve_batch")
-    calls = [ast.unparse(n.func) for n in ast.walk(fn) if isinstance(n, ast.Call)]
-    assert [c for c in calls if c.endswith("serve_reads")] == ["self.serve_reads"]
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+    assert [ast.unparse(n.args[0]) for n in calls if ast.unparse(n.func) == "native.call"] == [
+        "'serve_reads'"]
+    calls = [ast.unparse(n.func) for n in calls]
     assert "dict" not in calls and not [
         n for n in ast.walk(fn) if isinstance(n, (ast.Dict, ast.DictComp))
         or isinstance(n, ast.Name) and n.id == "touched"
@@ -206,9 +216,9 @@ def test_serving_reads_are_one_compiled_call():
     cache = ast.parse((serving / "cache.py").read_text(encoding="utf-8"))
     loops = [ast.unparse(n.iter) for n in ast.walk(cache)
              if isinstance(n, (ast.For, ast.comprehension))]
-    assert sorted(loops) == ["(*self._links, *self._merge)", "(np.int32, np.int32, np.uint8)",
-                             "self._links", "self._run",
-                             "zip((*demand, parts), _RUN_DTYPES)"], loops
+    assert sorted(loops) == ["('work', 'reads', 'fetched')", "(np.int32, np.int32, np.uint8)",
+                             "self._links", "zip(('edges', 'remote', 'ptr', 'block', 'count', "
+                             "'parts'), (*demand, parts), _RUN_DTYPES)"], loops
     assert not [n for n in ast.walk(cache) if isinstance(n, ast.While)]
     assert (serving / "_serve.c").is_file()
 

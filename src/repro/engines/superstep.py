@@ -14,12 +14,8 @@ def arcs_sorted(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, tgt: n
                 start: int = 0):
     """Whether row ``src[i]`` of a CSR with ascending rows (from row ``start`` on) holds ``tgt[i]``."""
     hit = np.empty(src.size, dtype=bool)
-    native.call("arcs_sorted", start, indptr, _wide(indices), src, tgt, hit)
+    native.call("arcs_sorted", start, indptr, native.wide(indices), src, tgt, hit)
     return hit
-
-
-def _wide(ids: np.ndarray) -> np.ndarray:  # another integer width (a shard's) as int64
-    return ids if ids.dtype in (np.int32, np.int64) or ids.dtype.kind not in "iu" else ids.astype("i8")
 
 
 def census_build(graph, parts: np.ndarray, m: int) -> dict:
@@ -32,7 +28,7 @@ def census_build(graph, parts: np.ndarray, m: int) -> dict:
 
     def scan(by_target):
         for start, _, local, ids in graph.iter_blocks():
-            native.call("census_scan", start, local, _wide(ids), parts, at, by_target)
+            native.call("census_scan", start, local, native.wide(ids), parts, at, by_target)
 
     scan(None)
     cut_src, cut_pair, starts, group_pair = (np.empty(int(at.sum()), np.int64) for _ in range(4))

@@ -17,3 +17,29 @@ void sample_cdf(const double *cdf, int64_t n, int64_t *guide, int64_t g, const d
         out[i] = lo;
     }
 }
+
+/* extract_subgraph's rows: member v = rows[j] (ids in [start, start + r - 1)) keeps each neighbour
+ * u of ids[ptr[v - start] .. ptr[v - start + 1]) with local_of[u] >= 0, written as local_of[u]
+ * (out: int32, or int64 with wide bit 1) after the kept arcs of rows[0..j); deg[j] counts them.
+ * -1, else the first bad j: j its ids, -2 - j its offsets (or more kept arcs than o). */
+int64_t induce_rows(int64_t start, const int64_t *ptr, int64_t r, const void *ids, int64_t z,
+                    const int64_t *rows, int64_t c, const int64_t *local_of, int64_t n,
+                    int64_t *deg, void *out, int64_t o, int64_t wide) {
+    const int32_t *i4 = ids; const int64_t *i8 = ids;
+    int32_t *o4 = out; int64_t *o8 = out, at = 0;
+    for (int64_t j = 0; j < c; j++) {
+        int64_t v = rows[j] - start, kept = 0;
+        if (v < 0 || v + 1 >= r) return j;
+        if (ptr[v] < 0 || ptr[v] > ptr[v + 1] || ptr[v + 1] > z) return -2 - j;
+        for (int64_t s = ptr[v]; s < ptr[v + 1]; s++) {
+            int64_t u = wide & 1 ? i8[s] : i4[s];
+            if (u < 0 || u >= n) return j;
+            if (local_of[u] < 0) continue;
+            if (at + kept >= o) return -2 - j;
+            if (wide & 2) o8[at + kept++] = local_of[u]; else o4[at + kept++] = (int32_t)local_of[u];
+        }
+        deg[j] = kept;
+        at += kept;
+    }
+    return -1;
+}

@@ -3,7 +3,9 @@
 After partitioning, each simulated machine owns the induced subgraph of
 its vertex set plus knowledge of which neighbours are remote. This
 module materialises those per-part structures and is also the basis of
-the §3.3 connectivity experiment (edge connections between pieces).
+the §3.3 connectivity experiment (edge connections between pieces) and
+of every BPart layer after the first. The induced rows are built in C,
+one checked call per block (``graph/_sample.c``'s ``induce_rows``).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import numpy as np
 
 from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
+from repro.utils import native
 
 __all__ = ["Subgraph", "extract_subgraph"]
 
@@ -52,13 +55,10 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
         if members.size != n:
             raise PartitionError("boolean membership mask has wrong length")
         ids = np.nonzero(members)[0].astype(np.int64)
-        mask = members
     else:
         ids = np.unique(members.astype(np.int64))
         if ids.size and (ids[0] < 0 or ids[-1] >= n):
             raise PartitionError("membership ids outside vertex range")
-        mask = np.zeros(n, dtype=bool)
-        mask[ids] = True
 
     # Identity extraction (all vertices are members): the induced graph
     # IS the input — return it without building a copy. This is the path
@@ -78,56 +78,32 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
     local_of = np.full(n, -1, dtype=np.int64)
     local_of[ids] = np.arange(ids.size)
 
-    # Gather all arcs of the member vertices one block at a time (dense
-    # graphs yield a single zero-copy block), keeping only local targets
-    # for the induced adjacency. Blocks ascend, so kept arcs come out
-    # grouped by source in the same order as a global gather.
-    total_arcs = 0
-    cut_arcs = 0
-    kept_src_chunks: list[np.ndarray] = []
-    kept_dst_chunks: list[np.ndarray] = []
+    # One C call per block (dense graphs yield one zero-copy block) writes its
+    # members' induced degrees and relabelled rows; blocks ascend, so the rows
+    # come out in member order, in an output sized by the members' arcs.
+    total_arcs = int(graph.degrees[ids].sum())
+    counts = np.zeros(ids.size, dtype=np.int64)
+    indices = np.empty(total_arcs, dtype=np.int32 if ids.size <= 2**31 - 1 else np.int64)
+    kept = 0
     for start, stop, local, idx in graph.iter_blocks():
-        a = int(np.searchsorted(ids, start))
-        b = int(np.searchsorted(ids, stop))
-        if a == b:
-            continue
-        off = ids[a:b] - start
-        starts, ends = local[off], local[off + 1]
-        lens = ends - starts
-        block_total = int(lens.sum())
-        total_arcs += block_total
-        if block_total == 0:
-            continue
-        first = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        slots = np.repeat(starts - first, lens) + np.arange(block_total)
-        targets = idx[slots]
-        local_mask = mask[targets]
-        cut_arcs += block_total - int(local_mask.sum())
-        kept_src_chunks.append(np.repeat(np.arange(a, b), lens)[local_mask])
-        kept_dst_chunks.append(local_of[targets[local_mask]])
-
-    if kept_src_chunks:
-        kept_src = np.concatenate(kept_src_chunks)
-        kept_dst = np.concatenate(kept_dst_chunks)
-    else:
-        kept_src = np.empty(0, dtype=np.int64)
-        kept_dst = np.empty(0, dtype=np.int64)
-    counts = np.bincount(kept_src, minlength=ids.size)
+        a, b = np.searchsorted(ids, (start, stop))
+        if a < b:
+            native.call("induce_rows", start, local, native.wide(idx), ids[a:b], local_of,
+                        counts[a:b], indices[kept:])
+            kept += int(counts[a:b].sum())
     new_indptr = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
-    # Kept arcs are already grouped by source (we walked sources in order)
-    # and the relabelling is monotone, so sorted input rows come out
-    # sorted; only hand-assembled graphs with unsorted rows pay for a sort
+    # The relabelling is monotone, so sorted input rows come out sorted;
+    # only hand-assembled graphs with unsorted rows pay for a sort
     # (has_edge needs ascending neighbour lists).
-    indices = kept_dst.astype(np.int32 if ids.size <= 2**31 - 1 else np.int64)
-    sub = CSRGraph(new_indptr, indices, directed=graph.directed, validate=False)
+    sub = CSRGraph(new_indptr, indices[:kept], directed=graph.directed, validate=False)
     if not sub.rows_sorted:
-        order = np.lexsort((kept_dst, kept_src))
-        sub = CSRGraph(new_indptr, indices[order], directed=graph.directed, validate=False)
+        order = np.lexsort((sub.indices, np.repeat(np.arange(ids.size), counts)))
+        sub = CSRGraph(new_indptr, sub.indices[order], directed=graph.directed, validate=False)
     return Subgraph(
         graph=sub,
         global_ids=ids,
         local_of=local_of,
-        num_cut_arcs=cut_arcs,
+        num_cut_arcs=total_arcs - kept,
         num_total_arcs=total_arcs,
     )

@@ -14,8 +14,8 @@ capacity bound ``ν·n/k`` applies uniformly.
 
 The inner loop itself lives in :mod:`repro.partition.kernels`: the
 ``kernel=`` knob selects between the reference per-vertex NumPy loop
-(``scalar``), the delta-maintained ``incremental`` loop and the chunked
-``buffered`` gather with its compiled resolver (the default) — all
+(``scalar``), the delta-maintained ``incremental`` loop and the compiled
+``buffered`` loop (the default) — all
 bit-exact with each other, so the knob trades throughput only.
 """
 
@@ -28,7 +28,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.stream import vertex_stream
 from repro.parallel import note_fallback, resolve_jobs
 from repro.partition.kernels import get_kernel
-from repro.utils.validation import check_at_least
+from repro.utils.validation import check_at_least, check_positive
 
 __all__ = ["stream_partition", "default_alpha"]
 
@@ -96,6 +96,7 @@ def stream_partition(
         non-parallel kernel choice is respected and runs in-process.
         Assignments are bit-identical at every jobs value.
     """
+    check_positive("num_parts", num_parts)
     check_at_least("gamma", gamma, 1.0)
     n = graph.num_vertices
     k = int(num_parts)

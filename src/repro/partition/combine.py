@@ -30,6 +30,7 @@ from repro.errors import PartitionError
 from repro.graph.csr import CSRGraph
 from repro.graph.subgraph import extract_subgraph
 from repro.partition.metrics import bias
+from repro.utils.validation import check_positive
 
 __all__ = ["pair_by_vertex_count", "combine_assignment", "multi_layer_combine", "CombinePlan", "LayerTrace"]
 
@@ -128,6 +129,7 @@ def multi_layer_combine(
         Final assignment into ``num_parts`` parts and per-layer
         diagnostics.
     """
+    check_positive("num_parts", num_parts)
     n = graph.num_vertices
     if num_parts > n:
         raise PartitionError(f"cannot split {n} vertices into {num_parts} parts")
@@ -187,16 +189,6 @@ def multi_layer_combine(
             vertex_bias_after=bias(vcnt) if vcnt.size else 0.0,
             edge_bias_after=bias(ecnt) if ecnt.size else 0.0,
         )
-        if telemetry.enabled():
-            reg = telemetry.active()
-            reg.counter("partition.combine.layers").inc()
-            reg.counter("partition.combine.pieces").inc(pieces)
-            reg.gauge("partition.combine.vertex_bias", layer=layer).set(
-                trace.vertex_bias_after
-            )
-            reg.gauge("partition.combine.edge_bias", layer=layer).set(
-                trace.edge_bias_after
-            )
 
         eps = balance_threshold
         dev_v = np.abs(vcnt - v_target) / v_target
@@ -247,6 +239,17 @@ def multi_layer_combine(
                 trace.finalized.append(part_id)
                 if next_id < num_parts:
                     next_id += 1
+        if telemetry.enabled():
+            reg = telemetry.active()
+            reg.counter("partition.combine.layers").inc()
+            reg.counter("partition.combine.pieces").inc(pieces)
+            reg.gauge("partition.combine.vertex_bias", layer=layer).set(
+                trace.vertex_bias_after
+            )
+            reg.gauge("partition.combine.edge_bias", layer=layer).set(
+                trace.edge_bias_after
+            )
+            reg.gauge("partition.combine.finalized", layer=layer).set(len(trace.finalized))
         traces.append(trace)
         if trace.finalized:
             sub = None

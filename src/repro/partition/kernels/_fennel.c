@@ -1,7 +1,6 @@
-/* Eq. 2's sequential decision for one chunk of the buffered kernel's stream,
- * vertex by vertex as fennel_scalar (scalar.py) makes it: parts and loads are
- * read and written live, the first strict maximum wins (a NaN score at once,
- * as in np.argmax), and with every part at capacity the least loaded does. */
+/* Eq. 2's sequential decision over a stream, vertex by vertex as fennel_scalar (scalar.py)
+ * makes it: parts and loads are read and written live, the first strict maximum wins (a NaN
+ * score at once, as in np.argmax), and with every part at capacity the least loaded does. */
 #include <math.h>
 #include <stdint.h>
 
@@ -11,23 +10,30 @@ static double pw(double base, double e) {
     return pow(base, e);
 }
 
-/* Places chunk[0..b) (lists back to back in nbrs[0..z)); -1, else the first bad i (-2 - i: a part). */
-int64_t fennel_chunk(const int64_t *chunk, int64_t b, const int64_t *lens, const int64_t *nbrs,
-                     int64_t z, int32_t *parts, int64_t n, double *loads, int64_t k, const double *w,
-                     double ag, double gm1, double cap, double *pen, int64_t *cnt) {
+/* Places stream[0..b); the neighbours of stream[i] are ids[ptr[row] .. ptr[row + 1]) with row i
+ * (local) or stream[i] (a whole graph's CSR). -1, else the first bad i: i its ids, b + i its
+ * offsets, -2 - i a part id. */
+int64_t fennel_rows(const int64_t *stream, int64_t b, const int64_t *ptr, int64_t r,
+                    const void *ids, int64_t z, int64_t wide, int64_t local, int32_t *parts,
+                    int64_t n, double *loads, int64_t k, const double *w, double ag, double gm1,
+                    double cap, double *pen, int64_t *cnt) {
+    const int32_t *i4 = ids; const int64_t *i8 = ids;
     for (int64_t p = 0; p < k; p++) pen[p] = ag * pw(loads[p], gm1);
-    for (int64_t i = 0; i < b; z -= lens[i], nbrs += lens[i++]) {
-        int64_t v = chunk[i], d = lens[i], c = 0, open = 0, j, p;
-        if (v < 0 || v >= n || d < 0 || d > z) return i;
-        if (parts[v] >= k) return -2 - i;
+    for (int64_t i = 0; i < b; i++) {
+        int64_t v = stream[i], row = local ? i : v, c = 0, open = 0, j, u, p;
+        if (v < 0 || v >= n) return i;
+        if (row + 1 >= r || ptr[row] < 0 || ptr[row] > ptr[row + 1] || ptr[row + 1] > z)
+            return b + i;
+        if (k < 1 || parts[v] >= k) return -2 - i;
         if (parts[v] >= 0) {
             loads[parts[v]] -= w[v];
             pen[parts[v]] = ag * pw(loads[parts[v]], gm1);
         }
-        for (j = 0; j < d; j++) {  /* a refusal leaves the state partly written: the call raises */
-            if (nbrs[j] < 0 || nbrs[j] >= n) return i;
-            if (parts[nbrs[j]] >= k) return -2 - i;
-            if (parts[nbrs[j]] >= 0) cnt[parts[nbrs[j]]]++;
+        for (j = ptr[row]; j < ptr[row + 1]; j++) {  /* a refusal leaves the state partly written */
+            u = wide ? i8[j] : i4[j];
+            if (u < 0 || u >= n) return i;
+            if (parts[u] >= k) return -2 - i;
+            if (parts[u] >= 0) cnt[parts[u]]++;
         }
         double best = -INFINITY;
         for (p = 0; p < k; p++) {
@@ -40,8 +46,10 @@ int64_t fennel_chunk(const int64_t *chunk, int64_t b, const int64_t *lens, const
         if (!open)
             for (c = 0, p = 1; p < k; p++)
                 if (loads[p] < loads[c]) c = p;
-        for (j = 0; j < d; j++)
-            if (parts[nbrs[j]] >= 0) cnt[parts[nbrs[j]]] = 0;
+        for (j = ptr[row]; j < ptr[row + 1]; j++) {
+            u = wide ? i8[j] : i4[j];
+            if (parts[u] >= 0) cnt[parts[u]] = 0;
+        }
         parts[v] = (int32_t)c;
         loads[c] += w[v];
         pen[c] = ag * pw(loads[c], gm1);

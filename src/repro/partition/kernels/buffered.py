@@ -1,15 +1,15 @@
-"""Buffered streaming kernel: chunked adjacency gather, sequential resolve.
+"""Buffered streaming kernel: Eq. 2 in C, LDG over chunked gathers.
 
-The stream is processed in chunks of ``B`` vertices (Chhabra et al.'s
-buffered-streaming idea, 2024): one vectorised gather fetches the whole
-chunk's neighbour lists (``_dense_gather`` for in-RAM CSR,
-``ShardedCSRGraph.gather_block`` for shards). The decision stays
-sequential. For Eq. 2 it runs in C: ``_fennel.c`` resolves a chunk in
-one checked call (:func:`repro.utils.native.call`) with ``fennel_scalar``'s
-semantics, so assignments are bit-identical; with no working compiler the
-kernel raises ``ConfigurationError``.
+Eq. 2's sequential decision runs in C (``_fennel.c``'s ``fennel_rows``)
+with ``fennel_scalar``'s semantics, so assignments are bit-identical. On a
+dense graph it reads the graph's own ``indptr``/``indices``, one checked
+call (:func:`repro.utils.native.call`) a pass. Shards have no global
+``indices``: their stream goes in chunks of ``B`` vertices (Chhabra et
+al.'s buffered streaming, 2024), each gathered by ``gather_block`` and read
+as a local CSR. With no working compiler the kernel raises
+``ConfigurationError``.
 
-LDG's loop stays in Python over a ``bincount`` snapshot of the chunk's
+LDG's loop stays in Python over a ``bincount`` snapshot of each chunk's
 overlaps, patched with the current part of already-resolved chunk-mates.
 """
 
@@ -92,21 +92,23 @@ def fennel_buffered(
     gamma: float,
     capacity: float,
     passes: int,
-    chunk_size: int = DEFAULT_CHUNK,
     gather=None,
 ) -> None:
-    if gather is None:
-        gather = _dense_gather(indptr, indices)
     parts_c = np.ascontiguousarray(parts, dtype=np.int32)
     loads_c = np.ascontiguousarray(loads, dtype=np.float64)
-    w = np.ascontiguousarray(weights, dtype=np.float64)
-    scratch = (np.empty(loads_c.size), np.zeros(loads_c.size, dtype=np.int64))
+    state = (parts_c, loads_c, np.ascontiguousarray(weights, dtype=np.float64), alpha * gamma,
+             gamma - 1.0, capacity, np.empty(loads_c.size), np.zeros(loads_c.size, dtype=np.int64))
+    stream = np.ascontiguousarray(stream, dtype=np.int64)
     for _pass in range(passes):
-        for begin in range(0, parts.shape[0], chunk_size):
-            chunk = np.ascontiguousarray(stream[begin : begin + chunk_size], dtype=np.int64)
-            lens, nbrs = (np.ascontiguousarray(a, dtype=np.int64) for a in gather(chunk))
-            native.call("fennel_chunk", chunk, lens, nbrs, parts_c, loads_c, w, alpha * gamma,
-                        gamma - 1.0, capacity, *scratch)
+        if gather is None:  # the graph's own rows, one call a pass
+            native.call("fennel_rows", stream, indptr, indices, 0, *state)
+            continue
+        for begin in range(0, stream.size, DEFAULT_CHUNK):  # shards: a local CSR per chunk
+            chunk = stream[begin : begin + DEFAULT_CHUNK]
+            lens, nbrs = gather(chunk)
+            ptr = np.zeros(chunk.size + 1, dtype=np.int64)
+            np.cumsum(lens, out=ptr[1:])
+            native.call("fennel_rows", chunk, ptr, native.wide(nbrs), 1, *state)
     parts[:] = parts_c
     loads[:] = loads_c
 

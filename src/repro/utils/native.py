@@ -1,4 +1,4 @@
-"""The package's C boundary: four C files, ten functions, one checked call.
+"""The package's C boundary: four C files, eleven functions, one checked call.
 
 ``TABLE`` declares each function's library and C parameters; :func:`call` checks
 the arguments against it, then calls (grammar and contracts: DESIGN.md, "The C boundary").
@@ -39,11 +39,12 @@ LIBRARIES = {  # source (in the package), build span, the name a failed build gi
 }
 TABLE = {
     "sample_cdf": Entry("sample", "cdf:f8[n] n guide:i8[g] g u:f8[m] m out:i8[m]", ValueError),
-    "fennel_chunk": Entry(  # -2 - i: a part id not below k
-        "fennel", "chunk:i8[b] b lens:i8[b] nbrs:i8[z] z parts:i4[n] n loads:f8[k] k weight:f8[n]"
-        " ag:f8 gm1:f8 cap:f8 pen:f8[k] cnt:i8[k]", ValueError, lambda a, i: ValueError(
+    "fennel_rows": Entry(  # i: stream[i]'s ids; b + i: its offsets; -2 - i: a part id not below k
+        "fennel", "stream:i8[b] b ptr:i8[r] r ids:i4|i8[z] z wide local parts:i4[n] n loads:f8[k] k"
+        " weight:f8[n] ag:f8 gm1:f8 cap:f8 pen:f8[k] cnt:i8[k]", ValueError, lambda a, i: ValueError(
             f"need part ids below {a['k']}") if i < -1 else GraphFormatError(
-            f"row {a['chunk'][i]}: neighbour ids outside [0, {a['n']})")),
+            f"row {a['stream'][i % a['b']]}: " + (f"offsets outside [0, {a['z']}]" if i >= a['b']
+                                                 else f"neighbour ids outside [0, {a['n']})"))),
     "serve_reads": Entry(  # i: batch[i]; nq + i: pos[i]; nq + nw: m
         "serve", "ctx:serve m batch:i8[nq] nq pos:i8[nw]? home:i8[nw]? nw", ConfigurationError,
         lambda a, i: ConfigurationError(
@@ -68,6 +69,11 @@ TABLE = {
         "superstep", "start ptr:i8[r] r ids:i4|i8[z] z wide parts:i8[n] n at:i8[n] by_target:i8[c]?",
         GraphFormatError, lambda a, i: GraphFormatError(
             f"rows [{a['start']}, {a['start'] + a['r'] - 1}): offsets or ids outside [0, {a['n']})")),
+    "induce_rows": Entry(  # i: rows[i]'s ids; -2 - i: its offsets
+        "sample", "start ptr:i8[r] r ids:i4|i8[z] z rows:i8[c] c local_of:i8[n] n deg:i8[c]"
+        " out:i4|i8[o] o wide", GraphFormatError, lambda a, i: GraphFormatError(
+            f"row {a['rows'][-2 - i]}: offsets outside [0, {a['z']}]" if i < -1 else
+            f"row {a['rows'][i]}: neighbour ids outside [0, {a['n']})")),
     "census_group": Entry(
         "superstep", "parts:i8[n] n m end:i8[n] by_target:i8[c] c cut_src:i8[c] cut_pair:i8[c]"
         " starts:i8[c] group_pair:i8[c]", SimulationError, returns=True),
@@ -102,6 +108,10 @@ class Struct:
         self.fields.update(fields)
 
 
+def wide(ids: np.ndarray) -> np.ndarray:  # another integer width (a shard's) as int64, for i4|i8
+    return ids if ids.dtype in (np.int32, np.int64) or ids.dtype.kind not in "iu" else ids.astype("i8")
+
+
 def call(name: str, *args):
     """``TABLE[name]`` on the given parameters, after checking them."""
     return _checked(name)(*args)
@@ -124,7 +134,8 @@ def _checked(name: str):
             none = f"(None, None) if {p.name} is None else " * p.optional  # NULL
             fast = f"{p.name}.buffer_info() if type({p.name}) is array and {p.name}.typecode == 'q' else "
             code.append(f"{p.name}_, {p.name}_n = {none}{fast * (p.kind == 'i8')}_buffer({this})")
-            code += [f"wide = int({p.name}.itemsize == 8)"] * ("|" in p.kind)
+            bit = sum("|" in q.kind for q in params[:params.index(p)])  # wide: bit j, the j-th i4|i8
+            code += [f"wide {'|' * bool(bit)}= int({p.name}.itemsize == 8) << {bit}"] * ("|" in p.kind)
             first.setdefault(p.size, p.name if p.size.isidentifier() else None)
         else:
             first[p.name] = None

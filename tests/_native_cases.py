@@ -28,10 +28,13 @@ def _sample_cdf():
         np.empty(6, np.int64)
 
 
-def _fennel_chunk(k=2):
-    # rows 0..2 of a 6-vertex graph: 0 -> {1, 2}, 1 -> {0}, 2 -> {}
-    return (_i8(0, 1, 2), _i8(2, 1, 0), _i8(1, 2, 0), np.full(6, -1, np.int32), np.zeros(k),
-            np.ones(6), 0.5, 0.5, 10.0, np.empty(k), np.zeros(k, np.int64))
+def _fennel_rows(k=2, local=False):
+    # the stream 2, 0, 1 over a 3-vertex graph: 0 -> {1, 2}, 1 -> {0}, 2 -> {}; its rows are
+    # indexed by vertex id, or (local) by stream position with int64 ids, as a gathered chunk
+    rows = (_i8(0, 0, 2, 3), _i8(1, 2, 0), 1) if local else (
+        _i8(0, 2, 3, 3), np.array([1, 2, 0], np.int32), 0)
+    return (_i8(2, 0, 1), *rows, np.full(3, -1, np.int32), np.zeros(k), np.ones(3), 0.5, 0.5,
+            10.0, np.empty(k), np.zeros(k, np.int64))
 
 
 def serve_cache(machines=2, capacity=1):
@@ -81,6 +84,13 @@ def _census_scan():
     return 0, indptr, ids, _i8(0, 1, 0, 1), np.zeros(4, np.int64), np.zeros(4, np.int64)
 
 
+def _induce_rows():
+    # members 0, 1 and 3 of _csr(): 0 keeps {1}, 1 keeps {0}, 3 keeps {0, 1}
+    indptr, ids = _csr()
+    return 0, indptr, ids, _i8(0, 1, 3), _i8(0, 1, -1, 2), np.empty(3, np.int64), \
+        np.empty(6, np.int32)
+
+
 def _census_group():
     # the cut arcs 0->1, 1->0, 3->0, 3->2 of _csr() under parts (0, 1, 0, 1), by target
     return _i8(0, 1, 0, 1), 2, _i8(2, 3, 4, 4), _i8(1, 3, 0, 3), *(
@@ -94,13 +104,14 @@ def _census_push():
 
 CASES = {
     "sample_cdf": _sample_cdf,
-    "fennel_chunk": _fennel_chunk,
+    "fennel_rows": _fennel_rows,
     "serve_reads": _serve_reads,
     "walk_live": _walk_live,
     "walk_apply": _walk_apply,
     "uniform_slots": _uniform_slots,
     "arcs_sorted": _arcs_sorted,
     "census_scan": _census_scan,
+    "induce_rows": _induce_rows,
     "census_group": _census_group,
     "census_push": _census_push,
 }
@@ -108,14 +119,15 @@ CASES = {
 #: per entry, each argument (its index in CASES' tuple) whose ids the C loop checks,
 #: and the number of ids the valid case allows there
 OUTSIDE = {
-    "fennel_chunk": {2: 6},
+    "fennel_rows": {0: 3, 2: 3},
     "serve_reads": {2: 3, 3: 8},
     "walk_apply": {1: 4},
     "uniform_slots": {1: 4},
     "arcs_sorted": {3: 4},
     "census_scan": {2: 4},
+    "induce_rows": {2: 4},
 }
 
 #: per entry, the row offsets (argument index) that it reads as file contents:
 #: each must lie in [0, z] of the ids it indexes
-OFFSETS = {"arcs_sorted": 1, "census_scan": 1}
+OFFSETS = {"fennel_rows": 1, "arcs_sorted": 1, "census_scan": 1, "induce_rows": 1}

@@ -29,12 +29,12 @@ from repro.engines import superstep  # noqa: E402
 from repro.engines.gemini import GeminiEngine, PageRank  # noqa: E402
 from repro.engines.knightking import DeepWalk, Node2Vec, WalkEngine  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
-from repro.graph import chung_lu, from_edges, ring_graph, spill_csr  # noqa: E402
+from repro.graph import chung_lu, extract_subgraph, from_edges, ring_graph, spill_csr  # noqa: E402
 from repro.partition import PartitionAssignment, get_partitioner  # noqa: E402
 from repro.serving import PartitionAwareCache  # noqa: E402
 from repro.engines.knightking import arcs_exist  # noqa: E402
 from tests._native_cases import (  # noqa: E402
-    CASES, OFFSETS, OUTSIDE, _fennel_chunk, _serve_reads, _walk_apply)
+    CASES, OFFSETS, OUTSIDE, _fennel_rows, _induce_rows, _serve_reads, _walk_apply)
 
 CELLS = 0
 
@@ -68,14 +68,16 @@ def empty(dtype, n=0):
 i8, f8, b1 = np.int64, np.float64, bool
 EMPTY = {  # every entry with no work to do
     "sample_cdf": (np.ones(1), empty(i8, 3), empty(f8), empty(i8)),
-    "fennel_chunk": (empty(i8), empty(i8), empty(i8), np.full(2, -1, np.int32), np.zeros(1),
-                     np.ones(2), 0.5, 0.5, 1.0, empty(f8, 1), empty(i8, 1)),
+    "fennel_rows": (empty(i8), np.zeros(1, i8), empty(np.int32), 0, np.full(2, -1, np.int32),
+                    np.zeros(1), np.ones(2), 0.5, 0.5, 1.0, empty(f8, 1), empty(i8, 1)),
     "walk_live": (empty(b1), empty(i8), empty(i8), empty(i8), empty(i8), empty(i8)),
     "walk_apply": (empty(i8), empty(i8), empty(b1), empty(i8, 1), empty(f8, 1), 1, empty(i8),
                    empty(i8), empty(i8), empty(b1), empty(i8, 1), None, None, None),
     "uniform_slots": (np.zeros(1, i8), empty(i8), empty(f8), empty(i8), empty(b1)),
     "arcs_sorted": (0, np.zeros(1, i8), empty(np.int32), empty(i8), empty(i8), empty(b1)),
     "census_scan": (0, np.zeros(1, i8), empty(np.int32), empty(i8), empty(i8), None),
+    "induce_rows": (0, np.zeros(1, i8), empty(np.int32), empty(i8), empty(i8), empty(i8),
+                    empty(np.int32)),
     "census_group": (empty(i8), 1, empty(i8), empty(i8), empty(i8), empty(i8), empty(i8),
                      empty(i8)),
     "census_push": (0, empty(b1), empty(i8), empty(i8), empty(i8), empty(i8), 1, empty(i8, 1)),
@@ -101,7 +103,15 @@ def main() -> None:
             args[i] = args[i].copy()
             args[i][at] = args[i + 1].size + 1 if value is None else value
             cell(name, *args, refused=True)
-    cell("fennel_chunk", *_fennel_chunk(k=1))  # one part
+    cell("fennel_rows", *_fennel_rows(k=1))  # one part
+    cell("fennel_rows", *_fennel_rows(k=0), refused=True)  # no part to place a vertex in
+    cell("fennel_rows", *_fennel_rows(local=True))  # a gathered chunk's rows
+    args = list(_fennel_rows())
+    args[1] = args[1][:-1].copy()
+    cell("fennel_rows", *args, refused=True)  # a vertex with no row
+    induce = _induce_rows()
+    cell("induce_rows", *induce[:-1], np.empty(6, i8))  # int64 local ids
+    cell("induce_rows", *induce[:-1], np.empty(3, np.int32), refused=True)  # no room for 4 arcs
     cell("walk_apply", *_walk_apply(m=1))
     args = _serve_reads(machines=1)
     cell("serve_reads", *args[:1], 1, *args[2:], refused=True)  # a machine past the last
@@ -126,6 +136,8 @@ def main() -> None:
                 WalkEngine(BSPCluster(k), mode=mode).run(g, assignment, app, max_steps=3)
         GeminiEngine(BSPCluster(k)).run(g, assignment, PageRank(3))
         get_partitioner("bpart").partition(g, k)
+    with tempfile.TemporaryDirectory() as spill:  # gathered chunks, extraction over shards
+        get_partitioner("bpart").partition(spill_csr(g, spill, shard_size=64), 3)
     # walkers start past the other assignment's 32 vertices, stepping to ids below 32
     down = from_edges(np.arange(32, 64), np.arange(32), num_vertices=64, directed=True)
     other = PartitionAssignment(ring_graph(32), np.arange(32) % 2, 2)
@@ -140,14 +152,16 @@ def main() -> None:
             parts = np.arange(g.num_vertices) % 2
             refused(lambda: superstep.census_build(sharded, parts, 2))
             refused(lambda: get_partitioner("fennel").partition(sharded, 2))
+            refused(lambda: extract_subgraph(sharded, np.arange(g.num_vertices) > 0))
         del ids
-        # a shard whose row offsets run past its ids: the arc test and a node2vec walk
+        # a shard whose row offsets run past its ids: the arc test, extraction, a node2vec walk
         sharded = spill_csr(g, f"{spill}/offsets", shard_size=64)
         offsets = np.load(f"{spill}/offsets/shard-00001.indptr.npy", mmap_mode="r+")
         offsets[5] = offsets[-1] + 1
         offsets.flush()
         every = np.arange(g.num_vertices)
         refused(lambda: arcs_exist(sharded, every, every))
+        refused(lambda: extract_subgraph(sharded, every > 0))
         assignment = PartitionAssignment(sharded, every % 2, 2)
         refused(lambda: WalkEngine(BSPCluster(2)).run(sharded, assignment, Node2Vec(),
                                                       max_steps=3))

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import json
+import tempfile
 
 import numpy as np
 import pytest
@@ -12,11 +14,15 @@ from hypothesis import strategies as st
 from repro.errors import PartitionError
 from repro.graph import (
     CSRGraph,
+    chung_lu,
     extract_subgraph,
     from_edges,
+    open_sharded,
     social_graph,
     spill_csr,
 )
+from repro.partition import get_partitioner
+from tests.graph._subgraph_model import induced
 
 
 class TestExtract:
@@ -204,3 +210,64 @@ class TestLexsortParity:
         g = _parity_graph(kind)
         mask = np.random.default_rng(seed).random(g.num_vertices) < density
         assert_matches_oracle(extract_subgraph(g, mask), g, mask)
+
+
+class TestCompiledRowsMatchTheModel:
+    """``induce_rows`` (``graph/_sample.c``) against the NumPy block loop it
+    replaced (``tests/graph/_subgraph_model.py``), over random graphs, masks,
+    index widths, row orders and shard sizes."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 120),
+        arcs=st.integers(0, 600),
+        directed=st.booleans(),
+        wide=st.booleans(),
+        unsorted=st.booleans(),
+        shard_size=st.none() | st.integers(1, 130),
+        seed=st.integers(0, 2**32 - 1),
+        density=st.floats(0.0, 1.0),
+    )
+    def test_compiled_rows_match_the_model(self, n, arcs, directed, wide, unsorted, shard_size,
+                                           seed, density):
+        rng = np.random.default_rng(seed)
+        g = from_edges(rng.integers(0, n, arcs), rng.integers(0, n, arcs), num_vertices=n,
+                       directed=directed)
+        rows = [g.neighbors(v)[::-1] if unsorted else g.neighbors(v) for v in range(n)]
+        indices = np.concatenate(rows) if arcs else g.indices
+        g = CSRGraph(g.indptr, indices.astype(np.int64 if wide else np.int32), directed=directed)
+        mask = rng.random(n) < density
+        mask[rng.integers(0, n)] = False  # the identity shortcut is not the loop under test
+        want = induced(g, mask)
+        with tempfile.TemporaryDirectory() as spill:
+            graph = g if shard_size is None else spill_csr(g, spill, shard_size=shard_size)
+            sub = extract_subgraph(graph, mask)
+            if shard_size is not None:
+                graph.close()
+        assert np.array_equal(sub.graph.indptr, want["indptr"])
+        assert sub.graph.indices.dtype == want["indices"].dtype
+        assert np.array_equal(sub.graph.indices, want["indices"])
+        for key in ("global_ids", "local_of", "num_cut_arcs", "num_total_arcs"):
+            assert np.array_equal(getattr(sub, key), want[key]), key
+
+
+@pytest.mark.parametrize("dtype", ["int16", "uint32"])
+def test_shards_of_any_integer_width(tmp_path, dtype):
+    # shard ids of another width reach the C loops as int64: extraction and
+    # the streaming kernel (Fennel, and BPart's later layers) read them as the
+    # dense twin's
+    dense = chung_lu(3000, 8.0, rng=2)
+    spill_csr(dense, tmp_path, shard_size=700).close()
+    for path in tmp_path.glob("*.indices.npy"):
+        np.save(path, np.load(path).astype(dtype))
+    meta = json.loads((tmp_path / "meta.json").read_text())
+    (tmp_path / "meta.json").write_text(json.dumps({**meta, "index_dtype": dtype}))
+    sharded = open_sharded(tmp_path)
+    try:
+        mask = np.arange(3000) % 3 > 0
+        assert_matches_oracle(extract_subgraph(sharded, mask), dense, mask)
+        for algo in ("fennel", "bpart"):
+            got = get_partitioner(algo).partition(sharded, 4).assignment.parts
+            assert np.array_equal(got, get_partitioner(algo).partition(dense, 4).assignment.parts)
+    finally:
+        sharded.close()

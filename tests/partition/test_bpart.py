@@ -167,7 +167,8 @@ class TestBytesDidNotMove:
 
 class TestLayerThatFinalisesNothing:
     """twitter 0.1 / seed 3 / k=4 runs the schedule (16, 2) (16, 0) (32, 2):
-    layer 2 finalises no part, so layer 3 streams layer 2's subgraph again."""
+    layer 2 finalises no part, so layer 3 streams layer 2's subgraph again, and
+    the ``partition.combine.finalized{layer}`` gauge reads 0 for it."""
 
     DIGEST = "6d67b28d16c29d4d4170e2adde43746636cbffdf64a973c90698e4d2586061cc"
 
@@ -190,6 +191,19 @@ class TestLayerThatFinalisesNothing:
             ("partition.combine.stream", 2),
             ("partition.combine.stream", 3),
         ]
+
+    def test_finalized_gauge_shows_the_empty_layer(self):
+        g = load_dataset("twitter", 0.1, 3)
+        telemetry.set_enabled(True)
+        BPartPartitioner().partition(g, 4)
+        gauges = telemetry.registry().snapshot()["gauges"]
+        finalized = {k: v for k, v in gauges.items() if k.startswith("partition.combine.finalized")}
+        assert finalized == {f'partition.combine.finalized{{layer="{layer}"}}': count
+                             for layer, count in ((1, 2), (2, 0), (3, 2))}
+
+    def test_finalized_gauge_is_free_when_telemetry_is_off(self):
+        BPartPartitioner().partition(load_dataset("twitter", 0.1, 3), 4)
+        assert telemetry.registry().snapshot()["gauges"] == {}
 
     def test_stream_spans_carry_the_schedule(self):
         # pieces and vertices streamed per layer: the zero-yield middle layer

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro.errors import PartitionError
+from repro.errors import ConfigurationError, PartitionError
 from repro.graph import social_graph
 from repro.partition.bpart import weighted_stream_partition
 from repro.partition.combine import (
@@ -120,3 +122,22 @@ class TestMultiLayer:
             ec = np.bincount(parts, weights=g.degrees, minlength=8)
             biases.append(bias(ec))
         assert biases[1] <= biases[0]
+
+
+class TestNonPositivePartCounts:
+    """A part count below 1 is a ConfigurationError at entry, as
+    ``Partitioner.partition`` makes it: before, -3 put every vertex in part
+    -4, 0 divided by zero, and the streaming pass warned and then failed in C."""
+
+    @pytest.mark.parametrize("k", [-3, 0])
+    def test_multi_layer_combine(self, k):
+        g = social_graph(200, 6.0, 2.3, rng=1)
+        with pytest.raises(ConfigurationError, match=f"num_parts must be positive, got {k}"):
+            multi_layer_combine(g, lambda sub, pieces: weighted_stream_partition(sub, pieces), k)
+
+    def test_weighted_stream_partition(self):
+        g = social_graph(200, 6.0, 2.3, rng=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no divide-by-zero warning on the way
+            with pytest.raises(ConfigurationError, match="num_parts must be positive, got 0"):
+                weighted_stream_partition(g, 0)

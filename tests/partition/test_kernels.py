@@ -277,13 +277,18 @@ class TestBufferedContract:
         cut_buf = edge_cut_ratio(g, buf)
         assert abs(cut_buf - cut_ref) <= 0.1 * cut_ref
 
-    def test_chunk_boundary_sizes(self):
-        # n not divisible by the chunk size, n smaller than one chunk.
-        for n in (40, 257, 512):
+    def test_chunk_boundary_sizes(self, tmp_path):
+        # n not divisible by the chunk size, n smaller than one chunk: only
+        # shards still stream in chunks, so each graph runs dense and spilled.
+        for n in (40, 255, 256, 257, 512):
             g = chung_lu(n, 6.0, rng=n)
             ref = _fennel_parts(g, 4, kernel="scalar")
-            buf = _fennel_parts(g, 4, kernel="buffered")
-            assert np.array_equal(ref, buf)
+            assert np.array_equal(ref, _fennel_parts(g, 4, kernel="buffered"))
+            sharded = spill_csr(g, tmp_path / str(n), shard_size=100)
+            try:
+                assert np.array_equal(ref, _fennel_parts(sharded, 4, kernel="buffered"))
+            finally:
+                sharded.close()
 
 
 class TestPartitionerKnob:

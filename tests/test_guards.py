@@ -33,7 +33,7 @@ HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 
 #: ``find src -name '*.py' -o -name '*.c' | xargs cat | wc -l`` may not exceed this.
-SRC_LINE_CEILING = 20351
+SRC_LINE_CEILING = 20374
 
 SHA256_HOMES = {
     f"src/repro/{name}.py"
@@ -186,15 +186,31 @@ def test_src_does_not_grow_back():
 
 
 def test_fennel_decision_is_compiled():
-    # fennel_buffered gathers and calls the C resolver once per chunk; no Python
-    # loop over the parts (or over a chunk's vertices) is left in it.
+    # fennel_buffered calls the C loop once per pass on a dense graph's own rows and
+    # once per gathered chunk on shards; no Python loop over the parts (or over a
+    # chunk's vertices) is left in it.
     path = ROOT / "src/repro/partition/kernels/buffered.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "fennel_buffered")
-    loops = [ast.unparse(n.iter) for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
-    assert sorted(loops) == ["gather(chunk)", "range(0, parts.shape[0], chunk_size)",
-                             "range(passes)"], loops
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
+    assert [ast.unparse(n.iter) for n in loops] == ["range(passes)",
+                                                    "range(0, stream.size, DEFAULT_CHUNK)"]
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and ast.unparse(n.func) == "native.call"]
+    assert [ast.unparse(c.args[3]) for c in calls] == ["indices", "native.wide(nbrs)"]
+    assert calls[0] not in ast.walk(loops[1]) and calls[1] in ast.walk(loops[1])
+    assert "gather(chunk)" in ast.unparse(loops[1])
     assert (path.parent / "_fennel.c").is_file()
+
+
+def test_extraction_is_compiled():
+    # extract_subgraph makes one induce_rows call per block: its only loop is over
+    # iter_blocks, none over member rows or arcs
+    tree = ast.parse((ROOT / "src/repro/graph/subgraph.py").read_text(encoding="utf-8"))
+    fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "extract_subgraph")
+    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert [ast.unparse(n.iter) for n in loops] == ["graph.iter_blocks()"]
+    assert "native.call('induce_rows'" in ast.unparse(loops[0])
 
 
 def test_serving_reads_are_one_compiled_call():

@@ -20,7 +20,7 @@ import pytest
 
 from repro.errors import GraphFormatError, ReproError
 from repro.utils import native
-from tests._native_cases import CASES, OFFSETS, OUTSIDE, serve_cache
+from tests._native_cases import CASES, OFFSETS, OUTSIDE, _fennel_rows, _induce_rows, serve_cache
 
 
 def _given(spec: str) -> list:
@@ -115,6 +115,31 @@ def test_row_offsets_outside_the_ids_are_a_graph_format_error(name, at, value):
     args[i] = offsets
     with pytest.raises(GraphFormatError, match=r"^rows? \[?\d+.*offsets"):
         native.call(name, *args)
+
+
+def test_fennel_rows_reads_a_graph_or_a_gathered_chunk():
+    # the same stream over the graph's rows (int32 ids) and over its chunk's local rows (int64)
+    dense, local = _fennel_rows(), _fennel_rows(local=True)
+    native.call("fennel_rows", *dense)
+    native.call("fennel_rows", *local)
+    assert dense[4].tolist() == local[4].tolist() and dense[5].tolist() == local[5].tolist()
+    assert dense[4].tolist() == [0, 0, 0] and dense[5].sum() == 3.0
+
+
+def test_no_part_to_place_a_vertex_in_is_refused():
+    with pytest.raises(ValueError, match="need part ids below 0"):
+        native.call("fennel_rows", *_fennel_rows(k=0))
+
+
+@pytest.mark.parametrize("wide", range(4))
+def test_induce_rows_reads_and_writes_both_index_widths(wide):
+    start, ptr, ids, rows, local_of, deg, _ = _induce_rows()
+    ids = ids.astype(np.int64 if wide & 1 else np.int32)
+    out = np.full(6, -9, np.int64 if wide & 2 else np.int32)
+    native.call("induce_rows", start, ptr, ids, rows, local_of, deg, out)
+    assert deg.tolist() == [1, 1, 2] and out.tolist() == [1, 0, 0, 1, -9, -9]
+    with pytest.raises(GraphFormatError, match=r"^row 3: offsets outside \[0, 6\]$"):
+        native.call("induce_rows", start, ptr, ids, rows, local_of, deg, out[:3])  # no room
 
 
 def test_a_struct_argument_must_be_its_struct(no_c_call):

@@ -4,9 +4,11 @@ A child process preloads gcc's ``libasan.so`` and ``libubsan.so``, builds
 the four C files with ``-fsanitize=address,undefined`` into its own cache
 and runs ``tests/_sanitizer_child.py``: every TABLE entry of
 ``utils/native.py`` on valid inputs, empty inputs, one part or machine, a
-capacity-1 cache, ids at ``n``, -1 and 2**31 - 1 and row offsets outside
-their ids, then the engines end to end and corrupted shards. It must exit cleanly with no sanitizer report within 60 s. The
-test skips only when gcc reports no ``libasan.so``.
+capacity-1 cache, no part at all, ids at ``n``, -1 and 2**31 - 1, row offsets
+outside their ids and an output with no room, then the engines and BPart on
+shards end to end, and corrupted shards (streaming, extraction, the arc
+test). It must exit cleanly with no sanitizer report within 60 s. The test
+skips only when gcc reports no ``libasan.so``.
 """
 
 from __future__ import annotations

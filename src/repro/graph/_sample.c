@@ -43,3 +43,37 @@ int64_t induce_rows(int64_t start, const int64_t *ptr, int64_t r, const void *id
     }
     return -1;
 }
+
+/* add_edges: a stable counting sort of arcs src[i] -> dst[i] by bucket src[i] / size into pairs
+ * (source, target interleaved), bucket j < g - 2 at [at[j], at[j + 1]); deg[src[i]] += 1. -1, else
+ * the first i whose source lies outside [0, n) or past bucket g - 3 (nothing written then). */
+int64_t bucket_arcs(const int64_t *src, const int64_t *dst, int64_t m, int64_t size, int64_t *at,
+                    int64_t g, int64_t *pairs, int64_t *deg, int64_t n) {
+    for (int64_t j = 0; j < g; j++) at[j] = 0;
+    for (int64_t i = 0; i < m; i++) {  /* bucket j counted at j + 2, its cursor ends at j + 1 */
+        if (size < 1 || src[i] < 0 || src[i] >= n || src[i] / size + 3 > g) return i;
+        at[src[i] / size + 2]++;
+    }
+    for (int64_t j = 2; j < g; j++) at[j] += at[j - 1];
+    for (int64_t i = 0; i < m; i++) {
+        int64_t j = at[src[i] / size + 1]++;
+        pairs[2 * j] = src[i], pairs[2 * j + 1] = dst[i];
+        deg[src[i]]++;
+    }
+    return -1;
+}
+
+/* _write_shard: arc i of pairs (source, target interleaved) of rows [lo, lo + r) goes to
+ * out[cur[s]++] (int32, or int64 with wide 1), s = source - lo, below end[s] <= z. -1, else the
+ * first i with a source outside the rows, a target outside [0, n) or a full row. */
+int64_t scatter_rows(const int64_t *pairs, int64_t m, int64_t lo, int64_t *cur, const int64_t *end,
+                     int64_t r, int64_t n, void *out, int64_t z, int64_t wide) {
+    int32_t *o4 = out; int64_t *o8 = out;
+    for (int64_t i = 0; i < m; i++) {
+        int64_t s = pairs[2 * i] - lo, u = pairs[2 * i + 1];
+        if (s < 0 || s >= r || u < 0 || u >= n || cur[s] < 0 || cur[s] >= end[s] || end[s] > z)
+            return i;
+        if (wide) o8[cur[s]++] = u; else o4[cur[s]++] = (int32_t)u;
+    }
+    return -1;
+}

@@ -24,9 +24,9 @@ iteration) plus the blockwise API the kernels and engines consume:
 - :meth:`~ShardedCSRGraph.iter_blocks` — shard-aligned
   ``(start, stop, local_indptr, indices_view)`` blocks, zero-copy views
   of the mapped arrays whenever a block covers a whole shard;
-- :meth:`~ShardedCSRGraph.gather_block` — the buffered kernel's chunked
-  adjacency gather, grouped by shard so each shard is touched once per
-  chunk;
+- :meth:`~ShardedCSRGraph.gather_block` — the chunked adjacency gather of
+  streams that jump between shards, grouped by shard so each shard is
+  touched once per chunk;
 - :meth:`~ShardedCSRGraph.take_arcs` — flat arc-slot gather for the
   walker engines.
 
@@ -38,12 +38,12 @@ would silently materialise the full edge array fails loudly instead.
 
 :class:`ShardedCSRBuilder` constructs shards from an edge stream in
 bounded memory: arcs are bucketed to per-shard temp files as they
-arrive, then each bucket is counted, scattered and deduplicated in
-bounded blocks at finalise time — through the intake and the rows
-routine of :mod:`repro.graph.builder` that
-:func:`~repro.graph.builder.from_edges` runs too, so a spilled build of
-the same edge stream is content- and fingerprint-identical to the dense
-build.
+arrive, each source's arcs counted on the way, then each bucket is
+scattered into those counts and deduplicated in bounded blocks at
+finalise time — through the intake and the rows routine of
+:mod:`repro.graph.builder` that :func:`~repro.graph.builder.from_edges`
+runs too, so a spilled build of the same edge stream is content- and
+fingerprint-identical to the dense build.
 
 Telemetry (off by default, aggregate-only): ``graph.sharded.block_reads``
 (blocks/shard-groups served), ``graph.sharded.bytes_mapped`` (bytes of
@@ -67,6 +67,7 @@ from repro import telemetry
 from repro.errors import GraphFormatError
 from repro.graph.builder import intake_edges, rows_from_keys
 from repro.graph.csr import CSRGraph, _index_dtype, fingerprint_stream
+from repro.utils import native
 
 __all__ = [
     "DEFAULT_SHARD_SIZE",
@@ -443,8 +444,8 @@ class ShardedCSRGraph:
         """Adjacency gather for one chunk of (arbitrary) vertices.
 
         Returns ``(lens, nbrs)``: ``lens[i]`` is ``deg(vertices[i])`` and
-        ``nbrs`` concatenates the neighbour lists in chunk order —
-        exactly the shape the buffered kernel's resolver consumes. The
+        ``nbrs`` concatenates the neighbour lists in chunk order — the
+        local CSR a stream that jumps between shards streams. The
         chunk is grouped by shard so each shard is mapped and touched
         once, whatever order the stream visits vertices in.
         """
@@ -465,12 +466,9 @@ class ShardedCSRGraph:
                 continue
             local, indices = self._shard(int(shard))
             starts = local[chunk[sel] - int(shard) * self._shard_size]
-            # Sub-slice the group on an arc budget: the slot arithmetic
-            # below builds three int64 arrays of the slice's arc count,
-            # and a hub-heavy chunk (power-law head) can hold a double-
-            # digit share of *all* arcs — unbounded, that transient
-            # dwarfs the output and busts address-space budgets the
-            # output itself fits in. Values written are identical.
+            # Sub-slice the group on an arc budget: the slot arithmetic builds three
+            # int64 arrays of the slice's arcs, and a hub-heavy chunk can hold a
+            # double-digit share of all arcs. Values written are identical.
             bounds = np.searchsorted(
                 np.cumsum(g_lens),
                 np.arange(_GATHER_CHUNK_ARCS, g_total, _GATHER_CHUNK_ARCS),
@@ -496,13 +494,14 @@ class ShardedCSRGraph:
 
     def take_arcs(self, slots: np.ndarray) -> np.ndarray:
         """Neighbour ids at global arc slots (``indices[slots]`` of the
-        dense representation), grouped by shard."""
+        dense representation), grouped by shard; a slot outside ``[0, m)``
+        is an ``IndexError``."""
         flat = np.asarray(slots, dtype=np.int64).ravel()
         out = np.empty(flat.size, dtype=self._index_dtype)
-        if flat.size == 0:
-            return out
+        if flat.size and (flat.min() < 0 or flat.max() >= self._m):
+            bad = flat[(flat < 0) | (flat >= self._m)][0]
+            raise IndexError(f"arc slot {bad} outside [0, {self._m})")
         shard_of = np.searchsorted(self._edge_offsets, flat, side="right") - 1
-        np.clip(shard_of, 0, max(self._num_shards - 1, 0), out=shard_of)
         for shard in np.unique(shard_of):
             sel = shard_of == shard
             _, indices = self._shard(int(shard))
@@ -547,99 +546,74 @@ def open_sharded(
 _BUCKET_CHUNK_ARCS = 1 << 19
 
 
-def _bucket_chunks(path: Path) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``(src, dst)`` views of a bucket file, ``_BUCKET_CHUNK_ARCS`` at a time."""
+def _bucket_chunks(path: Path) -> Iterator[np.ndarray]:
+    """A bucket file's (source, target) pairs, ``_BUCKET_CHUNK_ARCS`` at a time."""
     with open(path, "rb") as fh:
-        while True:
-            chunk = np.fromfile(fh, dtype=np.int64, count=2 * _BUCKET_CHUNK_ARCS)
-            if not chunk.size:
-                return
-            yield chunk[0::2], chunk[1::2]
+        while (chunk := np.fromfile(fh, dtype=np.int64, count=2 * _BUCKET_CHUNK_ARCS)).size:
+            yield chunk
 
 
 def _write_shard(
-    directory: Path, shard: int, lo: int, hi: int, n: int, index_dtype: np.dtype
+    directory: Path, shard: int, lo: int, hi: int, n: int, index_dtype: np.dtype,
+    counts: np.ndarray,
 ) -> int:
-    """Sort/dedup one bucket file into its shard ``.npy`` pair.
+    """Sort/dedup one bucket file into its shard ``.npy`` pair; returns its arc count.
 
-    The unit of work of :meth:`ShardedCSRBuilder.finalize` — a pure
-    function of the bucket file's bytes. Returns the shard's arc count;
-    the bucket file is left in place (the caller unlinks it only once
-    the shard files are written, so a crashed finalize is retryable —
-    ``np.save`` overwrites are idempotent).
+    A pure function of the bucket's bytes and ``counts`` (the arcs
+    ``add_edges`` bucketed per source of ``[lo, hi)``), in two bounded
+    passes, none of them per vertex in Python:
 
-    Three bounded passes, none of them per vertex:
+    1. **scatter** — ``scatter_rows`` (``_sample.c``) places each chunk's
+       targets, narrowed to ``index_dtype``, behind their source's cursor
+       in the segments ``counts`` lays out. Counts that do not sum to the
+       bucket's arcs, or an arc outside the shard's sources, outside
+       ``[0, n)`` or past its source's count, is a :class:`GraphFormatError`
+       naming the bucket (so every cursor ends at its segment's end).
+    2. **dedup** — runs of whole sources whose segments fit
+       ``_BUCKET_CHUNK_ARCS`` become rows through
+       :func:`~repro.graph.builder.rows_from_keys` (a source over the
+       budget is its own run), compacted leftwards in place.
 
-    1. **count** — ``bincount`` the sources of each chunk; the running
-       sum gives every source's segment ``starts`` (duplicates included).
-    2. **scatter** — per chunk, sort the composite key
-       ``(src - lo)·n + dst`` in place and place the chunk's sorted
-       destinations (narrowed to ``index_dtype``) behind each source's
-       cursor.
-    3. **dedup** — walk runs of whole sources whose segments fit
-       ``_BUCKET_CHUNK_ARCS``: rebuild the keys of one run, turn them
-       into rows (:func:`~repro.graph.builder.rows_from_keys`) and
-       compact the survivors leftwards over the same array.
-
-    Peak memory is one ``index_dtype`` arc array plus int64 transients
-    of O(``_BUCKET_CHUNK_ARCS``) — not 3–4 int64 copies of the bucket —
-    which is what lets finalize run under an address-space budget that
-    the bucket itself exceeds. (A single source that alone exceeds the
-    budget is its own run and is sorted in ``index_dtype``.) The result
-    is byte-identical to a global stable ``(src, dst)`` sort with
-    adjacent dedup: both reduce to "sorted unique destinations per
-    source", which has one encoding.
+    Peak memory is one ``index_dtype`` arc array plus O(``_BUCKET_CHUNK_ARCS``)
+    transients, so finalize fits an address-space budget the bucket
+    itself exceeds. The bytes equal a global ``(src, dst)`` sort with
+    adjacent dedup: "sorted unique destinations per source" has one
+    encoding.
     """
     bucket_path = directory / f"bucket-{shard:07d}.tmp"
     width = hi - lo
     starts = np.zeros(width + 1, dtype=np.int64)
-    total = 0
-    if bucket_path.exists():
-        nbytes = bucket_path.stat().st_size
-        if nbytes % 16:
-            raise GraphFormatError(
-                f"{bucket_path}: torn bucket file (odd element count)"
-            )
-        total = nbytes // 16
-    indices = np.empty(total, dtype=index_dtype)
+    np.cumsum(counts, out=starts[1:])
+    nbytes = bucket_path.stat().st_size if bucket_path.exists() else 0
+    if nbytes % 16:
+        raise GraphFormatError(f"{bucket_path}: torn bucket file (odd element count)")
+    if nbytes // 16 != starts[-1]:
+        raise GraphFormatError(f"{bucket_path}: {nbytes // 16} arcs, add_edges counted {starts[-1]}")
+    indices = np.empty(starts[-1], dtype=index_dtype)
+    cursor = starts[:-1].copy()
+    try:
+        for chunk in _bucket_chunks(bucket_path) if nbytes else ():
+            native.call("scatter_rows", chunk, chunk.size // 2, lo, cursor, starts[1:], n, indices)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{bucket_path}: {exc}") from None
+    # the first key of every local source
+    row_keys = np.arange(width + 1, dtype=np.int64) * n
     degrees = np.zeros(width, dtype=np.int64)
-    write = 0
-    if total:
-        counts = np.zeros(width, dtype=np.int64)
-        for src, _ in _bucket_chunks(bucket_path):
-            counts += np.bincount(src - lo, minlength=width)
-        np.cumsum(counts, out=starts[1:])
-        # First key of every local source; searching them in a sorted
-        # key array splits it by source without dividing.
-        row_keys = np.arange(width + 1, dtype=np.int64) * n
-        cursor = starts[:-1].copy()
-        for src, dst in _bucket_chunks(bucket_path):
-            key = src - lo
-            key *= n
-            key += dst
-            key.sort()
-            bounds = np.searchsorted(key, row_keys)
-            ccounts = np.diff(bounds)
-            slot = np.arange(key.size, dtype=np.int64)
-            slot += np.repeat(cursor - bounds[:-1], ccounts)
-            key -= np.repeat(row_keys[:-1], ccounts)
-            indices[slot] = key
-            cursor += ccounts
-        a = 0
-        while a < width:
-            limit = starts[a] + _BUCKET_CHUNK_ARCS
-            b = max(a + 1, int(np.searchsorted(starts, limit, side="right")) - 1)
-            segment = indices[starts[a] : starts[b]]
-            if b - a == 1:
-                kept = np.unique(segment)
-                degrees[a] = kept.size
-            else:
-                key = np.repeat(row_keys[: b - a], counts[a:b])
-                key += segment
-                degrees[a:b], kept = rows_from_keys(key, row_keys[: b - a + 1])
-            indices[write : write + kept.size] = kept
-            write += kept.size
-            a = b
+    a = write = 0
+    while a < width:
+        limit = starts[a] + _BUCKET_CHUNK_ARCS
+        b = max(a + 1, int(np.searchsorted(starts, limit, side="right")) - 1)
+        segment = indices[starts[a] : starts[b]]
+        if b - a == 1:
+            kept = np.unique(segment)
+            degrees[a] = kept.size
+        else:
+            key = np.repeat(row_keys[: b - a], counts[a:b])
+            key += segment
+            degrees[a:b], kept = rows_from_keys(key, row_keys[: b - a + 1])
+        indices[write : write + kept.size] = kept
+        write += kept.size
+        a = b
     local = np.zeros(width + 1, dtype=np.int64)
     np.cumsum(degrees, out=local[1:])
     indptr_path, indices_path = _shard_paths(directory, shard)
@@ -677,12 +651,13 @@ class ShardedCSRBuilder:
 
     Arcs are appended to per-shard bucket files as raw int64 pairs while
     edges stream in (self-loops dropped and undirected input symmetrised
-    by :func:`~repro.graph.builder.intake_edges`); at
-    :meth:`finalize` each bucket — O(m / num_shards) arcs — is counted,
+    by :func:`~repro.graph.builder.intake_edges`) and counted per source;
+    at :meth:`finalize` each bucket — O(m / num_shards) arcs — is
     scattered into per-source segments and deduplicated block by block
     (:func:`_write_shard`), then written out as the shard's ``.npy``
-    pair. Peak memory is one bucket's ``index_dtype`` arc array plus
-    O(``_BUCKET_CHUNK_ARCS``) transients, never the graph.
+    pair. Peak memory is 8 bytes a vertex of counts, one bucket's
+    ``index_dtype`` arc array and O(``_BUCKET_CHUNK_ARCS``) transients,
+    never the graph.
 
     Constructing a builder **claims the directory**: a ``meta.json`` and
     any ``bucket-*.tmp`` left there by an earlier (crashed) build are
@@ -715,6 +690,8 @@ class ShardedCSRBuilder:
         self._directed = bool(directed)
         self._max_id = -1
         self._buckets: dict[int, IO[bytes]] = {}
+        self._counts = np.zeros(0, dtype=np.int64)  # arcs bucketed per source so far
+        self._edge_offsets: list[int] | None = None  # set by finalize: no more edges
         self._finalized = False
         # Clean on construct: a crashed build's buckets would be merged
         # into this one (a shard that gets no arcs this time never
@@ -728,31 +705,26 @@ class ShardedCSRBuilder:
 
     def add_edges(self, src, dst) -> None:
         """Append a batch of edges given as parallel arrays."""
-        if self._finalized:
+        if self._edge_offsets is not None:
             raise GraphFormatError("builder already finalized")
         s, d, batch_max = intake_edges(src, dst, self._n, directed=self._directed)
         self._max_id = max(self._max_id, batch_max)
         if s.size == 0:
             return
-        # Bucket ids narrowed to their smallest dtype: NumPy's stable
-        # argsort radix-sorts keys of 16 bits or fewer.
-        bucket = (s // self._shard_size).astype(
-            np.min_scalar_type(batch_max // self._shard_size)
-        )
         with telemetry.active().span("graph.sharded.add_edges", arcs=int(s.size)):
-            order = np.argsort(bucket, kind="stable")
-            pairs = np.empty((s.size, 2), dtype=np.int64)
-            pairs[:, 0] = s[order]
-            pairs[:, 1] = d[order]
-            counts = np.bincount(bucket)
-            stops = np.cumsum(counts)
+            if batch_max >= self._counts.size:  # grown on demand, geometrically
+                grow = max(batch_max + 1, 2 * self._counts.size) - self._counts.size
+                self._counts = np.pad(self._counts, (0, grow))
+            pairs = np.empty(2 * s.size, dtype=np.int64)
+            at = np.empty(batch_max // self._shard_size + 3, dtype=np.int64)
+            native.call("bucket_arcs", s, d, self._shard_size, at, pairs, self._counts)
             emit = telemetry.enabled()
-            for bid in np.flatnonzero(counts).tolist():
+            for bid in np.flatnonzero(np.diff(at[:-1])).tolist():
                 fh = self._buckets.get(bid)
                 if fh is None:
                     fh = open(self._bucket_path(bid), "wb")
                     self._buckets[bid] = fh
-                pairs[stops[bid] - counts[bid] : stops[bid]].tofile(fh)
+                pairs[2 * at[bid] : 2 * at[bid + 1]].tofile(fh)
                 if emit:
                     telemetry.active().counter("graph.sharded.spill_writes").inc()
 
@@ -768,36 +740,38 @@ class ShardedCSRBuilder:
         only after its shard pair is on disk, and ``meta.json`` is
         written last, atomically — a crash anywhere leaves "no graph
         here", and a new builder on the same directory starts clean.
+        The first call seals the builder (no more ``add_edges``); a call
+        after a failure resumes at the first shard not yet written.
         """
         if self._finalized:
             raise GraphFormatError("builder already finalized")
-        for fh in self._buckets.values():
-            fh.close()
-        self._buckets.clear()
-        n = self._n if self._n is not None else self._max_id + 1
-        n = max(n, 0)
+        n = max(self._n if self._n is not None else self._max_id + 1, 0)
         if min(self._shard_size, n) * n >= 2**63:
             raise GraphFormatError(
                 f"shard_size={self._shard_size} x num_vertices={n} overflows the "
                 "int64 (source, destination) sort key; use smaller shards"
             )
+        if self._edge_offsets is None:
+            for fh in self._buckets.values():
+                fh.close()
+            self._buckets.clear()
+            self._edge_offsets = [0]
+        edge_offsets = self._edge_offsets
         num_shards = -(-n // self._shard_size) if n else 0
         index_dtype = _index_dtype(max(n, 1))
         emit = telemetry.enabled()
-        edge_offsets = [0]
         with telemetry.active().span("graph.sharded.finalize", shards=num_shards):
-            for shard in range(num_shards):
+            for shard in range(len(edge_offsets) - 1, num_shards):
                 lo = shard * self._shard_size
                 hi = min(lo + self._shard_size, n)
-                arcs = _write_shard(self._dir, shard, lo, hi, n, index_dtype)
+                counts = self._counts[lo:hi]
+                arcs = _write_shard(self._dir, shard, lo, hi, n, index_dtype,
+                                    np.pad(counts, (0, hi - lo - counts.size)))
                 edge_offsets.append(edge_offsets[-1] + arcs)
                 self._bucket_path(shard).unlink(missing_ok=True)
                 if emit:
                     telemetry.active().counter("graph.sharded.spill_writes").inc(2)
-            _write_meta(
-                self._dir, n, self._directed, self._shard_size,
-                edge_offsets, index_dtype,
-            )
+            _write_meta(self._dir, n, self._directed, self._shard_size, edge_offsets, index_dtype)
         self._finalized = True
         return ShardedCSRGraph(self._dir, validate=validate)
 

@@ -28,6 +28,7 @@ from repro.graph.csr import CSRGraph
 from repro.graph.stream import vertex_stream
 from repro.parallel import note_fallback, resolve_jobs
 from repro.partition.kernels import get_kernel
+from repro.partition.kernels.buffered import shard_runs
 from repro.utils.validation import check_at_least, check_positive
 
 __all__ = ["stream_partition", "default_alpha"]
@@ -117,10 +118,9 @@ def stream_partition(
         # fallback counter so the degradation is observable.
         note_fallback("kernel.jobs")
         backend = get_kernel("buffered")
-    # Sharded graphs expose no global indices array; their chunked
-    # gather_block *is* the buffered kernel's gather, so every kernel
-    # choice routes there (all backends are bit-exact — the knob trades
-    # throughput only, so the routing is invisible in the output).
+    # Sharded graphs expose no global indices array: every kernel but the
+    # parallel one routes to the buffered kernel, which streams their shards
+    # (all backends are bit-exact, so the routing is invisible in the output).
     gather = getattr(graph, "gather_block", None)
     dense = gather is None
     effective = backend.name if backend.name == "parallel" or dense else "buffered"
@@ -132,9 +132,13 @@ def stream_partition(
             stream, parts, loads, w)
     knobs = dict(alpha=float(alpha), gamma=float(gamma), capacity=float(capacity),
                  passes=int(passes))
-    # A `with` block, so a kernel that raises cannot leave the timer open
-    # (disabled telemetry hands back a no-op context).
-    with telemetry.active().timer("partition.stream.seconds", kernel=effective).time():
+    # in_place: rows read where they lie, not gathered (worked out only with telemetry on);
+    # `with`, so a kernel that raises cannot leave the timer open (off: no-op contexts)
+    reg = telemetry.active()
+    in_place = telemetry.enabled() and effective != "parallel" and (
+        dense or shard_runs(graph, stream) is not None)
+    with reg.span("partition.stream", kernel=effective, in_place=in_place), \
+            reg.timer("partition.stream.seconds", kernel=effective).time():
         if backend.name == "parallel":
             from repro.partition.kernels.parallel_backend import fennel_parallel
 
@@ -142,11 +146,10 @@ def stream_partition(
         elif dense:
             backend.fennel(*args, **knobs)
         else:
-            get_kernel("buffered").fennel(*args, **knobs, gather=gather)
+            get_kernel("buffered").fennel(*args, **knobs, graph=graph)
     if telemetry.enabled():
         # Aggregates only, recorded after the kernel: the per-vertex hot
         # loop stays untouched, so disabled-mode cost is one flag read.
-        reg = telemetry.active()
         reg.counter("partition.stream.vertices", kernel=effective).inc(n * passes)
         reg.gauge("partition.stream.saturated_parts").set(int((loads >= capacity).sum()))
     return parts

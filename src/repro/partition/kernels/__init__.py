@@ -8,8 +8,8 @@ Importing this package registers every backend:
     Same semantics, O(1)/vertex penalty maintenance and a
     delta-updated neighbour counter; ~4× faster at the paper's ``k``.
 ``buffered``
-    One call per pass into a compiled C loop (``_fennel.c``) over the
-    graph's rows; shards go in gathered chunks. The default (~100×).
+    One call per block a pass into a compiled C loop (``_fennel.c``) over
+    rows in place; jumps between shards go in gathered chunks. Default.
 ``parallel``
     Worker-process chunk scoring over shared memory with exact in-order
     resolution (:mod:`repro.parallel`); honours ``jobs=``/``REPRO_JOBS``

@@ -11,18 +11,18 @@ static double pw(double base, double e) {
 }
 
 /* Places stream[0..b); the neighbours of stream[i] are ids[ptr[row] .. ptr[row + 1]) with row i
- * (local) or stream[i] (a whole graph's CSR). -1, else the first bad i: i its ids, b + i its
- * offsets, -2 - i a part id. */
-int64_t fennel_rows(const int64_t *stream, int64_t b, const int64_t *ptr, int64_t r,
+ * (local: a gathered chunk) or stream[i] - start (a block of rows from start on). -1, else the
+ * first bad i: i its ids, b + i its row or offsets, -2 - i a part id. */
+int64_t fennel_rows(const int64_t *stream, int64_t b, int64_t start, const int64_t *ptr, int64_t r,
                     const void *ids, int64_t z, int64_t wide, int64_t local, int32_t *parts,
                     int64_t n, double *loads, int64_t k, const double *w, double ag, double gm1,
                     double cap, double *pen, int64_t *cnt) {
     const int32_t *i4 = ids; const int64_t *i8 = ids;
     for (int64_t p = 0; p < k; p++) pen[p] = ag * pw(loads[p], gm1);
     for (int64_t i = 0; i < b; i++) {
-        int64_t v = stream[i], row = local ? i : v, c = 0, open = 0, j, u, p;
+        int64_t v = stream[i], row = local ? i : v - start, c = 0, open = 0, j, u, p;
         if (v < 0 || v >= n) return i;
-        if (row + 1 >= r || ptr[row] < 0 || ptr[row] > ptr[row + 1] || ptr[row + 1] > z)
+        if (row < 0 || row + 1 >= r || ptr[row] < 0 || ptr[row] > ptr[row + 1] || ptr[row + 1] > z)
             return b + i;
         if (k < 1 || parts[v] >= k) return -2 - i;
         if (parts[v] >= 0) {

@@ -1,13 +1,14 @@
 """Buffered streaming kernel: Eq. 2 in C, LDG over chunked gathers.
 
 Eq. 2's sequential decision runs in C (``_fennel.c``'s ``fennel_rows``)
-with ``fennel_scalar``'s semantics, so assignments are bit-identical. On a
-dense graph it reads the graph's own ``indptr``/``indices``, one checked
-call (:func:`repro.utils.native.call`) a pass. Shards have no global
-``indices``: their stream goes in chunks of ``B`` vertices (Chhabra et
-al.'s buffered streaming, 2024), each gathered by ``gather_block`` and read
-as a local CSR. With no working compiler the kernel raises
-``ConfigurationError``.
+with ``fennel_scalar``'s semantics, so assignments are bit-identical. It
+reads rows in place, one checked call (:func:`repro.utils.native.call`) per
+block of ``iter_blocks()`` a pass: a dense graph is one block, a sharded
+graph one per mapped shard when the stream visits each shard in one run
+(the ``natural`` order). A stream that jumps between shards goes in chunks
+of ``B`` vertices (Chhabra et al.'s buffered streaming, 2024), each gathered
+by ``gather_block`` and read as a local CSR. With no working compiler the
+kernel raises ``ConfigurationError``.
 
 LDG's loop stays in Python over a ``bincount`` snapshot of each chunk's
 overlaps, patched with the current part of already-resolved chunk-mates.
@@ -20,7 +21,7 @@ import numpy as np
 from repro.partition.kernels.base import KernelBackend, register_kernel
 from repro.utils import native
 
-__all__ = ["BACKEND", "DEFAULT_CHUNK"]
+__all__ = ["BACKEND", "DEFAULT_CHUNK", "shard_runs"]
 
 #: Chunk size ``B``. Large enough to amortise the gather's fixed cost,
 #: small enough that the ``B·k`` overlap table stays cache-resident.
@@ -80,6 +81,14 @@ def _chunk_overlap(gather, parts, posmap, chunk, k):
     return overlap, pulls, num_assigned
 
 
+def shard_runs(graph, stream: np.ndarray) -> np.ndarray | None:
+    """Where ``stream`` enters each shard of ``graph``, then its end; None if it revisits one."""
+    shard = stream // graph.shard_size
+    if (shard[1:] < shard[:-1]).any():
+        return None
+    return np.searchsorted(shard, np.arange(graph.num_shards + 1))
+
+
 def fennel_buffered(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -92,23 +101,28 @@ def fennel_buffered(
     gamma: float,
     capacity: float,
     passes: int,
-    gather=None,
+    graph=None,
 ) -> None:
     parts_c = np.ascontiguousarray(parts, dtype=np.int32)
     loads_c = np.ascontiguousarray(loads, dtype=np.float64)
     state = (parts_c, loads_c, np.ascontiguousarray(weights, dtype=np.float64), alpha * gamma,
              gamma - 1.0, capacity, np.empty(loads_c.size), np.zeros(loads_c.size, dtype=np.int64))
     stream = np.ascontiguousarray(stream, dtype=np.int64)
+    if indptr is None:  # shards: one run of the stream each, if it has them
+        blocks, cuts = graph.iter_blocks, shard_runs(graph, stream)
+    else:  # a dense graph's rows are its one block
+        blocks, cuts = (lambda: [(0, parts.size, indptr, indices)]), (0, stream.size)
     for _pass in range(passes):
-        if gather is None:  # the graph's own rows, one call a pass
-            native.call("fennel_rows", stream, indptr, indices, 0, *state)
+        if cuts is not None:  # one call a block, on its own rows in place
+            for (start, _, ptr, ids), a, b in zip(blocks(), cuts[:-1], cuts[1:]):
+                native.call("fennel_rows", stream[a:b], start, ptr, native.wide(ids), 0, *state)
             continue
-        for begin in range(0, stream.size, DEFAULT_CHUNK):  # shards: a local CSR per chunk
+        for begin in range(0, stream.size, DEFAULT_CHUNK):  # a local CSR per gathered chunk
             chunk = stream[begin : begin + DEFAULT_CHUNK]
-            lens, nbrs = gather(chunk)
+            lens, nbrs = graph.gather_block(chunk)
             ptr = np.zeros(chunk.size + 1, dtype=np.int64)
             np.cumsum(lens, out=ptr[1:])
-            native.call("fennel_rows", chunk, ptr, native.wide(nbrs), 1, *state)
+            native.call("fennel_rows", chunk, 0, ptr, native.wide(nbrs), 1, *state)
     parts[:] = parts_c
     loads[:] = loads_c
 

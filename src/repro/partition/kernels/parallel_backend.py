@@ -425,8 +425,7 @@ def fennel_parallel(
             note_fallback("kernel.no_shm")
         fennel_buffered(
             indptr, indices, stream, parts, loads, weights,
-            alpha=alpha, gamma=gamma, capacity=capacity, passes=passes,
-            gather=gather,
+            alpha=alpha, gamma=gamma, capacity=capacity, passes=passes, graph=graph,
         )
         return
     if gather is None:

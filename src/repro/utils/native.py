@@ -1,4 +1,4 @@
-"""The package's C boundary: four C files, eleven functions, one checked call.
+"""The package's C boundary: four C files, thirteen functions, one checked call.
 
 ``TABLE`` declares each function's library and C parameters; :func:`call` checks
 the arguments against it, then calls (grammar and contracts: DESIGN.md, "The C boundary").
@@ -39,12 +39,22 @@ LIBRARIES = {  # source (in the package), build span, the name a failed build gi
 }
 TABLE = {
     "sample_cdf": Entry("sample", "cdf:f8[n] n guide:i8[g] g u:f8[m] m out:i8[m]", ValueError),
-    "fennel_rows": Entry(  # i: stream[i]'s ids; b + i: its offsets; -2 - i: a part id not below k
-        "fennel", "stream:i8[b] b ptr:i8[r] r ids:i4|i8[z] z wide local parts:i4[n] n loads:f8[k] k"
-        " weight:f8[n] ag:f8 gm1:f8 cap:f8 pen:f8[k] cnt:i8[k]", ValueError, lambda a, i: ValueError(
-            f"need part ids below {a['k']}") if i < -1 else GraphFormatError(
-            f"row {a['stream'][i % a['b']]}: " + (f"offsets outside [0, {a['z']}]" if i >= a['b']
-                                                 else f"neighbour ids outside [0, {a['n']})"))),
+    "fennel_rows": Entry(  # i: stream[i]'s ids; b + i: its row or offsets; -2 - i: a part id
+        "fennel", "stream:i8[b] b start ptr:i8[r] r ids:i4|i8[z] z wide local parts:i4[n] n"
+        " loads:f8[k] k weight:f8[n] ag:f8 gm1:f8 cap:f8 pen:f8[k] cnt:i8[k]", ValueError,
+        lambda a, i: ValueError(f"need part ids below {a['k']}") if i < -1 else GraphFormatError(
+            f"row {a['stream'][i % a['b']]}: " + (
+                f"outside rows [{a['start']}, {a['start'] + a['r'] - 1}) or offsets outside "
+                f"[0, {a['z']}]" if i >= a['b'] else f"neighbour ids outside [0, {a['n']})"))),
+    "bucket_arcs": Entry(  # i: arc i's source
+        "sample", "src:i8[m] dst:i8[m] m size at:i8[g] g pairs:i8[2*m] deg:i8[n] n", ValueError,
+        lambda a, i: GraphFormatError(f"arc {i}: source {a['src'][i]} outside [0, {a['n']}) or "
+                                      f"past bucket {a['g'] - 3} of size {a['size']}")),
+    "scatter_rows": Entry(  # i: arc i
+        "sample", "pairs:i8[2*m] m lo cur:i8[r] end:i8[r] r n out:i4|i8[z] z wide", ValueError,
+        lambda a, i: GraphFormatError(f"arc {a['pairs'][2 * i]} -> {a['pairs'][2 * i + 1]}: outside "
+                                      f"sources [{a['lo']}, {a['lo'] + a['r']}) and targets [0, "
+                                      f"{a['n']}), or past its source's count")),
     "serve_reads": Entry(  # i: batch[i]; nq + i: pos[i]; nq + nw: m
         "serve", "ctx:serve m batch:i8[nq] nq pos:i8[nw]? home:i8[nw]? nw", ConfigurationError,
         lambda a, i: ConfigurationError(

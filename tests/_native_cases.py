@@ -30,11 +30,24 @@ def _sample_cdf():
 
 def _fennel_rows(k=2, local=False):
     # the stream 2, 0, 1 over a 3-vertex graph: 0 -> {1, 2}, 1 -> {0}, 2 -> {}; its rows are
-    # indexed by vertex id, or (local) by stream position with int64 ids, as a gathered chunk
+    # indexed by vertex id (one block from 0), or (local) by stream position with int64 ids,
+    # as a gathered chunk
     rows = (_i8(0, 0, 2, 3), _i8(1, 2, 0), 1) if local else (
         _i8(0, 2, 3, 3), np.array([1, 2, 0], np.int32), 0)
-    return (_i8(2, 0, 1), *rows, np.full(3, -1, np.int32), np.zeros(k), np.ones(3), 0.5, 0.5,
-            10.0, np.empty(k), np.zeros(k, np.int64))
+    return (_i8(2, 0, 1), 0, *rows, np.full(3, -1, np.int32), np.zeros(k), np.ones(3), 0.5,
+            0.5, 10.0, np.empty(k), np.zeros(k, np.int64))
+
+
+def _bucket_arcs():
+    # five arcs over 6 vertices into buckets of 2 sources: 0 gets three, 1 none, 2 two
+    return _i8(4, 0, 5, 1, 0), _i8(0, 4, 1, 5, 3), 2, np.empty(5, np.int64), \
+        np.empty(10, np.int64), np.zeros(6, np.int64)
+
+
+def _scatter_rows():
+    # four arcs of sources [2, 5) over 6 vertices; source 2 has one slot, 3 two and 4 one
+    return _i8(3, 1, 2, 5, 3, 0, 4, 2), 4, 2, _i8(0, 1, 3), _i8(1, 3, 4), 6, \
+        np.empty(4, np.int32)
 
 
 def serve_cache(machines=2, capacity=1):
@@ -114,20 +127,24 @@ CASES = {
     "induce_rows": _induce_rows,
     "census_group": _census_group,
     "census_push": _census_push,
+    "bucket_arcs": _bucket_arcs,
+    "scatter_rows": _scatter_rows,
 }
 
 #: per entry, each argument (its index in CASES' tuple) whose ids the C loop checks,
 #: and the number of ids the valid case allows there
 OUTSIDE = {
-    "fennel_rows": {0: 3, 2: 3},
+    "fennel_rows": {0: 3, 3: 3},
     "serve_reads": {2: 3, 3: 8},
     "walk_apply": {1: 4},
     "uniform_slots": {1: 4},
     "arcs_sorted": {3: 4},
     "census_scan": {2: 4},
     "induce_rows": {2: 4},
+    "bucket_arcs": {0: 6},
+    "scatter_rows": {0: 5},  # a source past rows [2, 5)
 }
 
 #: per entry, the row offsets (argument index) that it reads as file contents:
 #: each must lie in [0, z] of the ids it indexes
-OFFSETS = {"fennel_rows": 1, "arcs_sorted": 1, "census_scan": 1, "induce_rows": 1}
+OFFSETS = {"fennel_rows": 2, "arcs_sorted": 1, "census_scan": 1, "induce_rows": 1}

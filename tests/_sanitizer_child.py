@@ -29,12 +29,14 @@ from repro.engines import superstep  # noqa: E402
 from repro.engines.gemini import GeminiEngine, PageRank  # noqa: E402
 from repro.engines.knightking import DeepWalk, Node2Vec, WalkEngine  # noqa: E402
 from repro.errors import ReproError  # noqa: E402
-from repro.graph import chung_lu, extract_subgraph, from_edges, ring_graph, spill_csr  # noqa: E402
+from repro.graph import (  # noqa: E402
+    ShardedCSRBuilder, chung_lu, extract_subgraph, from_edges, ring_graph, spill_csr)
 from repro.partition import PartitionAssignment, get_partitioner  # noqa: E402
 from repro.serving import PartitionAwareCache  # noqa: E402
 from repro.engines.knightking import arcs_exist  # noqa: E402
 from tests._native_cases import (  # noqa: E402
-    CASES, OFFSETS, OUTSIDE, _fennel_rows, _induce_rows, _serve_reads, _walk_apply)
+    CASES, OFFSETS, OUTSIDE, _bucket_arcs, _fennel_rows, _i8, _induce_rows, _scatter_rows,
+    _serve_reads, _walk_apply)
 
 CELLS = 0
 
@@ -68,8 +70,10 @@ def empty(dtype, n=0):
 i8, f8, b1 = np.int64, np.float64, bool
 EMPTY = {  # every entry with no work to do
     "sample_cdf": (np.ones(1), empty(i8, 3), empty(f8), empty(i8)),
-    "fennel_rows": (empty(i8), np.zeros(1, i8), empty(np.int32), 0, np.full(2, -1, np.int32),
+    "fennel_rows": (empty(i8), 0, np.zeros(1, i8), empty(np.int32), 0, np.full(2, -1, np.int32),
                     np.zeros(1), np.ones(2), 0.5, 0.5, 1.0, empty(f8, 1), empty(i8, 1)),
+    "bucket_arcs": (empty(i8), empty(i8), 1, empty(i8, 2), empty(i8), empty(i8)),
+    "scatter_rows": (empty(i8), 0, 0, empty(i8), empty(i8), 0, empty(np.int32)),
     "walk_live": (empty(b1), empty(i8), empty(i8), empty(i8), empty(i8), empty(i8)),
     "walk_apply": (empty(i8), empty(i8), empty(b1), empty(i8, 1), empty(f8, 1), 1, empty(i8),
                    empty(i8), empty(i8), empty(b1), empty(i8, 1), None, None, None),
@@ -107,8 +111,17 @@ def main() -> None:
     cell("fennel_rows", *_fennel_rows(k=0), refused=True)  # no part to place a vertex in
     cell("fennel_rows", *_fennel_rows(local=True))  # a gathered chunk's rows
     args = list(_fennel_rows())
-    args[1] = args[1][:-1].copy()
+    args[2] = args[2][:-1].copy()
     cell("fennel_rows", *args, refused=True)  # a vertex with no row
+    args = list(_fennel_rows())
+    cell("fennel_rows", *args[:1], 1, np.zeros(3, i8), *args[3:], refused=True)  # 0 below start 1
+    cell("fennel_rows", _i8(2, 1), 1, _i8(0, 1, 1), *args[3:])  # the rows of 1, 2 from 1 on
+    args = list(_bucket_arcs())
+    cell("bucket_arcs", *args[:3], np.empty(4, i8), *args[4:], refused=True)  # past bucket 1
+    cell("bucket_arcs", *args[:2], 0, *args[3:], refused=True)  # no bucket size
+    args = list(_scatter_rows())
+    cell("scatter_rows", *args[:3], _i8(0, 1, 4), *args[4:], refused=True)  # source 4 full
+    cell("scatter_rows", *args[:4], _i8(1, 3, 5), *args[5:], refused=True)  # past the output
     induce = _induce_rows()
     cell("induce_rows", *induce[:-1], np.empty(6, i8))  # int64 local ids
     cell("induce_rows", *induce[:-1], np.empty(3, np.int32), refused=True)  # no room for 4 arcs
@@ -136,8 +149,20 @@ def main() -> None:
                 WalkEngine(BSPCluster(k), mode=mode).run(g, assignment, app, max_steps=3)
         GeminiEngine(BSPCluster(k)).run(g, assignment, PageRank(3))
         get_partitioner("bpart").partition(g, k)
-    with tempfile.TemporaryDirectory() as spill:  # gathered chunks, extraction over shards
-        get_partitioner("bpart").partition(spill_csr(g, spill, shard_size=64), 3)
+    with tempfile.TemporaryDirectory() as spill:  # shards in place and gathered, extraction
+        sharded = spill_csr(g, spill, shard_size=64)
+        get_partitioner("bpart").partition(sharded, 3)
+        get_partitioner("fennel", order="random", seed=1).partition(sharded, 3)
+    with tempfile.TemporaryDirectory() as spill:  # the builder: its buckets, then a foreign arc
+        src, dst = g.indptr.size - 2 - np.arange(g.num_edges) % 7, g.indices
+        builder = ShardedCSRBuilder(spill, shard_size=48)
+        builder.add_edges(src, dst)
+        assert builder.finalize() == from_edges(src, dst)
+        builder = ShardedCSRBuilder(spill, num_vertices=g.num_vertices, shard_size=48)
+        builder.add_edges(src, dst)
+        builder._buckets[4].write(np.array([3, 0], i8).tobytes())  # source 3, in bucket 4
+        builder._counts[199] += 1
+        refused(builder.finalize)
     # walkers start past the other assignment's 32 vertices, stepping to ids below 32
     down = from_edges(np.arange(32, 64), np.arange(32), num_vertices=64, directed=True)
     other = PartitionAssignment(ring_graph(32), np.arange(32) % 2, 2)

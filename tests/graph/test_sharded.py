@@ -285,6 +285,24 @@ class TestReadParity:
         slots = rng.integers(0, dense.num_edges, size=(7, 33))
         assert np.array_equal(sharded.take_arcs(slots), dense.indices[slots])
 
+    def test_take_arcs_outside_the_arcs_names_the_global_slot(self, dense, sharded):
+        m = dense.num_edges
+        for slot in (-1, -m, m, m + 5):
+            with pytest.raises(IndexError, match=rf"^arc slot {slot} outside \[0, {m}\)$"):
+                sharded.take_arcs(np.array([0, slot, 1]))
+        assert sharded.take_arcs(np.empty((2, 0), np.int64)).shape == (2, 0)
+
+    @given(data=st.data(), shard_size=st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_take_arcs_equals_the_dense_twin_on_every_slot(self, data, shard_size):
+        dense = social_graph(data.draw(st.integers(1, 60)), 3.0, 2.3, rng=data.draw(st.integers(0, 9)))
+        with tempfile.TemporaryDirectory() as tmp:
+            sharded = spill_csr(dense, tmp, shard_size=shard_size)
+            slots = np.arange(dense.num_edges)
+            assert np.array_equal(sharded.take_arcs(slots), dense.indices[slots])
+            assert np.array_equal(sharded.take_arcs(slots[::-1]), dense.indices[slots[::-1]])
+            sharded.close()
+
     def test_iter_edges(self, tmp_path):
         dense = social_graph(64, 4.0, 2.3, rng=2)
         sharded = spill_csr(dense, tmp_path / "tiny", shard_size=16)
@@ -437,6 +455,28 @@ class TestShardedTelemetry:
             ("graph.sharded.finalize", {"shards": 3}),
         ]
 
+    def test_one_stream_span_per_call_and_in_place_block_reads(self, dense, tmp_path):
+        sharded = spill_csr(dense, tmp_path / "t", shard_size=256)
+        telemetry.set_enabled(True)
+        telemetry.reset()
+        w = np.ones(dense.num_vertices)
+        stream_partition(sharded, 4, vertex_weights=w, alpha=1.0, passes=2)
+        counters = telemetry.registry().snapshot()["counters"]
+        assert counters["graph.sharded.block_reads"] == 2 * sharded.num_shards  # in place
+        stream_partition(sharded, 4, vertex_weights=w, alpha=1.0, order="random", rng=3)
+        stream_partition(dense, 4, vertex_weights=w, alpha=1.0, kernel="scalar")
+        assert [s["args"] for s in telemetry.registry().spans if s["name"] == "partition.stream"] == [
+            {"kernel": "buffered", "in_place": True}, {"kernel": "buffered", "in_place": False},
+            {"kernel": "scalar", "in_place": True}]
+
+    def test_the_stream_label_costs_nothing_when_disabled(self, dense, tmp_path, monkeypatch):
+        from repro.partition import _streamcore
+
+        assert not telemetry.enabled()
+        monkeypatch.setattr(_streamcore, "shard_runs", lambda *a: pytest.fail("labelled"))
+        sharded = spill_csr(dense, tmp_path / "t", shard_size=256)
+        stream_partition(sharded, 4, vertex_weights=np.ones(dense.num_vertices), alpha=1.0)
+
     def test_silent_when_disabled(self, dense, tmp_path):
         assert not telemetry.enabled()
         sharded = spill_csr(dense, tmp_path / "t", shard_size=256)
@@ -462,6 +502,52 @@ class TestParallelFinalize:
             builder.finalize()
         # the bucket is still there: nothing was unlinked before the check
         assert bucket.exists() and not (tmp_path / "b" / META_NAME).exists()
+
+    @pytest.mark.parametrize("failing", range(4))
+    def test_a_retried_finalize_equals_the_clean_build(self, tmp_path, monkeypatch, failing):
+        src, dst = _random_edges(5, 64, 90)
+        clean = from_edges(src, dst, 64)
+        builder = ShardedCSRBuilder(tmp_path / "b", num_vertices=64, shard_size=16)
+        builder.add_edges(src, dst)
+        write = sharded_mod._write_shard
+
+        def flaky(directory, shard, *args):
+            if shard == failing:
+                monkeypatch.setattr(sharded_mod, "_write_shard", write)  # once only
+                raise OSError("disk full")
+            return write(directory, shard, *args)
+
+        monkeypatch.setattr(sharded_mod, "_write_shard", flaky)
+        with pytest.raises(OSError, match="disk full"):
+            builder.finalize()
+        with pytest.raises(GraphFormatError, match="finalized"):
+            builder.add_edges([0], [1])  # sealed by the first finalize
+        graph = builder.finalize()
+        assert graph.num_edges == clean.num_edges == 174
+        assert graph.fingerprint() == clean.fingerprint()
+        assert not list((tmp_path / "b").glob("bucket-*.tmp"))
+
+    @pytest.mark.parametrize("arc, why", [
+        ((3, 5), "an arc outside sources"),  # below bucket 1's sources [16, 32)
+        ((40, 5), "an arc outside sources"),  # above them
+        ((20, 70), "targets"),  # a target past the vertices
+        (None, "add_edges counted"),  # an extra arc
+    ])
+    def test_a_foreign_arc_in_a_bucket_is_a_format_error(self, tmp_path, arc, why):
+        builder = ShardedCSRBuilder(tmp_path / "b", num_vertices=64, shard_size=16)
+        builder.add_edges(*_random_edges(6, 64, 90))
+        for fh in builder._buckets.values():
+            fh.flush()
+        bucket = tmp_path / "b" / "bucket-0000001.tmp"
+        pairs = np.fromfile(bucket, np.int64)
+        if arc is None:
+            pairs = np.r_[pairs, 20, 5]
+        else:
+            pairs[2:4] = arc
+        pairs.tofile(bucket)
+        why = "outside sources" if why.startswith("an arc") else why
+        with pytest.raises(GraphFormatError, match=rf"bucket-0000001\.tmp: .*{why}"):
+            builder.finalize()
 
     def test_jobs_argument_is_gone(self, tmp_path):
         with pytest.raises(TypeError):

@@ -33,7 +33,7 @@ HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 
 #: ``find src -name '*.py' -o -name '*.c' | xargs cat | wc -l`` may not exceed this.
-SRC_LINE_CEILING = 20374
+SRC_LINE_CEILING = 20408
 
 SHA256_HOMES = {
     f"src/repro/{name}.py"
@@ -186,21 +186,37 @@ def test_src_does_not_grow_back():
 
 
 def test_fennel_decision_is_compiled():
-    # fennel_buffered calls the C loop once per pass on a dense graph's own rows and
-    # once per gathered chunk on shards; no Python loop over the parts (or over a
-    # chunk's vertices) is left in it.
+    # fennel_buffered calls the C loop once per block a pass on rows read in place (a dense
+    # graph's one block, or each shard of a stream that visits it in one run) and once per
+    # gathered chunk on a stream that jumps between shards; no Python loop over the parts
+    # (or over a block's or a chunk's vertices) is left in it.
     path = ROOT / "src/repro/partition/kernels/buffered.py"
     tree = ast.parse(path.read_text(encoding="utf-8"))
     fn = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "fennel_buffered")
-    loops = [n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))]
-    assert [ast.unparse(n.iter) for n in loops] == ["range(passes)",
-                                                    "range(0, stream.size, DEFAULT_CHUNK)"]
-    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)
-             and ast.unparse(n.func) == "native.call"]
-    assert [ast.unparse(c.args[3]) for c in calls] == ["indices", "native.wide(nbrs)"]
-    assert calls[0] not in ast.walk(loops[1]) and calls[1] in ast.walk(loops[1])
-    assert "gather(chunk)" in ast.unparse(loops[1])
+    loops = sorted((n for n in ast.walk(fn) if isinstance(n, (ast.For, ast.comprehension))),
+                   key=lambda n: n.iter.lineno)
+    assert [ast.unparse(n.iter) for n in loops] == [
+        "range(passes)", "zip(blocks(), cuts[:-1], cuts[1:])", "range(0, stream.size, DEFAULT_CHUNK)"]
+    calls = sorted((n for n in ast.walk(fn) if isinstance(n, ast.Call)
+                    and ast.unparse(n.func) == "native.call"), key=lambda n: n.lineno)
+    assert [ast.unparse(c.args[4]) for c in calls] == ["native.wide(ids)", "native.wide(nbrs)"]
+    assert calls[0] in ast.walk(loops[1]) and calls[1] in ast.walk(loops[2])
+    assert "graph.gather_block(chunk)" in ast.unparse(loops[2])
+    assert "gather" not in ast.unparse(loops[1])
     assert (path.parent / "_fennel.c").is_file()
+
+
+def test_add_edges_buckets_in_c():
+    # ShardedCSRBuilder.add_edges buckets a batch with one bucket_arcs call: no argsort or
+    # fancy gather of the arcs is left in it
+    tree = ast.parse((ROOT / "src/repro/graph/sharded.py").read_text(encoding="utf-8"))
+    cls = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "ShardedCSRBuilder")
+    fn = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "add_edges")
+    source = ast.unparse(fn)
+    assert "argsort" not in source and "sort(" not in source
+    calls = [ast.unparse(n) for n in ast.walk(fn) if isinstance(n, ast.Call)
+             and ast.unparse(n.func) == "native.call"]
+    assert len(calls) == 1 and calls[0].startswith("native.call('bucket_arcs'")
 
 
 def test_extraction_is_compiled():

@@ -20,7 +20,9 @@ import pytest
 
 from repro.errors import GraphFormatError, ReproError
 from repro.utils import native
-from tests._native_cases import CASES, OFFSETS, OUTSIDE, _fennel_rows, _induce_rows, serve_cache
+from tests._native_cases import (
+    CASES, OFFSETS, OUTSIDE, _bucket_arcs, _fennel_rows, _i8, _induce_rows, _scatter_rows,
+    serve_cache)
 
 
 def _given(spec: str) -> list:
@@ -122,8 +124,51 @@ def test_fennel_rows_reads_a_graph_or_a_gathered_chunk():
     dense, local = _fennel_rows(), _fennel_rows(local=True)
     native.call("fennel_rows", *dense)
     native.call("fennel_rows", *local)
-    assert dense[4].tolist() == local[4].tolist() and dense[5].tolist() == local[5].tolist()
-    assert dense[4].tolist() == [0, 0, 0] and dense[5].sum() == 3.0
+    assert dense[5].tolist() == local[5].tolist() and dense[6].tolist() == local[6].tolist()
+    assert dense[5].tolist() == [0, 0, 0] and dense[6].sum() == 3.0
+
+
+def test_fennel_rows_reads_blocks_in_place():
+    # _fennel_rows' graph streamed 0, 1, 2 whole, then as the blocks [0, 1) and [1, 3)
+    whole = list(_fennel_rows())
+    whole[0] = _i8(0, 1, 2)
+    native.call("fennel_rows", *whole)
+    blocks = _fennel_rows()
+    state = blocks[5:]
+    native.call("fennel_rows", _i8(0), 0, _i8(0, 2), np.array([1, 2], np.int32), 0, *state)
+    native.call("fennel_rows", _i8(1, 2), 1, _i8(0, 1, 1), np.array([0], np.int32), 0, *state)
+    assert state[0].tolist() == whole[5].tolist() and state[1].tolist() == whole[6].tolist()
+    with pytest.raises(GraphFormatError, match=r"^row 0: outside rows \[1, 3\)"):
+        native.call("fennel_rows", _i8(0), 1, _i8(0, 1, 1), np.array([0], np.int32), 0, *state)
+
+
+def test_bucket_arcs_is_a_stable_counting_sort():
+    src, dst, size, at, pairs, deg = _bucket_arcs()
+    native.call("bucket_arcs", src, dst, size, at, pairs, deg)
+    assert at[:4].tolist() == [0, 3, 3, 5]
+    assert pairs.reshape(-1, 2).tolist() == [[0, 4], [1, 5], [0, 3], [4, 0], [5, 1]]
+    native.call("bucket_arcs", src, dst, size, at, pairs, deg)
+    assert deg.tolist() == [4, 2, 0, 0, 2, 2]  # added to, never reset
+    with pytest.raises(GraphFormatError, match=r"^arc 0: source 4 outside \[0, 6\) or past "
+                                               r"bucket 1 of size 2$"):
+        native.call("bucket_arcs", src, dst, size, at[:4], pairs, deg)
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_scatter_rows_fills_each_row_behind_its_cursor(wide):
+    pairs, m, lo, cur, end, n, out = _scatter_rows()
+    out = out.astype(np.int64 if wide else np.int32)
+    native.call("scatter_rows", pairs, m, lo, cur, end, n, out)
+    assert out.tolist() == [5, 1, 0, 2] and cur.tolist() == end.tolist()
+    for at, value in ((1, 6), (1, -1)):  # a target outside [0, 6)
+        bad = pairs.copy()
+        bad[at] = value
+        with pytest.raises(GraphFormatError, match=r"past its source's count$"):
+            native.call("scatter_rows", bad, m, lo, _i8(0, 1, 3), end, n, out)
+    with pytest.raises(GraphFormatError, match=r"^arc 3 -> 1: outside sources \[2, 5\)"):
+        native.call("scatter_rows", pairs, m, lo, _i8(0, 3, 3), end, n, out)  # source 3 full
+    with pytest.raises(GraphFormatError):
+        native.call("scatter_rows", pairs, m, lo, _i8(0, 1, 3), _i8(1, 3, 5), n, out)  # past z
 
 
 def test_no_part_to_place_a_vertex_in_is_refused():

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.cluster.cost import CostModel
 from repro.errors import ConfigurationError
-from repro.graph import rmat, social_graph, spill_csr
+from repro.graph import CSRGraph, open_sharded, rmat, social_graph, spill_csr
 from repro.partition import PartitionAssignment
 from repro.partition.base import get_partitioner
 from repro.resilience import ChaosPlan, ChaosRule, install_plan
@@ -599,3 +600,52 @@ class TestBytesDidNotMove:
         elif cell == "k2-crash":
             assert result.crashes == 1 and result.restored
         assert result_digest(result) == self.CACHE[cell]
+
+    # Recorded at ed22448, the last commit that stepped walkers in Python. The
+    # last four serve the ``full-batches`` walk cell from other representations
+    # of the same graph, so their digest is that one.
+    STEPS = {
+        "cores-2-4-8-8": "ed7966a5090c346ba4bbff98acf028426f9d4a7188ebff646b37f97ad457ab60",
+        "batch-32-steps-16": "8f01716a5b6d3acf922a8e0e28e05a37b8fd89543e4dfc60017102ba89a329e6",
+        "int64-ids": WALKS["full-batches"],
+        "shards-768": WALKS["full-batches"],
+        "shards-int16": WALKS["full-batches"],
+        "shards-uint32": WALKS["full-batches"],
+    }
+
+    @pytest.mark.parametrize("cell", sorted(STEPS))
+    def test_walk_step_cells(self, graph, assignment, cell, tmp_path):
+        result = step_result(graph, assignment, cell, tmp_path)
+        assert (result.kind == KIND_WALK).all()
+        if cell == "batch-32-steps-16":  # up to 512 draws a batch
+            assert result.queries.sum() / result.batches.sum() > 24
+        assert result_digest(result) == self.STEPS[cell]
+
+
+def step_result(graph, assignment, cell, tmp_path):
+    """Walk-only cells for the batch step's walkers: walkers sharing batches on
+    machines of 2, 4, 8 and 8 cores; 32-walker batches of 16 steps; and the
+    ``full-batches`` cell on int64 ids, on 768-vertex shards, and on shards whose
+    ids are int16 or uint32."""
+    tight = _GRID_CONFIGS["tight"]
+    if cell == "cores-2-4-8-8":
+        config = ServingConfig(cost=CostModel(cores=(2, 4, 8, 8)), **tight)
+        return _served(graph, assignment, config, None, 1, duration=0.03, rate=120000.0,
+                       **_ALL_WALKS)
+    if cell == "batch-32-steps-16":
+        config = ServingConfig(batch_max=32, queue_limit=128, cache_blocks=16)
+        return _served(graph, assignment, config, None, 1, duration=0.01, rate=1200000.0,
+                       walk_frac=1.0, walk_steps=16)
+    if cell == "int64-ids":
+        graph = CSRGraph(graph.indptr, graph.indices.astype(np.int64))
+        assert graph.indices.dtype == np.int64
+    else:
+        graph = spill_csr(graph, tmp_path, shard_size=768 if cell == "shards-768" else 256)
+        if cell != "shards-768":  # rewritten as another integer width
+            dtype = cell.split("-")[1]
+            for path in tmp_path.glob("*.indices.npy"):
+                np.save(path, np.load(path).astype(dtype))
+            meta = json.loads((tmp_path / "meta.json").read_text())
+            (tmp_path / "meta.json").write_text(json.dumps({**meta, "index_dtype": dtype}))
+            graph = open_sharded(tmp_path)
+    return walk_result(graph, PartitionAssignment(graph, assignment.parts, 4), "full-batches")[1]

@@ -76,10 +76,6 @@ class CostModel:
         broadcasts; with per-machine ``cores`` the arrays must align
         with the machine axis.
         """
-        # Python scalars (the serving loop, once per batch) take the same
-        # IEEE arithmetic without a round-trip through NumPy.
-        num = (int, float)
-        if not (isinstance(steps, num) and isinstance(edges, num) and isinstance(vertices, num)):
-            steps, edges, vertices = (np.asarray(c, np.float64) for c in (steps, edges, vertices))
+        steps, edges, vertices = (np.asarray(c, np.float64) for c in (steps, edges, vertices))
         total = steps * self.step_cost + edges * self.edge_cost + vertices * self.vertex_cost
         return total / self.cores_array

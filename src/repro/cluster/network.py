@@ -60,15 +60,11 @@ class NetworkModel:
         if bytes_each is None:
             bytes_each = self.message_bytes
         check_positive("bytes_each", bytes_each)
-        # Python scalars (the serving loop, once or twice per batch) take
-        # the same IEEE arithmetic without a round-trip through NumPy.
-        scalar = isinstance(n_messages, (int, float))
-        n = float(n_messages) if scalar else np.asarray(n_messages, dtype=np.float64)
-        negative = n < 0
-        if negative if scalar else negative.any():
+        n = np.asarray(n_messages, dtype=np.float64)
+        if (n < 0).any():
             raise ConfigurationError(f"n_messages must be non-negative, got {n_messages!r}")
         cost = self.latency + n * float(bytes_each) / self.bandwidth
-        return float(cost) if scalar or np.ndim(n_messages) == 0 else cost
+        return float(cost) if np.ndim(n_messages) == 0 else cost
 
     def comm_seconds(self, sent: np.ndarray, received: np.ndarray) -> np.ndarray:
         """Per-machine communication seconds for one superstep.

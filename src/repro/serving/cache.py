@@ -27,14 +27,16 @@ from repro.utils.validation import check_count
 
 __all__ = ["PartitionAwareCache"]
 
-#: where serve_reads leaves the edge work (float64 bits), remote reads and fetched blocks
-WORK, READS, FETCHED = (native.Struct().index[s] for s in ("work", "reads", "fetched"))
+#: where a batch step leaves the edge work (float64 bits), remote reads and fetched blocks, and
+#: serve_batch its walker visits and service seconds (float64 bits)
+WORK, READS, FETCHED, WALKED, SECONDS = (
+    native.Struct().index[s] for s in ("work", "reads", "fetched", "walked", "seconds"))
 _RUN_DTYPES = ("f8", "i8", "i8", "i4", "i4", "i4")  # demand columns (_plan_demand), parts
 
 
 class PartitionAwareCache:
-    """Per-machine LRU over vertex blocks with hit/miss telemetry; its batch step
-    is ``native.call("serve_reads", context, machine, batch, visited, homes)``."""
+    """Per-machine LRU over vertex blocks with hit/miss telemetry; a serving run's batch
+    step is ``native.call("serve_batch", context, machine, batch_id, batch)``."""
 
     __slots__ = (
         "num_machines",

@@ -10,9 +10,8 @@ partition, and walk traces.
 from __future__ import annotations
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
-__all__ = ["as_rng", "derive_rng", "seed_states", "rng_from_state", "splitmix64", "hash_u64"]
+__all__ = ["as_rng", "derive_rng", "seed_states", "splitmix64", "hash_u64"]
 
 # Constants of the splitmix64 finaliser (Steele et al., "Fast splittable
 # pseudorandom number generators", OOPSLA 2014). Used as a deterministic
@@ -78,7 +77,8 @@ def seed_states(indices: np.ndarray, seed: int, *salt: int) -> np.ndarray:
     Row ``j`` is ``SeedSequence(mixed).generate_state(4, np.uint64)`` for
     :func:`derive_rng`'s fold ``mixed`` of ``(seed, *salt, indices[j])``, hashed
     for all keys at once: a key below 2**32 is the entropy ``[lo]``, which
-    hashes like ``[lo, 0]``. :func:`rng_from_state` turns a row into the generator.
+    hashes like ``[lo, 0]``. ``PCG64`` seeded with a row's words draws as that generator
+    does; ``serving/_serve.c`` draws a walk batch's doubles that way.
     """
     keys = splitmix64(np.uint64(_fold(int(seed), salt)) ^ np.asarray(indices, dtype=np.uint64))
     lo, hi = (keys & 0xFFFFFFFF).astype(np.uint32), (keys >> 32).astype(np.uint32)
@@ -100,21 +100,6 @@ def seed_states(indices: np.ndarray, seed: int, *salt: int) -> np.ndarray:
         value = (pool[i % 4] ^ xor) * mul
         words.append((value ^ (value >> 16)).astype(np.uint64))
     return np.stack([words[i] | words[i + 1] << 32 for i in range(0, 8, 2)], axis=1)
-
-
-class _State(ISeedSequence):
-    """Hands PCG64 one precomputed ``generate_state(4, np.uint64)`` row."""
-
-    def __init__(self, row: np.ndarray) -> None:
-        self.row = row
-
-    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-        return self.row
-
-
-def rng_from_state(row: np.ndarray) -> np.random.Generator:
-    """The PCG64 generator of one :func:`seed_states` row."""
-    return np.random.Generator(np.random.PCG64(_State(row)))
 
 
 def splitmix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:

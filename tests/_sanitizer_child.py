@@ -15,6 +15,7 @@ the number of cells run.
 from __future__ import annotations
 
 import tempfile
+from array import array
 
 import numpy as np
 
@@ -28,15 +29,16 @@ from repro.cluster import BSPCluster  # noqa: E402 - after the flags
 from repro.engines import superstep  # noqa: E402
 from repro.engines.gemini import GeminiEngine, PageRank  # noqa: E402
 from repro.engines.knightking import DeepWalk, Node2Vec, WalkEngine  # noqa: E402
-from repro.errors import ReproError  # noqa: E402
+from repro.errors import GraphFormatError, ReproError  # noqa: E402
 from repro.graph import (  # noqa: E402
     ShardedCSRBuilder, chung_lu, extract_subgraph, from_edges, ring_graph, spill_csr)
 from repro.partition import PartitionAssignment, get_partitioner  # noqa: E402
-from repro.serving import PartitionAwareCache  # noqa: E402
+from repro.serving import (  # noqa: E402
+    PartitionAwareCache, ServingConfig, ServingSimulator, WorkloadSpec)
 from repro.engines.knightking import arcs_exist  # noqa: E402
 from tests._native_cases import (  # noqa: E402
     CASES, OFFSETS, OUTSIDE, _bucket_arcs, _fennel_rows, _i8, _induce_rows, _scatter_rows,
-    _serve_reads, _walk_apply)
+    _serve_reads, _walk_apply, serve_cache, serve_graph)
 
 CELLS = 0
 
@@ -53,12 +55,12 @@ def cell(name, *args, refused=False):
     assert not refused, f"{name} took an id outside its range"
 
 
-def refused(run):
+def refused(run, error=(ReproError, ValueError)):
     global CELLS
     CELLS += 1
     try:
         run()
-    except (ReproError, ValueError):
+    except error:
         return
     raise AssertionError(f"{run} was not refused")
 
@@ -128,6 +130,46 @@ def main() -> None:
     cell("walk_apply", *_walk_apply(m=1))
     args = _serve_reads(machines=1)
     cell("serve_reads", *args[:1], 1, *args[2:], refused=True)  # a machine past the last
+    ctx = serve_cache(steps=5).context  # room for two walkers of five steps
+    cell("serve_batch", ctx, 0, 0, empty(i8))
+    cell("serve_batch", ctx, 1, 0, array("q", [2, 0]))
+    ring = [(np.arange(9), (np.arange(8) + 1) % 8)]  # no walker dies on it
+    ctx.set(graph=ring)
+    cell("serve_batch", ctx, 1, 0, array("q", [2, 0]))  # two walkers fill the buffer
+    ctx.set(graph=serve_graph())
+    cell("serve_batch", ctx, 0, 0, array("q", [2, 0, 0]), refused=True)  # three do not fit
+    cell("serve_batch", ctx, 2, 0, array("q", [0]), refused=True)  # a machine past the last
+    cell("serve_batch", ctx, 0, 1, array("q", [0]), refused=True)  # past the seed table
+    cell("serve_batch", ctx, 0, -1, array("q", [0]), refused=True)
+    cell("serve_batch", ctx, 0, 1, array("q", [1]))  # no walker draws no seed
+    ctx.set(vertex=_i8(3, 5, 2))  # 3 is a sink, 2 steps into it
+    cell("serve_batch", ctx, 0, 0, array("q", [0, 2]))
+    (ptr, ids), (ptr1, ids1) = serve_graph()
+    ctx.set(graph=[(ptr, ids), (ptr1[:4].copy(), ids1[:4].copy())], vertex=_i8(7, 5, 7))
+    cell("serve_batch", ctx, 0, 0, array("q", [0]), refused=True)  # 7 past the last block
+    for at, value in ((1, -1), (2, 5), (4, 99)):  # a row's offsets outside its ids
+        bad = ptr.copy()
+        bad[at] = value
+        ctx.set(graph=[(bad, ids), (ptr1, ids1)], vertex=_i8(1, 5, 2))
+        cell("serve_batch", ctx, 0, 0, array("q", [0, 2]), refused=True)
+    cell("walk_draws", ctx.fields["seeds"][0, 0], empty(f8))
+
+    # Full batches end to end: 32 walkers of 16 steps; then a walker reaching a shard id
+    # outside [0, n) is a GraphFormatError.
+    g = chung_lu(400, 6.0, rng=5)
+    trace = WorkloadSpec(duration=0.004, rate=1200000.0, walk_frac=1.0, walk_steps=16,
+                         seed=2).generate(g)
+    config = ServingConfig(batch_max=32, queue_limit=128)
+    ServingSimulator(PartitionAssignment(g, np.arange(400) % 3, 3), config).run(trace)
+    with tempfile.TemporaryDirectory() as spill:
+        sharded = spill_csr(g, spill, shard_size=64)
+        ids = np.load(f"{spill}/shard-00002.indices.npy", mmap_mode="r+")
+        assignment = PartitionAssignment(sharded, np.arange(400) % 3, 3)
+        for value in (g.num_vertices, -1, np.iinfo(ids.dtype).max):
+            ids[:] = value
+            ids.flush()
+            refused(lambda: ServingSimulator(assignment, config).run(trace), GraphFormatError)
+        del ids
 
     # One machine, capacity 1 and 2: every hit, miss and eviction path of the LRU.
     rng = np.random.default_rng(7)

@@ -17,7 +17,7 @@ class TestCostModel:
 
     @pytest.mark.parametrize("cores", [48, 7, (48, 24, 7)])
     def test_python_scalars_equal_the_array_path_bit_for_bit(self, cores):
-        # int/float arguments skip NumPy; the IEEE result must not move.
+        # int/float arguments take the array path: the same IEEE bits.
         cm = CostModel(step_cost=5e-8 / 3, edge_cost=2e-8 / 7, vertex_cost=1e-8 / 11, cores=cores)
         for counts in [(0, 0.0, 1), (32, 71886.0, 8), (4.0, 2**53 + 1, 3), (1, 2, 3)]:
             steps, edges, vertices = counts
@@ -27,7 +27,7 @@ class TestCostModel:
             if isinstance(cores, tuple):
                 assert fast.tolist() == slow.tolist()
             else:
-                assert type(fast) is float and [fast] * 3 == slow.tolist()
+                assert isinstance(fast, float) and [float(fast)] * 3 == slow.tolist()
 
     def test_array_broadcast(self):
         cm = CostModel(step_cost=1e-6, cores=1, edge_cost=0, vertex_cost=0)

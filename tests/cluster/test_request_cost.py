@@ -50,7 +50,7 @@ def test_negative_messages_rejected(net):
 
 @pytest.mark.parametrize("bytes_each", [None, 4096, 0.3])
 def test_python_scalars_equal_the_array_path_bit_for_bit(bytes_each):
-    # int/float arguments skip NumPy; the IEEE result must not move.
+    # int/float arguments come back as a float with the array path's IEEE bits.
     net = NetworkModel(bandwidth=5e9 / 3, latency=50e-6 / 7, message_bytes=13)
     for n in [0, 1, 7, 718860, 2**53 + 1, 0.1, 1e-3, 12345.678]:
         fast = net.request_cost(n, bytes_each)

@@ -45,6 +45,12 @@ ARRAYS = [(name, *array) for name, entry in native.TABLE.items() for array in _a
 
 
 def _bad_variants(p, a):
+    if p.kind == "csr":  # a block's offsets or ids
+        (ptr, ids), *rest = a
+        yield "dtype", [(ptr.astype(np.float32), ids), *rest]
+        yield "dtype", [(ptr, ids.astype(np.int16)), *rest]
+        yield "strided", [(ptr, np.repeat(ids, 2)[::2]), *rest]
+        return
     wrong = np.float32 if np.dtype(np.float32) not in p.dtypes else np.int64
     yield "dtype", np.asarray(a).astype(wrong)
     yield "strided", np.repeat(np.asarray(a), 2, axis=-1)[..., ::2]

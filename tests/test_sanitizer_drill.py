@@ -6,10 +6,13 @@ and runs ``tests/_sanitizer_child.py``: every TABLE entry of
 ``utils/native.py`` on valid inputs, empty inputs, one part or machine, a
 capacity-1 cache, no part at all, ids at ``n``, -1 and 2**31 - 1, row offsets
 outside their ids, a row below its block, a bucket past the last, a full row
-and an output with no room, then the engines, BPart and Fennel on shards (in
-place and gathered), the shard builder and a foreign arc in one of its
-buckets end to end, and corrupted shards (streaming, extraction, the arc
-test). It must exit cleanly with no sanitizer report within 60 s. The test
+and an output with no room, serving batches (walkers filling the visit
+buffer, one walker too many, dead ends, a batch past the seed table, a
+vertex past the graph's last block, row offsets outside their ids), then
+the engines, BPart and Fennel on shards (in place and gathered), the shard
+builder and a foreign arc in one of its buckets, 32-walker serving batches
+end to end, and corrupted shards (streaming, extraction, the arc test, a
+serving walker reaching an id outside the graph). It must exit cleanly with no sanitizer report within 60 s. The test
 skips only when gcc reports no ``libasan.so``.
 """
 

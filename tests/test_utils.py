@@ -18,7 +18,8 @@ from repro.utils import (
     derive_rng,
     splitmix64,
 )
-from repro.utils.rng import hash_u64, rng_from_state, seed_states
+from repro.utils.rng import hash_u64, seed_states
+from tests.serving._walk_model import rng_from_state
 
 _M64 = 0xFFFFFFFFFFFFFFFF
 

@@ -127,6 +127,7 @@ class BSPCluster:
         self._plan = plan if plan is not None else FaultPlan()
         self._plan.validate_for(self._num_machines)
         self._cost = cost_model if cost_model is not None else CostModel()
+        self._cost.cores_for(self._num_machines)  # a per-machine cores tuple fits the machines
         self._network = network if network is not None else NetworkModel()
         self._overlap = bool(overlap)
         self._ckpt = checkpoint_cost if checkpoint_cost is not None else CheckpointCostModel()

@@ -63,6 +63,13 @@ class CostModel:
         """Cores as an array (heterogeneous) or scalar (uniform)."""
         return np.asarray(self.cores) if isinstance(self.cores, tuple) else self.cores
 
+    def cores_for(self, machines: int) -> np.ndarray:
+        """Each machine's cores on ``machines`` machines; a per-machine tuple of another length
+        is a :class:`ConfigurationError` naming ``cores``."""
+        if isinstance(self.cores, tuple) and len(self.cores) != machines:
+            raise ConfigurationError(f"cores has {len(self.cores)} entries for {machines} machines")
+        return np.full(machines, self.cores, float)
+
     def compute_seconds(
         self,
         *,

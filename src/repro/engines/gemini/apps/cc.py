@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.engines.gemini.vertex_program import VertexProgram, neighbor_min
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, gather_rows
 
 __all__ = ["ConnectedComponents"]
 
@@ -42,13 +42,6 @@ class ConnectedComponents(VertexProgram):
         # label changed or a neighbour's did. Using the changed set keeps
         # the accounting sparse as components settle.
         next_active = changed.copy()
-        # Neighbours of changed vertices must re-check their minima: gather
-        # them by flat arc slot, which dense and sharded graphs both serve.
-        changed_ids = np.nonzero(changed)[0]
-        lens = graph.degrees[changed_ids]
-        total = int(lens.sum())
-        if total:
-            first = np.cumsum(lens) - lens
-            slots = np.repeat(graph.indptr[changed_ids] - first, lens) + np.arange(total)
-            next_active[graph.take_arcs(slots)] = True
+        # Neighbours of changed vertices must re-check their minima.
+        next_active[gather_rows(graph, np.flatnonzero(changed))[1]] = True
         return new_state, next_active

@@ -2,9 +2,8 @@
 
 All functions operate on *batches* of walkers at once and check every
 vertex id against ``[0, n)`` (a ``ConfigurationError`` names the first
-bad one); the per-walker loops are C (``engines/_superstep.c``), block by
-block of ``iter_blocks`` or through ``take_arcs``, so sharded graphs are
-served too.
+bad one); the per-walker loops are C (``engines/_superstep.c``), one call
+through the graph's block table, so sharded graphs are served in place.
 """
 
 from __future__ import annotations
@@ -31,11 +30,8 @@ def uniform_neighbor(
     """
     pos = check_vertex_ids("positions", positions, None)
     u = rng.random(pos.size)
-    slots, dead = np.empty(pos.size, dtype=np.int64), np.empty(pos.size, dtype=bool)
-    native.call("uniform_slots", graph.indptr, pos, u, slots, dead)
-    # take_arcs == indices[slots], but shard-aware for out-of-core graphs.
-    targets = graph.take_arcs(slots).astype(np.int64) if graph.num_edges else pos.copy()
-    np.copyto(targets, pos, where=dead)
+    targets, dead = np.empty(pos.size, dtype=np.int64), np.empty(pos.size, dtype=bool)
+    native.call("uniform_step", graph.table, graph.num_vertices, pos, u, targets, dead)
     return targets, dead
 
 
@@ -46,14 +42,6 @@ def arcs_exist(graph: CSRGraph, sources: np.ndarray, targets: np.ndarray) -> np.
     tgt = check_vertex_ids("targets", targets, graph.num_vertices)
     if src.size != tgt.size:
         raise ConfigurationError(f"{src.size} sources but {tgt.size} targets")
-    if isinstance(graph, CSRGraph):
-        if graph.num_edges and not graph.rows_sorted:
-            raise GraphFormatError("arcs_exist needs every neighbour list sorted ascending")
-        return superstep.arcs_sorted(graph.indptr, graph.indices, src, tgt)
-    # each block's C call sees only its own rows, so sources outside [0, n) are refused here
-    src = check_vertex_ids("sources", src, graph.num_vertices)
-    hit = np.zeros(src.size, dtype=bool)
-    for start, stop, local, ids in graph.iter_blocks():
-        sel = np.flatnonzero((src >= start) & (src < stop))
-        hit[sel] = superstep.arcs_sorted(local, ids, src[sel], tgt[sel], start)
-    return hit
+    if isinstance(graph, CSRGraph) and graph.num_edges and not graph.rows_sorted:
+        raise GraphFormatError("arcs_exist needs every neighbour list sorted ascending")
+    return superstep.arcs_sorted(graph, src, tgt)

@@ -10,30 +10,25 @@ import numpy as np
 from repro.utils import native
 
 
-def arcs_sorted(indptr: np.ndarray, indices: np.ndarray, src: np.ndarray, tgt: np.ndarray,
-                start: int = 0):
-    """Whether row ``src[i]`` of a CSR with ascending rows (from row ``start`` on) holds ``tgt[i]``."""
+def arcs_sorted(graph, src: np.ndarray, tgt: np.ndarray):
+    """Whether row ``src[i]`` of ``graph``, whose rows ascend, holds ``tgt[i]``."""
     hit = np.empty(src.size, dtype=bool)
-    native.call("arcs_sorted", start, indptr, native.wide(indices), src, tgt, hit)
+    native.call("arcs_sorted", graph.table, src, tgt, hit)
     return hit
 
 
 def census_build(graph, parts: np.ndarray, m: int) -> dict:
     """Gemini's cut arcs grouped by (source machine, target vertex), groups
-    in ascending order: two passes of an LSD counting sort over
-    ``graph.iter_blocks()``, O(n + m + cut) time and O(n) memory besides
+    in ascending order: two passes of an LSD counting sort over the
+    graph's rows, O(n + m + cut) time and O(n) memory besides
     the output. ``cut_src`` and ``cut_pair`` (``src_machine * m +
     dst_machine``) are per arc, ``group_starts`` and ``group_pair`` per group."""
     n, at = graph.num_vertices, np.zeros(graph.num_vertices, dtype=np.int64)
-
-    def scan(by_target):
-        for start, _, local, ids in graph.iter_blocks():
-            native.call("census_scan", start, local, native.wide(ids), parts, at, by_target)
-
-    scan(None)
+    native.call("census_scan", graph.table, parts, at, None)
     cut_src, cut_pair, starts, group_pair = (np.empty(int(at.sum()), np.int64) for _ in range(4))
     at[:] = np.cumsum(at) - at  # each target's first slot; its run's end after the scan
-    scan(group_pair)  # the first pass's output, read by census_group before it is overwritten
+    # the first pass's output, read by census_group before it is overwritten
+    native.call("census_scan", graph.table, parts, at, group_pair)
     groups = native.call("census_group", parts, m, at, group_pair, cut_src, cut_pair, starts,
                          group_pair)
     return {"n": n, "cut_src": cut_src, "cut_pair": cut_pair,

@@ -5,7 +5,8 @@ its vertex set plus knowledge of which neighbours are remote. This
 module materialises those per-part structures and is also the basis of
 the §3.3 connectivity experiment (edge connections between pieces) and
 of every BPart layer after the first. The induced rows are built in C,
-one checked call per block (``graph/_sample.c``'s ``induce_rows``).
+one checked call through the graph's block table (``graph/_sample.c``'s
+``induce_rows``).
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
     # zero-copy on dense graphs and natively out-of-core on sharded ones.
     # A dense graph qualifies only with ascending rows, since the induced
     # adjacency below always comes out row-sorted.
-    if ids.size == n and (getattr(graph, "gather_block", None) is not None or graph.rows_sorted):
+    if ids.size == n and (not isinstance(graph, CSRGraph) or graph.rows_sorted):
         return Subgraph(
             graph=graph,
             global_ids=ids,
@@ -78,19 +79,13 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
     local_of = np.full(n, -1, dtype=np.int64)
     local_of[ids] = np.arange(ids.size)
 
-    # One C call per block (dense graphs yield one zero-copy block) writes its
-    # members' induced degrees and relabelled rows; blocks ascend, so the rows
-    # come out in member order, in an output sized by the members' arcs.
+    # One C call writes the members' induced degrees and relabelled rows, in member
+    # order, into an output sized by the members' arcs.
     total_arcs = int(graph.degrees[ids].sum())
     counts = np.zeros(ids.size, dtype=np.int64)
     indices = np.empty(total_arcs, dtype=np.int32 if ids.size <= 2**31 - 1 else np.int64)
-    kept = 0
-    for start, stop, local, idx in graph.iter_blocks():
-        a, b = np.searchsorted(ids, (start, stop))
-        if a < b:
-            native.call("induce_rows", start, local, native.wide(idx), ids[a:b], local_of,
-                        counts[a:b], indices[kept:])
-            kept += int(counts[a:b].sum())
+    native.call("induce_rows", graph.table, ids, local_of, counts, indices)
+    kept = int(counts.sum())
     new_indptr = np.zeros(ids.size + 1, dtype=np.int64)
     np.cumsum(counts, out=new_indptr[1:])
     # The relabelling is monotone, so sorted input rows come out sorted;

@@ -28,7 +28,6 @@ from repro.graph.csr import CSRGraph
 from repro.graph.stream import vertex_stream
 from repro.parallel import note_fallback, resolve_jobs
 from repro.partition.kernels import get_kernel
-from repro.partition.kernels.buffered import shard_runs
 from repro.utils.validation import check_at_least, check_positive
 
 __all__ = ["stream_partition", "default_alpha"]
@@ -121,8 +120,7 @@ def stream_partition(
     # Sharded graphs expose no global indices array: every kernel but the
     # parallel one routes to the buffered kernel, which streams their shards
     # (all backends are bit-exact, so the routing is invisible in the output).
-    gather = getattr(graph, "gather_block", None)
-    dense = gather is None
+    dense = isinstance(graph, CSRGraph)
     effective = backend.name if backend.name == "parallel" or dense else "buffered"
     w = np.ascontiguousarray(vertex_weights, dtype=np.float64)
     loads = np.zeros(k, dtype=np.float64)
@@ -132,21 +130,18 @@ def stream_partition(
             stream, parts, loads, w)
     knobs = dict(alpha=float(alpha), gamma=float(gamma), capacity=float(capacity),
                  passes=int(passes))
-    # in_place: rows read where they lie, not gathered (worked out only with telemetry on);
     # `with`, so a kernel that raises cannot leave the timer open (off: no-op contexts)
     reg = telemetry.active()
-    in_place = telemetry.enabled() and effective != "parallel" and (
-        dense or shard_runs(graph, stream) is not None)
-    with reg.span("partition.stream", kernel=effective, in_place=in_place), \
+    with reg.span("partition.stream", kernel=effective), \
             reg.timer("partition.stream.seconds", kernel=effective).time():
         if backend.name == "parallel":
             from repro.partition.kernels.parallel_backend import fennel_parallel
 
-            fennel_parallel(*args, **knobs, gather=gather, graph=graph, jobs=eff_jobs)
-        elif dense:
-            backend.fennel(*args, **knobs)
-        else:
+            fennel_parallel(*args, **knobs, graph=graph, jobs=eff_jobs)
+        elif effective == "buffered":
             get_kernel("buffered").fennel(*args, **knobs, graph=graph)
+        else:
+            backend.fennel(*args, **knobs)
     if telemetry.enabled():
         # Aggregates only, recorded after the kernel: the per-vertex hot
         # loop stays untouched, so disabled-mode cost is one flag read.

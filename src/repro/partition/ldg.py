@@ -60,20 +60,8 @@ class LDGPartitioner(Partitioner):
         capacity = self._slack * n / k
         stream = vertex_stream(graph, self._order, rng=self._seed)
 
-        # Sharded graphs have no global indices array; their chunked
-        # gather_block is the loop's gather.
-        gather = getattr(graph, "gather_block", None)
-        dense = gather is None
         with self._phase("stream"):
-            ldg_buffered(
-                graph.indptr if dense else None,
-                graph.indices if dense else None,
-                stream,
-                parts,
-                loads,
-                capacity=float(capacity),
-                gather=gather,
-            )
+            ldg_buffered(graph, stream, parts, loads, capacity=float(capacity))
         if telemetry.enabled():
             reg = telemetry.active()
             reg.counter("partition.stream.vertices", kernel="buffered").inc(n)

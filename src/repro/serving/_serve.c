@@ -5,9 +5,9 @@
  * after the whole batch); serve_batch then costs it. Each returns -1, or, changing nothing, i for
  * a row batch[i] past ctx's, then nq + i for pos[i] and nq + nw for m (serve_reads), or nq for m,
  * a walker or the walk state and -2 - v for v's row or arc outside the graph (serve_batch). */
-#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+#include "../utils/_graph.h"
 
 enum { EDGES, REMOTE, PTR, BLOCK, COUNT, PARTS, PREV, NEXT, RESIDENT, ROWS, ACC, SEEN,
        NROWS, N, MACHINES, NBLOCKS, BLOCK_SIZE, CAPACITY, WORK, READS, FETCHED,
@@ -116,24 +116,6 @@ void walk_draws(const uint64_t *seed, double *u, int64_t n) {  /* the draws serv
     for (int64_t i = 0; i < n; i++) u[i] = pcg64_double(&g);
 }
 
-/* Where a walker at v in [0, n) goes for the draw u: arc min(floor(u·deg), deg − 1) of v's row,
- * read through GRAPH's blocks (every block but the last has the first's rows); -1 at a dead end,
- * -2 - v if the row or the id is outside the graph. */
-typedef struct { const int64_t *ptr; int64_t rows_1; const void *ids; int64_t z, wide; } block;
-
-static int64_t step(const int64_t *ctx, int64_t v, double u) {
-    const block *g = AT(const block, GRAPH);
-    int64_t span = ctx[NGRAPH] ? g->rows_1 - 1 : 0, b = span > 0 ? v / span : ctx[NGRAPH], lo, deg;
-    if (b >= ctx[NGRAPH] || v - b * span >= g[b].rows_1 - 1) return -2 - v;
-    const int64_t *ptr = g[b].ptr + (v - b * span);
-    if ((lo = ptr[0]) < 0 || (deg = ptr[1] - lo) < 0 || ptr[1] > g[b].z) return -2 - v;
-    if (!deg) return -1;
-    int64_t j = (int64_t)(u * (double)deg), t;
-    j = lo + (j < deg - 1 ? j : deg - 1);
-    t = g[b].wide ? ((const int64_t *)g[b].ids)[j] : ((const int32_t *)g[b].ids)[j];
-    return t >= 0 && t < ctx[N] ? t : -2 - v;
-}
-
 int64_t serve_batch(int64_t *ctx, int64_t m, int64_t batch_id, const int64_t *batch, int64_t nq) {
     const uint8_t *kind = AT(uint8_t, KIND);
     const int64_t *vertex = AT(int64_t, VERTEX), *home = AT(int64_t, HOME);
@@ -152,10 +134,15 @@ int64_t serve_batch(int64_t *ctx, int64_t m, int64_t batch_id, const int64_t *ba
         return nq;
     if ((nv = nw)) {  /* a draw per walker still walking, a dead end's included, each step */
         pcg64 g = pcg64_seeded(AT(uint64_t, SEEDS) + 4 * (batch_id * ctx[MACHINES] + m));
+        row r;
         for (s = 0, i = 0; s < ctx[STEPS] && i < nv; s++)
-            for (int64_t end = nv; i < end; i++)  /* from the last step's visits */
-                if ((v = step(ctx, visits[i], pcg64_double(&g))) < -1) return v;
-                else if (v >= 0) visits[nv] = v, homes[nv++] = homes[i];
+            for (int64_t end = nv; i < end; i++) {  /* from the last step's visits */
+                double u = pcg64_double(&g);
+                if (graph_row(AT(const block, GRAPH), ctx[NGRAPH], visits[i], &r) < 1 ||
+                    ((v = uniform_arc(r, u)) >= 0 && (uint64_t)(v = NBR(r, v)) >= (uint64_t)ctx[N]))
+                    return -2 - visits[i];
+                if (v >= 0) visits[nv] = v, homes[nv++] = homes[i];
+            }
     }
     nv -= nw;  /* the visits, behind the walkers' targets */
     if (serve_reads(ctx, m, batch, nq, visits + nw, homes + nw, nv) != -1) return nq;

@@ -523,18 +523,18 @@ class _Run:
         self.home = self.part_of_query.tolist()
         with telemetry.active().span("serving.demand.plan", queries=q):
             cache.attach(_plan_demand(assignment, trace, cfg.cache_block_size), assignment.parts)
-        # The batch step's walkers, graph blocks (held while the run lasts), costs and visit
-        # buffers; grow_seeds adds the walk seeds.
+        # The batch step's walkers, the graph's block table (which the graph holds), costs and
+        # visit buffers; grow_seeds adds the walk seeds.
         self.context, cost, net = cache.context, cfg.cost, cfg.network
         steps = trace.spec.walk_steps
         visits = cfg.batch_max * (steps + 1)  # a batch's walkers' targets, then their visits
         self.context.set(
             kind=np.ascontiguousarray(trace.kind, np.uint8), home=self.part_of_query,
             vertex=np.ascontiguousarray(trace.vertex, np.int64), steps=steps,
-            graph=[(ptr, native.wide(ids)) for _, _, ptr, ids in assignment.graph.iter_blocks()],
+            graph=assignment.graph.table,
             cost=np.array([cost.step_cost, cost.edge_cost, cost.vertex_cost, net.latency,
                            net.bandwidth, net.message_bytes, cfg.block_bytes], np.float64),
-            cores=np.full(k, cost.cores, float), visits=np.empty(visits, np.int64),
+            cores=cost.cores_for(k), visits=np.empty(visits, np.int64),
             homes=np.empty(visits, np.int64))
         self.seed_rows, self.seeds = 0, np.empty((0, k, 4), np.uint64)
         self.slots = self.context.slots  # READS; SECONDS as a double's bits

@@ -29,6 +29,14 @@ class TestCostModel:
             else:
                 assert isinstance(fast, float) and [float(fast)] * 3 == slow.tolist()
 
+    @pytest.mark.parametrize("cores", [(8, 8, 8), (8, 8, 8, 8, 8)])
+    def test_a_cores_tuple_must_fit_the_cluster(self, cores):
+        from repro.cluster import BSPCluster
+
+        with pytest.raises(ConfigurationError, match=rf"^cores has {len(cores)} entries for 4 "):
+            BSPCluster(4, cost_model=CostModel(cores=cores))
+        assert CostModel(cores=cores).cores_for(len(cores)).tolist() == [8.0] * len(cores)
+
     def test_array_broadcast(self):
         cm = CostModel(step_cost=1e-6, cores=1, edge_cost=0, vertex_cost=0)
         t = cm.compute_seconds(steps=np.array([1.0, 2.0, 0.0]))

@@ -1,7 +1,8 @@
 """Building and loading the compiled libraries: the Fennel resolver
 (``partition/kernels/_fennel.c``), the serving batch step
 (``serving/_serve.c``), the generators' sampler (``graph/_sample.c``)
-and the engines' superstep kernel (``engines/_superstep.c``).
+and the engines' superstep kernel (``engines/_superstep.c``), each
+including the block table's header (``utils/_graph.h``).
 
 All are declared in one table, ``utils/native.py``, and built by one
 helper: compiled on first use into ``$REPRO_CACHE_DIR/kernels/`` and
@@ -13,6 +14,7 @@ processes and a compiler that is missing or fails.
 from __future__ import annotations
 
 import os
+import shutil
 import subprocess
 import sys
 import sysconfig
@@ -44,8 +46,8 @@ print(*(span["args"]["cached"] for span in telemetry.registry().spans))
 """
 
 
-def _child(cache: Path, *args: str) -> subprocess.Popen:
-    env = {**os.environ, "PYTHONPATH": SRC, "REPRO_CACHE_DIR": str(cache)}
+def _child(cache: Path, *args: str, src: str = SRC) -> subprocess.Popen:
+    env = {**os.environ, "PYTHONPATH": src, "REPRO_CACHE_DIR": str(cache)}
     return subprocess.Popen([sys.executable, "-c", CHILD, *args], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
@@ -94,6 +96,22 @@ def test_cold_build_into_an_empty_cache(fresh_libraries, tmp_path, monkeypatch):
 def test_second_process_loads_without_the_compiler(tmp_path):
     assert _finish(_child(tmp_path)) == "False False False False"
     assert _finish(_child(tmp_path, "--no-compiler")) == "True True True True"
+
+
+def test_editing_the_header_rebuilds_every_library(tmp_path):
+    # in a scratch copy of the package, an edit to utils/_graph.h changes the cache key of
+    # every library including it: each is rebuilt, never loaded as built against the old one
+    src = tmp_path / "src"
+    shutil.copytree(Path(SRC) / "repro", src / "repro", ignore=shutil.ignore_patterns("__pycache__"))
+    cache = tmp_path / "cache"
+    assert _finish(_child(cache, src=str(src))) == "False False False False"
+    assert _finish(_child(cache, "--no-compiler", src=str(src))) == "True True True True"
+    before = {p.name for p in (cache / "kernels").glob("*.so")}
+    header = src / "repro/utils/_graph.h"
+    header.write_text(header.read_text() + "/* edited */\n")
+    assert _finish(_child(cache, src=str(src))) == "False False False False"
+    rebuilt = {p.name for p in (cache / "kernels").glob("*.so")} - before
+    assert sorted(name.split("-")[0] for name in rebuilt) == sorted(native.LIBRARIES)
 
 
 def test_concurrent_builds_both_succeed(tmp_path):

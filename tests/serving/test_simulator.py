@@ -83,6 +83,16 @@ class TestConfig:
         ).digest()
 
 
+@pytest.mark.parametrize("cores", [(8, 8, 8), (8, 8, 8, 8, 8)])
+def test_a_cores_tuple_must_fit_the_machines(cores):
+    graph = social_graph(200, 4.0, 2.3, rng=1)
+    trace = WorkloadSpec(duration=0.01, rate=2000.0, seed=1).generate(graph)
+    sim = ServingSimulator(PartitionAssignment(graph, np.arange(200) % 4, 4),
+                           ServingConfig(cost=CostModel(cores=cores)))
+    with pytest.raises(ConfigurationError, match=rf"^cores has {len(cores)} entries for 4 "):
+        sim.run(trace)
+
+
 class TestFromDictRejectsWhatToDictNeverWrote:
     def test_round_trips_every_block(self):
         from repro.cluster.cost import CostModel

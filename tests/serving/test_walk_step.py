@@ -138,7 +138,7 @@ class TestRefusals:
 
     def test_an_id_outside_the_graph(self):
         run = self.run()
-        ptr, ids = run.context.fields["graph"][0]
+        ptr, ids = run.context.fields["graph"].blocks[0]
         bad = ids.copy()
         bad[1] = 4  # 1 -> 4, past the last vertex
         run.context.set(graph=[(ptr, bad)])

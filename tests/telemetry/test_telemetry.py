@@ -151,6 +151,7 @@ class TestDisabledMode:
     def test_instrumented_code_records_nothing_when_disabled(self, tmp_path):
         from repro.cluster.ledger import TimingLedger
         from repro.graph import social_graph, spill_csr
+        from repro.graph.csr import gather_rows
 
         ledger = TimingLedger(2)
         ledger.record(np.array([1.0, 2.0]), np.array([0.1, 0.2]))
@@ -162,7 +163,7 @@ class TestDisabledMode:
         )
         for _ in sharded.iter_blocks():
             pass
-        sharded.gather_block(np.arange(50))
+        gather_rows(sharded, np.arange(50))
         assert telemetry.registry().metrics() == []
 
 

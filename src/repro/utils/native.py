@@ -144,6 +144,10 @@ class Table:
     widened to int64 here, once."""
 
     def __init__(self, blocks, error=ValueError, name: str = "csr", first: int = 0) -> None:
+        bad = [b for b in (blocks if type(blocks) is list else [blocks]) if type(b) != tuple or len(b) != 2]
+        if bad:  # every csr parameter of TABLE and SERVE is named graph
+            got = f"a tuple of {len(bad[0])}" if type(bad[0]) is tuple else type(bad[0]).__name__
+            raise error(f"{name}: graph must be a Table or a list of (ptr, ids) pairs, got {got}")
         ptr, ids = _params(BLOCK)
         self.blocks = [(a, b.astype(np.int64) if isinstance(b, np.ndarray) and b.dtype.kind in "iu"
                         and b.dtype not in ids.dtypes else b) for a, b in blocks]
@@ -174,8 +178,8 @@ def _checked(name: str):
         if p.kind == "serve":
             code.append(f"if type({p.name}) is not Struct: raise _refuse({this})")
         elif p.kind == "csr":
-            code.append(f"{p.name}_ = {p.name} if {p.name} is None or type({p.name}) is Table else "
-                        f"Table({p.name}, _E, _N)")
+            code.append(f"{p.name}_ = {p.name} if {f'{p.name} is None or ' * p.optional}type({p.name}) "
+                        f"is Table else Table({p.name}, _E, _N)")
             code.append(f"{p.name}_n = {p.name}_ and {p.name}_.size")
             first.setdefault(p.size, p.name)
         elif p.size:

@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -11,18 +12,14 @@ from repro.bench import ExperimentConfig, run_experiment
 from repro.bench.artifacts import get_store
 from repro.bench.workloads import PAPER_PARTITIONERS, run_fault_walk_job
 from repro.cli import main
-from repro.cluster.faults import CheckpointPolicy, Crash, FaultPlan, Straggler
+from repro.cluster.faults import CheckpointPolicy, Crash, FaultPlan
 from repro.graph import twitter_like
 from repro.partition import get_partitioner
 
 TINY = ExperimentConfig(scale=0.05, seed=3)
 
-PLAN = FaultPlan(
-    crashes=(Crash(machine=1, superstep=2),),
-    stragglers=(Straggler(machine=0, start=0, duration=2, factor=3.0),),
-    checkpoint=CheckpointPolicy(interval=2),
-    seed=7,
-)
+# one crash, a straggler and checkpoints every two supersteps
+PLAN = Path(__file__).parents[1] / "data" / "plans" / "fault-trace.json"
 
 
 @pytest.fixture()
@@ -176,11 +173,9 @@ class TestCli:
 
     # Each test covers both paths `trace` runs: a walk app and a Gemini app.
     def test_trace_subcommand_with_plan(self, capsys, tmp_path):
-        plan_file = tmp_path / "plan.json"
-        plan_file.write_text(PLAN.to_json())
         for app in ("deepwalk", "pagerank"):
             out_file = tmp_path / f"{app}.json"
-            argv = self.TRACE + ["--app", app, "--plan", str(plan_file), "--out", str(out_file)]
+            argv = self.TRACE + ["--app", app, "--plan", str(PLAN), "--out", str(out_file)]
             assert main(argv) == 0
             out = capsys.readouterr().out
             assert "faults: 1 crash(es)" in out and "trace written" in out

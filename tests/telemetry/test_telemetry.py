@@ -334,3 +334,26 @@ class TestDisabledModeParity:
         assert on == off
         # and the enabled run actually collected something
         assert telemetry.registry().metrics()
+
+    def test_every_paper_partitioner_bit_exact(self):
+        """The same for each of the paper's five partitioners on a 5000-vertex
+        social graph: assignment bytes and cache keys."""
+        from repro.bench.artifacts import config_key, scalar_attrs
+        from repro.graph import social_graph
+        from repro.partition import get_partitioner
+
+        g = social_graph(5000, 12.0, 2.2, rng=11)
+
+        def run_all():
+            out = {}
+            for algo in ("bpart", "fennel", "ldg", "chunk-v", "hash"):
+                p = get_partitioner(algo, seed=1)
+                parts = p.partition(g, 8).assignment.parts
+                out[algo] = (parts.tobytes(), config_key(algo, scalar_attrs(p)))
+            return out
+
+        off = run_all()
+        telemetry.set_enabled(True)
+        on = run_all()
+        assert on == off
+        assert telemetry.registry().metrics()

@@ -184,6 +184,8 @@ class TestConfigurationErrorsExitTwo:
              "degraded link start must be >= 0, got -1"),
             (TRACE + ["--plan", '{"stragglers":[{"machine":0,"start":-4,"duration":2}]}'],
              "straggler start must be >= 0, got -4"),
+            # the whole line, newline included
+            (TRACE + ["--plan", '{"crashs":[]}'], "error: unknown key 'crashs' in fault plan\n"),
         ],
     )
     def test_one_error_line_and_exit_two(self, capsys, tmp_path, argv, named):

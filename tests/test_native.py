@@ -88,6 +88,22 @@ def test_arrays_are_checked_before_the_c_call(name, i, p, fixed, no_c_call):
             native.call(name, *args[:i], bad, *args[i + 1:])
 
 
+CSR = [(name, i) for name, entry in native.TABLE.items() for i, p, _ in _arrays(entry.params)
+       if p.kind == "csr"]
+
+
+@pytest.mark.parametrize("name, i", CSR, ids=[name for name, _ in CSR])
+def test_a_graph_neither_table_nor_blocks_is_refused_by_name(name, i, no_c_call):
+    # once a bare TypeError/ValueError from unpacking, and None a NULL table
+    entry, args = native.TABLE[name], list(CASES[name]())
+    no_c_call(name)
+    (ptr, ids), *_ = args[i]
+    for bad, got in ((5, "int"), ([(ptr,)], "a tuple of 1"), ([[ptr, ids]], "list"), (None, "NoneType")):
+        with pytest.raises(entry.error, match=rf"^{name}: graph must be a Table or a list of "
+                                              rf"\(ptr, ids\) pairs, got {got}$"):
+            native.call(name, *args[:i], bad, *args[i + 1:])
+
+
 STRUCT_FIELDS = _arrays(native.SERVE)
 
 

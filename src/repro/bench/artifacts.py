@@ -32,9 +32,9 @@ reuse layer:
   ``REPRO_NO_CACHE=1`` (the CLI's ``--no-cache``) disables reads *and*
   writes globally.
 
-Seven artifact kinds ride the store: ``partition`` (assignment vectors
+Six artifact kinds ride the store: ``partition`` (assignment vectors
 — the headline reuse, :func:`cached_partition` / :func:`get_assignment`),
-``vertexcut``, ``churnledger`` and the simulation summaries kept by
+``churnledger`` and the simulation summaries kept by
 :mod:`repro.bench.workloads` (deterministic simulated measurements are
 replayable artifacts too). Hit/miss/store/error counters are kept per
 process and surfaced by the CLI so the speedup is observable, not
@@ -72,7 +72,6 @@ __all__ = [
     "CacheStats",
     "cache_enabled",
     "cached_churn_ledger",
-    "cached_edge_partition",
     "cached_partition",
     "config_key",
     "dataclass_from_payload",
@@ -483,26 +482,3 @@ def cached_churn_ledger(scenario, daemon_params: Mapping[str, Any], compute, *, 
         bypass=bypass,
     )
 
-
-def cached_edge_partition(partitioner, graph: CSRGraph, num_parts: int):
-    """Vertex-cut analogue: cache an :class:`EdgePartition`'s edge→part
-    vector (the canonical edge order is a pure function of the graph, so
-    the vector alone rebuilds the partition)."""
-    from repro.partition.vertexcut import EdgePartition, canonical_edges
-
-    def bind(edge_parts: np.ndarray) -> "EdgePartition":
-        src, dst = canonical_edges(graph)
-        return EdgePartition(graph, src, dst, np.asarray(edge_parts), int(num_parts))
-
-    part = memo(
-        "vertexcut",
-        graph.fingerprint(),
-        config_key(
-            f"vertexcut:{getattr(partitioner, 'name', type(partitioner).__name__)}",
-            {"num_parts": int(num_parts), **scalar_attrs(partitioner)},
-        ),
-        lambda: partitioner.partition(graph, int(num_parts)),
-        lambda part: {"edge_parts": part.edge_parts},
-        lambda payload: bind(payload["edge_parts"]),
-    )
-    return part if part.graph is graph else bind(part.edge_parts)

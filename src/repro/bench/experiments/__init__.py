@@ -24,5 +24,4 @@ from repro.bench.experiments import (  # noqa: F401
     serving_slo,
     table2_overhead,
     table3_cuts,
-    vertexcut_cmp,
 )

@@ -63,20 +63,6 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         result.data[("overlap", name)] = gain
     result.tables.append(t2)
 
-    t_refine = Table(
-        "Balance-preserving refinement on BPart (k = 8)",
-        ["stage", "cut ratio", "vertex bias", "edge bias"],
-        note="FM-style moves inside the (1±ε) envelope trade residual balance slack for cut",
-    )
-    from repro.partition.refine import refine_assignment
-
-    a0 = partition_with("bpart", g, K, seed=config.seed).assignment
-    a1 = refine_assignment(a0, epsilon=0.1, rounds=5)
-    for stage, a in (("bpart", a0), ("bpart + refine", a1)):
-        t_refine.add_row(stage, edge_cut_ratio(g, a.parts), bias(a.vertex_counts), bias(a.edge_counts))
-        result.data[("refine", stage)] = edge_cut_ratio(g, a.parts)
-    result.tables.append(t_refine)
-
     t3 = Table(
         "Straggler machine (PageRank waiting ratio)",
         ["partition", "uniform cluster", "one machine at 1/4 cores"],

@@ -80,8 +80,8 @@ def _load_graph(args: argparse.Namespace):
         raise ConfigurationError(f"cannot read --graph: {exc}") from exc
 
 
-def _add_telemetry_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
+def _add_telemetry_flag(p: argparse.ArgumentParser) -> argparse.Action:
+    return p.add_argument(
         "--telemetry",
         metavar="OUT.json",
         default=None,
@@ -169,7 +169,10 @@ def _bench_parser() -> argparse.ArgumentParser:
         help="fault-injection plan: path to a chaos-plan JSON file or an "
         "inline JSON string (testing the resilience layer itself)",
     )
-    _add_telemetry_flag(p)
+    _add_telemetry_flag(p).help += (
+        "; with --jobs N > 1 only the supervisor's registry (bench.runner.*): "
+        "each worker's series, bench.experiments included, stay in the worker"
+    )
     return p
 
 

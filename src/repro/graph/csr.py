@@ -299,9 +299,7 @@ class CSRGraph:
         """
         return self._indices[slots]
 
-    def iter_blocks(
-        self, block_size: int | None = None
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    def iter_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Yield ``(start, stop, local_indptr, indices_view)`` blocks.
 
         The blockwise scan contract shared with
@@ -310,24 +308,12 @@ class CSRGraph:
         ``indices_view[local_indptr[v - start] : local_indptr[v - start + 1]]``.
         ``local_indptr`` has length ``stop - start + 1`` and starts at 0.
 
-        For the in-RAM representation the default (no ``block_size``) is
-        a single block built entirely from zero-copy views, so blockwise
-        consumers pay nothing on dense graphs.
+        The in-RAM representation is a single block of zero-copy views
+        (``indptr[0] == 0``, so the global array is a valid local one),
+        so blockwise consumers pay nothing on dense graphs.
         """
-        n = self.num_vertices
-        if n == 0:
-            return
-        if block_size is None or block_size >= n:
-            # indptr[0] == 0, so the global array is a valid local one.
-            yield 0, n, self._indptr, self._indices
-            return
-        if block_size <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
-        for start in range(0, n, block_size):
-            stop = min(start + block_size, n)
-            base = int(self._indptr[start])
-            local = self._indptr[start : stop + 1] - base
-            yield start, stop, local, self._indices[base : base + int(local[-1])]
+        if self.num_vertices:
+            yield 0, self.num_vertices, self._indptr, self._indices
 
     # ------------------------------------------------------------------
     # Dunder

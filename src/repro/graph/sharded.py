@@ -439,37 +439,22 @@ class ShardedCSRGraph:
                 for v in indices[local[u - start] : local[u - start + 1]]:
                     yield u, int(v)
 
-    def iter_blocks(
-        self, block_size: int | None = None
-    ) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
+    def iter_blocks(self) -> Iterator[tuple[int, int, np.ndarray, np.ndarray]]:
         """Yield ``(start, stop, local_indptr, indices_view)`` blocks.
 
-        Blocks are **shard-aligned**: a block never spans two shards, so
-        every yielded ``indices_view`` is a view of a single mapped file
-        (zero-copy; whole-shard blocks also reuse the mapped local
-        indptr as-is). Default ``block_size`` is the shard size.
+        One block per shard, so a block never spans two shards: each
+        yielded pair is the shard's mapped local indptr and indices
+        as-is (zero-copy).
         """
         if self._n == 0:
             return
-        step = self._shard_size if block_size is None else int(block_size)
-        if step <= 0:
-            raise ValueError(f"block_size must be positive, got {block_size}")
         emit = telemetry.enabled()
         for shard in range(self._num_shards):
             local, indices = self._shard(shard)
             lo = shard * self._shard_size
-            shard_n = local.size - 1
-            for s in range(0, shard_n, step):
-                e = min(s + step, shard_n)
-                if s == 0 and e == shard_n:
-                    block_local, block_indices = local, indices
-                else:
-                    base = int(local[s])
-                    block_local = local[s : e + 1] - base
-                    block_indices = indices[base : base + int(block_local[-1])]
-                if emit:
-                    telemetry.active().counter("graph.sharded.block_reads").inc()
-                yield lo + s, lo + e, block_local, block_indices
+            if emit:
+                telemetry.active().counter("graph.sharded.block_reads").inc()
+            yield lo, lo + local.size - 1, local, indices
 
     def take_arcs(self, slots: np.ndarray) -> np.ndarray:
         """Neighbour ids at global arc slots (``indices[slots]`` of the

@@ -35,7 +35,6 @@ from repro.partition.base import (
 from repro.partition.bpart import BPartPartitioner
 from repro.partition.chunk import ChunkEPartitioner, ChunkVPartitioner
 from repro.partition.dynamic import DynamicPartitioner
-from repro.partition.export import PartitionBundle, export_partition_bundles, load_partition_bundle
 from repro.partition.combine import CombinePlan, combine_assignment, multi_layer_combine, pair_by_vertex_count
 from repro.partition.fennel import FennelPartitioner
 from repro.partition.gd import GDPartitioner
@@ -59,8 +58,6 @@ from repro.partition.metrics import (
     part_vertex_counts,
 )
 from repro.partition.multilevel import MultilevelPartitioner
-from repro.partition.refine import refine_assignment
-from repro.partition import vertexcut
 
 __all__ = [
     "PartitionAssignment",
@@ -80,11 +77,6 @@ __all__ = [
     "available_kernels",
     "get_kernel",
     "MultilevelPartitioner",
-    "vertexcut",
-    "PartitionBundle",
-    "export_partition_bundles",
-    "load_partition_bundle",
-    "refine_assignment",
     "DynamicPartitioner",
     "GDPartitioner",
     "CombinePlan",

@@ -117,11 +117,6 @@ class BPartPartitioner(Partitioner):
         streams the graph ``2^ℓ·N`` pieces × layers × passes times, so
         the backend choice multiplies across the whole combine schedule;
         all backends are bit-exact, so results are unchanged.
-    refine:
-        Run balance-preserving FM-style boundary refinement
-        (:func:`repro.partition.refine.refine_assignment`) after the
-        combining phase: trades the residual balance slack (up to the
-        ε envelope) for a lower edge cut.
     jobs:
         Worker processes for the parallel streaming backend (explicit
         value beats ``$REPRO_JOBS`` beats 1). With ``kernel="auto"`` and
@@ -147,13 +142,11 @@ class BPartPartitioner(Partitioner):
         passes: int = 1,
         kernel: str = "auto",
         jobs: int | None = None,
-        refine: bool = False,
     ) -> None:
         check_probability("c", c)
         check_at_least("gamma", gamma, 1.0)
         check_positive("passes", passes)
         self._passes = int(passes)
-        self._refine = bool(refine)
         check_fraction("balance_threshold", balance_threshold)
         check_positive("max_layers", max_layers)
         if oversplit_base < 2:
@@ -213,16 +206,7 @@ class BPartPartitioner(Partitioner):
                 for t in traces
             ],
         }
-        assignment = PartitionAssignment(graph, parts, num_parts)
-        if self._refine:
-            from repro.partition.refine import refine_assignment
-
-            with self._phase("refine"):
-                assignment = refine_assignment(
-                    assignment, epsilon=self._threshold, rounds=5
-                )
-            metadata["refined"] = True
-        return assignment, metadata
+        return PartitionAssignment(graph, parts, num_parts), metadata
 
 
 register_partitioner("bpart", BPartPartitioner)

@@ -10,8 +10,9 @@ the balance / edge-cut / recovered-community quality before and after
 
 Everything the daemon does is a deterministic function of the event
 stream and its configuration (no RNG, no wall clock), so two same-seed
-scenario runs produce **byte-identical** ledgers — exactly what the CI
-``churn-smoke`` job asserts with ``cmp``.
+scenario runs produce **byte-identical** ledgers — exactly what
+``tests/test_cli_drills.py::test_churn_ledger_is_byte_identical_per_seed``
+asserts.
 """
 
 from __future__ import annotations

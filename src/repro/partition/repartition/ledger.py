@@ -5,8 +5,9 @@ and daemon configuration plus a record per restreaming epoch (moves,
 gain, bias and cut before/after, recovered-community ARI when ground
 truth is known). Serialisation follows the servetrace/fault-plan idiom
 — sorted keys, compact separators, pure scalars — so two same-seed
-daemon runs write **byte-identical** files, which is what lets the CI
-``churn-smoke`` job ``cmp`` two independent runs directly. A SHA-256
+daemon runs write **byte-identical** files, which is what lets
+``tests/test_cli_drills.py::test_churn_ledger_is_byte_identical_per_seed``
+compare two independent runs byte for byte. A SHA-256
 digest of the canonical payload is embedded and re-verified on load.
 """
 

@@ -10,7 +10,6 @@ import pytest
 from repro.bench import artifacts
 from repro.bench.artifacts import (
     ArtifactStore,
-    cached_edge_partition,
     cached_partition,
     config_key,
     get_assignment,
@@ -30,7 +29,6 @@ from repro.graph import chung_lu
 from repro.graph.datasets import clear_dataset_cache, load_dataset
 from repro.partition import get_partitioner
 from repro.partition.base import PartitionResult
-from repro.partition.vertexcut import DBHPartitioner, EdgePartition
 from repro.serving import ServingConfig, WorkloadSpec
 from repro.utils import canon
 
@@ -167,17 +165,6 @@ class TestCachedPartition:
         assert len(store._memory) == 2
 
 
-class TestVertexCutArtifacts:
-    def test_cached_edge_partition_roundtrip(self, graph):
-        algo = DBHPartitioner()
-        p1 = cached_edge_partition(algo, graph, K)
-        artifacts.reset_store()
-        p2 = cached_edge_partition(algo, graph, K)
-        assert np.array_equal(p1.edge_parts, p2.edge_parts)
-        snap = artifacts.stats_snapshot()
-        assert snap["by_kind"]["vertexcut"]["hits"] == 1
-
-
 # ----------------------------------------------------------------------
 # Simulation artifacts
 # ----------------------------------------------------------------------
@@ -222,8 +209,6 @@ def _same(a, b) -> bool:
         return a.to_json() == b.to_json()
     if isinstance(a, PartitionResult):
         return _same(a.assignment.parts, b.assignment.parts)  # elapsed: TestCachedPartition
-    if isinstance(a, EdgePartition):
-        return _same(a.edge_parts, b.edge_parts) and a.num_parts == b.num_parts
     if dataclasses.is_dataclass(a):
         return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
     return canon.dumps(a) == canon.dumps(b)
@@ -253,7 +238,6 @@ _FAULTS = FaultPlan(crashes=(Crash(machine=1, superstep=1),), checkpoint=Checkpo
 #: artifact kind → the public call that goes through ``memo`` for it.
 SITES = {
     "partition": lambda g, a: cached_partition("fennel", g, K, seed=1),
-    "vertexcut": lambda g, a: cached_edge_partition(DBHPartitioner(), g, K),
     "churnledger": lambda g, a: _churn_ledger(),
     "walk": lambda g, a: run_walk_job(g, a, app_name="ppr", walkers_per_vertex=1, seed=1),
     "faultwalk": lambda g, a: run_fault_walk_job(g, a, _FAULTS, walkers_per_vertex=1, seed=1),

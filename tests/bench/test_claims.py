@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.bench import ExperimentConfig, all_claims, check_claims
 from repro.bench.claims import Claim
 

@@ -13,7 +13,7 @@ from repro.engines.gemini import (
     PageRank,
 )
 from repro.errors import ConfigurationError
-from repro.graph import chung_lu, complete_graph, grid_graph, path_graph, ring_graph
+from repro.graph import chung_lu, path_graph, ring_graph
 from repro.partition import HashPartitioner
 
 

@@ -28,7 +28,6 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 
 from repro.graph import (

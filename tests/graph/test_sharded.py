@@ -267,20 +267,19 @@ class TestReadParity:
             _ = sharded.indices
 
     def test_iter_blocks_contract(self, dense, sharded):
-        for block_size in (None, 100, 256, 257, 10_000):
-            covered = 0
-            chunks = []
-            for start, stop, local, idx in sharded.iter_blocks(block_size):
-                assert start == covered and stop > start
-                assert local[0] == 0 and local[-1] == idx.size
-                # shard-aligned: a block never spans a shard boundary
-                assert start // 256 == (stop - 1) // 256
-                expect = dense.indices[dense.indptr[start] : dense.indptr[stop]]
-                assert np.array_equal(idx, expect)
-                chunks.append(idx)
-                covered = stop
-            assert covered == sharded.num_vertices
-            assert np.array_equal(np.concatenate(chunks), dense.indices)
+        covered = 0
+        chunks = []
+        for start, stop, local, idx in sharded.iter_blocks():
+            assert start == covered and stop > start
+            assert local[0] == 0 and local[-1] == idx.size
+            # shard-aligned: a block never spans a shard boundary
+            assert start // 256 == (stop - 1) // 256
+            expect = dense.indices[dense.indptr[start] : dense.indptr[stop]]
+            assert np.array_equal(idx, expect)
+            chunks.append(idx)
+            covered = stop
+        assert covered == sharded.num_vertices
+        assert np.array_equal(np.concatenate(chunks), dense.indices)
 
     def test_gather_rows(self, dense, sharded):
         rng = np.random.default_rng(11)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import PartitionError
 from repro.graph import chung_lu, social_graph
-from repro.partition import PartitionAssignment, bias, edge_cut_ratio
+from repro.partition import PartitionAssignment, edge_cut_ratio
 from repro.partition.dynamic import DynamicPartitioner
 
 

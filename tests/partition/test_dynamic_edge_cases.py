@@ -9,7 +9,6 @@ count integrity under repeated add/remove churn cycles.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.graph import chung_lu
 from repro.partition.dynamic import DynamicPartitioner

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import PartitionError
-from repro.graph import from_edges, ring_graph
+from repro.graph import from_edges
 from repro.partition import (
     PartitionAssignment,
     balance_report,

@@ -98,6 +98,17 @@ def test_bench_warm_run_reads_the_parallel_cold_run(bench):
             assert _strip(c, "wall_time_s", "cache") == _strip(w, "wall_time_s", "cache")
 
 
+def test_bench_jobs_telemetry_is_the_supervisors_only(bench):
+    # as `bench --help` and docs/telemetry.md say: under --jobs the experiments run and
+    # count in the workers, so the cold run's snapshot has no bench.experiments; the
+    # serial resume run (fig08 runs in process) has it
+    def experiments(name):
+        return [k for k in bench.json(name)["counters"] if k.startswith("bench.experiments{")]
+
+    assert experiments("cold-telemetry.json") == []
+    assert experiments("resume-telemetry.json") == ['bench.experiments{ok="true"}']
+
+
 def test_bench_chaos_run_reproduces_the_clean_run(bench):
     clean = {r["experiment_id"]: r for r in bench.json("cold.json")["results"]}
     chaos = bench.json("chaos.json")["results"]

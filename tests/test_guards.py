@@ -21,6 +21,8 @@ block table: no chunk gather and no per-block loop around ``native.call``, and
 ``utils/_graph.h`` holds the one block lookup and the one uniform step rule.
 ``src/`` (``.py``, ``.c`` and ``.h``) has no numba path and does not grow back past
 the ceiling. Every CI check is a command a builder runs the same way: no heredoc.
+No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a name it never reads
+(ruff's F401, checked by AST so that it runs without ruff).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 
 #: ``find src -name '*.py' -o -name '*.c' | xargs cat | wc -l`` may not exceed this.
-SRC_LINE_CEILING = 20456
+SRC_LINE_CEILING = 19614
 
 SHA256_HOMES = {
     f"src/repro/{name}.py"
@@ -185,6 +187,42 @@ def test_src_does_not_grow_back():
     files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "src").rglob("*.[ch]")]
     lines = sum(p.read_bytes().count(b"\n") for p in files)
     assert lines <= SRC_LINE_CEILING, f"src/ is {lines} lines"
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """``path:line name`` for each import whose name nothing in the file reads."""
+    text = path.read_text(encoding="utf-8")
+    tree, lines = ast.parse(text), text.splitlines()
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in ast.walk(tree):  # a quoted annotation reads the names inside it
+        notes = [getattr(node, "annotation", None), getattr(node, "returns", None)]
+        for note in notes:
+            for c in ast.walk(note) if note else ():
+                if isinstance(c, ast.Constant) and isinstance(c.value, str):
+                    try:
+                        read |= {n.id for n in ast.walk(ast.parse(c.value, mode="eval"))
+                                 if isinstance(n, ast.Name)}
+                    except SyntaxError:
+                        pass
+        if isinstance(node, ast.Assign) and "__all__" in map(ast.unparse, node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    rel = path.relative_to(ROOT).as_posix()
+    return [
+        f"{rel}:{node.lineno} {name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        and "# noqa" not in lines[node.lineno - 1]
+        for name in ((a.asname or a.name.split(".")[0]) for a in node.names)
+        if name not in read
+    ]
+
+
+def test_no_unused_imports():
+    # ruff's F401 (the lint job's first rule) for module- and function-level imports,
+    # by AST alone so that it runs under --noconftest without ruff installed
+    paths = [p for root in ("src", "tests", "benchmarks") for p in sorted((ROOT / root).rglob("*.py"))
+             if p.name != "__init__.py"]
+    assert [hit for p in paths for hit in _unused_imports(p)] == []
 
 
 def test_fennel_decision_is_compiled():

@@ -12,7 +12,6 @@ import pytest
 from repro.bench.workloads import run_app, run_walk_job
 from repro.cluster import BSPCluster
 from repro.engines.gemini import ConnectedComponents, GeminiEngine, PageRank
-from repro.engines.knightking import DeepWalk, WalkEngine
 from repro.graph import load_dataset, social_graph
 from repro.partition import (
     balance_report,

@@ -1,14 +1,12 @@
 """Tests for internals not exercised elsewhere: multilevel pieces,
-GD projection, workload caps, BPart refine flag, adaptive thresholds."""
+GD projection, workload caps, adaptive thresholds."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import telemetry
-from repro.graph import chung_lu, ring_graph, social_graph
-from repro.partition import BPartPartitioner, bias, edge_cut_ratio
+from repro.graph import chung_lu, ring_graph
 
 
 class TestMultilevelInternals:
@@ -90,22 +88,6 @@ class TestWorkloadCaps:
         for app in ("rwj", "rwd", "deepwalk", "node2vec"):
             res = run_walk_job(g, a, app_name=app, walkers_per_vertex=1, seed=1)
             assert res.num_supersteps == 4, app
-
-
-class TestBPartRefineFlag:
-    def test_refine_reduces_cut_within_envelope(self):
-        g = social_graph(3000, 14.0, 2.2, rng=133)
-        plain = BPartPartitioner(seed=133).partition(g, 8)
-        telemetry.set_enabled(True)
-        refined = BPartPartitioner(seed=133, refine=True).partition(g, 8)
-        assert edge_cut_ratio(g, refined.assignment.parts) <= edge_cut_ratio(
-            g, plain.assignment.parts
-        )
-        assert bias(refined.assignment.vertex_counts) < 0.11
-        assert bias(refined.assignment.edge_counts) < 0.11
-        assert refined.metadata.get("refined") is True
-        phases = [s["args"] for s in telemetry.registry().spans if s["name"] == "partition.phase"]
-        assert phases == [{"algo": "bpart", "phase": "refine"}]
 
 
 class TestBarChart:

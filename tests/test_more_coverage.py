@@ -4,7 +4,6 @@ IO caveats, workload factory."""
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.cluster import BSPCluster
 from repro.engines.gemini import GeminiEngine, PageRank

@@ -132,8 +132,6 @@ class TestPartitionProperties:
     def test_minmax_pairing_optimal_max_pair_sum(self, counts):
         """Sorted min–max pairing minimises the largest pair sum (the
         classic greedy-pairing optimality result)."""
-        import itertools
-
         vc = np.array(counts)
         plan = pair_by_vertex_count(vc)
         merged = np.bincount(plan.mapping, weights=vc, minlength=plan.num_merged)

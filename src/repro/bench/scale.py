@@ -282,12 +282,13 @@ def run_cell(
     return result
 
 
-def parity_control(seed: int = 1, *, n: int = 4096, num_parts: int = 6) -> dict:
+def parity_control(seed: int = 1) -> dict:
     """Small in-process control: every partitioner must be bit-identical
-    on the dense graph and its spilled twin."""
+    on a 4096-vertex dense graph and its spilled twin, in 6 parts."""
     from repro.graph import social_graph, spill_csr
     from repro.partition import get_partitioner
 
+    n, num_parts = 4096, 6
     dense = social_graph(n, 12.0, 2.3, rng=seed)
     tmp = tempfile.mkdtemp(prefix="scale-parity-")
     try:

@@ -79,7 +79,6 @@ def plan_redistribute(
     alive: np.ndarray,
     *,
     seed: int = 0,
-    oversplit: int = 2,
 ) -> RecoveryOutcome:
     """Re-spread the failed machine's subgraph across survivors.
 
@@ -94,7 +93,9 @@ def plan_redistribute(
     seed:        drives the over-splitting streaming pass; derived per
                  (seed, failed) so repeated crashes stay independent but
                  reproducible.
-    oversplit:   pieces per survivor before combining (BPart's base of 2).
+
+    The failed subgraph is over-split into two pieces per survivor
+    (BPart's base of 2) before combining.
     """
     hosting = np.asarray(hosting)
     survivors = np.flatnonzero(alive & (np.arange(num_machines) != failed))
@@ -116,7 +117,7 @@ def plan_redistribute(
 
     sub = extract_subgraph(graph, members)
     k = int(survivors.size)
-    pieces = min(max(oversplit, 2) * k, n_failed)
+    pieces = min(2 * k, n_failed)
     if pieces <= 1:
         piece_parts = np.zeros(n_failed, dtype=np.int32)
         cur = 1

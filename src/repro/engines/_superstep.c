@@ -126,13 +126,12 @@ int64_t census_group(const int64_t *parts, int64_t n, int64_t m, const int64_t *
     return g;
 }
 
-/* One push superstep's messages into counts (m·m): one per cut arc whose source is active (of
- * n flags) or, aggregated, one per group with any active source (the first ends its scan). */
-void census_push(int64_t n, const uint8_t *active, const int64_t *cut_src,
-                 const int64_t *cut_pair, int64_t ncut, const int64_t *starts,
-                 const int64_t *group_pair, int64_t ngroups, int64_t aggregate, int64_t *counts) {
-    for (int64_t i = 0; !aggregate && i < ncut; i++) counts[cut_pair[i]] += active[cut_src[i]];
-    for (int64_t g = 0; aggregate && g < ngroups; g++) {
+/* One push superstep's messages into counts (m·m): one per group with any active source (of
+ * n flags); the first ends its group's scan. */
+void census_push(int64_t n, const uint8_t *active, const int64_t *cut_src, int64_t ncut,
+                 const int64_t *starts, const int64_t *group_pair, int64_t ngroups,
+                 int64_t *counts) {
+    for (int64_t g = 0; g < ngroups; g++) {
         int64_t stop = g + 1 < ngroups ? starts[g + 1] : ncut;
         for (int64_t i = starts[g]; i < stop; i++)
             if (active[cut_src[i]]) { counts[group_pair[g]]++; break; }

@@ -21,12 +21,7 @@ class ConnectedComponents(VertexProgram):
     """Min-label propagation; converges in O(diameter) iterations."""
 
     name = "connected-components"
-
-    def __init__(self, max_iterations: int | None = None) -> None:
-        if max_iterations is not None:
-            self.max_iterations = int(max_iterations)
-        else:
-            self.max_iterations = 10_000  # effectively "until convergence"
+    max_iterations = 10_000  # effectively "until convergence"
 
     def initialize(self, graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
         n = graph.num_vertices

@@ -11,9 +11,12 @@ import numpy as np
 
 from repro.engines.gemini.vertex_program import VertexProgram, neighbor_sum
 from repro.graph.csr import CSRGraph
-from repro.utils.validation import check_positive, check_probability
+from repro.utils.validation import check_positive
 
 __all__ = ["PageRank"]
+
+#: the teleport damping factor (the paper's, and networkx's default).
+DAMPING = 0.85
 
 
 class PageRank(VertexProgram):
@@ -22,16 +25,13 @@ class PageRank(VertexProgram):
     Parameters
     ----------
     iterations: fixed iteration count (paper: 10).
-    damping:    teleport damping factor.
     """
 
     name = "pagerank"
 
-    def __init__(self, iterations: int = 10, damping: float = 0.85) -> None:
+    def __init__(self, iterations: int = 10) -> None:
         check_positive("iterations", iterations)
-        check_probability("damping", damping)
         self.max_iterations = int(iterations)
-        self._damping = float(damping)
 
     def initialize(self, graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
         n = graph.num_vertices
@@ -43,7 +43,7 @@ class PageRank(VertexProgram):
     ) -> tuple[np.ndarray, np.ndarray]:
         n = graph.num_vertices
         deg = graph.degrees
-        d = self._damping
+        d = DAMPING
         contrib = np.where(deg > 0, state / np.maximum(deg, 1), 0.0)
         dangling = state[deg == 0].sum()
         new_state = (1.0 - d) / n + d * (neighbor_sum(graph, contrib) + dangling / n)

@@ -6,9 +6,11 @@ partitioned graph, charging each superstep to the cluster:
 - **compute** — each machine processes the out-edges and vertex updates
   of its *active local* vertices (Gemini's computation phase);
 - **communication** — every cut arc whose source is active carries one
-  update message. With ``aggregate_messages=True`` (Gemini's sender-side
-  mirror aggregation) duplicate updates from one machine to one target
-  vertex count once.
+  update, and Gemini's sender-side mirror aggregation merges the updates
+  from one machine to one target vertex into one message.
+
+Every superstep runs in Gemini's push (sparse) mode: compute is charged
+for the out-arcs and vertices of the active set only.
 
 Each superstep's census is one in-process pass: the cut arcs are grouped
 by (source machine, target vertex) once per assignment
@@ -23,7 +25,7 @@ property the paper exploits when comparing partitioners on one system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from repro.cluster.ledger import TimingLedger
 from repro.cluster.messages import TrafficMatrix
 from repro.engines import superstep
 from repro.engines.gemini.vertex_program import VertexProgram
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import SimulationError
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 
@@ -48,8 +50,6 @@ class GeminiResult:
     iterations: int
     ledger: TimingLedger
     total_messages: int
-    #: execution mode chosen in each iteration ("push"/"pull").
-    modes: list[str] = field(default_factory=list)
 
     @property
     def runtime(self) -> float:
@@ -67,47 +67,10 @@ class GeminiEngine:
         part count at :meth:`run` time. A cluster built with a
         :class:`~repro.cluster.faults.FaultPlan` injects
         crashes/stragglers without engine changes.
-    aggregate_messages:
-        Model Gemini's sender-side aggregation: multiple updates from
-        machine ``a`` to the same target vertex merge into one message.
-    mode:
-        Gemini's dual execution modes:
-
-        ``"push"`` (sparse) — only *active* vertices do work: compute ∝
-        out-arcs of active vertices, messages ∝ active cut arcs. Cheap
-        for small frontiers (BFS rings, late CC iterations).
-
-        ``"pull"`` (dense) — every vertex gathers from all neighbours:
-        compute ∝ all local arcs, and each machine fetches every remote
-        neighbour value once — a *fixed* per-iteration mirror traffic,
-        independent of the frontier. Cheap when almost everything is
-        active (PageRank).
-
-        ``"adaptive"`` (Gemini's default) — per iteration pick push when
-        the active arc fraction is below ``dense_threshold``, else pull.
-    dense_threshold:
-        Active-arc fraction above which adaptive mode switches to pull
-        (Gemini's heuristic uses |E_active| > |E| / 20).
     """
 
-    def __init__(
-        self,
-        cluster: BSPCluster,
-        *,
-        aggregate_messages: bool = True,
-        mode: str = "push",
-        dense_threshold: float = 0.05,
-    ) -> None:
-        if mode not in ("push", "pull", "adaptive"):
-            raise ConfigurationError(f"mode must be push|pull|adaptive, got {mode!r}")
-        if not (0.0 < dense_threshold <= 1.0):
-            raise ConfigurationError(
-                f"dense_threshold must be in (0, 1], got {dense_threshold}"
-            )
+    def __init__(self, cluster: BSPCluster) -> None:
         self._cluster = cluster
-        self._aggregate = bool(aggregate_messages)
-        self._mode = mode
-        self._dense_threshold = float(dense_threshold)
 
     def run(
         self,
@@ -134,7 +97,8 @@ class GeminiEngine:
         structs = assignment.derived_cache().get("gemini")
         if structs is None:
             with reg.span("engine.gemini.census.build", machines=m):
-                structs = _build_census(graph, assignment.parts.astype(np.int64), m)
+                parts = assignment.parts.astype(np.int64)
+                structs = {"parts": parts, **superstep.census_build(graph, parts, m)}
             assignment.derived_cache()["gemini"] = structs
         with reg.span("engine.gemini.run", program=program.name, machines=m):
             return self._run(graph, structs, program)
@@ -147,7 +111,6 @@ class GeminiEngine:
         self._cluster.begin_run()
         state, active = program.initialize(graph)
         iterations = 0
-        modes: list[str] = []
         emit = telemetry.enabled()  # hoisted: one flag read per run
         reg = telemetry.active()
         for it in range(program.max_iterations):
@@ -156,39 +119,19 @@ class GeminiEngine:
             iterations += 1
             active_vertices = np.nonzero(active)[0]
             active_degrees = degrees[active_vertices].astype(np.float64)
-            active_arc_fraction = float(active_degrees.sum()) / total_arcs
-            if self._mode == "adaptive":
-                mode = "pull" if active_arc_fraction > self._dense_threshold else "push"
-            else:
-                mode = self._mode
-            modes.append(mode)
             if emit:
-                reg.counter("engine.gemini.iterations", mode=mode).inc()
+                reg.counter("engine.gemini.iterations").inc()
                 reg.counter("engine.gemini.active_vertices").inc(int(active_vertices.size))
                 reg.histogram(
                     "engine.gemini.active_arc_fraction",
                     buckets=(0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0),
-                ).observe(active_arc_fraction)
-
-            if mode == "pull":
-                # Compute covers every local arc; the traffic is the
-                # fixed mirror set, independent of the frontier.
-                edges_per_m = structs["all_edges_per_m"]
-                vertices_per_m = structs["all_vertices_per_m"]
-                counts = structs.get("pull_counts")
-                if counts is None:
-                    counts = structs["pull_counts"] = _pull_counts(structs, m)
-            else:
-                active_parts = parts[active_vertices]
-                edges_per_m = np.bincount(active_parts, weights=active_degrees, minlength=m)
-                vertices_per_m = np.bincount(active_parts, minlength=m).astype(np.float64)
-                counts = superstep.census_push(structs, active, self._aggregate, m)
-
+                ).observe(float(active_degrees.sum()) / total_arcs)
+            active_parts = parts[active_vertices]
             # from_counts copies: clusters may consume the matrix they get.
             self._cluster.superstep(
-                edges=edges_per_m,
-                vertices=vertices_per_m,
-                traffic=TrafficMatrix.from_counts(counts),
+                edges=np.bincount(active_parts, weights=active_degrees, minlength=m),
+                vertices=np.bincount(active_parts, minlength=m).astype(np.float64),
+                traffic=TrafficMatrix.from_counts(superstep.census_push(structs, active, m)),
             )
             state, active = program.iterate(graph, state, active, it)
 
@@ -200,27 +143,4 @@ class GeminiEngine:
             iterations=iterations,
             ledger=self._cluster.ledger,
             total_messages=self._cluster.total_messages,
-            modes=modes,
         )
-
-
-def _build_census(graph: CSRGraph, parts: np.ndarray, m: int) -> dict:
-    """Per-assignment census structures: the grouped cut arcs of
-    :func:`~repro.engines.superstep.census_build` plus the pull-mode loads."""
-    return {
-        "parts": parts,
-        **superstep.census_build(graph, parts, m),
-        "all_edges_per_m": np.bincount(
-            parts, weights=graph.degrees.astype(np.float64), minlength=m
-        ),
-        "all_vertices_per_m": np.bincount(parts, minlength=m).astype(np.float64),
-    }
-
-
-def _pull_counts(structs: dict, m: int) -> np.ndarray:
-    """Pull-mode traffic: one fetch per distinct (remote neighbour
-    vertex, consumer machine) mirror per iteration, sent by the owner."""
-    consumer = structs["cut_pair"] % m
-    mirrors = np.unique(structs["cut_src"] * m + consumer)
-    pairs = structs["parts"][mirrors // m] * m + mirrors % m
-    return np.bincount(pairs, minlength=m * m).reshape(m, m)

@@ -35,11 +35,10 @@ def census_build(graph, parts: np.ndarray, m: int) -> dict:
             "group_starts": starts[:groups].copy(), "group_pair": group_pair[:groups].copy()}
 
 
-def census_push(census: dict, active: np.ndarray, aggregate: bool, m: int) -> np.ndarray:
-    """One push superstep's ``m × m`` message counts: one per cut arc with an
-    active source, or, ``aggregate``, one per group with any."""
+def census_push(census: dict, active: np.ndarray, m: int) -> np.ndarray:
+    """One push superstep's ``m × m`` message counts: one per group with
+    an active source."""
     counts = np.zeros(m * m, dtype=np.int64)
     native.call("census_push", census["n"], np.ascontiguousarray(active, dtype=bool),
-                census["cut_src"], census["cut_pair"], census["group_starts"],
-                census["group_pair"], aggregate, counts)
+                census["cut_src"], census["group_starts"], census["group_pair"], counts)
     return counts.reshape(m, m)

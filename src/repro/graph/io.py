@@ -3,80 +3,28 @@
 The one file format: the whitespace-separated ``u v`` lines of
 SNAP/KONECT dumps (the paper's datasets are distributed that way),
 which is what ``--graph`` hands to :func:`read_edge_list`;
-:func:`write_edge_list` is its inverse.
-
-Real-world edge streams are multi-GB and messy, so the reader takes an
-``on_error`` recovery mode instead of failing the whole ingestion on
-line one:
-
-- ``"raise"`` (default) — :class:`~repro.errors.GraphFormatError` with
-  ``path:lineno`` on the first malformed line;
-- ``"skip"`` — drop malformed lines, counting them under the
-  ``graph.io.malformed_lines`` telemetry counter;
-- ``"collect"`` — like ``skip``, but additionally append a
-  :class:`ParseIssue` per problem to the caller-supplied ``errors``
-  list, so ingestion reports *what* was dropped.
-
-Truncated input (e.g. a cut-short ``.gz`` download) follows the same
-modes: fatal under ``"raise"``, a recorded issue plus a graph built
-from the readable prefix otherwise.
+:func:`write_edge_list` is its inverse. A malformed line, or input
+that cannot be read to its end (a cut-short ``.gz`` download), is a
+:class:`~repro.errors.GraphFormatError` naming ``path:lineno``.
 """
 
 from __future__ import annotations
 
 import gzip
 import os
-from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
-from repro import telemetry
-from repro.errors import ConfigurationError, GraphFormatError
+from repro.errors import GraphFormatError
 from repro.graph.builder import from_edges
 from repro.graph.csr import CSRGraph
 
 __all__ = [
-    "ParseIssue",
     "open_text",
     "read_edge_list",
     "write_edge_list",
 ]
-
-_ON_ERROR_MODES = ("raise", "skip", "collect")
-
-
-@dataclass(frozen=True)
-class ParseIssue:
-    """One recoverable problem found while reading a graph file."""
-
-    path: str
-    lineno: int
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.path}:{self.lineno}: {self.message}"
-
-
-def _check_mode(on_error: str, errors: list | None) -> None:
-    if on_error not in _ON_ERROR_MODES:
-        raise ConfigurationError(
-            f"on_error must be one of {_ON_ERROR_MODES}, got {on_error!r}"
-        )
-    if on_error == "collect" and errors is None:
-        raise ConfigurationError("on_error='collect' needs an errors=[] list to fill")
-
-
-def _handle(
-    on_error: str, errors: list | None, path, lineno: int, message: str
-) -> None:
-    """Dispatch one malformed-input event per the recovery mode."""
-    if on_error == "raise":
-        raise GraphFormatError(f"{path}:{lineno}: {message}")
-    if telemetry.enabled():
-        telemetry.active().counter("graph.io.malformed_lines", mode=on_error).inc()
-    if on_error == "collect":
-        errors.append(ParseIssue(str(path), lineno, message))
 
 
 def open_text(path: str | os.PathLike, mode: str = "r") -> IO[str]:
@@ -91,73 +39,53 @@ def open_text(path: str | os.PathLike, mode: str = "r") -> IO[str]:
     return open(path, mode, encoding="utf-8")
 
 
-def _read_lines(fh, path, on_error: str, errors: list | None):
-    """Yield ``(lineno, line)``, converting mid-stream I/O failures
-    (truncated gzip, disk errors) into the recovery mode's behaviour."""
+def _read_lines(fh, path):
+    """Yield ``(lineno, line)``; a mid-stream I/O failure (truncated gzip,
+    disk errors) is a :class:`GraphFormatError` at the line it hit."""
     lineno = 0
     while True:
         try:
             line = fh.readline()
         except (EOFError, OSError, UnicodeDecodeError) as exc:
-            _handle(on_error, errors, path, lineno + 1, f"unreadable input: {exc}")
-            return
+            raise GraphFormatError(f"{path}:{lineno + 1}: unreadable input: {exc}") from exc
         if not line:
             return
         lineno += 1
         yield lineno, line
 
 
-def _parse_edge_lines(fh, path, comments, on_error, errors):
-    """Yield ``(u, v)`` pairs from an open edge-list file, applying the
-    recovery mode per malformed line."""
-    for lineno, line in _read_lines(fh, path, on_error, errors):
+def _parse_edge_lines(fh, path):
+    """Yield ``(u, v)`` pairs from an open edge-list file."""
+    for lineno, line in _read_lines(fh, path):
         line = line.strip()
-        if not line or line.startswith(comments):
+        if not line or line.startswith("#"):
             continue
         parts = line.split()
         if len(parts) < 2:
-            _handle(on_error, errors, path, lineno, f"expected 'u v', got {line!r}")
-            continue
+            raise GraphFormatError(f"{path}:{lineno}: expected 'u v', got {line!r}")
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            _handle(on_error, errors, path, lineno, "non-integer vertex id")
-            continue
+            raise GraphFormatError(f"{path}:{lineno}: non-integer vertex id") from None
         if u < 0 or v < 0:
-            _handle(on_error, errors, path, lineno, f"negative vertex id in {line!r}")
-            continue
+            raise GraphFormatError(f"{path}:{lineno}: negative vertex id in {line!r}")
         yield u, v
 
 
-def read_edge_list(
-    path: str | os.PathLike,
-    *,
-    directed: bool = False,
-    comments: str = "#",
-    num_vertices: int | None = None,
-    on_error: str = "raise",
-    errors: list | None = None,
-) -> CSRGraph:
-    """Read a whitespace-separated ``u v`` edge list.
+def read_edge_list(path: str | os.PathLike) -> CSRGraph:
+    """Read a whitespace-separated ``u v`` edge list as an undirected graph.
 
-    Lines starting with ``comments`` (default ``#``, SNAP convention) and
-    blank lines are skipped. Vertex ids must be non-negative integers;
-    anything else follows the ``on_error`` recovery mode (see module
-    docstring).
+    Lines starting with ``#`` (SNAP convention) and blank lines are
+    skipped. Vertex ids must be non-negative integers; the graph has
+    ``max id + 1`` vertices.
     """
-    _check_mode(on_error, errors)
     src: list[int] = []
     dst: list[int] = []
     with open_text(path) as fh:
-        for u, v in _parse_edge_lines(fh, path, comments, on_error, errors):
+        for u, v in _parse_edge_lines(fh, path):
             src.append(u)
             dst.append(v)
-    return from_edges(
-        np.asarray(src, dtype=np.int64),
-        np.asarray(dst, dtype=np.int64),
-        num_vertices,
-        directed=directed,
-    )
+    return from_edges(np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64))
 
 
 def write_edge_list(graph, path: str | os.PathLike) -> None:

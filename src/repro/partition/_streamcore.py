@@ -30,7 +30,12 @@ from repro.parallel import note_fallback, resolve_jobs
 from repro.partition.kernels import get_kernel
 from repro.utils.validation import check_at_least, check_positive
 
-__all__ = ["stream_partition", "default_alpha"]
+__all__ = ["stream_partition", "default_alpha", "GAMMA", "SLACK"]
+
+#: Eq. 2's balance exponent γ (Fennel's recommendation, which the paper keeps).
+GAMMA = 1.5
+#: the capacity factor ν: a part above ν·Σw/k takes no more vertices.
+SLACK = 1.1
 
 
 def default_alpha(graph: CSRGraph, num_parts: int) -> float:
@@ -54,8 +59,8 @@ def stream_partition(
     *,
     vertex_weights: np.ndarray,
     alpha: float,
-    gamma: float = 1.5,
-    slack: float = 1.1,
+    gamma: float = GAMMA,
+    slack: float = SLACK,
     order: str = "natural",
     rng=None,
     passes: int = 1,
@@ -130,10 +135,9 @@ def stream_partition(
             stream, parts, loads, w)
     knobs = dict(alpha=float(alpha), gamma=float(gamma), capacity=float(capacity),
                  passes=int(passes))
-    # `with`, so a kernel that raises cannot leave the timer open (off: no-op contexts)
+    # `with`, so a kernel that raises still closes its span (off: a no-op context)
     reg = telemetry.active()
-    with reg.span("partition.stream", kernel=effective), \
-            reg.timer("partition.stream.seconds", kernel=effective).time():
+    with reg.span("partition.stream", kernel=effective):
         if backend.name == "parallel":
             from repro.partition.kernels.parallel_backend import fennel_parallel
 

@@ -18,6 +18,7 @@ from repro import telemetry
 from repro.errors import ConfigurationError, PartitionError
 from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
+from repro.utils import native
 
 __all__ = ["Partitioner", "PartitionResult", "register_partitioner", "get_partitioner", "available_partitioners"]
 
@@ -44,6 +45,9 @@ class Partitioner(abc.ABC):
 
     #: registry name; subclasses set this (e.g. ``"bpart"``).
     name: str = "base"
+    #: the compiled libraries (:data:`repro.utils.native.LIBRARIES` keys) a run
+    #: calls, loaded before its clock starts so a cold build is not timed.
+    libraries: tuple[str, ...] = ()
 
     def partition(self, graph: CSRGraph, num_parts: int) -> PartitionResult:
         """Partition ``graph`` into ``num_parts`` parts.
@@ -58,6 +62,8 @@ class Partitioner(abc.ABC):
             raise PartitionError(
                 f"cannot split {graph.num_vertices} vertices into {num_parts} parts"
             )
+        for key in self.libraries:
+            native.library(key)
         reg = telemetry.active()
         start = time.perf_counter()
         with reg.span("partition", algo=self.name, k=int(num_parts)):
@@ -65,7 +71,6 @@ class Partitioner(abc.ABC):
         elapsed = time.perf_counter() - start
         reg.counter("partition.runs", algo=self.name).inc()
         reg.counter("partition.vertices", algo=self.name).inc(graph.num_vertices)
-        reg.timer("partition.run_seconds", algo=self.name).add(elapsed)
         return PartitionResult(assignment=assignment, elapsed=elapsed, metadata=metadata)
 
     def _phase(self, phase: str):

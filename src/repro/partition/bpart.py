@@ -37,7 +37,7 @@ from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.combine import multi_layer_combine
 from repro.partition.kernels import resolve_kernel_name
-from repro.utils.validation import check_at_least, check_fraction, check_positive, check_probability
+from repro.utils.validation import check_positive, check_probability
 
 __all__ = ["BPartPartitioner", "weighted_stream_partition", "bpart_vertex_weights"]
 
@@ -61,26 +61,20 @@ def weighted_stream_partition(
     num_pieces: int,
     *,
     c: float = 0.5,
-    alpha: float | None = None,
-    gamma: float = 1.5,
-    slack: float = 1.1,
     order: str = "natural",
     rng=None,
     passes: int = 1,
     kernel: str = "auto",
     jobs: int | None = None,
 ) -> np.ndarray:
-    """Phase-1 streaming pass with the weighted indicator (Eq. 1 + 2)."""
+    """Phase-1 streaming pass with the weighted indicator (Eq. 1 + 2),
+    scored with Fennel's constants (``default_alpha``, γ and ν)."""
     check_probability("c", c)
-    if alpha is None:
-        alpha = default_alpha(graph, num_pieces)
     return stream_partition(
         graph,
         num_pieces,
         vertex_weights=bpart_vertex_weights(graph, c),
-        alpha=alpha,
-        gamma=gamma,
-        slack=slack,
+        alpha=default_alpha(graph, num_pieces),
         order=order,
         rng=rng,
         passes=passes,
@@ -98,18 +92,13 @@ class BPartPartitioner(Partitioner):
         Weighting factor of Eq. 1 between vertex and edge balance.
         ``c = 1`` degenerates to Fennel's vertex indicator, ``c = 0`` to
         a pure edge indicator; the paper's empirical default is ½.
-    balance_threshold:
-        ε of the combining phase: a merged subgraph is final when both
-        ``|V_i|`` and ``|E_i|`` are within ``(1 ± ε)`` of target.
     max_layers:
         Combination layer cap (the paper observes 2–3 layers suffice).
-    oversplit_base:
-        Pieces per target per combine round (paper: 2).
     base_rounds:
         Combine rounds in the first layer (default 2, i.e. 4N pieces;
         see :func:`repro.partition.combine.multi_layer_combine`).
-    alpha, gamma, slack, order:
-        Streaming-score knobs shared with Fennel.
+    order:
+        Vertex stream order, shared with Fennel.
     passes:
         Re-streaming passes per phase-1 invocation (ReFennel-style).
     kernel:
@@ -122,21 +111,21 @@ class BPartPartitioner(Partitioner):
         value beats ``$REPRO_JOBS`` beats 1). With ``kernel="auto"`` and
         ``jobs > 1`` every phase-1 stream fans its chunk scoring over
         workers; assignments stay bit-identical at every jobs value.
+
+    The streaming score uses Fennel's constants, and the combining phase
+    the paper's over-split base of 2 and balance threshold ε = 0.1
+    (:func:`~repro.partition.combine.multi_layer_combine`).
     """
 
     name = "bpart"
+    libraries = ("fennel", "sample")  # the stream, and extract_subgraph's induce_rows
 
     def __init__(
         self,
         *,
         c: float = 0.5,
-        balance_threshold: float = 0.1,
         max_layers: int = 3,
-        oversplit_base: int = 2,
         base_rounds: int = 2,
-        alpha: float | None = None,
-        gamma: float = 1.5,
-        slack: float = 1.1,
         order: str = "natural",
         seed: int | None = None,
         passes: int = 1,
@@ -144,22 +133,13 @@ class BPartPartitioner(Partitioner):
         jobs: int | None = None,
     ) -> None:
         check_probability("c", c)
-        check_at_least("gamma", gamma, 1.0)
         check_positive("passes", passes)
         self._passes = int(passes)
-        check_fraction("balance_threshold", balance_threshold)
         check_positive("max_layers", max_layers)
-        if oversplit_base < 2:
-            raise ValueError("oversplit_base must be >= 2")
         check_positive("base_rounds", base_rounds)
         self._base_rounds = int(base_rounds)
         self._c = c
-        self._threshold = balance_threshold
         self._max_layers = int(max_layers)
-        self._oversplit = int(oversplit_base)
-        self._alpha = alpha
-        self._gamma = gamma
-        self._slack = slack
         self._order = order
         self._seed = seed
         self._jobs = jobs
@@ -173,9 +153,6 @@ class BPartPartitioner(Partitioner):
                 sub,
                 pieces,
                 c=self._c,
-                alpha=self._alpha,
-                gamma=self._gamma,
-                slack=self._slack,
                 order=self._order,
                 rng=self._seed,
                 passes=self._passes,
@@ -187,9 +164,7 @@ class BPartPartitioner(Partitioner):
             graph,
             phase1,
             num_parts,
-            oversplit_base=self._oversplit,
             base_rounds=self._base_rounds,
-            balance_threshold=self._threshold,
             max_layers=self._max_layers,
         )
         metadata = {

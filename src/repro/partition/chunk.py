@@ -28,68 +28,49 @@ __all__ = ["ChunkVPartitioner", "ChunkEPartitioner"]
 
 
 class ChunkVPartitioner(Partitioner):
-    """Contiguous vertex ranges of (near-)equal vertex count.
-
-    Parameters
-    ----------
-    order:
-        Stream order; ``natural`` (vertex-id order) is what the real
-        systems use because it preserves locality of adjacent ids.
-    """
+    """Contiguous vertex-id ranges of (near-)equal vertex count — the
+    natural order real systems use because it preserves locality of
+    adjacent ids."""
 
     name = "chunk-v"
 
-    def __init__(self, *, order: str = "natural", seed: int | None = None) -> None:
-        self._order = order
+    def __init__(self, *, seed: int | None = None) -> None:
         self._seed = seed
 
     def _partition(
         self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
-        from repro.graph.stream import vertex_stream
-
         n = graph.num_vertices
-        stream = vertex_stream(graph, self._order, rng=self._seed)
-        # Position j of the stream goes to part ⌊j·k/n⌋ — equal-size slices.
-        pos_part = (np.arange(n, dtype=np.int64) * num_parts // max(n, 1)).astype(np.int32)
-        parts = np.empty(n, dtype=np.int32)
-        parts[stream] = pos_part
-        return PartitionAssignment(graph, parts, num_parts), {"order": self._order}
+        # Vertex j goes to part ⌊j·k/n⌋ — equal-size slices.
+        parts = (np.arange(n, dtype=np.int64) * num_parts // max(n, 1)).astype(np.int32)
+        return PartitionAssignment(graph, parts, num_parts), {"order": "natural"}
 
 
 class ChunkEPartitioner(Partitioner):
-    """Contiguous vertex ranges of (near-)equal out-arc count."""
+    """Contiguous vertex-id ranges of (near-)equal out-arc count."""
 
     name = "chunk-e"
 
-    def __init__(self, *, order: str = "natural", seed: int | None = None) -> None:
-        self._order = order
+    def __init__(self, *, seed: int | None = None) -> None:
         self._seed = seed
 
     def _partition(
         self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
-        from repro.graph.stream import vertex_stream
-
         n = graph.num_vertices
-        stream = vertex_stream(graph, self._order, rng=self._seed)
-        deg = graph.degrees[stream].astype(np.float64)
+        deg = graph.degrees.astype(np.float64)
         total = deg.sum()
         if total == 0:
             # Edgeless graph: fall back to vertex chunking.
-            pos_part = (np.arange(n, dtype=np.int64) * num_parts // max(n, 1)).astype(np.int32)
+            parts = (np.arange(n, dtype=np.int64) * num_parts // max(n, 1)).astype(np.int32)
         else:
             # A vertex belongs to the part indicated by the arc mass
             # accumulated *before* it: "add to the current subgraph until
             # it reaches the balanced indicator" (Fig. 2b).
             cum_before = np.concatenate([[0.0], np.cumsum(deg)[:-1]])
             target = total / num_parts
-            pos_part = np.minimum(
-                (cum_before / target).astype(np.int32), num_parts - 1
-            )
-        parts = np.empty(n, dtype=np.int32)
-        parts[stream] = pos_part
-        return PartitionAssignment(graph, parts, num_parts), {"order": self._order}
+            parts = np.minimum((cum_before / target).astype(np.int32), num_parts - 1)
+        return PartitionAssignment(graph, parts, num_parts), {"order": "natural"}
 
 
 register_partitioner("chunk-v", ChunkVPartitioner)

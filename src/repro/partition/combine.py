@@ -34,6 +34,10 @@ from repro.utils.validation import check_positive
 
 __all__ = ["pair_by_vertex_count", "combine_assignment", "multi_layer_combine", "CombinePlan", "LayerTrace"]
 
+#: ε of the combining phase: the largest relative deviation from the
+#: per-part targets at which a merged subgraph is final.
+BALANCE_THRESHOLD = 0.1
+
 
 @dataclass(frozen=True)
 class CombinePlan:
@@ -88,9 +92,7 @@ def multi_layer_combine(
     partition_fn: Callable[[CSRGraph, int], np.ndarray],
     num_parts: int,
     *,
-    oversplit_base: int = 2,
     base_rounds: int = 2,
-    balance_threshold: float = 0.1,
     max_layers: int = 3,
 ) -> tuple[np.ndarray, list[LayerTrace]]:
     """Run the full multi-layer combination of Figure 9.
@@ -105,23 +107,21 @@ def multi_layer_combine(
         induced subgraph of the not-yet-finalised vertices.
     num_parts:
         Target part count ``N``.
-    oversplit_base:
-        Pieces per target per combine round (paper: 2).
     base_rounds:
         Combine rounds in the first layer; layer ℓ runs
-        ``base_rounds + ℓ − 1`` rounds over
-        ``oversplit_base^rounds · N_r`` pieces. The paper's Figure 9
-        shows 1 round (2N pieces) in layer 1; empirically a single
-        min–max pairing round cannot absorb a hub-dominated outlier
-        piece, while 2 rounds (4N pieces) reaches the paper's < 0.1
-        bias in one layer, consistent with its "two or three rounds of
-        combinations" remark. Default 2.
-    balance_threshold:
-        ε — a combined subgraph is *final* when both ``|V_i|`` and
-        ``|E_i|`` are within ``(1 ± ε)`` of the global targets
-        ``|V|/N`` and ``|E|/N``.
+        ``base_rounds + ℓ − 1`` rounds over ``2^rounds · N_r`` pieces
+        (each round pairs two pieces into one, the paper's base of 2).
+        The paper's Figure 9 shows 1 round (2N pieces) in layer 1;
+        empirically a single min–max pairing round cannot absorb a
+        hub-dominated outlier piece, while 2 rounds (4N pieces) reaches
+        the paper's < 0.1 bias in one layer, consistent with its "two or
+        three rounds of combinations" remark. Default 2.
     max_layers:
         Layer cap; the last layer finalises every remaining subgraph.
+
+    A combined subgraph is *final* when both ``|V_i|`` and ``|E_i|`` are
+    within ``(1 ± ε)`` of the global targets ``|V|/N`` and ``|E|/N``, with
+    the paper's ε = :data:`BALANCE_THRESHOLD`.
 
     Returns
     -------
@@ -154,12 +154,12 @@ def multi_layer_combine(
             with telemetry.active().span("partition.combine.extract", layer=layer):
                 sub = extract_subgraph(graph, remaining)
         rounds = base_rounds + layer - 1
-        pieces = (oversplit_base**rounds) * n_remaining_parts
+        pieces = (2**rounds) * n_remaining_parts
         # Degenerate small remainders: never ask for more pieces than
         # vertices; shrink the round count to keep pairing meaningful.
         while rounds > 0 and pieces > rem_count:
             rounds -= 1
-            pieces = (oversplit_base**rounds) * n_remaining_parts
+            pieces = (2**rounds) * n_remaining_parts
         pieces = min(pieces, rem_count)
 
         with telemetry.active().span("partition.combine.stream", layer=layer, pieces=pieces,
@@ -190,7 +190,7 @@ def multi_layer_combine(
             edge_bias_after=bias(ecnt) if ecnt.size else 0.0,
         )
 
-        eps = balance_threshold
+        eps = BALANCE_THRESHOLD
         dev_v = np.abs(vcnt - v_target) / v_target
         # Edgeless graphs have e_target = 0: the edge dimension is then
         # trivially balanced.

@@ -18,11 +18,11 @@ from typing import Any
 import numpy as np
 
 from repro.graph.csr import CSRGraph
-from repro.partition._streamcore import default_alpha, stream_partition
+from repro.partition._streamcore import GAMMA, default_alpha, stream_partition
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.kernels import resolve_kernel_name
-from repro.utils.validation import check_at_least, check_positive
+from repro.utils.validation import check_positive
 
 __all__ = ["FennelPartitioner"]
 
@@ -32,14 +32,6 @@ class FennelPartitioner(Partitioner):
 
     Parameters
     ----------
-    alpha:
-        Score constant; ``None`` uses the original paper's
-        ``√k · m / n^{3/2}``.
-    gamma:
-        Balance exponent, at least 1 (default 1.5, the original
-        recommendation).
-    slack:
-        Capacity factor ν — parts above ``ν·n/k`` vertices are excluded.
     order:
         Vertex stream order (default ``natural``; ``random`` is Fennel's
         robust default, exposed for ablations).
@@ -54,30 +46,25 @@ class FennelPartitioner(Partitioner):
         ``$REPRO_JOBS`` beats 1; ``<= 0`` means all available cores).
         With ``kernel="auto"`` and ``jobs > 1`` the ``parallel`` backend
         is engaged; assignments stay bit-identical at every jobs value.
+
+    The score constants are the original paper's: ``α = √k · m / n^{3/2}``
+    (:func:`~repro.partition._streamcore.default_alpha`), γ = 1.5 and the
+    capacity factor ν = 1.1 (``stream_partition``'s defaults).
     """
 
     name = "fennel"
+    libraries = ("fennel",)
 
     def __init__(
         self,
         *,
-        alpha: float | None = None,
-        gamma: float = 1.5,
-        slack: float = 1.1,
         order: str = "natural",
         seed: int | None = None,
         passes: int = 1,
         kernel: str = "auto",
         jobs: int | None = None,
     ) -> None:
-        if alpha is not None:
-            check_positive("alpha", alpha)
-        check_at_least("gamma", gamma, 1.0)
-        check_positive("slack", slack)
         check_positive("passes", passes)
-        self._alpha = alpha
-        self._gamma = gamma
-        self._slack = slack
         self._order = order
         self._seed = seed
         self._passes = int(passes)
@@ -89,15 +76,13 @@ class FennelPartitioner(Partitioner):
     def _partition(
         self, graph: CSRGraph, num_parts: int
     ) -> tuple[PartitionAssignment, dict[str, Any]]:
-        alpha = self._alpha if self._alpha is not None else default_alpha(graph, num_parts)
+        alpha = default_alpha(graph, num_parts)
         with self._phase("stream"):
             parts = stream_partition(
                 graph,
                 num_parts,
                 vertex_weights=np.ones(graph.num_vertices),
                 alpha=alpha,
-                gamma=self._gamma,
-                slack=self._slack,
                 order=self._order,
                 rng=self._seed,
                 passes=self._passes,
@@ -106,7 +91,7 @@ class FennelPartitioner(Partitioner):
             )
         return (
             PartitionAssignment(graph, parts, num_parts),
-            {"alpha": alpha, "gamma": self._gamma, "order": self._order, "kernel": self._kernel},
+            {"alpha": alpha, "gamma": GAMMA, "order": self._order, "kernel": self._kernel},
         )
 
 

@@ -29,9 +29,13 @@ from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive
 
 __all__ = ["GDPartitioner"]
+
+#: gradient steps per bisection.
+ITERATIONS = 60
+#: normalised step size.
+LR = 0.05
 
 
 def _project_balance(x: np.ndarray, d: np.ndarray, rounds: int = 4) -> np.ndarray:
@@ -53,27 +57,20 @@ def _project_balance(x: np.ndarray, d: np.ndarray, rounds: int = 4) -> np.ndarra
     return x
 
 
-def _bisect(
-    adj: sp.csr_matrix,
-    degrees: np.ndarray,
-    rng,
-    *,
-    iterations: int,
-    lr: float,
-) -> np.ndarray:
+def _bisect(adj: sp.csr_matrix, degrees: np.ndarray, rng) -> np.ndarray:
     """One 2-D balanced bisection; returns a boolean side mask."""
     n = adj.shape[0]
     if n == 1:
         return np.zeros(1, dtype=bool)
     d = degrees.astype(np.float64)
     x = _project_balance(rng.uniform(-0.5, 0.5, size=n), d)
-    for _ in range(iterations):
+    for _ in range(ITERATIONS):
         grad = d * x - adj.dot(x)  # ∇(½ xᵀLx) = Lx
         gnorm = np.linalg.norm(grad)
         if gnorm == 0:
             break
         # Descend on −cut: we *minimise* cut, so step along −grad.
-        x = _project_balance(x - lr * grad / gnorm * np.sqrt(n), d)
+        x = _project_balance(x - LR * grad / gnorm * np.sqrt(n), d)
 
     order = np.argsort(-x, kind="stable")
     side0 = np.zeros(n, dtype=bool)
@@ -112,12 +109,8 @@ def _bisect(
 
 
 class GDPartitioner(Partitioner):
-    """Recursive projected-gradient 2-D balanced bisection.
-
-    Parameters
-    ----------
-    iterations: gradient steps per bisection.
-    lr:         normalised step size.
+    """Recursive projected-gradient 2-D balanced bisection, with
+    :data:`ITERATIONS` gradient steps of size :data:`LR` per bisection.
 
     Raises
     ------
@@ -128,11 +121,7 @@ class GDPartitioner(Partitioner):
 
     name = "gd"
 
-    def __init__(self, *, iterations: int = 60, lr: float = 0.05, seed: int = 0) -> None:
-        check_positive("iterations", iterations)
-        check_positive("lr", lr)
-        self._iterations = int(iterations)
-        self._lr = float(lr)
+    def __init__(self, *, seed: int = 0) -> None:
         self._seed = seed
 
     def _partition(
@@ -155,15 +144,13 @@ class GDPartitioner(Partitioner):
                 parts[vertex_ids] = base
                 return
             sub = adj[vertex_ids][:, vertex_ids].tocsr()
-            side0 = _bisect(
-                sub, degrees[vertex_ids], rng, iterations=self._iterations, lr=self._lr
-            )
+            side0 = _bisect(sub, degrees[vertex_ids], rng)
             recurse(vertex_ids[side0], k // 2, base)
             recurse(vertex_ids[~side0], k // 2, base + k // 2)
 
         with self._phase("bisect"):
             recurse(np.arange(n), num_parts, 0)
-        return PartitionAssignment(graph, parts, num_parts), {"iterations": self._iterations}
+        return PartitionAssignment(graph, parts, num_parts), {"iterations": ITERATIONS}
 
 
 register_partitioner("gd", GDPartitioner)

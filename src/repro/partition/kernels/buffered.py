@@ -102,7 +102,6 @@ def ldg_buffered(
     loads: np.ndarray,
     *,
     capacity: float,
-    chunk_size: int = DEFAULT_CHUNK,
 ) -> None:
     n = parts.shape[0]
     k = loads.shape[0]
@@ -113,8 +112,8 @@ def ldg_buffered(
     num_saturated = sum(saturated)
     posmap = np.full(n, -1, dtype=np.int64)
 
-    for begin in range(0, n, chunk_size):
-        chunk = stream[begin : begin + chunk_size]
+    for begin in range(0, n, DEFAULT_CHUNK):
+        chunk = stream[begin : begin + DEFAULT_CHUNK]
         B = chunk.size
         posmap[chunk] = np.arange(B)
         overlap, pulls, num_assigned = _chunk_overlap(graph, parts, posmap, chunk, k)

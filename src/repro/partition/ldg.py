@@ -24,30 +24,22 @@ import numpy as np
 
 from repro import telemetry
 from repro.graph.csr import CSRGraph
-from repro.graph.stream import vertex_stream
+from repro.partition._streamcore import SLACK
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.partition.kernels.buffered import ldg_buffered
-from repro.utils.validation import check_positive
 
 __all__ = ["LDGPartitioner"]
 
 
 class LDGPartitioner(Partitioner):
-    """Linear deterministic greedy streaming assignment."""
+    """Linear deterministic greedy streaming assignment, in vertex-id
+    order with Fennel's capacity factor ν."""
 
     name = "ldg"
+    libraries = ("sample",)  # gather_rows
 
-    def __init__(
-        self,
-        *,
-        slack: float = 1.1,
-        order: str = "natural",
-        seed: int | None = None,
-    ) -> None:
-        check_positive("slack", slack)
-        self._slack = slack
-        self._order = order
+    def __init__(self, *, seed: int | None = None) -> None:
         self._seed = seed
 
     def _partition(
@@ -57,11 +49,11 @@ class LDGPartitioner(Partitioner):
         k = num_parts
         parts = np.full(n, -1, dtype=np.int32)
         loads = np.zeros(k, dtype=np.float64)
-        capacity = self._slack * n / k
-        stream = vertex_stream(graph, self._order, rng=self._seed)
+        capacity = SLACK * n / k
 
         with self._phase("stream"):
-            ldg_buffered(graph, stream, parts, loads, capacity=float(capacity))
+            ldg_buffered(graph, np.arange(n, dtype=np.int64), parts, loads,
+                         capacity=float(capacity))
         if telemetry.enabled():
             reg = telemetry.active()
             reg.counter("partition.stream.vertices", kernel="buffered").inc(n)
@@ -70,7 +62,7 @@ class LDGPartitioner(Partitioner):
             )
         return (
             PartitionAssignment(graph, parts, num_parts),
-            {"order": self._order, "kernel": "buffered"},
+            {"order": "natural", "kernel": "buffered"},
         )
 
 

@@ -32,9 +32,17 @@ from repro.graph.csr import CSRGraph
 from repro.partition.assignment import PartitionAssignment
 from repro.partition.base import Partitioner, register_partitioner
 from repro.utils.rng import as_rng
-from repro.utils.validation import check_positive
 
 __all__ = ["MultilevelPartitioner"]
+
+#: allowed vertex imbalance, a ``(1 + ε)`` factor.
+SLACK = 1.03
+#: coarsening stops at ``max(COARSEST_SIZE, 20·k)`` vertices.
+COARSEST_SIZE = 200
+#: label-propagation passes per coarsening level.
+LP_ITERATIONS = 3
+#: boundary-refinement passes per level.
+REFINE_PASSES = 2
 
 
 @dataclass
@@ -103,7 +111,6 @@ def _label_propagation(
     vweights: np.ndarray,
     max_cluster_weight: float,
     rng,
-    iterations: int = 3,
 ) -> np.ndarray:
     """Size-constrained label propagation (Mt-KaHIP's coarsening engine).
 
@@ -114,7 +121,7 @@ def _label_propagation(
     n = indptr.size - 1
     labels = np.arange(n, dtype=np.int64)
     cluster_w = vweights.copy().astype(np.float64)
-    for _ in range(iterations):
+    for _ in range(LP_ITERATIONS):
         changed = 0
         for v in rng.permutation(n):
             s, e = indptr[v], indptr[v + 1]
@@ -142,12 +149,12 @@ def _label_propagation(
     return labels
 
 
-def _initial_partition(level: _Level, num_parts: int, slack: float) -> np.ndarray:
+def _initial_partition(level: _Level, num_parts: int) -> np.ndarray:
     """LPT-with-affinity placement of coarse vertices into ``k`` parts."""
     c = level.num_vertices
     parts = np.full(c, -1, dtype=np.int32)
     loads = np.zeros(num_parts, dtype=np.float64)
-    capacity = slack * level.vweights.sum() / num_parts
+    capacity = SLACK * level.vweights.sum() / num_parts
     order = np.argsort(-level.vweights, kind="stable")
     for v in order:
         s, e = level.indptr[v], level.indptr[v + 1]
@@ -177,15 +184,13 @@ def _refine(
     vweights: np.ndarray,
     parts: np.ndarray,
     num_parts: int,
-    slack: float,
     rng,
-    passes: int = 2,
 ) -> np.ndarray:
     """FM-style greedy boundary refinement with a vertex-balance cap."""
     loads = np.bincount(parts, weights=vweights, minlength=num_parts)
-    capacity = slack * vweights.sum() / num_parts
+    capacity = SLACK * vweights.sum() / num_parts
     n = indptr.size - 1
-    for _ in range(passes):
+    for _ in range(REFINE_PASSES):
         src = np.repeat(np.arange(n), np.diff(indptr))
         boundary = np.unique(src[parts[src] != parts[indices]])
         moved = 0
@@ -213,34 +218,14 @@ def _refine(
 class MultilevelPartitioner(Partitioner):
     """Coarsen → partition → refine, balanced on vertex count.
 
-    Parameters
-    ----------
-    slack:
-        Allowed vertex imbalance ``(1 + ε)``-style factor (default 1.03,
-        matching Mt-KaHIP's 3 % setting — the paper reports its vertex
-        bias as 0.03).
-    coarsest_size:
-        Stop coarsening when the coarse graph has at most
-        ``max(coarsest_size, 20·k)`` vertices.
+    Coarsening stops at ``max(COARSEST_SIZE, 20·k)`` vertices; parts may
+    hold ``SLACK`` times the mean vertex weight (Mt-KaHIP's 3 % setting —
+    the paper reports its vertex bias as 0.03).
     """
 
     name = "multilevel"
 
-    def __init__(
-        self,
-        *,
-        slack: float = 1.03,
-        coarsest_size: int = 200,
-        lp_iterations: int = 3,
-        refine_passes: int = 2,
-        seed: int = 0,
-    ) -> None:
-        check_positive("slack", slack)
-        check_positive("coarsest_size", coarsest_size)
-        self._slack = slack
-        self._coarsest = int(coarsest_size)
-        self._lp_iterations = int(lp_iterations)
-        self._refine_passes = int(refine_passes)
+    def __init__(self, *, seed: int = 0) -> None:
         self._seed = seed
 
     def _partition(
@@ -253,16 +238,13 @@ class MultilevelPartitioner(Partitioner):
         vweights = np.ones(graph.num_vertices, dtype=np.float64)
 
         levels: list[_Level] = []
-        target = max(self._coarsest, 20 * num_parts)
+        target = max(COARSEST_SIZE, 20 * num_parts)
         with self._phase("coarsen"):
             cur = (indptr, indices, eweights, vweights)
             while cur[0].size - 1 > target:
                 n_cur = cur[0].size - 1
                 max_cluster = max(2.0, cur[3].sum() / target)
-                labels = _label_propagation(
-                    *cur, max_cluster_weight=max_cluster, rng=rng,
-                    iterations=self._lp_iterations,
-                )
+                labels = _label_propagation(*cur, max_cluster_weight=max_cluster, rng=rng)
                 level = _contract(*cur, labels)
                 if level.num_vertices >= n_cur * 0.95:  # stalled
                     break
@@ -271,12 +253,12 @@ class MultilevelPartitioner(Partitioner):
 
         with self._phase("initial"):
             if levels:
-                parts = _initial_partition(levels[-1], num_parts, self._slack)
+                parts = _initial_partition(levels[-1], num_parts)
             else:
                 # Graph already small: partition it directly as one level.
                 pseudo = _Level(indptr, indices, eweights, vweights,
                                 np.arange(graph.num_vertices))
-                parts = _initial_partition(pseudo, num_parts, self._slack)
+                parts = _initial_partition(pseudo, num_parts)
 
         with self._phase("refine"):
             # Project down through the levels, refining at each.
@@ -289,19 +271,15 @@ class MultilevelPartitioner(Partitioner):
                     finer = levels[i - 1]
                     parts_fine = _refine(
                         finer.indptr, finer.indices, finer.eweights, finer.vweights,
-                        parts_fine, num_parts, self._slack, rng,
-                        passes=self._refine_passes,
+                        parts_fine, num_parts, rng,
                     )
                 else:
                     parts_fine = _refine(
-                        indptr, indices, eweights, vweights,
-                        parts_fine, num_parts, self._slack, rng,
-                        passes=self._refine_passes,
+                        indptr, indices, eweights, vweights, parts_fine, num_parts, rng
                     )
                 coarse_parts = parts_fine
             parts = coarse_parts if levels else _refine(
-                indptr, indices, eweights, vweights, parts, num_parts,
-                self._slack, rng, passes=self._refine_passes,
+                indptr, indices, eweights, vweights, parts, num_parts, rng
             )
 
         return (

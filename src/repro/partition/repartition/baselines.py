@@ -133,11 +133,11 @@ class PeriodicBPartBaseline:
         self.repartitions += 1
         self._since = 0
 
-    def drain(self, events, *, final: bool = True) -> None:
+    def drain(self, events) -> None:
+        """Apply every event, then repartition once more."""
         for ev in events:
             self.apply(ev)
-        if final:
-            self.repartition()
+        self.repartition()
 
     def ari(self, labels) -> float:
         """Recovered-community ARI over the current residents."""

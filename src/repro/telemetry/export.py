@@ -108,7 +108,7 @@ def to_prometheus(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def spans_to_chrome_events(registry: MetricsRegistry, *, tid: int = 0) -> list[dict]:
+def spans_to_chrome_events(registry: MetricsRegistry) -> list[dict]:
     """Render recorded spans as chrome-tracing complete ("X") events.
 
     Spans live on their own process track (``pid=1``, named
@@ -119,7 +119,7 @@ def spans_to_chrome_events(registry: MetricsRegistry, *, tid: int = 0) -> list[d
         return []
     events: list[dict] = [
         {"name": "process_name", "ph": "M", "pid": 1, "args": {"name": "telemetry"}},
-        {"name": "thread_name", "ph": "M", "pid": 1, "tid": tid, "args": {"name": "spans"}},
+        {"name": "thread_name", "ph": "M", "pid": 1, "tid": 0, "args": {"name": "spans"}},
     ]
     for span in registry.spans:
         events.append(
@@ -128,7 +128,7 @@ def spans_to_chrome_events(registry: MetricsRegistry, *, tid: int = 0) -> list[d
                 "cat": "span",
                 "ph": "X",
                 "pid": 1,
-                "tid": tid,
+                "tid": 0,
                 "ts": span["ts"] * 1e6,
                 "dur": span["dur"] * 1e6,
                 "args": dict(span["args"]),

@@ -6,8 +6,9 @@ children), the artifact store's :class:`~repro.bench.artifacts.CacheStats`
 counters and the BSP :class:`~repro.cluster.ledger.TimingLedger` all
 *emit into* this registry (guarded by the module flag in
 :mod:`repro.telemetry`, so the default is a strict no-op) and the
-registry exports everything at once. There is no second timer: a
-wall-clock breakdown is a span here or it does not exist.
+registry exports everything at once. No region is timed twice: a
+wall-clock breakdown is a span here or it does not exist, and the one
+timer, ``bench.experiment_seconds``, times an experiment no span covers.
 
 Metric taxonomy and the determinism contract:
 
@@ -157,9 +158,6 @@ class Gauge(_Metric):
 
     def inc(self, amount: float = 1) -> None:
         self.value += amount
-
-    def dec(self, amount: float = 1) -> None:
-        self.value -= amount
 
     def as_dict(self):
         return self.value
@@ -483,9 +481,6 @@ class _NullMetric:
     __slots__ = ()
 
     def inc(self, amount: float = 1) -> None:
-        pass
-
-    def dec(self, amount: float = 1) -> None:
         pass
 
     def set(self, value: float) -> None:

@@ -3,7 +3,6 @@
 from repro.utils.rng import as_rng, derive_rng, splitmix64
 from repro.utils.validation import (
     check_count,
-    check_fraction,
     check_nonnegative,
     check_positive,
     check_probability,
@@ -14,7 +13,6 @@ __all__ = [
     "derive_rng",
     "splitmix64",
     "check_count",
-    "check_fraction",
     "check_nonnegative",
     "check_positive",
     "check_probability",

@@ -101,8 +101,8 @@ TABLE = {
         "superstep", "parts:i8[n] n m end:i8[n] by_target:i8[c] c cut_src:i8[c] cut_pair:i8[c]"
         " starts:i8[c] group_pair:i8[c]", SimulationError, returns=True),
     "census_push": Entry(
-        "superstep", "n active:b1[n] cut_src:i8[c] cut_pair:i8[c] c starts:i8[g] group_pair:i8[g] g"
-        " aggregate counts:i8[mm]", SimulationError),
+        "superstep", "n active:b1[n] cut_src:i8[c] c starts:i8[g] group_pair:i8[g] g counts:i8[mm]",
+        SimulationError),
 }
 #: ``_serve.c``'s context: int64 slots in its enum's order (``work``, ``seconds``: doubles' bits)
 SERVE = ("edges:f8[r]? remote:i8[r]? ptr:i8[r+1]? block:i4[z]? count:i4[z]? parts:i4[n]?"

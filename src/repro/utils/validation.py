@@ -18,7 +18,6 @@ __all__ = [
     "check_at_least",
     "check_nonnegative",
     "check_probability",
-    "check_fraction",
     "check_vertex_ids",
 ]
 
@@ -51,12 +50,6 @@ def check_probability(name: str, value: float) -> None:
     """Require ``0 <= value <= 1`` (inclusive both ends)."""
     if not (0.0 <= value <= 1.0):
         raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value!r}")
-
-
-def check_fraction(name: str, value: float) -> None:
-    """Require ``0 < value <= 1`` — a nonzero fraction of a whole."""
-    if not (0.0 < value <= 1.0):
-        raise ConfigurationError(f"{name} must be in (0, 1], got {value!r}")
 
 
 def check_vertex_ids(name: str, ids, n: int | None) -> np.ndarray:

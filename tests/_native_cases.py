@@ -132,8 +132,8 @@ def _census_group():
 
 
 def _census_push():
-    return 4, np.array([True, False, True, True]), _i8(3, 0, 3), _i8(2, 1, 2), _i8(0, 1), \
-        _i8(2, 1), 1, np.zeros(4, np.int64)
+    return 4, np.array([True, False, True, True]), _i8(3, 0, 3), _i8(0, 1), _i8(2, 1), \
+        np.zeros(4, np.int64)
 
 
 CASES = {

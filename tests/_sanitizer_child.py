@@ -39,6 +39,8 @@ from repro.serving import (  # noqa: E402
     PartitionAwareCache, ServingConfig, ServingSimulator, WorkloadSpec)
 from repro.engines.knightking import arcs_exist  # noqa: E402
 from repro.graph.csr import gather_rows  # noqa: E402
+from repro.graph.stream import vertex_stream  # noqa: E402
+from repro.partition.kernels.buffered import ldg_buffered  # noqa: E402
 from tests._native_cases import (  # noqa: E402
     CASES, OFFSETS, OUTSIDE, _bucket_arcs, _fennel_rows, _i8, _induce_rows, _scatter_rows,
     _serve_reads, _walk_apply, serve_cache, serve_graph, with_id, with_offset)
@@ -90,7 +92,7 @@ EMPTY = {  # every entry with no work to do
     "gather_rows": ([], empty(i8), 0, empty(i8)),
     "census_group": (empty(i8), 1, empty(i8), empty(i8), empty(i8), empty(i8), empty(i8),
                      empty(i8)),
-    "census_push": (0, empty(b1), empty(i8), empty(i8), empty(i8), empty(i8), 1, empty(i8, 1)),
+    "census_push": (0, empty(b1), empty(i8), empty(i8), empty(i8), empty(i8, 1)),
 }
 
 
@@ -194,7 +196,9 @@ def main() -> None:
         sharded = spill_csr(g, spill, shard_size=64)
         get_partitioner("bpart").partition(sharded, 3)
         get_partitioner("fennel", order="random", seed=1).partition(sharded, 3)
-        get_partitioner("ldg", order="random", seed=1).partition(sharded, 3)
+        get_partitioner("ldg").partition(sharded, 3)
+        ldg_buffered(sharded, vertex_stream(sharded, "random", rng=1),  # LDG's loop off order
+                     np.full(g.num_vertices, -1, np.int32), np.zeros(3), capacity=1e9)
         refused(lambda: gather_rows(sharded, np.array([3, g.num_vertices])))
         refused(lambda: gather_rows(sharded, np.array([-1])))
         table = sharded.table  # a reader through a table whose graph was closed

@@ -132,13 +132,11 @@ def build_census(graph, parts, m):
             "group_pair": cut_pair[starts], "group_key": key[starts]}
 
 
-def push_counts(census, active, aggregate, m):
+def push_counts(census, active, m):
     """The old push-mode message count."""
     starts = census["group_starts"]
     live_arc = active[census["cut_src"]]
-    if not aggregate:
-        live_pairs = census["cut_pair"][live_arc]
-    elif starts.size:
+    if starts.size:
         live_pairs = census["group_pair"][np.logical_or.reduceat(live_arc, starts)]
     else:
         live_pairs = starts

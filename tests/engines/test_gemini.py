@@ -143,26 +143,14 @@ class TestEngineAccounting:
         assert res.total_messages == 0
 
     def test_aggregation_reduces_messages(self, powerlaw_small):
-        a = make_assignment(powerlaw_small)
-        agg = GeminiEngine(BSPCluster(4), aggregate_messages=True).run(
-            powerlaw_small, a, PageRank(3)
-        )
-        raw = GeminiEngine(BSPCluster(4), aggregate_messages=False).run(
-            powerlaw_small, a, PageRank(3)
-        )
-        assert agg.total_messages < raw.total_messages
-
-    def test_raw_messages_equal_active_cut_arcs(self, powerlaw_small):
         from repro.partition.metrics import edge_cut_ratio
 
+        # Every vertex is active, so without sender-side aggregation each cut
+        # arc would carry one message.
         a = make_assignment(powerlaw_small)
-        res = GeminiEngine(BSPCluster(4), aggregate_messages=False).run(
-            powerlaw_small, a, PageRank(1)
-        )
-        cut_arcs = round(
-            edge_cut_ratio(powerlaw_small, a.parts) * powerlaw_small.num_edges
-        )
-        assert res.total_messages == cut_arcs
+        res = GeminiEngine(BSPCluster(4)).run(powerlaw_small, a, PageRank(1))
+        cut_arcs = round(edge_cut_ratio(powerlaw_small, a.parts) * powerlaw_small.num_edges)
+        assert 0 < res.total_messages < cut_arcs
 
     def test_compute_proportional_to_local_edges(self, powerlaw_small):
         a = make_assignment(powerlaw_small)
@@ -182,6 +170,9 @@ class TestEngineAccounting:
 # ----------------------------------------------------------------------
 # Bytes did not move: digests recorded on the commit before the grouped
 # census (bb71436), with this file's own `_digest` run against that tree.
+# The engine then also ran pull and adaptive modes and unaggregated
+# messages; the cells kept are its push-mode, aggregated ones, each
+# still under its recorded id.
 # Re-record with `PYTHONPATH=src python tests/engines/test_gemini.py`.
 # ----------------------------------------------------------------------
 DIGESTS = Path(__file__).parent / "data" / "gemini_digests.json"
@@ -190,25 +181,18 @@ PROGRAMS = {
     "cc": ConnectedComponents,
     "bfs": lambda: BFS(source=0),
 }
-GRID = [
-    (prog, algo, mode, agg, seed)
-    for prog in PROGRAMS
-    for algo in ("bpart", "chunk-v", "hash")
-    for mode in ("push", "pull", "adaptive")
-    for agg in (True, False)
-    for seed in (1, 2)
-]
+GRID = [(prog, algo, seed)
+        for prog in PROGRAMS for algo in ("bpart", "chunk-v", "hash") for seed in (1, 2)]
 # Cells added on 1f6df5d, before the compiled census: the same graph with 8-byte
 # neighbour ids and a fresh assignment, so the census is built from them.
-WIDE = [(prog, "bpart", mode, agg, 1)
-        for prog in PROGRAMS for mode, agg in (("push", True), ("push", False), ("adaptive", True))]
+WIDE = [(prog, "bpart", 1) for prog in PROGRAMS]
 
 
 @functools.lru_cache(maxsize=None)
 def _job(algo, seed):
     """(graph, assignment) on twitter 0.25, shared by every cell that
     uses it — so the memoised census structures are exercised across
-    programs, modes and aggregation settings, as multi-app runs do."""
+    programs, as multi-app runs do."""
     g = twitter_like(scale=0.25, seed=seed)
     return g, get_partitioner(algo).partition(g, 8).assignment
 
@@ -216,24 +200,25 @@ def _job(algo, seed):
 def _digest(res) -> str:
     h = hashlib.sha256(res.ledger.to_json().encode())
     h.update(np.ascontiguousarray(res.values).tobytes())
-    h.update(repr((res.total_messages, res.modes)).encode())
+    # the recorded runs hashed each iteration's mode, push in every kept cell
+    h.update(repr((res.total_messages, ["push"] * res.iterations)).encode())
     return h.hexdigest()
 
 
-def _cell(prog, algo, mode, agg, seed, *, cluster=BSPCluster, graph=None) -> str:
+def _cell(prog, algo, seed, *, cluster=BSPCluster, graph=None) -> str:
     g, a = _job(algo, seed)
-    engine = GeminiEngine(cluster(a.num_parts), mode=mode, aggregate_messages=agg)
+    engine = GeminiEngine(cluster(a.num_parts))
     return _digest(engine.run(g if graph is None else graph, a, PROGRAMS[prog]()))
 
 
-def _cell_id(prog, algo, mode, agg, seed) -> str:
-    return f"{prog}/{algo}/{mode}/{'agg' if agg else 'raw'}/seed{seed}"
+def _cell_id(prog, algo, seed) -> str:
+    return f"{prog}/{algo}/push/agg/seed{seed}"
 
 
-def _wide_cell(prog, algo, mode, agg, seed) -> str:
+def _wide_cell(prog, algo, seed) -> str:
     g, a = _job(algo, seed)
     wide = CSRGraph(g.indptr, g.indices.astype(np.int64))
-    engine = GeminiEngine(BSPCluster(a.num_parts), mode=mode, aggregate_messages=agg)
+    engine = GeminiEngine(BSPCluster(a.num_parts))
     return _digest(engine.run(wide, PartitionAssignment(wide, a.parts, a.num_parts),
                               PROGRAMS[prog]()))
 
@@ -255,12 +240,12 @@ class TestBytesDidNotMove:
     # graph and assignment bound (as `trace` builds it), read the same
     # bytes as the dense graph on a plain BSPCluster (they did on bb71436 too).
     def test_spilled_graph(self, recorded, tmp_path):
-        cell = ("pagerank", "bpart", "adaptive", True, 1)
+        cell = ("pagerank", "bpart", 1)
         spilled = spill_csr(_job("bpart", 1)[0], tmp_path, shard_size=512)
         assert _cell(*cell, graph=spilled) == recorded[_cell_id(*cell)]
 
     def test_fault_aware_cluster_without_faults(self, recorded):
-        cell = ("cc", "chunk-v", "push", True, 2)
+        cell = ("cc", "chunk-v", 2)
         g, a = _job("chunk-v", 2)
 
         def cluster(k):
@@ -310,7 +295,7 @@ def pair_counts(m, src_machines, dst_machines):
     return np.bincount(src[cross] * m + dst[cross], minlength=m * m).reshape(m, m)
 
 
-def oracle_push(graph, parts, active, aggregate, m):
+def oracle_push(graph, parts, active, m):
     """(edges, vertices, counts) of one push superstep, the old way:
     re-sort the live cut arcs' aggregation keys with np.unique."""
     src, dst = graph.edge_array()
@@ -318,27 +303,17 @@ def oracle_push(graph, parts, active, aggregate, m):
     cut = parts[src] != parts[dst]
     src, dst = src[cut], dst[cut]
     live = active[src]
-    if aggregate:
-        keys = np.unique(parts[src[live]] * graph.num_vertices + dst[live])
-        counts = pair_counts(m, keys // graph.num_vertices, parts[keys % graph.num_vertices])
-    else:
-        counts = pair_counts(m, parts[src[live]], parts[dst[live]])
+    keys = np.unique(parts[src[live]] * graph.num_vertices + dst[live])
+    counts = pair_counts(m, keys // graph.num_vertices, parts[keys % graph.num_vertices])
     edges = np.bincount(parts, weights=graph.degrees * active, minlength=m)
     vertices = np.bincount(parts, weights=active, minlength=m)
     return edges, vertices, counts
 
 
-def oracle_pull(graph, parts, m):
-    src, dst = graph.edge_array()
-    cut = parts[src] != parts[dst]
-    mirrors = np.unique(parts[dst[cut]].astype(np.int64) * graph.num_vertices + src[cut])
-    return pair_counts(m, parts[mirrors % graph.num_vertices], mirrors // graph.num_vertices)
-
-
-def _supersteps(graph, parts, masks, k, **engine_kw):
+def _supersteps(graph, parts, masks, k):
     cluster = _RecordingCluster(k)
     a = PartitionAssignment(graph, parts, k)
-    res = GeminiEngine(cluster, **engine_kw).run(graph, a, _Masks(masks))
+    res = GeminiEngine(cluster).run(graph, a, _Masks(masks))
     return res, cluster.supersteps
 
 
@@ -363,11 +338,11 @@ def census_cases(draw):
 
 
 class TestGroupedCensus:
-    @given(case=census_cases(), aggregate=st.booleans())
+    @given(case=census_cases())
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    def test_push_matches_unique_oracle(self, case, aggregate):
+    def test_push_matches_unique_oracle(self, case):
         g, parts, masks, k = case
-        res, steps = _supersteps(g, parts, masks, k, aggregate_messages=aggregate)
+        res, steps = _supersteps(g, parts, masks, k)
         # The engine stops at the first empty mask (no superstep for it).
         live = []
         for mask in masks:
@@ -376,27 +351,23 @@ class TestGroupedCensus:
             live.append(np.asarray(mask))
         assert res.iterations == len(steps) == len(live)
         for mask, (edges, vertices, counts) in zip(live, steps):
-            want = oracle_push(g, parts, mask, aggregate, k)
+            want = oracle_push(g, parts, mask, k)
             for got, expected in zip((edges, vertices, counts), want):
                 np.testing.assert_array_equal(got, expected)
 
     def test_single_machine(self, powerlaw_small):
         n = powerlaw_small.num_vertices
         parts = np.zeros(n, dtype=np.int64)
-        for agg in (True, False):
-            _, steps = _supersteps(
-                powerlaw_small, parts, [np.ones(n, bool)], 1, aggregate_messages=agg
-            )
-            assert steps[0][2].tolist() == [[0]]
-            assert steps[0][0].tolist() == [float(powerlaw_small.num_edges)]
+        _, steps = _supersteps(powerlaw_small, parts, [np.ones(n, bool)], 1)
+        assert steps[0][2].tolist() == [[0]]
+        assert steps[0][0].tolist() == [float(powerlaw_small.num_edges)]
 
     def test_no_cut_arcs(self, two_components):
         # Components {0,1,2} and {3,4} on their own machines: no arc is cut.
         parts = np.array([0, 0, 0, 1, 1])
-        for mode in ("push", "pull"):
-            res, steps = _supersteps(two_components, parts, [np.ones(5, bool)], 2, mode=mode)
-            assert res.total_messages == 0
-            assert not steps[0][2].any()
+        res, steps = _supersteps(two_components, parts, [np.ones(5, bool)], 2)
+        assert res.total_messages == 0
+        assert not steps[0][2].any()
 
     def test_machine_without_active_vertex(self, powerlaw_small):
         n = powerlaw_small.num_vertices
@@ -405,9 +376,9 @@ class TestGroupedCensus:
         _, steps = _supersteps(powerlaw_small, parts, [mask], 4)
         edges, vertices, counts = steps[0]
         assert edges[2] == vertices[2] == 0 and not counts[2].any()
-        np.testing.assert_array_equal(counts, oracle_push(powerlaw_small, parts, mask, True, 4)[2])
+        np.testing.assert_array_equal(counts, oracle_push(powerlaw_small, parts, mask, 4)[2])
 
-    def test_pull_matrix_is_constant_and_fresh_per_superstep(self, powerlaw_small):
+    def test_matrix_is_fresh_per_superstep(self, powerlaw_small):
         n = powerlaw_small.num_vertices
         parts = np.arange(n, dtype=np.int64) % 4
         seen = []
@@ -421,13 +392,13 @@ class TestGroupedCensus:
         a = PartitionAssignment(powerlaw_small, parts, 4)
         cluster = Scribbling(4)
         masks = [np.ones(n, bool)] * 3
-        GeminiEngine(cluster, mode="pull").run(powerlaw_small, a, _Masks(masks))
+        GeminiEngine(cluster).run(powerlaw_small, a, _Masks(masks))
         assert len({id(t) for t in seen}) == 3
-        want = oracle_pull(powerlaw_small, parts, 4)
+        want = oracle_push(powerlaw_small, parts, masks[0], 4)[2]
         for _, _, counts in cluster.supersteps:
             np.testing.assert_array_equal(counts, want)
-        # ...and a later run on the same assignment reuses the memoised matrix.
-        res = GeminiEngine(BSPCluster(4), mode="pull").run(powerlaw_small, a, _Masks(masks))
+        # ...and a later run on the same assignment reuses the memoised census.
+        res = GeminiEngine(BSPCluster(4)).run(powerlaw_small, a, _Masks(masks))
         assert res.total_messages == 3 * int(want.sum())
 
     def test_jobs_argument_is_gone(self):
@@ -445,7 +416,7 @@ class TestConnectedComponentsOnShards:
         dense = GeminiEngine(BSPCluster(4)).run(g, a, ConnectedComponents())
         shard = GeminiEngine(BSPCluster(4)).run(spilled, a, ConnectedComponents())
         np.testing.assert_array_equal(shard.values, dense.values)
-        assert shard.modes == dense.modes
+        assert shard.iterations == dense.iterations
         assert shard.ledger.to_json() == dense.ledger.to_json()
 
 
@@ -454,7 +425,7 @@ class TestTelemetry:
         a = make_assignment(powerlaw_small)
         telemetry.set_enabled(True)
         telemetry.reset()
-        GeminiEngine(BSPCluster(4), mode="adaptive").run(
+        GeminiEngine(BSPCluster(4)).run(
             powerlaw_small, a, ConnectedComponents()
         )
         reg = telemetry.registry()

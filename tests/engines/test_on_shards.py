@@ -33,7 +33,7 @@ def test_vertex_program_on_shards(name, twins):
     on_dense = GeminiEngine(BSPCluster(PARTS)).run(dense, assignment, program())
     on_shards = GeminiEngine(BSPCluster(PARTS)).run(sharded, assignment, program())
     np.testing.assert_array_equal(on_shards.values, on_dense.values)
-    assert on_shards.modes == on_dense.modes
+    assert on_shards.iterations == on_dense.iterations
     assert on_shards.ledger.to_json() == on_dense.ledger.to_json()
 
 

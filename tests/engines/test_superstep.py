@@ -193,9 +193,8 @@ def test_census_matches_the_model(g, data, spilled):
         assert all(g.has_edge(int(s), int(key % g.num_vertices)) for s in sources)
     for _ in range(3):
         active = _mask(data.draw, g.num_vertices)
-        for aggregate in (True, False):
-            np.testing.assert_array_equal(superstep.census_push(got, active, aggregate, k),
-                                          model.push_counts(want, active, aggregate, k))
+        np.testing.assert_array_equal(superstep.census_push(got, active, k),
+                                      model.push_counts(want, active, k))
 
 
 def _ring_shards(directory, n=40):

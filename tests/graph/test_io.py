@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph import chung_lu, read_edge_list, write_edge_list
-from repro.graph.builder import from_edges
 
 
 @pytest.fixture
@@ -18,8 +17,7 @@ class TestEdgeList:
     def test_roundtrip(self, sample, tmp_path):
         p = tmp_path / "g.txt"
         write_edge_list(sample, p)
-        g = read_edge_list(p, num_vertices=sample.num_vertices)
-        assert g == sample
+        assert read_edge_list(p) == sample
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         p = tmp_path / "g.txt"
@@ -39,20 +37,11 @@ class TestEdgeList:
         with pytest.raises(GraphFormatError):
             read_edge_list(p)
 
-    def test_directed_roundtrip(self, tmp_path):
-        g = from_edges([0, 1, 2], [1, 2, 0], directed=True)
-        p = tmp_path / "d.txt"
-        write_edge_list(g, p)
-        g2 = read_edge_list(p, directed=True, num_vertices=3)
-        assert g2 == g
-
-
 class TestGzip:
     def test_gz_roundtrip(self, sample, tmp_path):
         p = tmp_path / "g.txt.gz"
         write_edge_list(sample, p)
-        g = read_edge_list(p, num_vertices=sample.num_vertices)
-        assert g == sample
+        assert read_edge_list(p) == sample
 
     def test_gz_actually_compressed(self, sample, tmp_path):
         import gzip

@@ -11,7 +11,8 @@ the commit they were recorded on.
   smaller stream fed one arc per batch, and one whose buckets exceed
   ``_BUCKET_CHUNK_ARCS`` (patched small).
 - ``partition/…``: Fennel, BPart and LDG assignment digests on a spilled
-  graph under every ``order=`` and with ``passes=3``, on shards of a size
+  graph under every ``order=`` (LDG's loop driven directly off natural
+  order) and with ``passes=3``, on shards of a size
   that divides ``n``, of one that does not, and opened with
   ``max_open_shards=2`` below the shard count, so the LRU evicts mid-pass.
 
@@ -28,6 +29,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro.graph import (
@@ -38,7 +40,10 @@ from repro.graph import (
     spill_csr,
 )
 from repro.graph import sharded as sharded_mod
-from repro.partition import get_partitioner
+from repro.graph.stream import vertex_stream
+from repro.partition import PartitionAssignment, get_partitioner
+from repro.partition._streamcore import SLACK
+from repro.partition.kernels.buffered import ldg_buffered
 
 DIGESTS = Path(__file__).parents[1] / "data" / "shard_digests.json"
 
@@ -101,6 +106,12 @@ def partition_cell(spill: str, algo: str, option: str, directory: Path) -> str:
     spill_csr(social_graph(4000, 10.0, 2.3, rng=17), directory, shard_size=shard_size).close()
     graph = open_sharded(directory, max_open_shards=max_open)
     try:
+        if algo == "ldg" and option != "natural":
+            # LDGPartitioner streams in natural order; its loop takes any stream
+            parts = np.full(graph.num_vertices, -1, dtype=np.int32)
+            stream = vertex_stream(graph, OPTIONS[option]["order"], rng=OPTIONS[option].get("seed"))
+            ldg_buffered(graph, stream, parts, np.zeros(6), capacity=SLACK * graph.num_vertices / 6)
+            return PartitionAssignment(graph, parts, 6).fingerprint()
         result = get_partitioner(algo, **OPTIONS[option]).partition(graph, 6)
         return result.assignment.fingerprint()
     finally:

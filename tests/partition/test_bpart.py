@@ -118,9 +118,7 @@ class TestBPartFull:
         with pytest.raises(ConfigurationError):
             BPartPartitioner(c=-0.1)
         with pytest.raises(ConfigurationError):
-            BPartPartitioner(balance_threshold=0.0)
-        with pytest.raises(ValueError):
-            BPartPartitioner(oversplit_base=1)
+            BPartPartitioner(max_layers=0)
 
     def test_deterministic(self, g):
         a = BPartPartitioner(seed=2).partition(g, 8).assignment

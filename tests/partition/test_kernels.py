@@ -32,12 +32,12 @@ from repro.partition import (
     get_kernel,
 )
 from repro.partition import dynamic
-from repro.partition._streamcore import default_alpha, stream_partition
+from repro.partition._streamcore import SLACK, default_alpha, stream_partition
 from repro.partition.bpart import bpart_vertex_weights, weighted_stream_partition
 from repro.partition.dynamic import DynamicPartitioner
 from repro.partition.kernels import KERNEL_CHOICES
 from repro.partition.kernels.incremental import single_incremental
-from repro.partition.kernels.buffered import fennel_buffered
+from repro.partition.kernels.buffered import fennel_buffered, ldg_buffered
 from repro.partition.kernels.scalar import fennel_scalar, ldg_scalar, single_scalar
 from repro.utils import canon
 
@@ -214,7 +214,7 @@ class TestBufferedEqualsScalar:
                             alpha=0.5, gamma=1.5, capacity=20.0, passes=1)
 
 
-def _ldg_spec_parts(g, k, *, order, seed, slack=1.1):
+def _ldg_spec_parts(g, k, *, order, seed):
     """The LDG rule run directly through its executable spec."""
     parts = np.full(g.num_vertices, -1, dtype=np.int32)
     ldg_scalar(
@@ -223,8 +223,19 @@ def _ldg_spec_parts(g, k, *, order, seed, slack=1.1):
         vertex_stream(g, order, rng=seed),
         parts,
         np.zeros(k, dtype=np.float64),
-        capacity=slack * g.num_vertices / k,
+        capacity=SLACK * g.num_vertices / k,
     )
+    return parts
+
+
+def _ldg_parts(g, k, *, order, seed):
+    """LDG's loop over any stream: LDGPartitioner streams in natural order,
+    other orders drive ``ldg_buffered`` directly."""
+    if order == "natural":
+        return LDGPartitioner(seed=seed).partition(g, k).assignment.parts
+    parts = np.full(g.num_vertices, -1, dtype=np.int32)
+    ldg_buffered(g, vertex_stream(g, order, rng=seed), parts, np.zeros(k),
+                 capacity=SLACK * g.num_vertices / k)
     return parts
 
 
@@ -237,8 +248,7 @@ class TestLDGParity:
     def test_assignments_identical(self, kernel, order):
         g = social_graph(900, 11.0, 2.3, rng=4)
         ref = _ldg_spec_parts(g, 6, order=order, seed=8)
-        out = LDGPartitioner(order=order, seed=8).partition(g, 6)
-        assert np.array_equal(ref, out.assignment.parts)
+        assert np.array_equal(ref, _ldg_parts(g, 6, order=order, seed=8))
 
     def test_metadata_reports_backend(self, kernel):
         g = chung_lu(150, 6.0, rng=2)
@@ -369,16 +379,23 @@ GOLDEN_GRAPHS = {
 
 
 def ldg_cell_digest(graph, order):
-    return LDGPartitioner(order=order, seed=8).partition(graph, 6).assignment.fingerprint()
+    return PartitionAssignment(graph, _ldg_parts(graph, 6, order=order, seed=8), 6).fingerprint()
 
 
 def fennel_cell_digest(graph, rule, passes, slack):
-    """Fennel k=6, or BPart's phase 1 at 32 pieces, through the default kernel."""
-    if rule == "fennel":
-        res = FennelPartitioner(slack=slack, passes=passes).partition(graph, 6)
-        return res.assignment.fingerprint()
-    parts = weighted_stream_partition(graph, 32, slack=slack, passes=passes)
-    return PartitionAssignment(graph, parts, 32).fingerprint()
+    """Fennel k=6, or BPart's phase 1 at 32 pieces, through the default kernel:
+    at the partitioners' own ν through their entry points, at the others
+    through ``stream_partition``."""
+    k = 6 if rule == "fennel" else 32
+    if slack != SLACK:
+        w = np.ones(graph.num_vertices) if rule == "fennel" else bpart_vertex_weights(graph, 0.5)
+        parts = stream_partition(graph, k, vertex_weights=w, alpha=default_alpha(graph, k),
+                                 slack=slack, passes=passes)
+    elif rule == "fennel":
+        parts = FennelPartitioner(passes=passes).partition(graph, k).assignment.parts
+    else:
+        parts = weighted_stream_partition(graph, k, passes=passes)
+    return PartitionAssignment(graph, parts, k).fingerprint()
 
 
 def dynamic_sequence_digest():
@@ -470,7 +487,7 @@ class TestEdgelessGraphs:
 
 
 class TestStreamTimer:
-    def test_failed_kernel_still_closes_the_stream_timer(self, monkeypatch):
+    def test_failed_kernel_still_closes_the_stream_span(self, monkeypatch):
         import dataclasses
 
         from repro import telemetry
@@ -481,9 +498,9 @@ class TestStreamTimer:
 
         broken = dataclasses.replace(get_kernel("buffered"), fennel=explode)
         monkeypatch.setattr(_streamcore, "get_kernel", lambda name: broken)
-        telemetry.set_enabled(True)
         g = chung_lu(60, 4.0, rng=2)
+        telemetry.set_enabled(True)
         with pytest.raises(RuntimeError, match="kernel died"):
             _fennel_parts(g, 3, kernel="buffered")
-        timer = telemetry.registry().timer("partition.stream.seconds", kernel="buffered")
-        assert timer.count == 1
+        spans = [(sp["name"], sp["args"]) for sp in telemetry.registry().spans]
+        assert spans == [("partition.stream", {"kernel": "buffered"})]

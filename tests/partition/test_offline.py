@@ -24,7 +24,7 @@ def g():
 
 class TestMultilevel:
     def test_vertex_balance_within_slack(self, g):
-        a = MultilevelPartitioner(slack=1.05).partition(g, 8).assignment
+        a = MultilevelPartitioner().partition(g, 8).assignment
         # bias <= slack-1 within rounding effects
         assert bias(a.vertex_counts) < 0.10
 
@@ -47,7 +47,7 @@ class TestMultilevel:
 
     def test_small_graph_no_coarsening(self):
         g = ring_graph(30)
-        a = MultilevelPartitioner(coarsest_size=100).partition(g, 3).assignment
+        a = MultilevelPartitioner().partition(g, 3).assignment
         assert a.vertex_counts.sum() == 30
 
     def test_clock_phases(self, g):
@@ -76,7 +76,7 @@ class TestGD:
 
     def test_cut_on_ring_better_than_random(self):
         g = ring_graph(256)
-        gd = GDPartitioner(seed=3, iterations=120).partition(g, 2).assignment
+        gd = GDPartitioner(seed=3).partition(g, 2).assignment
         h = HashPartitioner().partition(g, 2).assignment
         assert edge_cut_ratio(g, gd.parts) < edge_cut_ratio(g, h.parts)
 

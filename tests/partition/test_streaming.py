@@ -8,7 +8,6 @@ import pytest
 from repro.errors import ConfigurationError, PartitionError
 from repro.graph import social_graph
 from repro.partition import (
-    BPartPartitioner,
     ChunkEPartitioner,
     ChunkVPartitioner,
     FennelPartitioner,
@@ -20,7 +19,6 @@ from repro.partition import (
     jains_fairness,
 )
 from repro.partition._streamcore import stream_partition
-from repro.partition.bpart import weighted_stream_partition
 from repro.partition.dynamic import DynamicPartitioner
 
 ALL_STREAMING = [ChunkVPartitioner, ChunkEPartitioner, HashPartitioner, FennelPartitioner, LDGPartitioner]
@@ -128,13 +126,9 @@ class TestFennel:
         assert edge_cut_ratio(g, fennel.parts) < edge_cut_ratio(g, hash_a.parts) - 0.05
 
     def test_capacity_never_exceeded(self, powerlaw_small):
-        a = FennelPartitioner(slack=1.1).partition(powerlaw_small, 8).assignment
+        a = FennelPartitioner().partition(powerlaw_small, 8).assignment
         cap = 1.1 * powerlaw_small.num_vertices / 8
         assert a.vertex_counts.max() <= cap + 1
-
-    def test_alpha_validation(self):
-        with pytest.raises(ConfigurationError):
-            FennelPartitioner(alpha=-1.0)
 
     def test_random_order_still_balanced(self, powerlaw_small):
         a = FennelPartitioner(order="random", seed=3).partition(powerlaw_small, 8).assignment
@@ -159,16 +153,15 @@ class TestGammaAtLeastOne:
     """γ < 1 makes a zero load's penalty infinite, and the kernels used to
     disagree about it: Fennel raised a part-id error, BPart a raw
     ``bincount`` ValueError, ``buffered`` wrote part −1 where ``scalar``
-    wrote 0, and a negative γ partitioned silently."""
+    wrote 0, and a negative γ partitioned silently. Fennel and BPart take
+    γ = 1.5 from ``stream_partition``'s default; the entry points that
+    take a γ check it."""
 
     ENTRY_POINTS = {
-        "fennel": lambda g, gamma: FennelPartitioner(gamma=gamma).partition(g, 4),
-        "bpart": lambda g, gamma: BPartPartitioner(gamma=gamma).partition(g, 4),
         "dynamic": lambda g, gamma: DynamicPartitioner(4, gamma=gamma),
         "stream": lambda g, gamma: stream_partition(
             g, 4, vertex_weights=np.ones(g.num_vertices), alpha=0.5, gamma=gamma
         ),
-        "phase1": lambda g, gamma: weighted_stream_partition(g, 4, gamma=gamma),
     }
 
     @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

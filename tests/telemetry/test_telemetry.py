@@ -45,11 +45,10 @@ class TestRegistrySemantics:
         with pytest.raises(ConfigurationError):
             reg.counter("x").inc(-1)
 
-    def test_gauge_set_inc_dec(self, reg):
+    def test_gauge_set_inc(self, reg):
         g = reg.gauge("g")
         g.set(10)
-        g.inc(2)
-        g.dec(5)
+        g.inc(-3)
         assert g.value == 7
 
     def test_same_identity_same_object(self, reg):

@@ -2,7 +2,7 @@
 
 One home per protocol (DESIGN.md §9): the compact JSON form and the
 document digest live in ``utils/canon.py`` — the other sha256 users hash
-arrays or bytes, not documents — there is no second timer, and the edge
+arrays or bytes, not documents — no region is timed twice, and the edge
 intake and the keys → rows canonicaliser live in ``graph/builder.py``.
 Serving steps its ≤ ``batch_max`` walkers itself; KnightKing's vectorised
 stepper stays with KnightKing. Serving seeds each walk batch from a
@@ -21,8 +21,9 @@ block table: no chunk gather and no per-block loop around ``native.call``, and
 ``utils/_graph.h`` holds the one block lookup and the one uniform step rule.
 ``src/`` (``.py``, ``.c`` and ``.h``) has no numba path and does not grow back past
 the ceiling. Every CI check is a command a builder runs the same way: no heredoc.
-No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a name it never reads
-(ruff's F401, checked by AST so that it runs without ruff).
+No module under ``src/``, ``tests/`` or ``benchmarks/`` imports a name it never reads,
+assigns a local it never reads or binds a name again before reading it (ruff's F401,
+F841 and F811, mirrored by AST so that they run without ruff).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ HERE = Path(__file__).resolve()
 ROOT = HERE.parents[1]
 
 #: ``find src -name '*.py' -o -name '*.c' | xargs cat | wc -l`` may not exceed this.
-SRC_LINE_CEILING = 19614
+SRC_LINE_CEILING = 19349
 
 SHA256_HOMES = {
     f"src/repro/{name}.py"
@@ -76,6 +77,9 @@ def test_document_digests_have_one_home():
 
 def test_no_second_timer():
     assert _grep(r"WallClock|utils.timing", "src", "tests", "examples", "benchmarks", "docs") == []
+    # the one timer times what no span covers: a whole experiment
+    assert [h.split(":")[0] for h in _grep(r"\.timer\(", "src", glob="*.py")] == [
+        "src/repro/bench/runner.py"]
 
 
 def test_edges_to_rows_has_one_home():
@@ -116,7 +120,6 @@ def test_engine_bookkeeping_is_compiled(monkeypatch):
     superstep = pytest.importorskip("repro.engines.superstep")
     from repro.cluster import BSPCluster
     from repro.engines.gemini import GeminiEngine, PageRank
-    from repro.engines.gemini.engine import _build_census
     from repro.engines.knightking import DeepWalk, WalkEngine, arcs_exist
     from repro.partition import PartitionAssignment
 
@@ -137,7 +140,7 @@ def test_engine_bookkeeping_is_compiled(monkeypatch):
         patch.setattr(type(g), "take_arcs", lambda *a: pytest.fail("take_arcs"))
         arcs_exist(g, queries, queries[::-1].copy())
         assert calls == ["arcs_sorted"]
-        _build_census(g, parts, 4)
+        superstep.census_build(g, parts, 4)
         assert calls[1:] == ["census_scan", "census_scan", "census_group"]
     calls.clear()
     GeminiEngine(BSPCluster(4)).run(g, PartitionAssignment(g, parts, 4), PageRank(3))
@@ -217,12 +220,105 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _lint_paths(init: bool = False) -> list[Path]:
+    return [p for root in ("src", "tests", "benchmarks") for p in sorted((ROOT / root).rglob("*.py"))
+            if init or p.name != "__init__.py"]
+
+
 def test_no_unused_imports():
     # ruff's F401 (the lint job's first rule) for module- and function-level imports,
     # by AST alone so that it runs under --noconftest without ruff installed
-    paths = [p for root in ("src", "tests", "benchmarks") for p in sorted((ROOT / root).rglob("*.py"))
-             if p.name != "__init__.py"]
-    assert [hit for p in paths for hit in _unused_imports(p)] == []
+    assert [hit for p in _lint_paths() for hit in _unused_imports(p)] == []
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(scope: ast.AST):
+    """The nodes of ``scope``'s body that are not inside a nested function,
+    class or comprehension."""
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, (*_SCOPES, ast.ListComp, ast.SetComp, ast.DictComp,
+                                 ast.GeneratorExp)):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _unused_locals(path: Path) -> list[str]:
+    """``path:line name`` for each local a function assigns and never reads (ruff's F841):
+    plain ``name =``, ``with … as name`` and ``except … as name``; parameters, tuple
+    targets and ``_``-prefixed names are not checked, as ruff does not check them."""
+    rel, hits = path.relative_to(ROOT).as_posix(), []
+    for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, (ast.Load, ast.Del))}
+        if "locals" in read:
+            continue
+        shared = {name for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                  for name in n.names}
+        for node in _own_nodes(fn):
+            if isinstance(node, ast.Assign):
+                targets = [(t.id, node.lineno) for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and node.value is not None:
+                targets = [(node.target.id, node.lineno)] if isinstance(node.target, ast.Name) else []
+            elif isinstance(node, ast.withitem) and isinstance(node.optional_vars, ast.Name):
+                targets = [(node.optional_vars.id, node.optional_vars.lineno)]
+            elif isinstance(node, ast.ExceptHandler) and node.name:
+                targets = [(node.name, node.lineno)]
+            else:
+                continue
+            hits += [f"{rel}:{line} {name}" for name, line in targets
+                     if name not in read and name not in shared and not name.startswith("_")]
+    return hits
+
+
+def test_no_unused_locals():
+    # ruff's F841 (the lint job's third rule), by AST alone like the F401 check above
+    assert [hit for p in _lint_paths(init=True) for hit in _unused_locals(p)] == []
+
+
+def _redefined_unused(path: Path) -> list[str]:
+    """``path:line name`` for each import, function or class that an import, function
+    or class of the same body binds again before anything reads it (ruff's F811).
+    Only a body's own statements count, not the branches of an ``if`` or ``try``."""
+    rel, hits = path.relative_to(ROOT).as_posix(), []
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    for scope in ast.walk(tree):
+        body = getattr(scope, "body", None)
+        if not isinstance(body, list) or isinstance(scope, (ast.If, ast.Try, ast.For,
+                                                            ast.While, ast.With)):
+            continue
+        reads = [(n.lineno, n.id) for n in ast.walk(scope)
+                 if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)]
+        reads += [(n.lineno, n.value) for n in ast.walk(scope)  # __all__ entries
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+        bound: dict[str, ast.stmt] = {}
+        for stmt in body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                names = [a.asname or a.name.split(".")[0] for a in stmt.names]
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [stmt.name]
+            else:
+                continue
+            first = min([stmt.lineno, *(d.lineno for d in getattr(stmt, "decorator_list", []))])
+            for name in names:
+                prev = bound.get(name)
+                overload = prev is not None and any(
+                    ast.unparse(d).endswith("overload") for d in getattr(prev, "decorator_list", []))
+                if prev is not None and not overload and not any(
+                        n == name and prev.lineno <= line <= stmt.lineno for line, n in reads):
+                    hits.append(f"{rel}:{first} {name}")
+                bound[name] = stmt
+    return hits
+
+
+def test_no_redefined_unused_names():
+    # ruff's F811 (the lint job's second rule), by AST alone like the F401 check above
+    assert [hit for p in _lint_paths(init=True) for hit in _redefined_unused(p)] == []
 
 
 def test_fennel_decision_is_compiled():

@@ -11,7 +11,6 @@ from repro.errors import ConfigurationError
 from repro.utils import (
     as_rng,
     check_count,
-    check_fraction,
     check_nonnegative,
     check_positive,
     check_probability,
@@ -157,11 +156,6 @@ class TestValidation:
         check_probability("p", 1.0)
         with pytest.raises(ConfigurationError):
             check_probability("p", 1.01)
-
-    def test_check_fraction(self):
-        check_fraction("f", 1.0)
-        with pytest.raises(ConfigurationError):
-            check_fraction("f", 0.0)
 
     def test_error_names_parameter(self):
         with pytest.raises(ConfigurationError, match="myparam"):
